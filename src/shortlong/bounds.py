@@ -34,7 +34,6 @@ __all__ = [
     "DiscreteScenario",
     "BoundReport",
     "lemma_slack",
-    "check_lemma1",
     "check_theorem1_exact",
     "check_theorem1_sform",
     "check_theorem2",
@@ -93,10 +92,6 @@ def lemma_slack(link: ConvexLink, gamma: float, ra: RewardAssignment) -> float:
            + eval_link(link, 3.0 * d2 - gamma)
            + eval_link(link, 3.0 * d3 - gamma)) / 3.0
     return float(lhs - rhs)
-
-
-# check_lemma1 is the spec-facing name for the signed-slack primitive.
-check_lemma1 = lemma_slack
 
 
 def _lemma_slack_batch(link: ConvexLink, gammas: np.ndarray, rewards: np.ndarray,
@@ -301,8 +296,8 @@ def _witness(scn: DiscreteScenario, link: ConvexLink, gamma: float, slack: float
 
 
 def random_scenario(rng: np.random.Generator, *, max_contexts: int = 4,
-                    max_responses: int = 4, reward_range: tuple[float, float] = _DEFAULT_REWARD_RANGE,
-                    enforce_discrimination: bool = True) -> DiscreteScenario:
+                    max_responses: int = 4,
+                    reward_range: tuple[float, float] = _DEFAULT_REWARD_RANGE) -> DiscreteScenario:
     """Draw a random scenario; preference pairs may abstain (sums <= 1)."""
     k = int(rng.integers(1, max_contexts + 1))
     m = int(rng.integers(2, max_responses + 1))
@@ -319,14 +314,8 @@ def random_scenario(rng: np.random.Generator, *, max_contexts: int = 4,
             split = rng.uniform(0.0, 1.0, k)
             p_short[:, i, j] = total * split
             p_short[:, j, i] = total * (1.0 - split)
-            if enforce_discrimination:
-                p_long[:, i, j] = p_short[:, i, j] * rng.uniform(0.0, 1.0, k)
-                p_long[:, j, i] = p_short[:, j, i] * rng.uniform(0.0, 1.0, k)
-            else:
-                total2 = rng.uniform(0.0, 1.0, k)
-                split2 = rng.uniform(0.0, 1.0, k)
-                p_long[:, i, j] = total2 * split2
-                p_long[:, j, i] = total2 * (1.0 - split2)
+            p_long[:, i, j] = p_short[:, i, j] * rng.uniform(0.0, 1.0, k)
+            p_long[:, j, i] = p_short[:, j, i] * rng.uniform(0.0, 1.0, k)
     return DiscreteScenario(w, q, r_short, r_long, p_short, p_long)
 
 

@@ -9,8 +9,9 @@ Every run writes a fixed layout under the output directory::
     logs/           per-step training logs
 
 Configs are flat ``key = value`` text files ('#' starts a comment); any key
-can be overridden on the command line with ``--set key=value``. Keys are
-documented in the README.
+can be overridden on the command line with ``--set key=value``. Each
+subcommand's keys, their types and their defaults are declared once, in
+``KEYS``; an unknown key is an error. Keys are documented in the README.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import __version__
 from . import bounds as bounds_mod
 from . import efficiency
 from .corpus import (PolicyCandidateGenerator, StubGenerator, build_chain_corpus,
-                     needle_profile, needle_vocab, word_profile)
+                     needle_profile, needle_vocab, value_token, word_profile)
 from .forge import (HaystackConfig, forge_dataset, read_forged_jsonl,
                     read_source_jsonl, write_forged_jsonl)
 from .gradcheck import check_loss_gradients, check_policy_gradients
@@ -34,16 +36,15 @@ from .policy import ToyLM, load_model, save_model
 from .training import (NonFiniteLossError, TrainConfig, evaluate,
                        run_comparison, train)
 
-__all__ = ["main", "load_config"]
+__all__ = ["main", "load_config", "parse_settings", "KEYS"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str | Path) -> dict[str, str]:
-    """Parse a flat key = value config file; errors carry line numbers."""
-    out: dict[str, str] = {}
+def _config_lines(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) for each setting in a flat config file."""
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -53,40 +54,112 @@ def load_config(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{path}: line {lineno}: empty key")
-        out[key] = value
-    return out
+        yield lineno, key, value
 
 
-class Settings:
-    """Config values with typed access and default fallbacks."""
+def load_config(path: str | Path) -> dict[str, str]:
+    """Parse a flat key = value config file; errors carry line numbers."""
+    return {key: value for _, key, value in _config_lines(path)}
 
-    def __init__(self, values: dict[str, str]):
-        self.values = values
 
-    def str_(self, key: str, default: str) -> str:
-        return self.values.get(key, default)
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes", "on"):
+        return True
+    if raw.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
-    def int_(self, key: str, default: int) -> int:
-        try:
-            return int(self.values.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
 
-    def float_(self, key: str, default: float) -> float:
-        try:
-            return float(self.values.get(key, default))
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(f"expected one of {'/'.join(options)}, got {raw!r}")
+        return raw
+    return parse
 
-    def bool_(self, key: str, default: bool) -> bool:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
+
+# Per subcommand, key -> (parser, default). A None default leaves the value
+# to the library call it feeds (or, for the corpus keys, to the corpus).
+_SEED = {"seed": (int, 0)}
+KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
+    "verify-bounds": {
+        **_SEED, "lemma_instances": (int, 1_000_000), "theorem1_scenarios": (int, 10_000),
+        "theorem2_scenarios": (int, 10_000), "necessity_attempts": (int, 100_000),
+        "selftest_instances": (int, 10_000)},
+    "forge": {
+        **_SEED, "corpus": (str, "builtin-needle"), "corpus_sources": (int, None),
+        "corpus_pool": (int, None), "corpus_seed": (int, None), "distractor_pool": (str, None),
+        "n_target": (int, None), "target_short_tokens": (int, None),
+        "target_long_tokens": (int, None), "tolerance_frac": (float, None),
+        "condition_on": (str, None), "intersection": (_bool, None),
+        "generator": (_choice("stub", "policy"), "stub"), "stub_p_correct": (float, 0.5),
+        "stub_n": (int, None), "policy_checkpoint": (str, None), "policy_n": (int, None),
+        "policy_temperature": (float, None), "policy_max_len": (int, None)},
+    "train": {
+        **_SEED, "dataset": (str, None), "eval_dataset": (str, None),
+        "method": (Method, Method.ORPO), "alpha": (float, None), "beta": (float, None),
+        "gamma": (float, None), "eta": (float, None), "ra_mode": (RAMode, None),
+        "include_nll": (_bool, None), "lr_max": (float, None), "warmup_ratio": (float, None),
+        "batch_size": (int, None), "epochs": (int, None), "eval_every": (int, None),
+        "po_context": (str, None), "telemetry": (_bool, None), "model_hidden": (int, None),
+        "model_seed": (int, None)},
+    "eval": {
+        **_SEED, "checkpoint": (str, None), "dataset": (str, None),
+        "context": (_choice("short", "long", "both"), "both"), "max_len": (int, None)},
+    "speedup": _SEED,
+    "grad-check": {**_SEED, "points": (int, 200)},
+}
+_METHOD_KEYS = ("alpha", "beta", "gamma", "eta", "ra_mode", "include_nll")
+_TRAIN_KEYS = ("lr_max", "warmup_ratio", "batch_size", "epochs", "eval_every",
+               "po_context", "telemetry")
+# Keys naming input files whose digests go into the manifest.
+_INPUT_KEYS = {"forge": ("corpus",), "train": ("dataset", "eval_dataset"),
+               "eval": ("checkpoint", "dataset")}
+# Built-in corpora: profile, default source and pool counts, default targets.
+_CORPORA = {
+    "builtin-needle": (needle_profile, 400, 360,
+                       {"target_short_tokens": 64, "target_long_tokens": 512}),
+    "builtin-word": (word_profile, 600, 2200, {}),
+}
+
+
+def _parse_value(command: str, where: str, key: str, text: str) -> object:
+    if key not in KEYS[command]:
+        raise ConfigError(f"{where}: unknown {command} key {key!r}")
+    try:
+        return KEYS[command][key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: config key {key!r}: {exc}") from None
+
+
+def parse_settings(command: str, args: argparse.Namespace) -> dict[str, object]:
+    """Every key of ``command``, typed: the defaults, then the config file,
+    then ``--set``, then ``--seed``. Unknown keys and bad values raise
+    ConfigError naming the key and where it was set."""
+    given: list[tuple[str, str, str]] = []
+    if args.config:
+        given += [(f"{args.config}: line {lineno}", key, value)
+                  for lineno, key, value in _config_lines(args.config)]
+    for item in args.set or []:
+        if "=" not in item:
+            raise ConfigError(f"--set expects key=value, got {item!r}")
+        key, value = item.split("=", 1)
+        given.append(("--set", key.strip(), value.strip()))
+    if args.seed is not None:
+        given.append(("--seed", "seed", str(args.seed)))
+    values = {key: default for key, (_, default) in KEYS[command].items()}
+    for where, key, text in given:
+        values[key] = _parse_value(command, where, key, text)
+    return values
+
+
+def _given(values: dict, *keys: str, prefix: str = "") -> dict:
+    """The keys that were set, as keyword arguments with ``prefix`` removed."""
+    return {key.removeprefix(prefix): values[key] for key in keys if values[key] is not None}
+
+
+def _or(value, default):
+    return default if value is None else value
 
 
 def _sha256(path: Path) -> str:
@@ -98,14 +171,13 @@ def _prepare_run_dir(out: Path) -> None:
         (out / sub).mkdir(parents=True, exist_ok=True)
 
 
-def _write_manifest(out: Path, subcommand: str, config_path: str | None,
-                    overrides: list[str], seed: int,
+def _write_manifest(out: Path, args: argparse.Namespace, seed: int,
                     inputs: dict[str, Path]) -> None:
     manifest = {
-        "subcommand": subcommand,
-        "config_path": config_path,
-        "config_digest": _sha256(Path(config_path)) if config_path else None,
-        "overrides": sorted(overrides),
+        "subcommand": args.command,
+        "config_path": args.config,
+        "config_digest": _sha256(Path(args.config)) if args.config else None,
+        "overrides": sorted(args.set or []),
         "seed": seed,
         "output_dir": str(out),
         "tool_version": __version__,
@@ -115,86 +187,31 @@ def _write_manifest(out: Path, subcommand: str, config_path: str | None,
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
-def _settings_from_args(args) -> tuple[Settings, str | None, list[str]]:
-    values: dict[str, str] = {}
-    if args.config:
-        values.update(load_config(args.config))
-    overrides = list(args.set or [])
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        values[key.strip()] = value.strip()
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
-    return Settings(values), args.config, overrides
-
-
-def _method_cfg(s: Settings) -> MethodConfig:
-    method = Method(s.str_("method", "orpo"))
-    kwargs = {}
-    for key in ("alpha", "beta", "gamma"):
-        if key in s.values:
-            kwargs[key] = s.float_(key, 0.0)
-    if "eta" in s.values:
-        kwargs["eta"] = s.float_("eta", 1.0)
-    if "ra_mode" in s.values:
-        kwargs["ra_mode"] = RAMode(s.str_("ra_mode", "chosen_only"))
-    if "include_nll" in s.values:
-        kwargs["include_nll"] = s.bool_("include_nll", True)
-    return MethodConfig(method, **kwargs)
-
-
-def _train_cfg(s: Settings, method_cfg: MethodConfig) -> TrainConfig:
-    return TrainConfig(
-        method_cfg=method_cfg,
-        lr_max=s.float_("lr_max", 1e-2),
-        warmup_ratio=s.float_("warmup_ratio", 0.1),
-        batch_size=s.int_("batch_size", 16),
-        epochs=s.int_("epochs", 1),
-        seed=s.int_("seed", 0),
-        eval_every=s.int_("eval_every", 0),
-        po_context=s.str_("po_context", "short"),
-        telemetry=s.bool_("telemetry", True),
-    )
-
-
 # ---------------------------------------------------------------- verify-bounds
 
 
-def cmd_verify_bounds(args) -> int:
-    s, config_path, overrides = _settings_from_args(args)
-    out = Path(args.out)
-    _prepare_run_dir(out)
-    seed = s.int_("seed", 0)
-    reports: dict[str, bounds_mod.BoundReport] = {}
-
-    if s.bool_("selftest_nonconvex", False) or args.selftest_nonconvex:
-        rep = bounds_mod.run_nonconvex_selftest(s.int_("selftest_instances", 10000), seed)
-        reports["selftest_nonconvex"] = rep
-        _write_bound_reports(out, reports)
-        _write_manifest(out, "verify-bounds", config_path, overrides, seed, {})
+def cmd_verify_bounds(args, v: dict, out: Path) -> int:
+    seed = v["seed"]
+    if args.selftest_nonconvex:
+        rep = bounds_mod.run_nonconvex_selftest(v["selftest_instances"], seed)
+        _write_bound_reports(out, {"selftest_nonconvex": rep})
         # The sanity path must detect violations; finding none means the
         # harness is broken, which is also a nonzero outcome.
         print(f"selftest_nonconvex: max_violation={rep.max_violation:.3e} "
               f"witness={'yes' if rep.worst_witness else 'no'}")
         return 2 if rep.max_violation > bounds_mod.TOLERANCE else 3
 
-    reports["lemma1"] = bounds_mod.run_lemma1_suite(
-        s.int_("lemma_instances", 1_000_000), seed)
+    reports: dict[str, bounds_mod.BoundReport] = {
+        "lemma1": bounds_mod.run_lemma1_suite(v["lemma_instances"], seed)}
     for form in ("exact", "sform"):
         for name, rep in bounds_mod.run_theorem1_suite(
-                s.int_("theorem1_scenarios", 10_000), seed, form=form).items():
+                v["theorem1_scenarios"], seed, form=form).items():
             reports[f"theorem1_{form}[{name}]"] = rep
-    for name, rep in bounds_mod.run_theorem2_suite(
-            s.int_("theorem2_scenarios", 10_000), seed).items():
+    for name, rep in bounds_mod.run_theorem2_suite(v["theorem2_scenarios"], seed).items():
         reports[f"theorem2[p={name}]"] = rep
-    necessity = bounds_mod.run_assumption_necessity_search(
-        s.int_("necessity_attempts", 100_000), seed)
-    reports["assumption_necessity"] = necessity
-
+    reports["assumption_necessity"] = bounds_mod.run_assumption_necessity_search(
+        v["necessity_attempts"], seed)
     _write_bound_reports(out, reports)
-    _write_manifest(out, "verify-bounds", config_path, overrides, seed, {})
 
     failed = []
     for name, rep in reports.items():
@@ -217,76 +234,48 @@ def _write_bound_reports(out: Path, reports: dict[str, "bounds_mod.BoundReport"]
 # ------------------------------------------------------------------------ forge
 
 
-def _load_corpus(s: Settings) -> tuple[list, list, object]:
-    corpus = s.str_("corpus", "builtin-needle")
-    corpus_seed = s.int_("corpus_seed", s.int_("seed", 0))
-    if corpus == "builtin-needle":
-        profile = needle_profile()
+def _load_corpus(v: dict) -> tuple[list, list, object]:
+    corpus = v["corpus"]
+    if corpus in _CORPORA:
+        make_profile, n_sources, pool_size, _ = _CORPORA[corpus]
+        profile = make_profile()
         sources, pool = build_chain_corpus(
-            s.int_("corpus_sources", 400), s.int_("corpus_pool", 360),
-            corpus_seed, profile)
-        return sources, pool, profile
-    if corpus == "builtin-word":
-        profile = word_profile()
-        sources, pool = build_chain_corpus(
-            s.int_("corpus_sources", 600), s.int_("corpus_pool", 2200),
-            corpus_seed, profile)
+            _or(v["corpus_sources"], n_sources), _or(v["corpus_pool"], pool_size),
+            _or(v["corpus_seed"], v["seed"]), profile)
         return sources, pool, profile
     sources = read_source_jsonl(corpus)
-    pool_path = s.str_("distractor_pool", "")
-    if not pool_path:
+    if not v["distractor_pool"]:
         raise ConfigError("external corpora require a 'distractor_pool' JSONL"
                           " of documents (one JSON string per line)")
-    pool = [json.loads(line) for line in Path(pool_path).read_text().splitlines()
+    pool = [json.loads(line) for line in Path(v["distractor_pool"]).read_text().splitlines()
             if line.strip()]
     return sources, pool, None
 
 
-def _build_generator(s: Settings, profile) -> object:
-    kind = s.str_("generator", "stub")
-    if kind == "stub":
+def _build_generator(v: dict, profile) -> object:
+    if v["generator"] == "stub":
         wrong: tuple[str, ...] = ("noanswer",)
         if profile is not None:
-            from .corpus import value_token
-
             wrong = tuple(value_token(profile, i) for i in range(profile.n_values)) + wrong
-        return StubGenerator(p_correct=s.float_("stub_p_correct", 0.5),
-                             n=s.int_("stub_n", 32), wrong_answers=wrong)
-    if kind == "policy":
-        checkpoint = s.str_("policy_checkpoint", "")
-        if not checkpoint:
-            raise ConfigError("generator=policy requires 'policy_checkpoint'")
-        model = load_model(checkpoint)
-        return PolicyCandidateGenerator(model, n=s.int_("policy_n", 32),
-                                        temperature=s.float_("policy_temperature", 0.85),
-                                        max_len=s.int_("policy_max_len", 6))
-    raise ConfigError(f"unknown generator kind {kind!r}")
+        return StubGenerator(p_correct=v["stub_p_correct"], wrong_answers=wrong,
+                             **_given(v, "stub_n", prefix="stub_"))
+    if not v["policy_checkpoint"]:
+        raise ConfigError("generator=policy requires 'policy_checkpoint'")
+    return PolicyCandidateGenerator(
+        load_model(v["policy_checkpoint"]),
+        **_given(v, "policy_n", "policy_temperature", "policy_max_len", prefix="policy_"))
 
 
-def cmd_forge(args) -> int:
-    s, config_path, overrides = _settings_from_args(args)
-    out = Path(args.out)
-    _prepare_run_dir(out)
-    seed = s.int_("seed", 0)
-    sources, pool, profile = _load_corpus(s)
-    generator = _build_generator(s, profile)
-    defaults = (64, 512) if s.str_("corpus", "builtin-needle") == "builtin-needle" else (1100, 7500)
-    cfg = HaystackConfig(
-        target_short_tokens=s.int_("target_short_tokens", defaults[0]),
-        target_long_tokens=s.int_("target_long_tokens", defaults[1]),
-        tolerance_frac=s.float_("tolerance_frac", 0.05),
-        seed=seed)
-    n_target = s.int_("n_target", 0) or None
-    samples, stats = forge_dataset(sources, pool, generator, cfg, n_target,
-                                   condition_on=s.str_("condition_on", "short"),
-                                   intersection=s.bool_("intersection", False))
+def cmd_forge(args, v: dict, out: Path) -> int:
+    sources, pool, profile = _load_corpus(v)
+    generator = _build_generator(v, profile)
+    targets = _CORPORA[v["corpus"]][3] if v["corpus"] in _CORPORA else {}
+    cfg = HaystackConfig(seed=v["seed"], **{**targets, **_given(
+        v, "target_short_tokens", "target_long_tokens", "tolerance_frac")})
+    samples, stats = forge_dataset(sources, pool, generator, cfg, v["n_target"] or None,
+                                   **_given(v, "condition_on", "intersection"))
     write_forged_jsonl(samples, out / "data" / "forged.jsonl")
     (out / "data" / "forge_stats.json").write_text(stats.to_json())
-    inputs = {}
-    corpus = s.str_("corpus", "builtin-needle")
-    if not corpus.startswith("builtin-"):
-        inputs["corpus"] = Path(corpus)
-    _write_manifest(out, "forge", config_path, overrides, seed, inputs)
     print(f"emitted {stats.emitted} samples "
           f"(discard rate {stats.discard_rate:.3f}, achieved c "
           f"{stats.achieved_compression:.4f})")
@@ -296,65 +285,52 @@ def cmd_forge(args) -> int:
 # ------------------------------------------------------------------------ train
 
 
-def _parse_compare(spec: str) -> tuple[str, list[str]]:
-    if ":" not in spec:
+def _train_cfg(v: dict) -> TrainConfig:
+    return TrainConfig(MethodConfig(v["method"], **_given(v, *_METHOD_KEYS)),
+                       seed=v["seed"], **_given(v, *_TRAIN_KEYS))
+
+
+def _compare_arms(spec: str, v: dict) -> list[tuple[str, TrainConfig]]:
+    """One labelled config per value of ``--compare key:v1,v2,...``."""
+    key, _, raw = spec.partition(":")
+    key, texts = key.strip(), [t.strip() for t in raw.split(",") if t.strip()]
+    if not texts:
         raise ConfigError("--compare expects key:value1,value2,...")
-    key, raw = spec.split(":", 1)
-    return key.strip(), [v.strip() for v in raw.split(",") if v.strip()]
+    parsed = [_parse_value("train", "--compare", key, text) for text in texts]
+    if key not in ("method",) + _METHOD_KEYS + _TRAIN_KEYS:
+        raise ConfigError(f"--compare: {key!r} does not vary the training objective")
+    return [(f"{key}={text}", _train_cfg({**v, key: value}))
+            for text, value in zip(texts, parsed)]
 
 
-def cmd_train(args) -> int:
-    s, config_path, overrides = _settings_from_args(args)
-    out = Path(args.out)
-    _prepare_run_dir(out)
-    seed = s.int_("seed", 0)
-    dataset_path = s.str_("dataset", "")
-    if not dataset_path:
+def cmd_train(args, v: dict, out: Path) -> int:
+    arms = _compare_arms(args.compare, v) if args.compare else None
+    if not v["dataset"]:
         raise ConfigError("train requires a 'dataset' (forged JSONL path)")
-    dataset = read_forged_jsonl(dataset_path)
-    eval_path = s.str_("eval_dataset", "")
-    eval_set = read_forged_jsonl(eval_path) if eval_path else None
+    dataset = read_forged_jsonl(v["dataset"])
+    eval_set = read_forged_jsonl(v["eval_dataset"]) if v["eval_dataset"] else None
     vocab = needle_vocab()
-    hidden = s.int_("model_hidden", 16)
-    model_seed = s.int_("model_seed", seed)
+    hidden = {} if v["model_hidden"] is None else {"hidden_dim": v["model_hidden"]}
 
-    inputs = {"dataset": Path(dataset_path)}
-    if eval_path:
-        inputs["eval_dataset"] = Path(eval_path)
-
-    if args.compare:
-        key, raw_values = _parse_compare(args.compare)
-        seeds = [int(x) for x in (args.seeds or str(seed)).split(",")]
-        configs = []
-        for value in raw_values:
-            local = Settings(dict(s.values))
-            local.values[key] = value
-            configs.append((f"{key}={value}", _train_cfg(local, _method_cfg(local))))
+    if arms is not None:
         if eval_set is None:
             raise ConfigError("--compare requires 'eval_dataset'")
-        report = run_comparison(seeds, configs, dataset, eval_set, vocab,
-                                lambda sd: ToyLM(vocab, hidden, sd))
+        seeds = [int(x) for x in (args.seeds or str(v["seed"])).split(",")]
+        report = run_comparison(seeds, arms, dataset, eval_set, vocab,
+                                lambda sd: ToyLM(vocab, seed=sd, **hidden))
         report.write_csv(out / "reports" / "comparison.csv")
         report.write_json(out / "reports" / "comparison.json")
         report.write_margins_csv(out / "reports" / "margins.csv")
-        _write_manifest(out, "train", config_path, overrides, seed, inputs)
         for label, agg in report.aggregates().items():
             print(f"{label}: long {agg['long_mean']:.3f}±{agg['long_std']:.3f} "
                   f"short {agg['short_mean']:.3f}±{agg['short_std']:.3f} (n={agg['n']})")
         return 0
 
-    cfg = _train_cfg(s, _method_cfg(s))
-    model = ToyLM(vocab, hidden, model_seed)
-    try:
-        model, log = train(model, dataset, cfg, vocab, eval_set=eval_set)
-    except NonFiniteLossError as exc:
-        (out / "reports" / "abort.json").write_text(json.dumps(exc.diagnostic, sort_keys=True))
-        print(f"training aborted: {exc}", file=sys.stderr)
-        return 1
+    model = ToyLM(vocab, seed=_or(v["model_seed"], v["seed"]), **hidden)
+    model, log = train(model, dataset, _train_cfg(v), vocab, eval_set=eval_set)
     save_model(model, out / "checkpoints" / "final.json")
     log.write_csv(out / "logs" / "train_log.csv")
     log.write_json(out / "logs" / "train_log.json")
-    _write_manifest(out, "train", config_path, overrides, seed, inputs)
     if log.evals:
         last = log.evals[-1]
         print(f"final accuracy: short {last.short_acc:.3f} long {last.long_acc:.3f}")
@@ -366,49 +342,29 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------------- eval
 
 
-def cmd_eval(args) -> int:
-    s, config_path, overrides = _settings_from_args(args)
-    out = Path(args.out)
-    _prepare_run_dir(out)
-    seed = s.int_("seed", 0)
-    checkpoint = s.str_("checkpoint", "")
-    dataset_path = s.str_("dataset", "")
-    if not checkpoint or not dataset_path:
+def cmd_eval(args, v: dict, out: Path) -> int:
+    if not v["checkpoint"] or not v["dataset"]:
         raise ConfigError("eval requires 'checkpoint' and 'dataset'")
-    model = load_model(checkpoint)
-    dataset = read_forged_jsonl(dataset_path)
-    max_len = s.int_("max_len", 4)
-    which = s.str_("context", "both")
-    result = {}
-    if which in ("short", "both"):
-        result["short_acc"] = evaluate(model, dataset, "short", model.vocab, max_len)
-    if which in ("long", "both"):
-        result["long_acc"] = evaluate(model, dataset, "long", model.vocab, max_len)
+    model = load_model(v["checkpoint"])
+    dataset = read_forged_jsonl(v["dataset"])
+    kinds = ("short", "long") if v["context"] == "both" else (v["context"],)
+    result = {f"{kind}_acc": evaluate(model, dataset, kind, model.vocab,
+                                      **_given(v, "max_len"))
+              for kind in kinds}
     (out / "reports" / "eval.json").write_text(json.dumps(result, sort_keys=True))
-    _write_manifest(out, "eval", config_path, overrides, seed,
-                    {"checkpoint": Path(checkpoint), "dataset": Path(dataset_path)})
-    print(" ".join(f"{k}={v:.4f}" for k, v in sorted(result.items())))
+    print(" ".join(f"{k}={val:.4f}" for k, val in sorted(result.items())))
     return 0
 
 
 # ---------------------------------------------------------------------- speedup
 
 
-def cmd_speedup(args) -> int:
-    s, config_path, overrides = _settings_from_args(args)
-    out = Path(args.out)
-    _prepare_run_dir(out)
-    seed = s.int_("seed", 0)
+def cmd_speedup(args, v: dict, out: Path) -> int:
     c_values = [float(c) for c in (args.c or ["0.125", "0.25", "0.5", "1.0"])]
     n_values = [float(n) for n in (args.n or ["1000"])]
     models = [efficiency.CostModel(long_tokens=n, compression=c)
               for n in n_values for c in c_values]
     efficiency.write_report_csv(models, out / "reports" / "speedup.csv")
-    if s.bool_("measure_wallclock", False):
-        report = efficiency.measure_step_times(seed=seed)
-        (out / "reports" / "wallclock.json").write_text(
-            json.dumps(report, indent=1, sort_keys=True))
-    _write_manifest(out, "speedup", config_path, overrides, seed, {})
     for c in c_values:
         print(f"c={c:g} speedup={efficiency.speedup(c):.3f}")
     return 0
@@ -417,16 +373,11 @@ def cmd_speedup(args) -> int:
 # ------------------------------------------------------------------- grad-check
 
 
-def cmd_grad_check(args) -> int:
-    s, config_path, overrides = _settings_from_args(args)
-    out = Path(args.out)
-    _prepare_run_dir(out)
-    seed = s.int_("seed", 0)
-    loss_report = check_loss_gradients(s.int_("points", 200), seed)
-    policy_report = check_policy_gradients(seed)
+def cmd_grad_check(args, v: dict, out: Path) -> int:
+    loss_report = check_loss_gradients(v["points"], v["seed"])
+    policy_report = check_policy_gradients(v["seed"])
     payload = {"loss_gradients": loss_report, "policy_gradients": policy_report}
     (out / "reports" / "gradcheck.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
-    _write_manifest(out, "grad-check", config_path, overrides, seed, {})
     worst = max(loss_report["max_relative_error"], policy_report["max_relative_error"])
     print(f"max relative error: {worst:.3e}")
     return 0 if worst < 1e-4 else 1
@@ -485,13 +436,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse the keys, run the subcommand in a fresh run directory, and write
+    ``manifest.json`` unless the run failed with an error."""
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
-        return args.func(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+        values = parse_settings(args.command, args)
+        _prepare_run_dir(out)
+        rc = args.func(args, values, out)
+    except NonFiniteLossError as exc:
+        (out / "reports" / "abort.json").write_text(json.dumps(exc.diagnostic, sort_keys=True))
+        print(f"training aborted: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    inputs = {key: Path(values[key]) for key in _INPUT_KEYS.get(args.command, ())
+              if values[key] and values[key] not in _CORPORA}
+    _write_manifest(out, args, values["seed"], inputs)
+    return rc
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +24,6 @@ __all__ = [
     "speedup",
     "report_rows",
     "write_report_csv",
-    "measure_step_times",
 ]
 
 CROSSOVER_COMPRESSION = 1.0 / math.sqrt(2.0)
@@ -91,52 +89,3 @@ def write_report_csv(models: Sequence[CostModel], path: str | Path) -> None:
         writer.writeheader()
         writer.writerows(rows)
 
-
-def measure_step_times(c_values: Sequence[float] = (0.125, 0.25, 0.5, 1.0),
-                       long_tokens: int = 512, n_samples: int = 16,
-                       steps: int = 4, seed: int = 0) -> dict:
-    """Wall-clock ordering hook: time toy-trainer steps across compressions.
-
-    Report-only — the toy scorer is linear in context length, so only the
-    ordering (faster at smaller c) is expected to agree with the quadratic
-    model, not the magnitudes.
-    """
-    from .corpus import StubGenerator, build_chain_corpus, needle_profile, needle_vocab
-    from .forge import HaystackConfig, forge_dataset
-    from .losses import Method, MethodConfig
-    from .policy import ToyLM
-    from .training import TrainConfig, train
-
-    profile = needle_profile()
-    vocab = needle_vocab(profile)
-    rows = []
-    for c in c_values:
-        short_target = max(8, int(round(c * long_tokens)))
-        cfg = HaystackConfig(target_short_tokens=short_target,
-                             target_long_tokens=long_tokens + 1 if short_target == long_tokens else long_tokens,
-                             tolerance_frac=0.05, seed=seed)
-        sources, pool = build_chain_corpus(n_samples * 2, 360, seed, profile)
-        wrong = tuple(profile.value(i) for i in range(profile.n_values))
-        gen = StubGenerator(p_correct=0.5, n=8, wrong_answers=wrong)
-        data, _ = forge_dataset(sources, pool, gen, cfg, n_target=n_samples)
-        timings = {}
-        for variant, tcfg in (
-            ("vanilla", TrainConfig(MethodConfig(Method.ORPO, alpha=0.0), po_context="long",
-                                    telemetry=False, batch_size=max(1, n_samples // steps), seed=seed)),
-            ("solo", TrainConfig(MethodConfig(Method.ORPO, alpha=1.0), po_context="short",
-                                 telemetry=False, batch_size=max(1, n_samples // steps), seed=seed)),
-        ):
-            model = ToyLM(vocab, hidden_dim=16, seed=seed)
-            begin = time.perf_counter()
-            train(model, data, tcfg, vocab)
-            timings[variant] = time.perf_counter() - begin
-        rows.append({"compression": c,
-                     "measured_vanilla_s": timings["vanilla"],
-                     "measured_solo_s": timings["solo"],
-                     "measured_ratio": timings["vanilla"] / timings["solo"],
-                     "model_speedup": speedup(min(c, 1.0))})
-    measured = [r["measured_ratio"] for r in rows]
-    modeled = [r["model_speedup"] for r in rows]
-    ordering = sorted(range(len(rows)), key=lambda i: -measured[i])
-    expected = sorted(range(len(rows)), key=lambda i: -modeled[i])
-    return {"rows": rows, "ordering_consistent": ordering == expected}

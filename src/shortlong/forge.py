@@ -317,7 +317,12 @@ def read_forged_jsonl(path: str | Path) -> list[ForgedSample]:
                 continue
             try:
                 obj = json.loads(line)
-                out.append(ForgedSample(**{k: obj[k] for k in _FORGED_FIELDS}))
+                fields = {k: obj[k] for k in _FORGED_FIELDS}
+                wrong = [k for k, value in fields.items() if not isinstance(value, str)]
+                if wrong:
+                    raise TypeError(f"field {wrong[0]!r} must be a string, "
+                                    f"got {type(fields[wrong[0]]).__name__}")
+                out.append(ForgedSample(**fields))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
     return out

@@ -290,15 +290,25 @@ def save_model(model: ToyLM, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ToyLM:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != 1:
-        raise ValueError(f"unsupported checkpoint version: {payload.get('format_version')!r}")
-    vocab = Vocab(tuple(payload["tokens"]))
-    d = int(payload["hidden_dim"])
+    """Read a checkpoint; a missing field or a wrongly sized array raises
+    ValueError naming the path."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        if payload["format_version"] != 1:
+            raise ValueError(f"unsupported checkpoint version: {payload['format_version']!r}")
+        vocab = Vocab(tuple(payload["tokens"]))
+        d, seed = int(payload["hidden_dim"]), int(payload["seed"])
+        raws = {name: base64.b64decode(payload["arrays"][name])
+                for name in ("emb", "ctx_w", "out_w")}
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint: {exc}") from None
     v = vocab.size
-    shapes = {"emb": (v, d), "ctx_w": (d, d), "out_w": (d, v)}
     params = {}
-    for name, shape in shapes.items():
-        raw = base64.b64decode(payload["arrays"][name])
-        params[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    return ToyLM(vocab, d, int(payload["seed"]), _params=params)
+    for name, (rows, cols) in {"emb": (v, d), "ctx_w": (d, d), "out_w": (d, v)}.items():
+        if len(raws[name]) != 8 * rows * cols:
+            raise ValueError(f"{path}: array {name!r} holds {len(raws[name])} bytes, not the "
+                             f"{8 * rows * cols} of a {rows}x{cols} float64 array")
+        params[name] = np.frombuffer(raws[name], dtype="<f8").astype(np.float64).reshape(rows, cols)
+    return ToyLM(vocab, d, seed, _params=params)

@@ -44,7 +44,6 @@ class TrainConfig:
     method_cfg: MethodConfig
     lr_max: float = 1e-2
     warmup_ratio: float = 0.1
-    schedule: str = "cosine"
     batch_size: int = 16
     epochs: int = 1
     seed: int = 0
@@ -57,8 +56,6 @@ class TrainConfig:
             raise ValueError("lr_max must be nonnegative")
         if not 0 <= self.warmup_ratio < 1:
             raise ValueError("warmup_ratio must lie in [0, 1)")
-        if self.schedule != "cosine":
-            raise ValueError("only the cosine schedule is implemented")
         if self.po_context not in ("short", "long"):
             raise ValueError("po_context must be 'short' or 'long'")
 
@@ -240,13 +237,21 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
             for idx in chunk:
                 prep = prepared[idx]
                 bundle, tasks = _score_bundle(model, ref, prep, cfg)
-                breakdown = solopo_loss(mc, bundle)
-                if not math.isfinite(breakdown.total):
+                try:
+                    breakdown = solopo_loss(mc, bundle)
+                    if not math.isfinite(breakdown.total):
+                        raise NonFiniteLossError(
+                            f"non-finite loss at step {step}",
+                            {"step": step, "sample_index": int(idx),
+                             "breakdown": asdict(breakdown)})
+                    field_grads = grad_solopo(mc, bundle)
+                    if cfg.telemetry:
+                        margin = (reward(mc, bundle.lp_w_long, bundle.ref_lp_w_long, bundle.len_w)
+                                  - reward(mc, bundle.lp_l_long, bundle.ref_lp_l_long, bundle.len_l))
+                except ValueError as exc:  # the ORPO log-odds singularity
                     raise NonFiniteLossError(
-                        f"non-finite loss at step {step}",
-                        {"step": step, "sample_index": int(idx),
-                         "breakdown": asdict(breakdown)})
-                field_grads = grad_solopo(mc, bundle)
+                        f"{exc} at step {step}, sample {int(idx)}",
+                        {"step": step, "sample_index": int(idx), "error": str(exc)}) from exc
                 scale = 1.0 / len(chunk)
                 for key, (ctx, resp) in tasks.items():
                     weight = field_grads[key] * scale
@@ -257,9 +262,7 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 sums["ra"] += breakdown.ra_term
                 sums["nll"] += breakdown.nll_term
                 if cfg.telemetry:
-                    r_w = reward(mc, bundle.lp_w_long, bundle.ref_lp_w_long, bundle.len_w)
-                    r_l = reward(mc, bundle.lp_l_long, bundle.ref_lp_l_long, bundle.len_l)
-                    sums["margin"] += r_w - r_l
+                    sums["margin"] += margin
                     sums["lp_rej"] += bundle.lp_l_long
             n = len(chunk)
             opt.step(grads, lr)

@@ -1,14 +1,31 @@
 """Command-line surface: configs, manifests, artifacts, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from shortlong.cli import load_config, main
+from shortlong import cli
+from shortlong.cli import KEYS, load_config, main
+from shortlong.corpus import needle_vocab
+from shortlong.policy import ToyLM, save_model
+from shortlong.training import NonFiniteLossError
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def assert_clean_failure(rc, capsys, run_dir, *needles):
+    """Exit 1 with an ``error:`` line naming each needle, no traceback and
+    no manifest."""
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+    assert not (run_dir / "manifest.json").exists()
 
 
 @pytest.fixture
@@ -37,6 +54,59 @@ class TestConfigParsing:
 
     def test_bad_override(self, tmp_path):
         assert run(["speedup", "--out", tmp_path / "r", "--set", "oops"]) == 1
+
+    def test_unknown_set_key_fails(self, tmp_path, capsys):
+        rc = run(["train", "--out", tmp_path / "r", "--set", "alpah=0"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "'alpah'")
+
+    @pytest.mark.parametrize("key", ["alpah", "model_hidden"])
+    def test_compare_key_outside_objective_fails(self, tmp_path, capsys, key):
+        rc = run(["train", "--out", tmp_path / "r", "--compare", f"{key}:0,3",
+                  "--set", f"dataset={tmp_path / 'absent.jsonl'}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"'{key}'")
+
+    def test_unknown_config_file_key_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("method = orpo\nalpah = 0\n")
+        rc = run(["train", "--out", tmp_path / "r", "--config", cfg])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "'alpah'", f"{cfg}: line 2")
+
+    def test_bad_value_names_key(self, tmp_path, capsys):
+        rc = run(["train", "--out", tmp_path / "r", "--set", "epochs=two"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "'epochs'")
+
+    def test_typed_defaults_and_overrides(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("alpha = 2\nseed = 5\n")
+        args = cli.build_parser().parse_args(
+            ["train", "--config", str(cfg), "--set", "ra_mode=both", "--seed", "9"])
+        values = cli.parse_settings("train", args)
+        assert set(values) == set(KEYS["train"])
+        assert values["alpha"] == 2.0 and values["seed"] == 9
+        assert values["ra_mode"] is cli.RAMode.BOTH
+        assert values["method"] is cli.Method.ORPO and values["lr_max"] is None
+
+
+class TestReadmeKeys:
+    """The README's key list is the one ``cli.KEYS`` declares."""
+
+    def bullets(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = text.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+        return {m.group(1): set(re.findall(r"`([^`]+)`", m.group(2)))
+                for m in re.finditer(r"^\* \*\*([\w-]+)\*\*:(.*?)(?=^\* |\Z)",
+                                     section, re.M | re.S)}
+
+    def test_every_key_documented(self):
+        bullets = self.bullets()
+        assert set(bullets) == set(KEYS)
+        for command, keys in KEYS.items():
+            assert set(keys) <= bullets[command], command
+
+    def test_removed_keys_stay_gone(self):
+        for command, documented in self.bullets().items():
+            assert not {"measure_wallclock", "selftest_nonconvex"} & documented
+            assert not {"measure_wallclock", "selftest_nonconvex"} & set(KEYS[command])
 
 
 class TestSpeedupCommand:
@@ -149,6 +219,43 @@ class TestForgeTrainEvalPipeline:
         rc = run(["train", "--out", tmp_path / "r", "--set", f"dataset={bad}"])
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_non_string_field_is_line_error(self, tmp_path, capsys):
+        record = {"question": "q", "answer": "a", "x_short": "s", "x_long": "l",
+                  "y_w": "a", "y_l": "b"}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n" + json.dumps({**record, "y_w": 7}) + "\n")
+        rc = run(["train", "--out", tmp_path / "r", "--set", f"dataset={bad}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", str(bad), "line 2", "'y_w'")
+
+    @pytest.mark.parametrize("damage", ["drop_emb", "truncate_out_w"])
+    def test_damaged_checkpoint_is_error(self, tmp_path, capsys, damage):
+        ckpt = tmp_path / "ckpt.json"
+        save_model(ToyLM(needle_vocab(), 4, 0), ckpt)
+        payload = json.loads(ckpt.read_text())
+        if damage == "drop_emb":
+            del payload["arrays"]["emb"]
+        else:
+            payload["arrays"]["out_w"] = payload["arrays"]["out_w"][:-12]
+        ckpt.write_text(json.dumps(payload))
+        rc = run(["eval", "--out", tmp_path / "r", "--set", f"checkpoint={ckpt}",
+                  "--set", f"dataset={tmp_path / 'unused.jsonl'}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", str(ckpt),
+                             "'emb'" if damage == "drop_emb" else "'out_w'")
+
+    def test_abort_writes_diagnostic_and_no_manifest(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NonFiniteLossError("non-finite loss at step 3", {"step": 3})
+
+        monkeypatch.setattr(cli, "train", diverge)
+        data = tmp_path / "d.jsonl"
+        data.write_text(json.dumps({k: "w" for k in ("question", "answer", "x_short",
+                                                     "x_long", "y_w", "y_l")}) + "\n")
+        rc = run(["train", "--out", tmp_path / "r", "--set", f"dataset={data}"])
+        assert rc == 1
+        assert "training aborted" in capsys.readouterr().err
+        assert json.loads((tmp_path / "r" / "reports" / "abort.json").read_text()) == {"step": 3}
+        assert not (tmp_path / "r" / "manifest.json").exists()
 
 
 class TestGradCheckCommand:

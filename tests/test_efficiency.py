@@ -69,22 +69,6 @@ class TestSpeedup:
         assert speedup(1e-6) == pytest.approx(2.0, abs=1e-8)
 
 
-class TestWallClockHook:
-    def test_report_structure(self):
-        """Report-only: rows carry measured times and the model's prediction."""
-        from shortlong.efficiency import measure_step_times
-
-        report = measure_step_times(c_values=(0.25, 1.0), long_tokens=128,
-                                    n_samples=8, steps=2, seed=0)
-        assert {"rows", "ordering_consistent"} <= set(report)
-        assert len(report["rows"]) == 2
-        for row in report["rows"]:
-            assert row["measured_vanilla_s"] > 0
-            assert row["measured_solo_s"] > 0
-            assert row["model_speedup"] == pytest.approx(speedup(row["compression"]))
-        assert isinstance(report["ordering_consistent"], bool)
-
-
 class TestReport:
     def test_crossover_flag(self):
         rows = report_rows([CostModel(100, 0.5), CostModel(100, 0.8)])

@@ -9,9 +9,9 @@ from shortlong.corpus import (PrefixedStubGenerator, build_chain_corpus,
                               needle_profile, needle_vocab, value_token)
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset
 from shortlong.losses import Method, MethodConfig
-from shortlong.policy import EOS, ToyLM, Vocab, freeze
-from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, evaluate,
-                                learning_rate, run_comparison, train)
+from shortlong.policy import BOS, EOS, ToyLM, Vocab, freeze, logprob
+from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, assemble_prompt,
+                                evaluate, learning_rate, run_comparison, train)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,29 @@ class TestTrain:
         with pytest.raises(NonFiniteLossError) as err:
             train(model, data, cfg, vocab)
         assert err.value.diagnostic
+
+    def test_log_odds_singularity_aborts_with_diagnostic(self, world):
+        # A bigram-only scorer (hidden state 0, one-hot embeddings) whose
+        # output weights are scaled until the chosen response's log-prob is
+        # exactly 0.0: ORPO's log-odds reward is singular there.
+        vocab, data, _ = world
+        sample = data[0]
+        v = vocab.size
+        model = ToyLM(vocab, hidden_dim=v, seed=0)
+        model.params["emb"] = np.eye(v)
+        model.params["ctx_w"] = np.zeros((v, v))
+        model.params["out_w"] = np.zeros((v, v))
+        chain = [BOS] + sample.y_w.split() + [EOS]
+        for prev, nxt in zip(chain, chain[1:]):
+            model.params["out_w"][vocab.encode([prev])[0], vocab.encode([nxt])[0]] = 1.0
+        prompt = assemble_prompt(sample.x_short, sample.question)
+        while logprob(model, prompt, chain[1:]).total_logprob != 0.0:
+            model.params["out_w"] *= 2.0
+        cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=1, seed=0)
+        with pytest.raises(NonFiniteLossError, match="singularity") as err:
+            train(model, [sample], cfg, vocab)
+        assert err.value.diagnostic["step"] == 1
+        assert err.value.diagnostic["sample_index"] == 0
 
     def test_empty_dataset_rejected(self, world):
         vocab, _, _ = world
