@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -28,11 +29,12 @@ from . import bounds as bounds_mod
 from . import efficiency
 from .corpus import (PolicyCandidateGenerator, StubGenerator, build_chain_corpus,
                      needle_profile, needle_vocab, value_token, word_profile)
-from .forge import (HaystackConfig, forge_dataset, read_forged_jsonl,
-                    read_source_jsonl, write_forged_jsonl)
+from .forge import (ForgedSample, HaystackConfig, InsufficientPoolError, forge_dataset,
+                    read_distractor_pool, read_forged_jsonl, read_source_jsonl,
+                    write_forged_jsonl)
 from .gradcheck import check_loss_gradients, check_policy_gradients
 from .losses import Method, MethodConfig, RAMode
-from .policy import ToyLM, load_model, save_model
+from .policy import ToyLM, Vocab, load_model, save_model
 from .training import (NonFiniteLossError, TrainConfig, evaluate,
                        run_comparison, train)
 
@@ -113,7 +115,8 @@ _METHOD_KEYS = ("alpha", "beta", "gamma", "eta", "ra_mode", "include_nll")
 _TRAIN_KEYS = ("lr_max", "warmup_ratio", "batch_size", "epochs", "eval_every",
                "po_context", "telemetry")
 # Keys naming input files whose digests go into the manifest.
-_INPUT_KEYS = {"forge": ("corpus",), "train": ("dataset", "eval_dataset"),
+_INPUT_KEYS = {"forge": ("corpus", "distractor_pool", "policy_checkpoint"),
+               "train": ("dataset", "eval_dataset"),
                "eval": ("checkpoint", "dataset")}
 # Built-in corpora: profile, default source and pool counts, default targets.
 _CORPORA = {
@@ -247,9 +250,7 @@ def _load_corpus(v: dict) -> tuple[list, list, object]:
     if not v["distractor_pool"]:
         raise ConfigError("external corpora require a 'distractor_pool' JSONL"
                           " of documents (one JSON string per line)")
-    pool = [json.loads(line) for line in Path(v["distractor_pool"]).read_text().splitlines()
-            if line.strip()]
-    return sources, pool, None
+    return sources, read_distractor_pool(v["distractor_pool"]), None
 
 
 def _build_generator(v: dict, profile) -> object:
@@ -303,13 +304,23 @@ def _compare_arms(spec: str, v: dict) -> list[tuple[str, TrainConfig]]:
             for text, value in zip(texts, parsed)]
 
 
+def _train_vocab(*datasets: list[ForgedSample]) -> Vocab:
+    """``needle_vocab()`` followed by the datasets' tokens it lacks, in sorted
+    order: needle datasets keep the needle vocabulary unchanged, and any
+    dataset has at least the vocabulary's minimum size."""
+    needle = needle_vocab()
+    tokens = {tok for data in datasets for sample in data
+              for text in astuple(sample) for tok in text.split()}
+    return Vocab(needle.tokens + tuple(sorted(tokens - set(needle.tokens))))
+
+
 def cmd_train(args, v: dict, out: Path) -> int:
     arms = _compare_arms(args.compare, v) if args.compare else None
     if not v["dataset"]:
         raise ConfigError("train requires a 'dataset' (forged JSONL path)")
     dataset = read_forged_jsonl(v["dataset"])
     eval_set = read_forged_jsonl(v["eval_dataset"]) if v["eval_dataset"] else None
-    vocab = needle_vocab()
+    vocab = _train_vocab(dataset, eval_set or [])
     hidden = {} if v["model_hidden"] is None else {"hidden_dim": v["model_hidden"]}
 
     if arms is not None:
@@ -448,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
         (out / "reports" / "abort.json").write_text(json.dumps(exc.diagnostic, sort_keys=True))
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, InsufficientPoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     inputs = {key: Path(values[key]) for key in _INPUT_KEYS.get(args.command, ())

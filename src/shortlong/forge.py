@@ -33,6 +33,7 @@ __all__ = [
     "curate_pair",
     "forge_dataset",
     "read_source_jsonl",
+    "read_distractor_pool",
     "write_forged_jsonl",
     "read_forged_jsonl",
 ]
@@ -240,10 +241,13 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
         stats.sources_seen += 1
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(idx,)))
         local_pool = _conflict_free_pool(pool, src)
-        x_short = synthesize_context(src, local_pool, cfg.target_short_tokens, rng,
-                                     tolerance_frac=cfg.tolerance_frac)
-        x_long = synthesize_context(src, local_pool, cfg.target_long_tokens, rng,
-                                    tolerance_frac=cfg.tolerance_frac)
+        try:
+            x_short = synthesize_context(src, local_pool, cfg.target_short_tokens, rng,
+                                         tolerance_frac=cfg.tolerance_frac)
+            x_long = synthesize_context(src, local_pool, cfg.target_long_tokens, rng,
+                                        tolerance_frac=cfg.tolerance_frac)
+        except InsufficientPoolError as exc:
+            raise InsufficientPoolError(f"source {idx}: {exc}") from None
         primary_ctx = x_short if condition_on == "short" else x_long
         try:
             candidates = generator(primary_ctx, src, rng)
@@ -295,6 +299,26 @@ def read_source_jsonl(path: str | Path) -> list[SourceSample]:
                                         supporting_docs=tuple(obj["supporting_docs"])))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
+    return out
+
+
+def read_distractor_pool(path: str | Path) -> list[str]:
+    """Load distractor documents, one JSON string per non-blank line; a line
+    that is not a non-empty JSON string raises ValueError naming the path and
+    line."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
+            if not isinstance(doc, str) or not doc.split():
+                raise ValueError(f"{path}: line {lineno}: a distractor must be a non-empty "
+                                 f"JSON string, got {doc!r}")
+            out.append(doc)
     return out
 
 

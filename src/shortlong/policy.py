@@ -25,6 +25,9 @@ __all__ = [
     "Vocab",
     "ToyLM",
     "ScoredSequence",
+    "bag_of_tokens",
+    "pad_responses",
+    "score_rows",
     "logprob",
     "sample",
     "greedy_decode",
@@ -144,21 +147,94 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum())
 
 
+def bag_of_tokens(ids: np.ndarray, size: int) -> np.ndarray:
+    """Token counts of a prompt divided by its length: the (size,) vector whose
+    product with the embedding table is the mean-pooled context. All zeros for
+    an empty prompt."""
+    counts = np.bincount(ids, minlength=size).astype(np.float64)
+    return counts / len(ids) if len(ids) else counts
+
+
+def pad_responses(responses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) response ids, zero-padded to the longest, and the (B, T) mask of
+    real positions."""
+    width = max((len(r) for r in responses), default=0)
+    ids = np.zeros((len(responses), width), dtype=np.int64)
+    mask = np.zeros((len(responses), width), dtype=bool)
+    for row, resp in enumerate(responses):
+        ids[row, :len(resp)] = resp
+        mask[row, :len(resp)] = True
+    return ids, mask
+
+
+def _onehot(ids: np.ndarray, size: int) -> np.ndarray:
+    return (ids[:, None] == np.arange(size)).astype(np.float64)
+
+
+def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.ndarray,
+               upstream: np.ndarray | None = None
+               ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+    """Teacher-forced scores of B (prompt, response) rows in one pass.
+
+    ``counts`` is (B, V), one :func:`bag_of_tokens` row per prompt;
+    ``resp_ids`` and ``mask`` are (B, T) as :func:`pad_responses` builds them
+    (each row's real positions first). Returns the (B, T) per-token
+    log-probabilities, exactly 0 at padded positions, so row sums are the
+    sequence log-probabilities. With ``upstream`` (B,) it also returns
+    ``sum_b upstream[b] * d logprob_b / d params``; rows whose weight is 0 are
+    left out of the backward pass.
+    """
+    emb, ctx_w, out_w = model.params["emb"], model.params["ctx_w"], model.params["out_w"]
+    pooled = counts @ emb
+    hidden = np.tanh(pooled @ ctx_w.T)
+    prev = np.concatenate([np.full((len(resp_ids), 1), model.vocab.bos_id, dtype=np.int64),
+                           resp_ids[:, :-1]], axis=1)
+    rows, cols = np.nonzero(mask)
+    prev, tok = prev[rows, cols], resp_ids[rows, cols]
+    state = hidden[rows] + emb[prev]
+    logits = state @ out_w
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    per_token = np.zeros(mask.shape)
+    per_token[rows, cols] = logp[np.arange(len(tok)), tok]
+    if upstream is None:
+        return per_token, None
+
+    live = np.flatnonzero(upstream)
+    at = np.isin(rows, live)
+    row_of = np.searchsorted(live, rows[at])
+    # d logprob_t / d logits = onehot - softmax
+    d_logits = -np.exp(logp[at])
+    d_logits[np.arange(len(row_of)), tok[at]] += 1.0
+    d_logits *= upstream[live][row_of, None]
+    d_state = d_logits @ out_w.T
+    # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
+    d_pre = (1.0 - hidden[live] ** 2) * (_onehot(row_of, len(live)).T @ d_state)
+    grads = {"emb": _onehot(prev[at], len(emb)).T @ d_state + counts[live].T @ (d_pre @ ctx_w),
+             "ctx_w": d_pre.T @ pooled[live],
+             "out_w": state[at].T @ d_logits}
+    return per_token, grads
+
+
+def _encode_rows(vocab: Vocab, items: Sequence[tuple[Sequence[str], Sequence[str]]]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`score_rows` input for (context, response) token lists."""
+    if any(not len(resp) for _, resp in items):
+        raise ValueError("response must be non-empty")
+    counts = np.array([bag_of_tokens(vocab.encode(ctx), vocab.size) for ctx, _ in items])
+    return counts, *pad_responses([vocab.encode(resp) for _, resp in items])
+
+
+def _scored(response: Sequence[str], per_token: np.ndarray) -> ScoredSequence:
+    values = per_token[:len(response)].tolist()
+    return ScoredSequence(tokens=tuple(response), total_logprob=float(sum(values)),
+                          per_token_logprobs=tuple(values))
+
+
 def logprob(model: ToyLM, context: Sequence[str], response: Sequence[str]) -> ScoredSequence:
     """Teacher-forced log-probability of ``response`` given ``context``."""
-    if not len(response):
-        raise ValueError("response must be non-empty")
-    ctx_ids = model.vocab.encode(context)
-    resp_ids = model.vocab.encode(response)
-    _, hidden = model.context_hidden(ctx_ids)
-    prev = model.vocab.bos_id
-    per_token = []
-    for tok in resp_ids:
-        logp = _log_softmax(model.step_logits(hidden, prev))
-        per_token.append(float(logp[tok]))
-        prev = int(tok)
-    return ScoredSequence(tokens=tuple(response), total_logprob=float(sum(per_token)),
-                          per_token_logprobs=tuple(per_token))
+    per_token, _ = score_rows(model, *_encode_rows(model.vocab, [(context, response)]))
+    return _scored(response, per_token[0])
 
 
 def sample(model: ToyLM, context: Sequence[str], n: int, temperature: float,
@@ -207,43 +283,13 @@ def logprob_with_grad(model: ToyLM, context: Sequence[str], response: Sequence[s
                       grads: dict[str, np.ndarray] | None = None
                       ) -> tuple[ScoredSequence, dict[str, np.ndarray]]:
     """Score a response and accumulate ``upstream * d logprob / d params``."""
-    if not len(response):
-        raise ValueError("response must be non-empty")
-    ctx_ids = model.vocab.encode(context)
-    resp_ids = model.vocab.encode(response)
-    emb, ctx_w, out_w = model.params["emb"], model.params["ctx_w"], model.params["out_w"]
-    pooled, hidden = model.context_hidden(ctx_ids)
+    per_token, row_grads = score_rows(model, *_encode_rows(model.vocab, [(context, response)]),
+                                      upstream=np.array([upstream], dtype=np.float64))
     if grads is None:
         grads = model.zero_grads()
-
-    prev = model.vocab.bos_id
-    per_token = []
-    d_hidden = np.zeros_like(hidden)
-    for tok in resp_ids:
-        state = hidden + emb[prev]
-        logits = state @ out_w
-        logp = _log_softmax(logits)
-        per_token.append(float(logp[tok]))
-        # d logprob_t / d logits = onehot - softmax
-        d_logits = -np.exp(logp)
-        d_logits[tok] += 1.0
-        d_logits *= upstream
-        grads["out_w"] += np.outer(state, d_logits)
-        d_state = out_w @ d_logits
-        grads["emb"][prev] += d_state
-        d_hidden += d_state
-        prev = int(tok)
-
-    # hidden = tanh(ctx_w @ pooled)
-    d_pre = (1.0 - hidden * hidden) * d_hidden
-    grads["ctx_w"] += np.outer(d_pre, pooled)
-    if len(ctx_ids):
-        d_pooled = ctx_w.T @ d_pre
-        np.add.at(grads["emb"], ctx_ids, d_pooled / len(ctx_ids))
-
-    scored = ScoredSequence(tokens=tuple(response), total_logprob=float(sum(per_token)),
-                            per_token_logprobs=tuple(per_token))
-    return scored, grads
+    for key, g in row_grads.items():
+        grads[key] += g
+    return _scored(response, per_token[0]), grads
 
 
 def param_grad(model: ToyLM,
@@ -256,14 +302,12 @@ def param_grad(model: ToyLM,
     ``(value, d value / d logprobs)``. Returns the loss value and parameter
     gradients. Raises on a non-finite loss.
     """
-    lps = np.array([logprob(model, ctx, resp).total_logprob for ctx, resp in items])
-    value, d_lps = loss(lps)
+    rows = _encode_rows(model.vocab, items)
+    per_token, _ = score_rows(model, *rows)
+    value, d_lps = loss(per_token.sum(axis=1))
     if not np.isfinite(value):
         raise ValueError("loss is not finite")
-    grads = model.zero_grads()
-    for (ctx, resp), weight in zip(items, d_lps):
-        if weight != 0.0:
-            logprob_with_grad(model, ctx, resp, upstream=float(weight), grads=grads)
+    _, grads = score_rows(model, *rows, upstream=np.asarray(d_lps, dtype=np.float64))
     return float(value), grads
 
 

@@ -20,7 +20,11 @@ import numpy as np
 from .forge import ForgedSample, sub_em
 from .losses import (LogProbBundle, MethodConfig, RAMode, grad_solopo,
                      reward, solopo_loss)
-from .policy import SEP, ToyLM, Vocab, freeze, greedy_decode, logprob, logprob_with_grad
+from .policy import (EOS, SEP, ToyLM, Vocab, bag_of_tokens, freeze, greedy_decode,
+                     pad_responses, score_rows)
+# An alias of policy.logprob, kept importable from here: perfbench/selftest.py
+# checks that the tracer patches it.
+from .policy import logprob  # noqa: F401
 
 __all__ = [
     "TrainConfig",
@@ -145,26 +149,46 @@ def assemble_prompt(context_text: str, question: str) -> list[str]:
     return context_text.split() + [SEP] + question.split()
 
 
+# The four scoring rows of every record, in this order: (PO prompt, y_w),
+# (PO prompt, y_l), (long prompt, y_w), (long prompt, y_l).
+_FIELDS = ("lp_w_short", "lp_l_short", "lp_w_long", "lp_l_long")
+
+
 @dataclass
-class _Prepared:
-    prompt_short: list[str]
-    prompt_long: list[str]
-    y_w: list[str]
-    y_l: list[str]
+class _Rows:
+    """Every record's scoring rows, encoded once per dataset."""
+
+    counts: np.ndarray    # (n, 4, V) prompt bags of tokens
+    resp_ids: np.ndarray  # (n, 4, T) padded response ids
+    mask: np.ndarray      # (n, 4, T) real response positions
+    len_w: list[int]
+    len_l: list[int]
+
+    def batch(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The 4 * len(records) rows of ``records`` as one kernel input."""
+        return (self.counts[records].reshape(-1, self.counts.shape[-1]),
+                self.resp_ids[records].reshape(-1, self.resp_ids.shape[-1]),
+                self.mask[records].reshape(-1, self.mask.shape[-1]))
 
 
-def _prepare(sample: ForgedSample, vocab: Vocab) -> _Prepared:
-    from .policy import EOS
-
-    prep = _Prepared(
-        prompt_short=assemble_prompt(sample.x_short, sample.question),
-        prompt_long=assemble_prompt(sample.x_long, sample.question),
-        y_w=sample.y_w.split() + [EOS],
-        y_l=sample.y_l.split() + [EOS],
-    )
-    for seq in (prep.prompt_short, prep.prompt_long, prep.y_w, prep.y_l):
-        vocab.encode(seq)  # fail fast on out-of-vocabulary tokens
-    return prep
+def _prepare(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> _Rows:
+    """Encode each prompt and response once; out-of-vocabulary tokens fail here."""
+    counts, responses, len_w, len_l = [], [], [], []
+    for sample in dataset:
+        short, long_ = (bag_of_tokens(vocab.encode(assemble_prompt(ctx, sample.question)),
+                                      vocab.size)
+                        for ctx in (sample.x_short, sample.x_long))
+        po = long_ if po_context == "long" else short
+        y_w = vocab.encode(sample.y_w.split() + [EOS])
+        y_l = vocab.encode(sample.y_l.split() + [EOS])
+        counts.append((po, po, long_, long_))
+        responses += [y_w, y_l, y_w, y_l]
+        len_w.append(len(y_w))
+        len_l.append(len(y_l))
+    resp_ids, mask = pad_responses(responses)
+    n = len(dataset)
+    return _Rows(np.array(counts), resp_ids.reshape(n, 4, -1), mask.reshape(n, 4, -1),
+                 len_w, len_l)
 
 
 def _needed_scores(cfg: TrainConfig) -> tuple[bool, bool]:
@@ -177,66 +201,66 @@ def _needed_scores(cfg: TrainConfig) -> tuple[bool, bool]:
     return True, mc.ra_mode is RAMode.BOTH
 
 
-def _score_bundle(model: ToyLM, ref: ToyLM | None, prep: _Prepared,
-                  cfg: TrainConfig) -> tuple[LogProbBundle, dict[str, tuple[list[str], list[str]]]]:
-    """Score one sample; returns the bundle plus the scoring task per field."""
-    po_prompt = prep.prompt_long if cfg.po_context == "long" else prep.prompt_short
-    need_wl, need_ll = _needed_scores(cfg)
-    tasks = {"lp_w_short": (po_prompt, prep.y_w), "lp_l_short": (po_prompt, prep.y_l)}
-    if need_wl:
-        tasks["lp_w_long"] = (prep.prompt_long, prep.y_w)
-    if need_ll:
-        tasks["lp_l_long"] = (prep.prompt_long, prep.y_l)
-    values = {k: logprob(model, ctx, resp).total_logprob for k, (ctx, resp) in tasks.items()}
-    bad = [k for k, v in values.items() if not math.isfinite(v)]
-    if bad:
-        raise NonFiniteLossError(f"non-finite log-probability in {bad}",
-                                 {"fields": bad, "values": {k: values[k] for k in bad}})
-    values.setdefault("lp_w_long", values["lp_w_short"])
-    values.setdefault("lp_l_long", values["lp_l_short"])
-    refs: dict[str, float | None] = {k: None for k in
-                                     ("ref_lp_w_short", "ref_lp_l_short",
-                                      "ref_lp_w_long", "ref_lp_l_long")}
-    if ref is not None:
-        refs["ref_lp_w_short"] = logprob(ref, po_prompt, prep.y_w).total_logprob
-        refs["ref_lp_l_short"] = logprob(ref, po_prompt, prep.y_l).total_logprob
-        refs["ref_lp_w_long"] = logprob(ref, prep.prompt_long, prep.y_w).total_logprob
-        refs["ref_lp_l_long"] = logprob(ref, prep.prompt_long, prep.y_l).total_logprob
-    bundle = LogProbBundle(lp_w_short=values["lp_w_short"], lp_l_short=values["lp_l_short"],
-                           lp_w_long=values["lp_w_long"], lp_l_long=values["lp_l_long"],
-                           len_w=len(prep.y_w), len_l=len(prep.y_l), **refs)
-    return bundle, tasks
+def _logprobs(model: ToyLM, rows: _Rows, records: np.ndarray) -> np.ndarray:
+    """(len(records), 4) sequence log-probabilities of the records' rows."""
+    per_token, _ = score_rows(model, *rows.batch(records))
+    return per_token.sum(axis=1).reshape(-1, 4)
 
 
 def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
           vocab: Vocab, eval_set: Sequence[ForgedSample] | None = None
           ) -> tuple[ToyLM, TrainLog]:
-    """Run the optimization loop; returns the mutated model and its log."""
+    """Run the optimization loop; returns the mutated model and its log.
+
+    Every step scores all four rows of each record in one forward pass of
+    :func:`~shortlong.policy.score_rows`, whatever the objective reads, and
+    backpropagates the whole batch in one backward pass; a row the objective
+    does not read gets weight 0.
+    """
     if not dataset:
         raise ValueError("dataset must be non-empty")
     if model.frozen:
         raise ValueError("cannot train a frozen model")
     mc = cfg.method_cfg
-    ref = freeze(model) if mc.needs_reference else None
-    prepared = [_prepare(s, vocab) for s in dataset]
+    rows = _prepare(dataset, model.vocab, cfg.po_context)
+    need = (True, True) + _needed_scores(cfg)
+    ref_lps = None
+    if mc.needs_reference:  # the frozen reference is scored once, in batch-sized chunks
+        ref, records = freeze(model), np.arange(len(dataset))
+        ref_lps = np.concatenate([_logprobs(ref, rows, records[i:i + cfg.batch_size])
+                                  for i in range(0, len(dataset), cfg.batch_size)]).tolist()
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.params)
-    steps_per_epoch = math.ceil(len(prepared) / cfg.batch_size)
+    steps_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
     log = TrainLog()
     step = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(prepared))
-        for start in range(0, len(prepared), cfg.batch_size):
+        order = rng.permutation(len(dataset))
+        for start in range(0, len(dataset), cfg.batch_size):
             step += 1
             lr = learning_rate(step, total_steps, cfg.lr_max, cfg.warmup_ratio)
             chunk = order[start:start + cfg.batch_size]
-            grads = model.zero_grads()
+            lps = _logprobs(model, rows, chunk).tolist()
+            weights = np.zeros((len(chunk), 4))
             sums = {"total": 0.0, "po": 0.0, "ra": 0.0, "nll": 0.0,
                     "margin": 0.0, "lp_rej": 0.0}
-            for idx in chunk:
-                prep = prepared[idx]
-                bundle, tasks = _score_bundle(model, ref, prep, cfg)
+            for j, idx in enumerate(chunk):
+                values = dict(zip(_FIELDS, lps[j]))
+                bad = [k for k, used in zip(_FIELDS, need)
+                       if used and not math.isfinite(values[k])]
+                if bad:
+                    raise NonFiniteLossError(
+                        f"non-finite log-probability in {bad} at step {step}, sample {int(idx)}",
+                        {"step": step, "sample_index": int(idx), "fields": bad,
+                         "values": {k: values[k] for k in bad}})
+                refs = dict(zip(("ref_" + k for k in _FIELDS), ref_lps[idx])) \
+                    if ref_lps is not None else {}
+                bundle = LogProbBundle(
+                    lp_w_short=values["lp_w_short"], lp_l_short=values["lp_l_short"],
+                    lp_w_long=values["lp_w_long" if need[2] else "lp_w_short"],
+                    lp_l_long=values["lp_l_long" if need[3] else "lp_l_short"],
+                    len_w=rows.len_w[idx], len_l=rows.len_l[idx], **refs)
                 try:
                     breakdown = solopo_loss(mc, bundle)
                     if not math.isfinite(breakdown.total):
@@ -253,10 +277,8 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                         f"{exc} at step {step}, sample {int(idx)}",
                         {"step": step, "sample_index": int(idx), "error": str(exc)}) from exc
                 scale = 1.0 / len(chunk)
-                for key, (ctx, resp) in tasks.items():
-                    weight = field_grads[key] * scale
-                    if weight != 0.0:
-                        logprob_with_grad(model, ctx, resp, upstream=weight, grads=grads)
+                weights[j] = [field_grads[k] * scale if used else 0.0
+                              for k, used in zip(_FIELDS, need)]
                 sums["total"] += breakdown.total
                 sums["po"] += breakdown.po_term
                 sums["ra"] += breakdown.ra_term
@@ -264,6 +286,7 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 if cfg.telemetry:
                     sums["margin"] += margin
                     sums["lp_rej"] += bundle.lp_l_long
+            _, grads = score_rows(model, *rows.batch(chunk), upstream=weights.ravel())
             n = len(chunk)
             opt.step(grads, lr)
             log.steps.append(StepRecord(

@@ -8,8 +8,8 @@ import pytest
 
 from shortlong import cli
 from shortlong.cli import KEYS, load_config, main
-from shortlong.corpus import needle_vocab
-from shortlong.policy import ToyLM, save_model
+from shortlong.corpus import build_chain_corpus, needle_vocab, word_profile
+from shortlong.policy import ToyLM, load_model, save_model
 from shortlong.training import NonFiniteLossError
 
 
@@ -256,6 +256,66 @@ class TestForgeTrainEvalPipeline:
         assert "training aborted" in capsys.readouterr().err
         assert json.loads((tmp_path / "r" / "reports" / "abort.json").read_text()) == {"step": 3}
         assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+class TestExternalCorpus:
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        """Four word-profile sources and a 40-document pool as JSONL files."""
+        sources, pool = build_chain_corpus(4, 40, seed=0, profile=word_profile())
+        src = tmp_path / "sources.jsonl"
+        src.write_text("".join(json.dumps({"question": s.question, "answer": s.answer,
+                                           "supporting_docs": list(s.supporting_docs)}) + "\n"
+                               for s in sources))
+        pool_path = tmp_path / "pool.jsonl"
+        pool_path.write_text("".join(json.dumps(d) + "\n" for d in pool))
+        return src, pool_path, pool
+
+    def forge(self, out, src, pool_path, *extra):
+        return run(["forge", "--out", out, "--seed", "1", "--set", f"corpus={src}",
+                    "--set", f"distractor_pool={pool_path}",
+                    "--set", "target_short_tokens=20", "--set", "target_long_tokens=40",
+                    "--set", "tolerance_frac=0.2", *extra])
+
+    @pytest.mark.parametrize("line", ["5", '""'])
+    def test_bad_pool_line_is_line_error(self, tmp_path, capsys, corpus, line):
+        src, pool_path, pool = corpus
+        pool_path.write_text(json.dumps(pool[0]) + "\n" + line + "\n")
+        rc = self.forge(tmp_path / "r", src, pool_path)
+        assert_clean_failure(rc, capsys, tmp_path / "r", str(pool_path), "line 2")
+
+    def test_exhausted_pool_names_source_and_band(self, tmp_path, capsys, corpus):
+        src, pool_path, pool = corpus
+        pool_path.write_text("".join(json.dumps(d) + "\n" for d in pool[:2]))
+        rc = self.forge(tmp_path / "r", src, pool_path)
+        assert_clean_failure(rc, capsys, tmp_path / "r", "source 0", "target band")
+
+    def test_manifest_digests_the_pool(self, tmp_path, corpus):
+        src, pool_path, pool = corpus
+        assert self.forge(tmp_path / "a", src, pool_path) == 0
+        pool_path.write_text("".join(json.dumps(d) + "\n" for d in reversed(pool)))
+        assert self.forge(tmp_path / "b", src, pool_path) == 0
+        manifests = [json.loads((tmp_path / d / "manifest.json").read_text()) for d in "ab"]
+        assert manifests[0]["input_digests"]["distractor_pool"] != \
+            manifests[1]["input_digests"]["distractor_pool"]
+        assert manifests[0]["overrides"] == manifests[1]["overrides"]
+
+
+def test_train_on_builtin_word_forge(tmp_path, capsys):
+    rc = run(["forge", "--out", tmp_path / "f", "--seed", "2",
+              "--set", "corpus=builtin-word", "--set", "corpus_sources=30",
+              "--set", "n_target=8", "--set", "target_short_tokens=40",
+              "--set", "target_long_tokens=120"])
+    assert rc == 0
+    data = tmp_path / "f" / "data" / "forged.jsonl"
+    rc = run(["train", "--out", tmp_path / "t", "--set", f"dataset={data}",
+              "--set", f"eval_dataset={data}", "--set", "epochs=1",
+              "--set", "batch_size=4", "--set", "model_hidden=8"])
+    assert rc == 0, capsys.readouterr().err
+    tokens = load_model(tmp_path / "t" / "checkpoints" / "final.json").vocab.tokens
+    needle = needle_vocab().tokens
+    assert tokens[:len(needle)] == needle
+    assert list(tokens[len(needle):]) == sorted(tokens[len(needle):])
 
 
 class TestGradCheckCommand:

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from shortlong.policy import (BOS, EOS, SEP, ScoredSequence, ToyLM, Vocab, freeze,
-                              greedy_decode, load_model, logprob, logprob_with_grad,
-                              param_grad, sample, save_model)
+from shortlong.policy import (BOS, EOS, SEP, ScoredSequence, ToyLM, Vocab, bag_of_tokens,
+                              freeze, greedy_decode, load_model, logprob, logprob_with_grad,
+                              pad_responses, param_grad, sample, save_model, score_rows)
 
 WORDS = ("w0", "w1", "w2", "w3", "w4", "w5", "w6")
 
@@ -159,6 +159,52 @@ class TestParamGrad:
 
         report = check_policy_gradients(seed=0)
         assert report["max_relative_error"] < 1e-4
+
+
+class TestScoreRows:
+    ITEMS = [(["w0", "w3", "w1", "w3"], ["w2", EOS]),
+             ([], ["w6", "w1", "w4", EOS]),
+             (["w5"], [EOS]),
+             (["w2", "w2", "w6", "w0", "w1", "w4", "w5"], ["w1", "w0", EOS])]
+
+    def rows(self, vocab, items):
+        counts = np.array([bag_of_tokens(vocab.encode(c), vocab.size) for c, _ in items])
+        return (counts, *pad_responses([vocab.encode(r) for _, r in items]))
+
+    def test_batch_rows_equal_rows_scored_alone(self, model, vocab):
+        weights = np.array([0.7, -1.3, 2.1, 0.0])
+        per_token, grads = score_rows(model, *self.rows(vocab, self.ITEMS), upstream=weights)
+        total = model.zero_grads()
+        for i, (ctx, resp) in enumerate(self.ITEMS):
+            alone, row_grads = score_rows(model, *self.rows(vocab, [(ctx, resp)]),
+                                          upstream=weights[i:i + 1])
+            np.testing.assert_allclose(per_token[i, :len(resp)], alone[0], rtol=0, atol=1e-12)
+            assert per_token[i].sum() == pytest.approx(
+                logprob(model, ctx, resp).total_logprob, abs=1e-12)
+            for k in total:
+                total[k] += row_grads[k]
+        for k in total:
+            np.testing.assert_allclose(grads[k], total[k], rtol=0, atol=1e-12)
+
+    def test_padding_contributes_nothing(self, model, vocab):
+        counts, ids, mask = self.rows(vocab, self.ITEMS)
+        weights = np.array([0.7, -1.3, 2.1, 0.4])
+        per_token, grads = score_rows(model, counts, ids, mask, upstream=weights)
+        assert np.all(per_token[~mask] == 0.0)
+        garbage = np.where(mask, ids, vocab.size - 1)
+        per_token2, grads2 = score_rows(model, counts, garbage, mask, upstream=weights)
+        np.testing.assert_array_equal(per_token, per_token2)
+        for k in grads:
+            np.testing.assert_array_equal(grads[k], grads2[k])
+
+    def test_logprob_with_grad_accumulates_one_row(self, model, vocab):
+        ctx, resp = self.ITEMS[0]
+        scored, grads = logprob_with_grad(model, ctx, resp, upstream=0.5)
+        _, again = logprob_with_grad(model, ctx, resp, upstream=0.5, grads=grads)
+        _, row = score_rows(model, *self.rows(vocab, [(ctx, resp)]), upstream=np.array([1.0]))
+        assert scored == logprob(model, ctx, resp)
+        for k in row:
+            np.testing.assert_allclose(again[k], row[k], rtol=1e-12, atol=1e-15)
 
 
 class TestFreeze:

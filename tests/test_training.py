@@ -182,6 +182,27 @@ class TestTrain:
         assert err.value.diagnostic["step"] == 1
         assert err.value.diagnostic["sample_index"] == 0
 
+    def test_prompts_encoded_once_per_dataset(self, world, monkeypatch):
+        """Encoding happens once per dataset, not once per step; the DPO
+        reference is scored from the same encoding."""
+        vocab, data, _ = world
+        calls = []
+        original = Vocab.encode
+
+        def counting(self, tokens):
+            calls.append(len(tokens))
+            return original(self, tokens)
+
+        monkeypatch.setattr(Vocab, "encode", counting)
+        counts = {}
+        for method, epochs in ((Method.ORPO, 1), (Method.ORPO, 3), (Method.DPO, 1),
+                               (Method.DPO, 3)):
+            calls.clear()
+            cfg = TrainConfig(MethodConfig(method), batch_size=8, epochs=epochs, seed=0)
+            train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
+            counts[method, epochs] = len(calls)
+        assert set(counts.values()) == {4 * len(data)}
+
     def test_empty_dataset_rejected(self, world):
         vocab, _, _ = world
         with pytest.raises(ValueError):
