@@ -287,7 +287,9 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
 
 
 def read_source_jsonl(path: str | Path) -> list[SourceSample]:
-    """Load SourceSample records; malformed lines report their line number."""
+    """Load SourceSample records; malformed lines, and fields that are not a
+    string (``question``, ``answer``) or a list of strings
+    (``supporting_docs``), report their line number."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -295,8 +297,15 @@ def read_source_jsonl(path: str | Path) -> list[SourceSample]:
                 continue
             try:
                 obj = json.loads(line)
+                docs = obj["supporting_docs"]
+                for key in ("question", "answer"):
+                    if not isinstance(obj[key], str):
+                        raise TypeError(f"field {key!r} must be a string, got {obj[key]!r}")
+                if not isinstance(docs, list) or not all(isinstance(d, str) for d in docs):
+                    raise TypeError(f"field 'supporting_docs' must be a list of strings, "
+                                    f"got {docs!r}")
                 out.append(SourceSample(question=obj["question"], answer=obj["answer"],
-                                        supporting_docs=tuple(obj["supporting_docs"])))
+                                        supporting_docs=tuple(docs)))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
     return out

@@ -12,20 +12,21 @@ from .losses import (GRAD_FIELDS, LogProbBundle, Method, MethodConfig, RAMode,
                      grad_solopo, solopo_loss)
 from .policy import ToyLM, Vocab, param_grad
 
-__all__ = ["relative_error", "random_bundle", "check_loss_gradients",
+__all__ = ["relative_error", "random_bundle", "stack_bundles", "check_loss_gradients",
            "check_policy_gradients"]
 
 _KINK_MARGIN = 1e-3
 
 
-def relative_error(analytic: float, numeric: float) -> float:
-    """|a - f| scaled by max(1, |a|, |f|); tolerant of true-zero components."""
-    return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+def relative_error(analytic, numeric):
+    """|a - f| scaled by max(1, |a|, |f|), elementwise; tolerant of true-zero components."""
+    scale = np.maximum(np.maximum(1.0, np.abs(analytic)), np.abs(numeric))
+    return np.abs(analytic - numeric) / scale
 
 
 def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[float]:
     """Distances to the nearest non-differentiable point of the total loss."""
-    from .losses import _alignment_gap, _short_margin_arg  # internal on purpose
+    from .losses import _RA_SIDES, _alignment_gap, _short_margin_arg  # internal on purpose
 
     dists = []
     if cfg.link is ConvexLink.HINGE:
@@ -34,11 +35,7 @@ def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[float]:
         if cfg.ra_mode is RAMode.KL_APPROX:
             dists.append(abs(b.lp_w_short - b.lp_w_long))
         else:
-            dists.append(abs(_alignment_gap(cfg, b.lp_w_short, b.lp_w_long,
-                                            b.ref_lp_w_short, b.ref_lp_w_long, b.len_w)))
-            if cfg.ra_mode is RAMode.BOTH:
-                dists.append(abs(_alignment_gap(cfg, b.lp_l_short, b.lp_l_long,
-                                                b.ref_lp_l_short, b.ref_lp_l_long, b.len_l)))
+            dists += [abs(_alignment_gap(cfg, b, side)) for side in _RA_SIDES[cfg.ra_mode]]
     return dists
 
 
@@ -61,8 +58,16 @@ def random_bundle(rng: np.random.Generator, cfg: MethodConfig,
             return b
 
 
-def fd_gradient(cfg: MethodConfig, b: LogProbBundle, h: float = 1e-5) -> dict[str, float]:
-    """Independent numerical gradient of the total loss over the lp fields."""
+def stack_bundles(bundles: Sequence[LogProbBundle]) -> LogProbBundle:
+    """One bundle whose fields are (n,) arrays of the given bundles' fields."""
+    return LogProbBundle(**{name: None if getattr(bundles[0], name) is None
+                            else np.array([getattr(b, name) for b in bundles])
+                            for name in GRAD_FIELDS + ("len_w", "len_l")})
+
+
+def fd_gradient(cfg: MethodConfig, b: LogProbBundle, h: float = 1e-5) -> dict:
+    """Independent numerical gradient of the total loss over the lp fields
+    (elementwise, so a stacked bundle is differentiated point by point)."""
     grads = {}
     for name in GRAD_FIELDS:
         base = getattr(b, name)
@@ -78,7 +83,10 @@ def fd_gradient(cfg: MethodConfig, b: LogProbBundle, h: float = 1e-5) -> dict[st
 def check_loss_gradients(n_points: int, seed: int, *, h: float = 1e-5,
                          methods: Sequence[Method] = tuple(Method),
                          modes: Sequence[RAMode] = tuple(RAMode)) -> dict:
-    """Max relative error of grad_solopo vs finite differences per combo."""
+    """Max relative error of grad_solopo vs finite differences per combo; the
+    points of one combo are checked in one array call of each."""
+    if n_points < 1:
+        raise ValueError("grad-check needs at least one point per combo")
     report = {"h": h, "points_per_combo": n_points, "combos": {}, "max_relative_error": 0.0}
     for method in methods:
         for mode in modes:
@@ -88,13 +96,11 @@ def check_loss_gradients(n_points: int, seed: int, *, h: float = 1e-5,
                                alpha=float(rng.uniform(0.2, 4.0)),
                                gamma=float(rng.uniform(-1.0, 1.0)),
                                eta=float(rng.uniform(0.5, 3.0)))
-            worst = 0.0
-            for _ in range(n_points):
-                b = random_bundle(rng, cfg)
-                analytic = grad_solopo(cfg, b)
-                numeric = fd_gradient(cfg, b, h)
-                err = max(relative_error(analytic[k], numeric[k]) for k in GRAD_FIELDS)
-                worst = max(worst, err)
+            b = stack_bundles([random_bundle(rng, cfg) for _ in range(n_points)])
+            analytic = grad_solopo(cfg, b)
+            numeric = fd_gradient(cfg, b, h)
+            worst = max(float(np.max(relative_error(analytic[k], numeric[k])))
+                        for k in GRAD_FIELDS)
             key = f"{method.value}/{mode.value}"
             report["combos"][key] = worst
             report["max_relative_error"] = max(report["max_relative_error"], worst)
@@ -148,6 +154,6 @@ def check_policy_gradients(seed: int, *, h: float = 1e-5) -> dict:
             flat[i] = keep - h
             down = full_loss()
             flat[i] = keep
-            worst = max(worst, relative_error(float(analytic[name].ravel()[i]),
-                                              (up - down) / (2.0 * h)))
+            worst = max(worst, float(relative_error(float(analytic[name].ravel()[i]),
+                                                    (up - down) / (2.0 * h))))
     return {"h": h, "max_relative_error": worst}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConvexLink", "BoundFn", "eval_link", "link_deriv", "eval_bound"]
+__all__ = ["ConvexLink", "BoundFn", "DomainError", "eval_link", "link_deriv", "eval_bound"]
 
 
 class ConvexLink(enum.Enum):
@@ -24,10 +24,20 @@ class ConvexLink(enum.Enum):
     EXPONENTIAL = "exponential"
 
 
+class DomainError(ValueError):
+    """An argument outside a function's domain; ``index`` is the flat position
+    of the first element ``bad`` marks (named in the message), None for a scalar."""
+
+    def __init__(self, message: str, bad: np.ndarray):
+        self.index = int(np.flatnonzero(bad)[0]) if np.ndim(bad) else None
+        super().__init__(message if self.index is None else f"{message} (element {self.index})")
+
+
 def _check_finite(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("link argument must be finite")
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise DomainError("link argument must be finite", ~finite)
     return x
 
 

@@ -2,18 +2,23 @@
 
 The objective is ``f(eta * (r(x_short, y_w) - r(x_short, y_l) - gamma))`` plus
 ``alpha`` times a penalty on the gap between the reward a response earns under
-the short context and under the long context. Everything here is a pure
-function of a :class:`LogProbBundle`; analytic gradients with respect to every
-log-probability field are provided for the trainer.
+the short context and under the long context. Only the reward ``r`` and the
+link ``f`` change from one algorithm to the next, so each algorithm is one row
+of ``_METHODS``. Everything here is a pure, elementwise function of a
+:class:`LogProbBundle` whose fields are scalars or equal-length arrays;
+analytic gradients with respect to every log-probability field are provided
+for the trainer.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .links import ConvexLink, eval_link, link_deriv
+import numpy as np
+
+from .links import ConvexLink, DomainError, eval_link, link_deriv
 
 __all__ = [
     "Method",
@@ -21,7 +26,6 @@ __all__ = [
     "MethodConfig",
     "LogProbBundle",
     "LossBreakdown",
-    "method_link",
     "reward",
     "po_loss",
     "solo_ra_term",
@@ -45,25 +49,74 @@ class RAMode(enum.Enum):
     KL_APPROX = "kl_approx"
 
 
-_METHOD_LINK = {
-    Method.DPO: ConvexLink.LOGISTIC,
-    Method.SIMPO: ConvexLink.LOGISTIC,
-    Method.ORPO: ConvexLink.LOGISTIC,
-    Method.IPO: ConvexLink.SQUARE,
-    Method.SLIC: ConvexLink.HINGE,
+def _scalar(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _below_zero(t) -> np.ndarray:
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t >= 0.0):
+        raise DomainError("log-odds singularity: per-token log-prob >= 0 (p >= 1)", t >= 0.0)
+    return t
+
+
+def _log_odds(t):
+    """log(p / (1 - p)) for p = e^t, t < 0, without forming p - 1 directly."""
+    t = _below_zero(t)
+    # log(1 - e^t): expm1 near zero, log1p(-exp) otherwise; the far branch's
+    # input is clamped so the branch np.where discards stays finite.
+    near = t > -0.6931471805599453
+    log1m = np.where(near, np.log(-np.expm1(t)),
+                     np.log1p(-np.exp(np.minimum(t, -0.6931471805599453))))
+    return _scalar(t - log1m)
+
+
+def _log_odds_deriv(t):
+    """d/dt log-odds(e^t) = 1 / (1 - e^t)."""
+    return _scalar(1.0 / -np.expm1(_below_zero(t)))
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One algorithm: its link, default hyperparameters, whether it reads a
+    reference policy and keeps it in the alignment gap, and its reward
+    ``reward(beta, lp, ref_lp, length)`` with the derivative
+    ``dreward(beta, lp, length)`` = dr/dlp (a reference-reading reward is a
+    function of lp - ref_lp, so dr/dref_lp = -dr/dlp)."""
+
+    link: ConvexLink
+    beta: float
+    reward: Callable
+    dreward: Callable
+    gamma: float = 0.0
+    alpha: float = 1.0
+    needs_reference: bool = False
+    gap_keeps_reference: bool = False
+    include_nll: bool = False    # the method has an NLL term, on by default
+
+
+# The partition-function offset of the DPO reward cancels in every margin and
+# is dropped. DPO aligns only the policy term of its reward; IPO keeps the
+# reference in the gap.
+_METHODS = {
+    Method.DPO: _Row(ConvexLink.LOGISTIC, beta=0.1, alpha=3.0, needs_reference=True,
+                     reward=lambda beta, lp, ref, n: beta * (lp - ref),
+                     dreward=lambda beta, lp, n: beta),
+    Method.SIMPO: _Row(ConvexLink.LOGISTIC, beta=2.0, gamma=1.4,
+                       reward=lambda beta, lp, ref, n: beta / n * lp,
+                       dreward=lambda beta, lp, n: beta / n),
+    Method.ORPO: _Row(ConvexLink.LOGISTIC, beta=0.1, include_nll=True,
+                      reward=lambda beta, lp, ref, n: _log_odds(lp / n),
+                      dreward=lambda beta, lp, n: _log_odds_deriv(lp / n) / n),
+    Method.IPO: _Row(ConvexLink.SQUARE, beta=1.0, needs_reference=True,
+                     gap_keeps_reference=True,
+                     reward=lambda beta, lp, ref, n: lp - ref,
+                     dreward=lambda beta, lp, n: 1.0),
+    Method.SLIC: _Row(ConvexLink.HINGE, beta=1.0,
+                      reward=lambda beta, lp, ref, n: lp,
+                      dreward=lambda beta, lp, n: 1.0),
 }
-
-_DEFAULT_BETA = {Method.DPO: 0.1, Method.SIMPO: 2.0, Method.ORPO: 0.1,
-                 Method.IPO: 1.0, Method.SLIC: 1.0}
-_DEFAULT_GAMMA = {Method.SIMPO: 1.4}
-_DEFAULT_ALPHA = {Method.DPO: 3.0, Method.SIMPO: 1.0, Method.ORPO: 1.0}
-
-_NEEDS_REF = frozenset({Method.DPO, Method.IPO})
-
-
-def method_link(method: Method) -> ConvexLink:
-    """The convex link each algorithm optimizes through."""
-    return _METHOD_LINK[method]
 
 
 @dataclass
@@ -84,15 +137,11 @@ class MethodConfig:
     include_nll: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.beta is None:
-            self.beta = _DEFAULT_BETA[self.method]
-        if self.gamma is None:
-            self.gamma = _DEFAULT_GAMMA.get(self.method, 0.0)
-        if self.alpha is None:
-            self.alpha = _DEFAULT_ALPHA.get(self.method, 1.0)
-        if self.include_nll is None:
-            self.include_nll = self.method is Method.ORPO
-        if self.include_nll and self.method is not Method.ORPO:
+        row = _METHODS[self.method]
+        for name in ("beta", "gamma", "alpha", "include_nll"):
+            if getattr(self, name) is None:
+                setattr(self, name, getattr(row, name))
+        if self.include_nll and not row.include_nll:
             raise ValueError("include_nll is only meaningful for ORPO")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
@@ -101,44 +150,43 @@ class MethodConfig:
 
     @property
     def link(self) -> ConvexLink:
-        return method_link(self.method)
+        return _METHODS[self.method].link
 
     @property
     def needs_reference(self) -> bool:
-        return self.method in _NEEDS_REF
+        return _METHODS[self.method].needs_reference
 
 
 @dataclass
 class LogProbBundle:
-    """Sequence log-probabilities (nats) for one preference record.
+    """Sequence log-probabilities (nats) for one preference record, or for n
+    records when every field holds an (n,) array.
 
     ``w``/``l`` are the chosen/rejected responses, ``short``/``long`` the two
     context variants. Reference-policy fields are required exactly for the
     methods that use a reference (DPO, IPO). Lengths are response token counts.
     """
 
-    lp_w_short: float
-    lp_l_short: float
-    lp_w_long: float
-    lp_l_long: float
-    len_w: int
-    len_l: int
-    ref_lp_w_short: float | None = None
-    ref_lp_l_short: float | None = None
-    ref_lp_w_long: float | None = None
-    ref_lp_l_long: float | None = None
+    lp_w_short: float | np.ndarray
+    lp_l_short: float | np.ndarray
+    lp_w_long: float | np.ndarray
+    lp_l_long: float | np.ndarray
+    len_w: int | np.ndarray
+    len_l: int | np.ndarray
+    ref_lp_w_short: float | np.ndarray | None = None
+    ref_lp_l_short: float | np.ndarray | None = None
+    ref_lp_w_long: float | np.ndarray | None = None
+    ref_lp_l_long: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.len_w < 1 or self.len_l < 1:
+        if np.any(self.len_w < 1) or np.any(self.len_l < 1):
             raise ValueError("response lengths must be >= 1")
-        for name in ("lp_w_short", "lp_l_short", "lp_w_long", "lp_l_long"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
+        for name in GRAD_FIELDS[:4]:
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
 
     def has_reference(self) -> bool:
-        return None not in (self.ref_lp_w_short, self.ref_lp_l_short,
-                            self.ref_lp_w_long, self.ref_lp_l_long)
+        return all(getattr(self, name) is not None for name in GRAD_FIELDS[4:])
 
 
 GRAD_FIELDS = (
@@ -151,10 +199,10 @@ GRAD_FIELDS = (
 class LossBreakdown:
     """total = po_term + alpha * ra_term + nll_term."""
 
-    total: float
-    po_term: float
-    ra_term: float
-    nll_term: float = 0.0
+    total: float | np.ndarray
+    po_term: float | np.ndarray
+    ra_term: float | np.ndarray
+    nll_term: float | np.ndarray = 0.0
 
 
 def _require_reference(cfg: MethodConfig, bundle: LogProbBundle) -> None:
@@ -162,195 +210,125 @@ def _require_reference(cfg: MethodConfig, bundle: LogProbBundle) -> None:
         raise ValueError(f"{cfg.method.value} requires reference log-probs")
 
 
-def reward(cfg: MethodConfig, lp: float, ref_lp: float | None, length: int) -> float:
+def reward(cfg: MethodConfig, lp, ref_lp, length):
     """Method-specific reward of one response under one context.
 
     DPO: beta * (lp - ref_lp); SimPO: (beta / len) * lp; ORPO: log-odds of the
     length-normalized sequence probability p = exp(lp / len); IPO: lp - ref_lp;
-    SLiC: lp. The DPO partition-function offset cancels in every margin and is
-    dropped.
+    SLiC: lp.
     """
-    m = cfg.method
-    if m is Method.DPO:
-        if ref_lp is None:
-            raise ValueError("dpo reward requires ref_lp")
-        return cfg.beta * (lp - ref_lp)
-    if m is Method.SIMPO:
-        return cfg.beta / length * lp
-    if m is Method.ORPO:
-        return _log_odds(lp / length)
-    if m is Method.IPO:
-        if ref_lp is None:
-            raise ValueError("ipo reward requires ref_lp")
-        return lp - ref_lp
-    if m is Method.SLIC:
-        return lp
-    raise ValueError(f"unknown method {m!r}")  # pragma: no cover
+    if cfg.needs_reference and ref_lp is None:
+        raise ValueError(f"{cfg.method.value} reward requires ref_lp")
+    return _scalar(_METHODS[cfg.method].reward(cfg.beta, lp, ref_lp, length))
 
 
-def _log_odds(t: float) -> float:
-    """log(p / (1 - p)) for p = e^t, t <= 0, without forming p - 1 directly."""
-    if t >= 0.0:
-        raise ValueError("log-odds singularity: per-token log-prob >= 0 (p >= 1)")
-    # log(1 - e^t): use expm1 near zero, log1p(-exp) otherwise.
-    if t > -0.6931471805599453:
-        log1m = math.log(-math.expm1(t))
-    else:
-        log1m = math.log1p(-math.exp(t))
-    return t - log1m
-
-
-def _log_odds_deriv(t: float) -> float:
-    """d/dt log-odds(e^t) = 1 / (1 - e^t)."""
-    if t >= 0.0:
-        raise ValueError("log-odds singularity: per-token log-prob >= 0 (p >= 1)")
-    return 1.0 / -math.expm1(t)
-
-
-def _reward_deriv(cfg: MethodConfig, lp: float, length: int) -> tuple[float, float]:
-    """(d reward / d lp, d reward / d ref_lp)."""
-    m = cfg.method
-    if m is Method.DPO:
-        return cfg.beta, -cfg.beta
-    if m is Method.SIMPO:
-        return cfg.beta / length, 0.0
-    if m is Method.ORPO:
-        return _log_odds_deriv(lp / length) / length, 0.0
-    if m is Method.IPO:
-        return 1.0, -1.0
-    if m is Method.SLIC:
-        return 1.0, 0.0
-    raise ValueError(f"unknown method {m!r}")  # pragma: no cover
-
-
-def _short_margin_arg(cfg: MethodConfig, b: LogProbBundle) -> float:
-    r_w = reward(cfg, b.lp_w_short, b.ref_lp_w_short, b.len_w)
-    r_l = reward(cfg, b.lp_l_short, b.ref_lp_l_short, b.len_l)
+def _short_margin_arg(cfg: MethodConfig, b: LogProbBundle):
+    row = _METHODS[cfg.method]
+    r_w = row.reward(cfg.beta, b.lp_w_short, b.ref_lp_w_short, b.len_w)
+    r_l = row.reward(cfg.beta, b.lp_l_short, b.ref_lp_l_short, b.len_l)
     return cfg.eta * (r_w - r_l - cfg.gamma)
 
 
-def po_loss(cfg: MethodConfig, b: LogProbBundle) -> float:
+def _nll(cfg: MethodConfig, b: LogProbBundle):
+    return -b.lp_w_short / b.len_w if cfg.include_nll else 0.0
+
+
+def po_loss(cfg: MethodConfig, b: LogProbBundle):
     """Short-context preference loss f(eta * (r_w - r_l - gamma)) (+ ORPO NLL)."""
     _require_reference(cfg, b)
-    value = eval_link(cfg.link, _short_margin_arg(cfg, b))
-    if cfg.method is Method.ORPO and cfg.include_nll:
-        value += -b.lp_w_short / b.len_w
-    return value
+    return eval_link(cfg.link, _short_margin_arg(cfg, b)) + _nll(cfg, b)
 
 
-def _alignment_gap(cfg: MethodConfig, lp_short: float, lp_long: float,
-                   ref_short: float | None, ref_long: float | None,
-                   length: int) -> float:
-    """r(x_short, y) - r(x_long, y) for one response.
+def _alignment_gap(cfg: MethodConfig, b: LogProbBundle, side: str):
+    """r(x_short, y) - r(x_long, y) for response ``side`` ("w" or "l").
 
-    DPO intentionally drops the reference here (only the policy term is
-    aligned); IPO keeps it.
+    A row that does not keep the reference in the gap (DPO) aligns only the
+    policy term: both contexts share one reference, which cancels. Sharing the
+    long-context log-prob makes the long reward exactly 0, so DPO's gap is the
+    correctly rounded beta * (lp_short - lp_long) even when the gap is tiny.
     """
-    if cfg.method is Method.DPO:
-        return cfg.beta * (lp_short - lp_long)
-    if cfg.method is Method.IPO:
-        return (lp_short - ref_short) - (lp_long - ref_long)
-    return (reward(cfg, lp_short, ref_short, length)
-            - reward(cfg, lp_long, ref_long, length))
+    row = _METHODS[cfg.method]
+    lp_s, lp_l = getattr(b, f"lp_{side}_short"), getattr(b, f"lp_{side}_long")
+    ref_s, ref_l = ((getattr(b, f"ref_lp_{side}_short"), getattr(b, f"ref_lp_{side}_long"))
+                    if row.gap_keeps_reference else (lp_l, lp_l))
+    length = getattr(b, f"len_{side}")
+    return row.reward(cfg.beta, lp_s, ref_s, length) - row.reward(cfg.beta, lp_l, ref_l, length)
 
 
-def _gap_penalty(cfg: MethodConfig, gap: float) -> float:
-    # Square-link methods penalize the squared gap (shape of their envelope);
-    # everything else uses the absolute gap.
+def _gap_penalty(cfg: MethodConfig, gap) -> tuple:
+    """(penalty, d penalty / d gap). Square-link methods penalize the squared
+    gap (shape of their envelope); everything else uses the absolute gap."""
     if cfg.link in (ConvexLink.SQUARE, ConvexLink.SQUARED_HINGE):
-        return gap * gap
-    return abs(gap)
+        return gap * gap, 2.0 * gap
+    return abs(gap), np.sign(gap)
 
 
-def solo_ra_term(cfg: MethodConfig, b: LogProbBundle) -> float:
+# The responses each gap-based alignment mode averages over.
+_RA_SIDES = {RAMode.CHOSEN_ONLY: ("w",), RAMode.BOTH: ("w", "l")}
+
+
+def solo_ra_term(cfg: MethodConfig, b: LogProbBundle):
     """Short-to-long reward alignment penalty (unweighted by alpha).
 
     chosen_only: penalty on the chosen response's reward gap; both: mean of
     the chosen and rejected gaps; kl_approx: raw |lp_w_short - lp_w_long|.
     """
     _require_reference(cfg, b)
-    mode = cfg.ra_mode
-    if mode is RAMode.KL_APPROX:
+    if cfg.ra_mode is RAMode.KL_APPROX:
         return abs(b.lp_w_short - b.lp_w_long)
-    gap_w = _alignment_gap(cfg, b.lp_w_short, b.lp_w_long,
-                           b.ref_lp_w_short, b.ref_lp_w_long, b.len_w)
-    if mode is RAMode.CHOSEN_ONLY:
-        return _gap_penalty(cfg, gap_w)
-    gap_l = _alignment_gap(cfg, b.lp_l_short, b.lp_l_long,
-                           b.ref_lp_l_short, b.ref_lp_l_long, b.len_l)
-    return 0.5 * (_gap_penalty(cfg, gap_w) + _gap_penalty(cfg, gap_l))
+    sides = _RA_SIDES[cfg.ra_mode]
+    penalties = [_gap_penalty(cfg, _alignment_gap(cfg, b, side))[0] for side in sides]
+    return sum(penalties) / len(sides)
 
 
 def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
     """Full objective, with components reported separately."""
     _require_reference(cfg, b)
     po = eval_link(cfg.link, _short_margin_arg(cfg, b))
-    nll = -b.lp_w_short / b.len_w if (cfg.method is Method.ORPO and cfg.include_nll) else 0.0
+    nll = _nll(cfg, b)
     ra = solo_ra_term(cfg, b)
     return LossBreakdown(total=po + cfg.alpha * ra + nll,
                          po_term=po, ra_term=ra, nll_term=nll)
 
 
-def _sign0(x: float) -> float:
-    # Subgradient convention: 0 at the kink.
-    return 0.0 if x == 0.0 else math.copysign(1.0, x)
-
-
-def grad_solopo(cfg: MethodConfig, b: LogProbBundle) -> dict[str, float]:
+def grad_solopo(cfg: MethodConfig, b: LogProbBundle) -> dict:
     """Partial derivatives of the total loss w.r.t. all eight log-prob fields.
 
     Keys follow :data:`GRAD_FIELDS`; reference entries are zero unless the
-    method differentiates through them (they never do — references are frozen
-    inputs — but DPO/IPO rewards still carry the analytic -beta/-1 terms so
-    finite differences over the raw fields agree).
+    method's reward reads the reference (references are frozen inputs, but
+    DPO/IPO rewards still carry the analytic -beta/-1 terms so finite
+    differences over the raw fields agree). Kinks take subgradient 0.
     """
     _require_reference(cfg, b)
-    g = {name: 0.0 for name in GRAD_FIELDS}
+    row = _METHODS[cfg.method]
+    g = dict.fromkeys(GRAD_FIELDS, 0.0)
 
     # Preference term.
-    z = _short_margin_arg(cfg, b)
-    fz = link_deriv(cfg.link, z) * cfg.eta
-    dw, dw_ref = _reward_deriv(cfg, b.lp_w_short, b.len_w)
-    dl, dl_ref = _reward_deriv(cfg, b.lp_l_short, b.len_l)
-    g["lp_w_short"] += fz * dw
-    g["lp_l_short"] += -fz * dl
-    g["ref_lp_w_short"] += fz * dw_ref
-    g["ref_lp_l_short"] += -fz * dl_ref
-
-    if cfg.method is Method.ORPO and cfg.include_nll:
-        g["lp_w_short"] += -1.0 / b.len_w
+    fz = link_deriv(cfg.link, _short_margin_arg(cfg, b)) * cfg.eta
+    g["lp_w_short"] = fz * row.dreward(cfg.beta, b.lp_w_short, b.len_w)
+    g["lp_l_short"] = -fz * row.dreward(cfg.beta, b.lp_l_short, b.len_l)
+    if row.needs_reference:
+        g["ref_lp_w_short"] = -g["lp_w_short"]
+        g["ref_lp_l_short"] = -g["lp_l_short"]
+    if cfg.include_nll:
+        g["lp_w_short"] = g["lp_w_short"] - 1.0 / b.len_w
 
     # Alignment term.
     a = cfg.alpha
-    if a != 0.0:
-        if cfg.ra_mode is RAMode.KL_APPROX:
-            sgn = _sign0(b.lp_w_short - b.lp_w_long)
-            g["lp_w_short"] += a * sgn
-            g["lp_w_long"] += -a * sgn
-        else:
-            sides = [("w", b.lp_w_short, b.lp_w_long, b.len_w)]
-            if cfg.ra_mode is RAMode.BOTH:
-                sides.append(("l", b.lp_l_short, b.lp_l_long, b.len_l))
-            weight = a if cfg.ra_mode is RAMode.CHOSEN_ONLY else 0.5 * a
-            for tag, lp_s, lp_l, length in sides:
-                ref_s = getattr(b, f"ref_lp_{tag}_short")
-                ref_l = getattr(b, f"ref_lp_{tag}_long")
-                gap = _alignment_gap(cfg, lp_s, lp_l, ref_s, ref_l, length)
-                if cfg.link in (ConvexLink.SQUARE, ConvexLink.SQUARED_HINGE):
-                    outer = 2.0 * gap
-                else:
-                    outer = _sign0(gap)
-                ds, ds_ref = _gap_derivs(cfg, lp_s, length)
-                dlng, dlng_ref = _gap_derivs(cfg, lp_l, length)
-                g[f"lp_{tag}_short"] += weight * outer * ds
-                g[f"lp_{tag}_long"] += -weight * outer * dlng
-                g[f"ref_lp_{tag}_short"] += weight * outer * ds_ref
-                g[f"ref_lp_{tag}_long"] += -weight * outer * dlng_ref
-    return g
-
-
-def _gap_derivs(cfg: MethodConfig, lp: float, length: int) -> tuple[float, float]:
-    """(d gap-side / d lp, d gap-side / d ref_lp) for one context's reward."""
-    if cfg.method is Method.DPO:
-        return cfg.beta, 0.0  # reference dropped from the alignment gap
-    return _reward_deriv(cfg, lp, length)
+    if a != 0.0 and cfg.ra_mode is RAMode.KL_APPROX:
+        sgn = np.sign(b.lp_w_short - b.lp_w_long)
+        g["lp_w_short"] = g["lp_w_short"] + a * sgn
+        g["lp_w_long"] = -a * sgn
+    elif a != 0.0:
+        sides = _RA_SIDES[cfg.ra_mode]
+        weight = a / len(sides)
+        for side in sides:
+            outer = _gap_penalty(cfg, _alignment_gap(cfg, b, side))[1]
+            length = getattr(b, f"len_{side}")
+            for ctx, sign in (("short", weight), ("long", -weight)):
+                key = f"lp_{side}_{ctx}"
+                d = sign * outer * row.dreward(cfg.beta, getattr(b, key), length)
+                g[key] = g[key] + d
+                if row.gap_keeps_reference:
+                    g["ref_" + key] = g["ref_" + key] - d
+    return {name: _scalar(value) for name, value in g.items()}

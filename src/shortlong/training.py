@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .forge import ForgedSample, sub_em
+from .links import DomainError
 from .losses import (LogProbBundle, MethodConfig, RAMode, grad_solopo,
                      reward, solopo_loss)
 from .policy import (EOS, SEP, ToyLM, Vocab, bag_of_tokens, freeze, greedy_decode,
@@ -161,8 +162,8 @@ class _Rows:
     counts: np.ndarray    # (n, 4, V) prompt bags of tokens
     resp_ids: np.ndarray  # (n, 4, T) padded response ids
     mask: np.ndarray      # (n, 4, T) real response positions
-    len_w: list[int]
-    len_l: list[int]
+    len_w: np.ndarray     # (n,) response token counts
+    len_l: np.ndarray
 
     def batch(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The 4 * len(records) rows of ``records`` as one kernel input."""
@@ -188,17 +189,7 @@ def _prepare(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> 
     resp_ids, mask = pad_responses(responses)
     n = len(dataset)
     return _Rows(np.array(counts), resp_ids.reshape(n, 4, -1), mask.reshape(n, 4, -1),
-                 len_w, len_l)
-
-
-def _needed_scores(cfg: TrainConfig) -> tuple[bool, bool]:
-    """(need chosen-long score, need rejected-long score) for the objective."""
-    mc = cfg.method_cfg
-    if cfg.telemetry:
-        return True, True
-    if mc.alpha == 0.0:
-        return False, False
-    return True, mc.ra_mode is RAMode.BOTH
+                 np.array(len_w), np.array(len_l))
 
 
 def _logprobs(model: ToyLM, rows: _Rows, records: np.ndarray) -> np.ndarray:
@@ -213,22 +204,29 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     """Run the optimization loop; returns the mutated model and its log.
 
     Every step scores all four rows of each record in one forward pass of
-    :func:`~shortlong.policy.score_rows`, whatever the objective reads, and
+    :func:`~shortlong.policy.score_rows`, whatever the objective reads,
+    evaluates the loss and its gradient once over the batch's (n,) arrays, and
     backpropagates the whole batch in one backward pass; a row the objective
-    does not read gets weight 0.
+    does not read gets weight 0. ``vocab`` must be the model's vocabulary.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
     if model.frozen:
         raise ValueError("cannot train a frozen model")
+    if vocab != model.vocab:
+        raise ValueError("vocab differs from the model's vocabulary")
     mc = cfg.method_cfg
     rows = _prepare(dataset, model.vocab, cfg.po_context)
-    need = (True, True) + _needed_scores(cfg)
+    # The scores the objective reads: both short ones, the chosen long one when
+    # alpha > 0, the rejected long one for `both`; telemetry reads all four.
+    reads_long = cfg.telemetry or mc.alpha != 0.0
+    need = np.array((True, True, reads_long,
+                     reads_long and (cfg.telemetry or mc.ra_mode is RAMode.BOTH)))
     ref_lps = None
     if mc.needs_reference:  # the frozen reference is scored once, in batch-sized chunks
         ref, records = freeze(model), np.arange(len(dataset))
         ref_lps = np.concatenate([_logprobs(ref, rows, records[i:i + cfg.batch_size])
-                                  for i in range(0, len(dataset), cfg.batch_size)]).tolist()
+                                  for i in range(0, len(dataset), cfg.batch_size)])
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.params)
     steps_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
@@ -241,59 +239,51 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
             step += 1
             lr = learning_rate(step, total_steps, cfg.lr_max, cfg.warmup_ratio)
             chunk = order[start:start + cfg.batch_size]
-            lps = _logprobs(model, rows, chunk).tolist()
-            weights = np.zeros((len(chunk), 4))
-            sums = {"total": 0.0, "po": 0.0, "ra": 0.0, "nll": 0.0,
-                    "margin": 0.0, "lp_rej": 0.0}
-            for j, idx in enumerate(chunk):
-                values = dict(zip(_FIELDS, lps[j]))
-                bad = [k for k, used in zip(_FIELDS, need)
-                       if used and not math.isfinite(values[k])]
-                if bad:
-                    raise NonFiniteLossError(
-                        f"non-finite log-probability in {bad} at step {step}, sample {int(idx)}",
-                        {"step": step, "sample_index": int(idx), "fields": bad,
-                         "values": {k: values[k] for k in bad}})
-                refs = dict(zip(("ref_" + k for k in _FIELDS), ref_lps[idx])) \
-                    if ref_lps is not None else {}
-                bundle = LogProbBundle(
-                    lp_w_short=values["lp_w_short"], lp_l_short=values["lp_l_short"],
-                    lp_w_long=values["lp_w_long" if need[2] else "lp_w_short"],
-                    lp_l_long=values["lp_l_long" if need[3] else "lp_l_short"],
-                    len_w=rows.len_w[idx], len_l=rows.len_l[idx], **refs)
-                try:
-                    breakdown = solopo_loss(mc, bundle)
-                    if not math.isfinite(breakdown.total):
-                        raise NonFiniteLossError(
-                            f"non-finite loss at step {step}",
-                            {"step": step, "sample_index": int(idx),
-                             "breakdown": asdict(breakdown)})
-                    field_grads = grad_solopo(mc, bundle)
-                    if cfg.telemetry:
-                        margin = (reward(mc, bundle.lp_w_long, bundle.ref_lp_w_long, bundle.len_w)
-                                  - reward(mc, bundle.lp_l_long, bundle.ref_lp_l_long, bundle.len_l))
-                except ValueError as exc:  # the ORPO log-odds singularity
-                    raise NonFiniteLossError(
-                        f"{exc} at step {step}, sample {int(idx)}",
-                        {"step": step, "sample_index": int(idx), "error": str(exc)}) from exc
-                scale = 1.0 / len(chunk)
-                weights[j] = [field_grads[k] * scale if used else 0.0
-                              for k, used in zip(_FIELDS, need)]
-                sums["total"] += breakdown.total
-                sums["po"] += breakdown.po_term
-                sums["ra"] += breakdown.ra_term
-                sums["nll"] += breakdown.nll_term
-                if cfg.telemetry:
-                    sums["margin"] += margin
-                    sums["lp_rej"] += bundle.lp_l_long
-            _, grads = score_rows(model, *rows.batch(chunk), upstream=weights.ravel())
             n = len(chunk)
+            lps = _logprobs(model, rows, chunk)
+            bad = ~np.isfinite(lps) & need
+            if bad.any():
+                j = int(np.flatnonzero(bad.any(axis=1))[0])
+                fields = [k for k, b in zip(_FIELDS, bad[j]) if b]
+                raise NonFiniteLossError(
+                    f"non-finite log-probability in {fields} at step {step}, "
+                    f"sample {int(chunk[j])}",
+                    {"step": step, "sample_index": int(chunk[j]), "fields": fields,
+                     "values": {k: float(v) for k, v, b in zip(_FIELDS, lps[j], bad[j]) if b}})
+            # A long-context score the objective does not read becomes the short one.
+            refs = () if ref_lps is None else ref_lps[chunk].T
+            bundle = LogProbBundle(*np.where(need, lps, lps[:, [0, 1, 0, 1]]).T,
+                                   rows.len_w[chunk], rows.len_l[chunk], *refs)
+            try:
+                breakdown = solopo_loss(mc, bundle)
+                bad_total = np.flatnonzero(~np.isfinite(breakdown.total))
+                if bad_total.size:
+                    j = int(bad_total[0])
+                    raise NonFiniteLossError(
+                        f"non-finite loss at step {step}",
+                        {"step": step, "sample_index": int(chunk[j]),
+                         "breakdown": {k: float(np.broadcast_to(v, n)[j])
+                                       for k, v in vars(breakdown).items()}})
+                field_grads = grad_solopo(mc, bundle)
+                if cfg.telemetry:
+                    margin = (reward(mc, bundle.lp_w_long, bundle.ref_lp_w_long, bundle.len_w)
+                              - reward(mc, bundle.lp_l_long, bundle.ref_lp_l_long, bundle.len_l))
+            except DomainError as exc:  # the ORPO log-odds singularity
+                idx = int(chunk[exc.index])
+                raise NonFiniteLossError(
+                    f"{exc} at step {step}, sample {idx}",
+                    {"step": step, "sample_index": idx, "error": str(exc)}) from exc
+            weights = np.column_stack([np.broadcast_to(field_grads[k] if used else 0.0, n)
+                                       for k, used in zip(_FIELDS, need)]) * (1.0 / n)
+            _, grads = score_rows(model, *rows.batch(chunk), upstream=weights.ravel())
             opt.step(grads, lr)
+            mean = {k: float(np.mean(v)) for k, v in vars(breakdown).items()}
             log.steps.append(StepRecord(
-                step=step, lr=lr, total=sums["total"] / n, po_term=sums["po"] / n,
-                ra_term=sums["ra"] / n, nll_term=sums["nll"] / n,
-                reward_margin_long=sums["margin"] / n if cfg.telemetry else float("nan"),
-                lp_rejected_long=sums["lp_rej"] / n if cfg.telemetry else float("nan")))
+                step=step, lr=lr, total=mean["total"], po_term=mean["po_term"],
+                ra_term=mean["ra_term"], nll_term=mean["nll_term"],
+                reward_margin_long=float(np.mean(margin)) if cfg.telemetry else float("nan"),
+                lp_rejected_long=float(np.mean(bundle.lp_l_long)) if cfg.telemetry
+                else float("nan")))
             if cfg.eval_every and eval_set is not None and step % cfg.eval_every == 0:
                 log.evals.append(EvalRecord(
                     step=step,

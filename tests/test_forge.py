@@ -242,6 +242,21 @@ class TestJsonlIO:
         with pytest.raises(ValueError, match="line 2"):
             read_source_jsonl(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("question", 5),
+        ("answer", ["v05"]),
+        ("supporting_docs", "the doc a"),
+        ("supporting_docs", ["d1", 7]),
+    ])
+    def test_source_field_types_checked(self, tmp_path, field, value):
+        record = {"question": "q", "answer": "a", "supporting_docs": ["d1"], field: value}
+        path = tmp_path / "src.jsonl"
+        path.write_text(json.dumps({"question": "q", "answer": "a",
+                                    "supporting_docs": ["d1"]}) + "\n"
+                        + json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=rf"src\.jsonl: .*line 2: .*{field}"):
+            read_source_jsonl(path)
+
     def test_source_round_trip(self, tmp_path):
         path = tmp_path / "src.jsonl"
         path.write_text(json.dumps({"question": "q", "answer": "a",

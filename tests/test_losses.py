@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shortlong.gradcheck import fd_gradient, random_bundle, relative_error
+from shortlong.gradcheck import fd_gradient, random_bundle, relative_error, stack_bundles
 from shortlong.losses import (GRAD_FIELDS, LogProbBundle, Method, MethodConfig,
                               RAMode, grad_solopo, po_loss, reward, solo_ra_term,
                               solopo_loss)
@@ -244,6 +244,35 @@ class TestGradients:
         b = full_bundle(lp_w_short=0.0)
         with pytest.raises(ValueError, match="singularity"):
             grad_solopo(cfg, b)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_array_call_equals_scalar_calls(self, method, mode):
+        rng = np.random.default_rng(41)
+        cfg = MethodConfig(method, ra_mode=mode, eta=1.7)
+        bundles = [random_bundle(rng, cfg) for _ in range(64)]
+        batch = stack_bundles(bundles)
+        breakdown = solopo_loss(cfg, batch)
+        grads = grad_solopo(cfg, batch)
+        for field in ("total", "po_term", "ra_term", "nll_term"):
+            np.testing.assert_allclose(
+                np.broadcast_to(getattr(breakdown, field), len(bundles)),
+                [getattr(solopo_loss(cfg, b), field) for b in bundles], rtol=1e-15, atol=0)
+        for name in GRAD_FIELDS:
+            np.testing.assert_allclose(np.broadcast_to(grads[name], len(bundles)),
+                                       [grad_solopo(cfg, b)[name] for b in bundles],
+                                       rtol=1e-15, atol=0)
+
+    def test_singular_element_is_named(self):
+        rng = np.random.default_rng(42)
+        cfg = MethodConfig(Method.ORPO)
+        bundles = [random_bundle(rng, cfg) for _ in range(8)]
+        bundles[5] = replace(bundles[5], lp_w_short=0.0)
+        with pytest.raises(ValueError, match="singularity.*element 5") as err:
+            solopo_loss(cfg, stack_bundles(bundles))
+        assert err.value.index == 5
 
 
 class TestBundleValidation:

@@ -203,6 +203,15 @@ class TestTrain:
             counts[method, epochs] = len(calls)
         assert set(counts.values()) == {4 * len(data)}
 
+    def test_vocab_must_match_model(self, world):
+        """The same tokens in another order would encode differently, so a
+        vocabulary that is not the model's is rejected rather than ignored."""
+        vocab, data, _ = world
+        shuffled = Vocab(tuple(reversed(vocab.tokens)))
+        cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8, seed=0)
+        with pytest.raises(ValueError, match="vocab"):
+            train(ToyLM(shuffled, hidden_dim=8, seed=1), data, cfg, vocab)
+
     def test_empty_dataset_rejected(self, world):
         vocab, _, _ = world
         with pytest.raises(ValueError):
