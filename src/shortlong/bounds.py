@@ -15,13 +15,14 @@ expectation):
   dominated by a p-norm gap (:func:`check_theorem2`).
 
 Every check returns signed slack = LHS - RHS; positive slack beyond tolerance
-is a violation. Suites report the max over instances plus a witness dump.
+is a violation. Checks take one scenario or a batch; suites check one batch
+per link (or p) and report its max plus a witness dump.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -85,13 +86,10 @@ def lemma_slack(link: ConvexLink, gamma: float, ra: RewardAssignment) -> float:
 
     LHS = f(r_lw - r_ll - gamma); RHS = mean of f(3*delta_i - gamma) over the
     three telescoping gaps. Convexity of f makes LHS <= RHS for any rewards.
+    A one-row view of :func:`_lemma_slack_batch`.
     """
-    d1, d2, d3 = ra.deltas()
-    lhs = eval_link(link, ra.r_lw - ra.r_ll - gamma)
-    rhs = (eval_link(link, 3.0 * d1 - gamma)
-           + eval_link(link, 3.0 * d2 - gamma)
-           + eval_link(link, 3.0 * d3 - gamma)) / 3.0
-    return float(lhs - rhs)
+    rewards = np.array([astuple(ra)], dtype=np.float64)  # columns (r_sw, r_sl, r_lw, r_ll)
+    return float(_lemma_slack_batch(link, np.array([gamma], dtype=np.float64), rewards)[0])
 
 
 def _lemma_slack_batch(link: ConvexLink, gammas: np.ndarray, rewards: np.ndarray,
@@ -105,6 +103,11 @@ def _lemma_slack_batch(link: ConvexLink, gammas: np.ndarray, rewards: np.ndarray
     return lhs - rhs
 
 
+def _require(count: int, least: int, what: str) -> None:
+    if count < least:
+        raise ValueError(f"need at least {least} {what}, got {count}")
+
+
 @dataclass
 class DiscreteScenario:
     """A finite world: weighted context pairs, weighted responses, rewards.
@@ -114,6 +117,9 @@ class DiscreteScenario:
     is the probability that ``i`` is judged preferable to ``j`` given the
     short variant (likewise ``pref_long``); pairs may abstain, so
     ``P[i, j] + P[j, i] <= 1`` with zero diagonal.
+
+    Every field may carry a leading batch axis of N scenarios, checked one by
+    one: weights (N, K), (N, M), rewards (N, K, M), preferences (N, K, M, M).
     """
 
     context_weights: np.ndarray
@@ -124,28 +130,43 @@ class DiscreteScenario:
     pref_long: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("context_weights", "response_weights", "r_short", "r_long",
-                     "pref_short", "pref_long"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        k, m = self.r_short.shape
-        if self.r_long.shape != (k, m):
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), dtype=np.float64))
+        if self.r_short.ndim not in (2, 3):
+            raise ValueError("rewards must be (contexts, M), or (N, contexts, M) for a batch")
+        *batch, k, m = self.r_short.shape
+        if self.r_long.shape != self.r_short.shape:
             raise ValueError("r_short and r_long shapes differ")
-        if self.pref_short.shape != (k, m, m) or self.pref_long.shape != (k, m, m):
+        if self.pref_short.shape != (*batch, k, m, m) or self.pref_long.shape != (*batch, k, m, m):
             raise ValueError("preference tables must be (contexts, M, M)")
-        if not (np.isclose(self.context_weights.sum(), 1.0)
-                and np.isclose(self.response_weights.sum(), 1.0)):
+        if self.context_weights.shape != (*batch, k) or self.response_weights.shape != (*batch, m):
+            raise ValueError("weights must be (contexts,) and (M,)")
+        if not (np.all(np.isclose(self.context_weights.sum(axis=-1), 1.0))
+                and np.all(np.isclose(self.response_weights.sum(axis=-1), 1.0))):
             raise ValueError("weights must each sum to 1")
         if np.any(self.context_weights < 0) or np.any(self.response_weights < 0):
             raise ValueError("weights must be nonnegative")
         for p in (self.pref_short, self.pref_long):
             if np.any(p < 0) or np.any(p > 1):
                 raise ValueError("preference probabilities must lie in [0, 1]")
-            if np.any(p + np.swapaxes(p, 1, 2) > 1 + 1e-12):
+            if np.any(p + np.swapaxes(p, -1, -2) > 1 + 1e-12):
                 raise ValueError("P[i,j] + P[j,i] must not exceed 1")
+            if np.any(np.diagonal(p, axis1=-2, axis2=-1) != 0):
+                raise ValueError("P[i,i] must be 0")
 
-    def satisfies_discrimination(self, tol: float = 1e-12) -> bool:
-        """Long-context preferences never easier than short-context ones."""
-        return bool(np.all(self.pref_long <= self.pref_short + tol))
+    def __getitem__(self, i: int) -> DiscreteScenario:
+        """Scenario ``i`` of a batch, trimmed to its weighted contexts and responses."""
+        k, m = self.context_weights[i] > 0, self.response_weights[i] > 0
+        pairs, prefs = np.ix_(k, m), np.ix_(k, m, m)
+        return DiscreteScenario(self.context_weights[i][k], self.response_weights[i][m],
+                                self.r_short[i][pairs], self.r_long[i][pairs],
+                                self.pref_short[i][prefs], self.pref_long[i][prefs])
+
+    def satisfies_discrimination(self, tol: float = 1e-12) -> bool | np.ndarray:
+        """Long-context preferences never easier than short-context ones; one
+        flag per scenario of a batch."""
+        ok = np.all(self.pref_long <= self.pref_short + tol, axis=(-3, -2, -1))
+        return ok if ok.ndim else bool(ok)
 
     def instance_rewards(self, k: int, i: int, j: int) -> RewardAssignment:
         """The induced 4-tuple for context pair ``k`` and response pair (i, j)."""
@@ -181,142 +202,171 @@ class BoundReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _pair_mass(scn: DiscreteScenario) -> np.ndarray:
-    w, q = scn.context_weights, scn.response_weights
-    return w[:, None, None] * q[None, :, None] * q[None, None, :]
+def _arrays(scn: DiscreteScenario):
+    """The scenario's arrays, in field order, with any batch axis moved last
+    (so elementwise work runs along the batch and ``gamma`` broadcasts), and
+    the index arrays (i, j) of the ordered response pairs i != j."""
+    arrays = [getattr(scn, f.name) for f in fields(scn)]
+    if scn.r_short.ndim == 3:
+        arrays = [np.moveaxis(a, 0, -1) for a in arrays]
+    return arrays, np.nonzero(~np.eye(arrays[1].shape[0], dtype=bool))
 
 
-def _long_lhs(scn: DiscreteScenario, link: ConvexLink, gamma: float) -> float:
-    margin = scn.r_long[:, :, None] - scn.r_long[:, None, :] - gamma
-    return float(np.sum(_pair_mass(scn) * scn.pref_long * eval_link(link, margin)))
+def _per_scenario(x: np.ndarray, axis=(0, 1)) -> float | np.ndarray:
+    """Sum over the leading (context and response or pair) axes."""
+    out = np.sum(x, axis=axis)
+    return out if out.ndim else float(out)
 
 
-def _short_po_term(scn: DiscreteScenario, link: ConvexLink, gamma: float) -> float:
-    margin = 3.0 * (scn.r_short[:, :, None] - scn.r_short[:, None, :]) - gamma
-    return float(np.sum(_pair_mass(scn) * scn.pref_short * eval_link(link, margin)))
+def _po_terms(arrays: list[np.ndarray], pairs: tuple, link: ConvexLink, gamma) -> tuple:
+    """(long-context loss, short PO term), each summed over the ordered
+    response pairs of every context, and the long-context pair weights;
+    ``arrays, pairs`` as :func:`_arrays` returns them."""
+    (w, q, r_s, r_l, p_s, p_l), (i, j) = arrays, pairs
+    mass = w[:, None] * q[i] * q[j]
+    long_w = mass * p_l[:, i, j]
+    long_margin = r_l[:, i] - r_l[:, j] - gamma
+    short_margin = 3.0 * (r_s[:, i] - r_s[:, j]) - gamma
+    return (_per_scenario(long_w * eval_link(link, long_margin)),
+            _per_scenario(mass * p_s[:, i, j] * eval_link(link, short_margin)), long_w)
 
 
-def theorem1_exact_slack(scn: DiscreteScenario, link: ConvexLink, gamma: float) -> float:
+def theorem1_exact_slack(scn: DiscreteScenario, link: ConvexLink, gamma) -> float | np.ndarray:
     """Slack of: long loss <= (short PO + chosen cross-gap + rejected cross-gap)/3.
 
     Cross terms keep the long-context preference weights; the short PO term
     carries the short-context weights, which is exactly where the
     discrimination assumption enters.
     """
-    mass = _pair_mass(scn)
-    gap = scn.r_long - scn.r_short  # (K, M)
-    cross_w = float(np.sum(mass * scn.pref_long
-                           * eval_link(link, 3.0 * gap[:, :, None] - gamma)))
-    cross_l = float(np.sum(mass * scn.pref_long
-                           * eval_link(link, -3.0 * gap[:, None, :] - gamma)))
-    rhs = (_short_po_term(scn, link, gamma) + cross_w + cross_l) / 3.0
-    return _long_lhs(scn, link, gamma) - rhs
+    arrays, (i, j) = _arrays(scn)
+    lhs, short, long_w = _po_terms(arrays, (i, j), link, gamma)
+    _, _, r_s, r_l, _, _ = arrays
+    gap = r_l - r_s
+    cross_w = _per_scenario(long_w * eval_link(link, 3.0 * gap[:, i] - gamma))
+    cross_l = _per_scenario(long_w * eval_link(link, -3.0 * gap[:, j] - gamma))
+    return lhs - (short + cross_w + cross_l) / 3.0
 
 
-def theorem1_sform_slack(scn: DiscreteScenario, link: ConvexLink, gamma: float) -> float:
+def theorem1_sform_slack(scn: DiscreteScenario, link: ConvexLink, gamma) -> float | np.ndarray:
     """Slack of: long loss <= (short PO + E s(3 |reward gap|)) / 3."""
-    w, q = scn.context_weights, scn.response_weights
-    envelope = eval_bound(BoundFn(link, gamma), 3.0 * np.abs(scn.r_short - scn.r_long))
-    s_term = float(np.sum(w[:, None] * q[None, :] * envelope))
-    rhs = (_short_po_term(scn, link, gamma) + s_term) / 3.0
-    return _long_lhs(scn, link, gamma) - rhs
+    arrays, pairs = _arrays(scn)
+    w, q, r_s, r_l = arrays[:4]
+    envelope = eval_bound(BoundFn(link, gamma), 3.0 * np.abs(r_s - r_l))
+    lhs, short, _ = _po_terms(arrays, pairs, link, gamma)
+    return lhs - (short + _per_scenario(w[:, None] * q * envelope)) / 3.0
 
 
-def _scenario_report(check: str, scn: DiscreteScenario, link: ConvexLink,
-                     gamma: float, slack_fn) -> BoundReport:
-    if not scn.satisfies_discrimination():
+def _report(check: str, scn: DiscreteScenario, link: ConvexLink, gamma,
+            slack, **extra) -> BoundReport:
+    """The worst of one slack or of a batch's; a violating worst scenario,
+    trimmed to its real contexts and responses, is the witness."""
+    instances = np.size(slack)
+    if np.ndim(slack):
+        i = int(np.argmax(slack))
+        scn, gamma, slack = scn[i], float(np.broadcast_to(gamma, np.shape(slack))[i]), slack[i]
+    worst = float(slack)
+    witness = None
+    if worst > TOLERANCE:
+        witness = {"link": link.value, "gamma": gamma, "slack": worst,
+                   **{f.name: getattr(scn, f.name).tolist() for f in fields(scn)}}
+    return BoundReport(check=check, instances=instances, max_violation=worst,
+                       worst_witness=witness, **extra)
+
+
+def _require_discrimination(scn: DiscreteScenario) -> None:
+    if not np.all(scn.satisfies_discrimination()):
         raise ValueError("scenario violates the preference-discrimination precondition")
-    slack = slack_fn(scn, link, gamma)
-    witness = _witness(scn, link, gamma, slack) if slack > TOLERANCE else None
-    return BoundReport(check=check, instances=1, max_violation=slack, worst_witness=witness)
 
 
-def check_theorem1_exact(scn: DiscreteScenario, link: ConvexLink, gamma: float) -> BoundReport:
-    return _scenario_report("theorem1_exact", scn, link, gamma, theorem1_exact_slack)
+def check_theorem1_exact(scn: DiscreteScenario, link: ConvexLink, gamma) -> BoundReport:
+    _require_discrimination(scn)
+    return _report("theorem1_exact", scn, link, gamma, theorem1_exact_slack(scn, link, gamma))
 
 
-def check_theorem1_sform(scn: DiscreteScenario, link: ConvexLink, gamma: float) -> BoundReport:
-    return _scenario_report("theorem1_sform", scn, link, gamma, theorem1_sform_slack)
+def check_theorem1_sform(scn: DiscreteScenario, link: ConvexLink, gamma) -> BoundReport:
+    _require_discrimination(scn)
+    return _report("theorem1_sform", scn, link, gamma, theorem1_sform_slack(scn, link, gamma))
 
 
-def _p_norm_gaps(scn: DiscreteScenario, p: float) -> tuple[np.ndarray, np.ndarray]:
+def _p_norm_gaps(q: np.ndarray, gaps: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(D_1 per context, D_p per context) of the reward gap distribution."""
-    q = scn.response_weights
-    gaps = np.abs(scn.r_short - scn.r_long)
-    d1 = gaps @ q
+    d1 = np.sum(gaps * q, axis=1)
     if np.isinf(p):
-        dp = np.max(np.where(q[None, :] > 0, gaps, 0.0), axis=1)
+        dp = np.max(np.where(q > 0, gaps, 0.0), axis=1)
     else:
-        dp = (np.power(gaps, p) @ q) ** (1.0 / p)
+        dp = np.sum(np.power(gaps, p) * q, axis=1) ** (1.0 / p)
     return d1, dp
 
 
-def check_theorem2(scn: DiscreteScenario, p: float, c1: float, gamma: float) -> BoundReport:
+def check_theorem2(scn: DiscreteScenario, p: float, c1: float, gamma) -> BoundReport:
     """Generalized-distance bound with the logistic link.
 
     First verifies D_1 <= c1 * D_p per context (the admissibility condition of
-    the substituted distance); failures are reported as condition failures,
-    not bound violations. Then checks
+    the substituted distance); failing contexts count as condition failures,
+    not bound violations, and leave their scenario out of the max. Then checks
     long loss <= short PO / 3 + c1 * E[D_p] + (2/3) log(1 + e^{3 gamma}).
     """
     if p < 1:
         raise ValueError("p-norm distance requires p >= 1")
     if c1 < 1:
         raise ValueError("c1 must be >= 1")
-    if not scn.satisfies_discrimination():
-        raise ValueError("scenario violates the preference-discrimination precondition")
+    _require_discrimination(scn)
     link = ConvexLink.LOGISTIC
-    d1, dp = _p_norm_gaps(scn, p)
-    condition_failures = int(np.sum(d1 > c1 * dp + 1e-12))
-    if condition_failures:
-        return BoundReport(check="theorem2", instances=1, max_violation=-np.inf,
-                           condition_failures=condition_failures,
-                           worst_witness={"d1": d1.tolist(), "dp": dp.tolist(), "p": p})
-    c2 = 2.0 / 3.0 * float(np.logaddexp(0.0, 3.0 * gamma))
-    rhs = (_short_po_term(scn, link, gamma) / 3.0
-           + c1 * float(scn.context_weights @ dp) + c2)
-    slack = _long_lhs(scn, link, gamma) - rhs
-    witness = _witness(scn, link, gamma, slack) if slack > TOLERANCE else None
-    return BoundReport(check="theorem2", instances=1, max_violation=slack,
-                       worst_witness=witness)
-
-
-def _witness(scn: DiscreteScenario, link: ConvexLink, gamma: float, slack: float) -> dict:
-    return {
-        "link": link.value,
-        "gamma": gamma,
-        "slack": slack,
-        "context_weights": scn.context_weights.tolist(),
-        "response_weights": scn.response_weights.tolist(),
-        "r_short": scn.r_short.tolist(),
-        "r_long": scn.r_long.tolist(),
-        "pref_short": scn.pref_short.tolist(),
-        "pref_long": scn.pref_long.tolist(),
-    }
+    arrays, pairs = _arrays(scn)
+    w, q, r_s, r_l = arrays[:4]
+    d1, dp = _p_norm_gaps(q, np.abs(r_s - r_l), p)
+    failing = d1 > c1 * dp + 1e-12
+    c2 = 2.0 / 3.0 * np.logaddexp(0.0, 3.0 * np.asarray(gamma, dtype=np.float64))
+    lhs, short, _ = _po_terms(arrays, pairs, link, gamma)
+    slack = lhs - (short / 3.0 + c1 * _per_scenario(w * dp, axis=0) + c2)
+    slack = np.where(np.any(failing, axis=0), -np.inf, slack)
+    report = _report("theorem2", scn, link, gamma, slack,
+                     condition_failures=int(np.sum(failing)))
+    if report.condition_failures and not np.ndim(slack):
+        report.worst_witness = {"d1": d1.tolist(), "dp": dp.tolist(), "p": p}
+    return report
 
 
 def random_scenario(rng: np.random.Generator, *, max_contexts: int = 4,
                     max_responses: int = 4,
-                    reward_range: tuple[float, float] = _DEFAULT_REWARD_RANGE) -> DiscreteScenario:
-    """Draw a random scenario; preference pairs may abstain (sums <= 1)."""
-    k = int(rng.integers(1, max_contexts + 1))
-    m = int(rng.integers(2, max_responses + 1))
-    w = rng.dirichlet(np.ones(k))
-    q = rng.dirichlet(np.ones(m))
-    lo, hi = reward_range
-    r_short = rng.uniform(lo, hi, (k, m))
-    r_long = rng.uniform(lo, hi, (k, m))
-    p_short = np.zeros((k, m, m))
-    p_long = np.zeros((k, m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            total = rng.uniform(0.0, 1.0, k)
-            split = rng.uniform(0.0, 1.0, k)
-            p_short[:, i, j] = total * split
-            p_short[:, j, i] = total * (1.0 - split)
-            p_long[:, i, j] = p_short[:, i, j] * rng.uniform(0.0, 1.0, k)
-            p_long[:, j, i] = p_short[:, j, i] * rng.uniform(0.0, 1.0, k)
-    return DiscreteScenario(w, q, r_short, r_long, p_short, p_long)
+                    reward_range: tuple[float, float] = _DEFAULT_REWARD_RANGE,
+                    size: int | None = None) -> DiscreteScenario:
+    """Draw a batch of ``size`` scenarios padded to (max_contexts,
+    max_responses), padded entries with weight 0 and reward 0; or, when
+    ``size`` is None, one scenario. Preference pairs may abstain (sums <= 1);
+    long-context ones are short ones scaled down, so discrimination holds.
+    """
+    n = 1 if size is None else size
+    ctx = np.arange(max_contexts) < rng.integers(1, max_contexts + 1, (n, 1))
+    rsp = np.arange(max_responses) < rng.integers(2, max_responses + 1, (n, 1))
+
+    def weights(real: np.ndarray) -> np.ndarray:
+        e = np.where(real, rng.standard_exponential(real.shape), 0.0)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    w, q = weights(ctx), weights(rsp)
+    real = ctx[:, :, None] & rsp[:, None, :]
+    r_short = np.where(real, rng.uniform(*reward_range, real.shape), 0.0)
+    r_long = np.where(real, rng.uniform(*reward_range, real.shape), 0.0)
+    # Real response pairs (i, j) with i < j; (j, i) gets the rest of the pair's mass.
+    upper = (real[..., :, None] & rsp[:, None, None, :]
+             & np.triu(np.ones((max_responses, max_responses), dtype=bool), 1))
+    total = np.where(upper, rng.uniform(0.0, 1.0, upper.shape), 0.0)
+    split = rng.uniform(0.0, 1.0, upper.shape)
+    p_short = total * split + np.swapaxes(total * (1.0 - split), -1, -2)
+    p_long = p_short * rng.uniform(0.0, 1.0, upper.shape)
+    batch = DiscreteScenario(w, q, r_short, r_long, p_short, p_long)
+    return batch[0] if size is None else batch
+
+
+def _lemma_report(check: str, link_name: str, gammas: np.ndarray, rewards: np.ndarray,
+                  slack: np.ndarray, seed: int) -> BoundReport:
+    i = int(np.argmax(slack))
+    worst = float(slack[i])
+    witness = {"link": link_name, "gamma": float(gammas[i]), "rewards": rewards[i].tolist(),
+               "slack": worst} if worst > TOLERANCE else None
+    return BoundReport(check=check, instances=slack.size, max_violation=worst, seed=seed,
+                       worst_witness=witness)
 
 
 def run_lemma1_suite(n_instances: int, seed: int, *,
@@ -324,84 +374,52 @@ def run_lemma1_suite(n_instances: int, seed: int, *,
                      gamma_range: tuple[float, float] = (-3.0, 3.0),
                      reward_range: tuple[float, float] = (-10.0, 10.0)) -> BoundReport:
     """Vectorized random certification of the three-term split."""
+    _require(n_instances, len(links), "lemma instances (one per link)")
     rng = np.random.default_rng(seed)
     per_link = n_instances // len(links)
-    worst = -np.inf
-    witness = None
-    total = 0
+    reports = []
     for link in links:
         count = per_link if link is not links[-1] else n_instances - per_link * (len(links) - 1)
         gammas = rng.uniform(*gamma_range, count)
         rewards = rng.uniform(*reward_range, (count, 4))
-        slack = _lemma_slack_batch(link, gammas, rewards)
-        total += count
-        idx = int(np.argmax(slack))
-        if slack[idx] > worst:
-            worst = float(slack[idx])
-            witness = {"link": link.value, "gamma": float(gammas[idx]),
-                       "rewards": rewards[idx].tolist(), "slack": float(slack[idx])}
-    return BoundReport(check="lemma1", instances=total, max_violation=worst,
-                       seed=seed, worst_witness=witness if worst > TOLERANCE else None)
-
-
-def _gamma_for(link: ConvexLink, rng: np.random.Generator, form: str) -> float:
-    if form == "sform":
-        lo, hi = SFORM_GAMMA_RANGES[link]
-    else:
-        lo, hi = -3.0, 3.0
-    return float(rng.uniform(lo, hi))
+        reports.append(_lemma_report("lemma1", link.value, gammas, rewards,
+                                     _lemma_slack_batch(link, gammas, rewards), seed))
+    return replace(max(reports, key=lambda r: r.max_violation), instances=n_instances)
 
 
 def run_theorem1_suite(n_scenarios: int, seed: int, *, form: str = "exact",
                        links: tuple[ConvexLink, ...] = ALL_LINKS) -> dict[str, BoundReport]:
-    """Random-scenario certification; one report per link."""
+    """Random-scenario certification; one report per link, from one batch of
+    ``n_scenarios`` scenarios and one slack call."""
     if form not in ("exact", "sform"):
         raise ValueError("form must be 'exact' or 'sform'")
+    _require(n_scenarios, 1, "scenario per link")
     slack_fn = theorem1_exact_slack if form == "exact" else theorem1_sform_slack
     reports: dict[str, BoundReport] = {}
     for link in links:
         rng = np.random.default_rng([seed, ALL_LINKS.index(link)])
-        rrange = _REWARD_RANGE.get(link, _DEFAULT_REWARD_RANGE)
-        worst = -np.inf
-        witness = None
-        for _ in range(n_scenarios):
-            gamma = _gamma_for(link, rng, form)
-            scn = random_scenario(rng, reward_range=rrange)
-            slack = slack_fn(scn, link, gamma)
-            if slack > worst:
-                worst = slack
-                if slack > TOLERANCE:
-                    witness = _witness(scn, link, gamma, slack)
-        reports[link.value] = BoundReport(check=f"theorem1_{form}[{link.value}]",
-                                          instances=n_scenarios, max_violation=worst,
-                                          seed=seed, worst_witness=witness)
+        gammas = rng.uniform(*(SFORM_GAMMA_RANGES[link] if form == "sform" else (-3.0, 3.0)),
+                             n_scenarios)
+        scns = random_scenario(rng, reward_range=_REWARD_RANGE.get(link, _DEFAULT_REWARD_RANGE),
+                               size=n_scenarios)
+        reports[link.value] = _report(f"theorem1_{form}[{link.value}]", scns, link, gammas,
+                                      slack_fn(scns, link, gammas), seed=seed)
     return reports
 
 
 def run_theorem2_suite(n_scenarios: int, seed: int, *,
                        p_values: tuple[float, ...] = (1.0, 2.0, np.inf),
                        c1: float = 1.0) -> dict[str, BoundReport]:
-    """p-norm distance certification for the logistic pairing."""
+    """p-norm distance certification for the logistic pairing; one batch of
+    ``n_scenarios`` scenarios and one check per p."""
+    _require(n_scenarios, 1, "scenario per p")
     reports: dict[str, BoundReport] = {}
     for p in p_values:
         rng = np.random.default_rng([seed, int(p) if np.isfinite(p) else 999])
-        worst = -np.inf
-        witness = None
-        failures = 0
-        glo, ghi = SFORM_GAMMA_RANGES[ConvexLink.LOGISTIC]
-        for _ in range(n_scenarios):
-            gamma = float(rng.uniform(glo, ghi))
-            scn = random_scenario(rng)
-            rep = check_theorem2(scn, p, c1, gamma)
-            failures += rep.condition_failures
-            if rep.max_violation > worst:
-                worst = rep.max_violation
-                witness = rep.worst_witness
+        gammas = rng.uniform(*SFORM_GAMMA_RANGES[ConvexLink.LOGISTIC], n_scenarios)
+        report = check_theorem2(random_scenario(rng, size=n_scenarios), p, c1, gammas)
         key = "inf" if np.isinf(p) else f"{p:g}"
-        reports[key] = BoundReport(check=f"theorem2[p={key}]", instances=n_scenarios,
-                                   max_violation=worst, seed=seed,
-                                   condition_failures=failures,
-                                   worst_witness=witness if worst > TOLERANCE else None)
+        reports[key] = replace(report, check=f"theorem2[p={key}]", seed=seed)
     return reports
 
 
@@ -410,69 +428,46 @@ def run_assumption_necessity_search(n_attempts: int, seed: int, *,
     """Search for a bound violation once discrimination is NOT enforced.
 
     Diagnostic demonstrating the assumption is load-bearing: uses the smallest
-    scenario class (one context pair, two responses), fully vectorized.
+    scenario class (one context pair, two responses) as one batch.
     A found witness means the report's max_violation is positive — here that
     is the desired outcome, not a failure of the certified claim.
     """
+    _require(n_attempts, 1, "necessity attempt")
     rng = np.random.default_rng(seed)
     b = n_attempts
     gam = rng.uniform(-3.0, 3.0, b)
     q1 = rng.uniform(0.05, 0.95, b)
-    q2 = 1.0 - q1
-    rs = rng.uniform(-8.0, 8.0, (b, 2))
-    rl = rng.uniform(-8.0, 8.0, (b, 2))
+    rs = rng.uniform(-8.0, 8.0, (b, 1, 2))
+    rl = rng.uniform(-8.0, 8.0, (b, 1, 2))
 
-    def pair_probs():
+    def pair_probs() -> np.ndarray:
         total = rng.uniform(0.0, 1.0, b)
         split = rng.uniform(0.0, 1.0, b)
-        return total * split, total * (1.0 - split)
+        p = np.zeros((b, 1, 2, 2))
+        p[:, 0, 0, 1], p[:, 0, 1, 0] = total * split, total * (1.0 - split)
+        return p
 
-    ps12, ps21 = pair_probs()
-    pl12, pl21 = pair_probs()
-
-    def f(x):
-        return eval_link(link, x)
-
-    mass12, mass21 = q1 * q2, q2 * q1
-    lhs = (mass12 * pl12 * f(rl[:, 0] - rl[:, 1] - gam)
-           + mass21 * pl21 * f(rl[:, 1] - rl[:, 0] - gam))
-    short = (mass12 * ps12 * f(3 * (rs[:, 0] - rs[:, 1]) - gam)
-             + mass21 * ps21 * f(3 * (rs[:, 1] - rs[:, 0]) - gam))
-    gap = rl - rs
-    cross_w = (mass12 * pl12 * f(3 * gap[:, 0] - gam)
-               + mass21 * pl21 * f(3 * gap[:, 1] - gam))
-    cross_l = (mass12 * pl12 * f(-3 * gap[:, 1] - gam)
-               + mass21 * pl21 * f(-3 * gap[:, 0] - gam))
-    slack = lhs - (short + cross_w + cross_l) / 3.0
-    idx = int(np.argmax(slack))
-    worst = float(slack[idx])
-    witness = None
-    if worst > TOLERANCE:
-        witness = {
-            "link": link.value, "gamma": float(gam[idx]), "slack": worst,
-            "response_weights": [float(q1[idx]), float(q2[idx])],
-            "r_short": rs[idx].tolist(), "r_long": rl[idx].tolist(),
-            "pref_short": [[0.0, float(ps12[idx])], [float(ps21[idx]), 0.0]],
-            "pref_long": [[0.0, float(pl12[idx])], [float(pl21[idx]), 0.0]],
-            "violations_found": int(np.sum(slack > TOLERANCE)),
-        }
-    return BoundReport(check=f"assumption_necessity[{link.value}]",
-                       instances=n_attempts, max_violation=worst, seed=seed,
-                       worst_witness=witness)
+    ps, pl = pair_probs(), pair_probs()
+    scns = DiscreteScenario(np.ones((b, 1)), np.stack([q1, 1.0 - q1], axis=1), rs, rl, ps, pl)
+    slack = theorem1_exact_slack(scns, link, gam)
+    report = _report(f"assumption_necessity[{link.value}]", scns, link, gam, slack, seed=seed)
+    witness = report.worst_witness
+    if witness is not None:
+        # One context pair: the witness lists its rewards and preferences directly.
+        del witness["context_weights"]
+        for key in ("r_short", "r_long", "pref_short", "pref_long"):
+            witness[key] = witness[key][0]
+        witness["violations_found"] = int(np.sum(slack > TOLERANCE))
+    return report
 
 
 def run_nonconvex_selftest(n_instances: int, seed: int) -> BoundReport:
     """Harness sanity check: a concave 'link' must produce violations."""
+    _require(n_instances, 1, "self-test instance")
     rng = np.random.default_rng(seed)
     gammas = rng.uniform(-3.0, 3.0, n_instances)
     rewards = rng.uniform(-10.0, 10.0, (n_instances, 4))
     slack = _lemma_slack_batch(ConvexLink.SQUARE, gammas, rewards,
                                link_fn=lambda x: -np.square(x))
-    idx = int(np.argmax(slack))
-    worst = float(slack[idx])
-    witness = None
-    if worst > TOLERANCE:
-        witness = {"link": "negated_square (non-convex)", "gamma": float(gammas[idx]),
-                   "rewards": rewards[idx].tolist(), "slack": worst}
-    return BoundReport(check="selftest_nonconvex", instances=n_instances,
-                       max_violation=worst, seed=seed, worst_witness=witness)
+    return _lemma_report("selftest_nonconvex", "negated_square (non-convex)", gammas, rewards,
+                         slack, seed)

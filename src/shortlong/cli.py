@@ -31,7 +31,7 @@ from .corpus import (PolicyCandidateGenerator, StubGenerator, build_chain_corpus
                      needle_profile, needle_vocab, value_token, word_profile)
 from .forge import (ForgedSample, HaystackConfig, InsufficientPoolError, forge_dataset,
                     read_distractor_pool, read_forged_jsonl, read_source_jsonl,
-                    write_forged_jsonl)
+                    text_lines, write_forged_jsonl)
 from .gradcheck import check_loss_gradients, check_policy_gradients
 from .losses import Method, MethodConfig, RAMode
 from .policy import ToyLM, Vocab, load_model, save_model
@@ -47,7 +47,7 @@ class ConfigError(ValueError):
 
 def _config_lines(path: str | Path) -> Iterator[tuple[int, str, str]]:
     """(line number, key, value) for each setting in a flat config file."""
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in text_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,12 +10,13 @@ discarded. The whole pipeline is a pure function of (inputs, seed).
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import string
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ __all__ = [
     "sub_em",
     "curate_pair",
     "forge_dataset",
+    "text_lines",
     "read_source_jsonl",
     "read_distractor_pool",
     "write_forged_jsonl",
@@ -286,28 +288,47 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
     return samples, stats
 
 
+def _universal_lines(text: str) -> list[str]:
+    """``text`` split at line feeds, CR-LF pairs and lone carriage returns,
+    as text-mode reading splits it."""
+    return io.StringIO(text, newline=None).read().split("\n")
+
+
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line without its ending) for each line of a UTF-8 text
+    file; a byte that is not valid UTF-8 raises ValueError naming the path
+    and the line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(_universal_lines(data[:exc.start].decode("utf-8")))
+        raise ValueError(f"{path}: line {lineno}: not valid UTF-8 "
+                         f"({exc.reason} at byte {exc.start})") from None
+    return enumerate(_universal_lines(text), start=1)
+
+
 def read_source_jsonl(path: str | Path) -> list[SourceSample]:
     """Load SourceSample records; malformed lines, and fields that are not a
     string (``question``, ``answer``) or a list of strings
     (``supporting_docs``), report their line number."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                docs = obj["supporting_docs"]
-                for key in ("question", "answer"):
-                    if not isinstance(obj[key], str):
-                        raise TypeError(f"field {key!r} must be a string, got {obj[key]!r}")
-                if not isinstance(docs, list) or not all(isinstance(d, str) for d in docs):
-                    raise TypeError(f"field 'supporting_docs' must be a list of strings, "
-                                    f"got {docs!r}")
-                out.append(SourceSample(question=obj["question"], answer=obj["answer"],
-                                        supporting_docs=tuple(docs)))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            docs = obj["supporting_docs"]
+            for key in ("question", "answer"):
+                if not isinstance(obj[key], str):
+                    raise TypeError(f"field {key!r} must be a string, got {obj[key]!r}")
+            if not isinstance(docs, list) or not all(isinstance(d, str) for d in docs):
+                raise TypeError(f"field 'supporting_docs' must be a list of strings, "
+                                f"got {docs!r}")
+            out.append(SourceSample(question=obj["question"], answer=obj["answer"],
+                                    supporting_docs=tuple(docs)))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
     return out
 
 
@@ -316,18 +337,17 @@ def read_distractor_pool(path: str | Path) -> list[str]:
     that is not a non-empty JSON string raises ValueError naming the path and
     line."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
-            if not isinstance(doc, str) or not doc.split():
-                raise ValueError(f"{path}: line {lineno}: a distractor must be a non-empty "
-                                 f"JSON string, got {doc!r}")
-            out.append(doc)
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
+        if not isinstance(doc, str) or not doc.split():
+            raise ValueError(f"{path}: line {lineno}: a distractor must be a non-empty "
+                             f"JSON string, got {doc!r}")
+        out.append(doc)
     return out
 
 
@@ -344,18 +364,17 @@ def write_forged_jsonl(samples: Iterable[ForgedSample], path: str | Path) -> Non
 
 def read_forged_jsonl(path: str | Path) -> list[ForgedSample]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                fields = {k: obj[k] for k in _FORGED_FIELDS}
-                wrong = [k for k, value in fields.items() if not isinstance(value, str)]
-                if wrong:
-                    raise TypeError(f"field {wrong[0]!r} must be a string, "
-                                    f"got {type(fields[wrong[0]]).__name__}")
-                out.append(ForgedSample(**fields))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            fields = {k: obj[k] for k in _FORGED_FIELDS}
+            wrong = [k for k, value in fields.items() if not isinstance(value, str)]
+            if wrong:
+                raise TypeError(f"field {wrong[0]!r} must be a string, "
+                                f"got {type(fields[wrong[0]]).__name__}")
+            out.append(ForgedSample(**fields))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
     return out

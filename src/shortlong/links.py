@@ -91,10 +91,11 @@ def link_deriv(link: ConvexLink, x):
 
 @dataclass(frozen=True)
 class BoundFn:
-    """A link with margin ``gamma``, naming the paired envelope ``s``."""
+    """A link with margin ``gamma``, naming the paired envelope ``s``; an
+    array ``gamma`` broadcasts against the envelope's argument."""
 
     link: ConvexLink
-    gamma: float = 0.0
+    gamma: float | np.ndarray = 0.0
 
 
 def eval_bound(bound: BoundFn, x):
@@ -108,7 +109,7 @@ def eval_bound(bound: BoundFn, x):
     negative on |x| < gamma and cannot dominate a nonnegative link there.
     """
     x = _check_finite(x)
-    g = float(bound.gamma)
+    g = np.asarray(bound.gamma, dtype=np.float64)
     ax = np.abs(x)
     link = bound.link
     if link is ConvexLink.LOGISTIC:

@@ -334,8 +334,8 @@ def save_model(model: ToyLM, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ToyLM:
-    """Read a checkpoint; a missing field or a wrongly sized array raises
-    ValueError naming the path."""
+    """Read a checkpoint; a missing field, or a wrongly sized array or one
+    with a non-finite entry, raises ValueError naming the path."""
     try:
         payload = json.loads(Path(path).read_text())
         if payload["format_version"] != 1:
@@ -346,7 +346,7 @@ def load_model(path: str | Path) -> ToyLM:
                 for name in ("emb", "ctx_w", "out_w")}
     except KeyError as exc:
         raise ValueError(f"{path}: checkpoint lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: bad checkpoint: {exc}") from None
     v = vocab.size
     params = {}
@@ -355,4 +355,6 @@ def load_model(path: str | Path) -> ToyLM:
             raise ValueError(f"{path}: array {name!r} holds {len(raws[name])} bytes, not the "
                              f"{8 * rows * cols} of a {rows}x{cols} float64 array")
         params[name] = np.frombuffer(raws[name], dtype="<f8").astype(np.float64).reshape(rows, cols)
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"{path}: array {name!r} holds a non-finite entry")
     return ToyLM(vocab, d, seed, _params=params)

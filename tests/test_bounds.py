@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from shortlong import bounds
 from shortlong.bounds import (ALL_LINKS, SFORM_GAMMA_RANGES, TOLERANCE, BoundReport,
                               DiscreteScenario, RewardAssignment, check_theorem1_exact,
                               check_theorem1_sform, check_theorem2, lemma_slack,
                               random_scenario, run_assumption_necessity_search,
                               run_lemma1_suite, run_nonconvex_selftest,
                               run_theorem1_suite, run_theorem2_suite,
-                              theorem1_sform_slack)
+                              theorem1_exact_slack, theorem1_sform_slack)
 from shortlong.links import BoundFn, ConvexLink, eval_bound, eval_link
 
 
@@ -211,3 +212,97 @@ class TestSelfTestAndReports:
         assert obj["instances"] == 3
         assert obj["witness"] is None
         assert rep.passed
+
+
+def pad(scn, k=4, m=4):
+    """``scn`` as a batch of one, padded with zero-weight contexts and responses."""
+    k0, m0 = scn.r_short.shape
+    w, q = np.zeros((1, k)), np.zeros((1, m))
+    w[0, :k0], q[0, :m0] = scn.context_weights, scn.response_weights
+    rewards = [np.zeros((1, k, m)) for _ in range(2)]
+    prefs = [np.zeros((1, k, m, m)) for _ in range(2)]
+    for full, part in zip(rewards + prefs, (scn.r_short, scn.r_long, scn.pref_short,
+                                            scn.pref_long)):
+        full[(0, *(slice(0, n) for n in part.shape))] = part
+    return DiscreteScenario(w, q, *rewards, *prefs)
+
+
+class TestBatch:
+    N = 64
+
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    @pytest.mark.parametrize("slack_fn", [theorem1_exact_slack, theorem1_sform_slack])
+    def test_batch_slack_equals_single_calls(self, link, slack_fn):
+        rng = np.random.default_rng([11, ALL_LINKS.index(link)])
+        gammas = rng.uniform(*SFORM_GAMMA_RANGES[link], self.N)
+        batch = random_scenario(rng, reward_range=(-2.0, 2.0), size=self.N)
+        got = slack_fn(batch, link, gammas)
+        assert got.shape == (self.N,)
+        want = [slack_fn(batch[i], link, float(gammas[i])) for i in range(self.N)]
+        assert all(isinstance(x, float) for x in want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_batch_theorem2_equals_single_calls(self, p):
+        rng = np.random.default_rng(12)
+        gammas = rng.uniform(0.0, 3.0, self.N)
+        batch = random_scenario(rng, size=self.N)
+        rep = check_theorem2(batch, p, 1.0, gammas)
+        singles = [check_theorem2(batch[i], p, 1.0, float(gammas[i])) for i in range(self.N)]
+        assert rep.instances == self.N
+        assert rep.condition_failures == sum(s.condition_failures for s in singles) == 0
+        assert rep.max_violation == pytest.approx(max(s.max_violation for s in singles),
+                                                  rel=1e-12, abs=0)
+
+    def test_padding_leaves_slack_unchanged(self):
+        scn = random_scenario(np.random.default_rng(13), max_contexts=2, max_responses=3)
+        padded = pad(scn)
+        assert padded.r_short.shape == (1, 4, 4) and padded[0].r_short.shape == scn.r_short.shape
+        for link in ALL_LINKS:
+            for slack_fn in (theorem1_exact_slack, theorem1_sform_slack):
+                assert slack_fn(padded, link, -0.5)[0] == pytest.approx(
+                    slack_fn(scn, link, -0.5), rel=1e-12, abs=0)
+        for p in (1.0, 2.0, np.inf):
+            assert check_theorem2(padded, p, 1.0, 0.5).max_violation == pytest.approx(
+                check_theorem2(scn, p, 1.0, 0.5).max_violation, rel=1e-12, abs=0)
+
+    def test_batch_checks_apply_per_scenario(self):
+        batch = random_scenario(np.random.default_rng(14), size=5)
+        assert batch.satisfies_discrimination().tolist() == [True] * 5
+        weights = batch.context_weights.copy()
+        weights[3] *= 0.5
+        with pytest.raises(ValueError, match="sum to 1"):
+            DiscreteScenario(weights, batch.response_weights, batch.r_short, batch.r_long,
+                             batch.pref_short, batch.pref_long)
+        short, long = batch.pref_short.copy(), batch.pref_long.copy()
+        short[2], long[2] = batch.pref_long[2], batch.pref_short[2]
+        swapped = DiscreteScenario(batch.context_weights, batch.response_weights,
+                                   batch.r_short, batch.r_long, short, long)
+        assert swapped.satisfies_discrimination().tolist() == [True, True, False, True, True]
+        with pytest.raises(ValueError, match="discrimination"):
+            check_theorem1_exact(swapped, ConvexLink.LOGISTIC, 0.0)
+
+    @pytest.mark.parametrize("form", ["exact", "sform"])
+    def test_suite_witness_reverifies(self, monkeypatch, form):
+        """With every slack counted as a violation, each link's witness is the
+        worst scenario, trimmed, and re-verifies through the scenario check."""
+        monkeypatch.setattr(bounds, "TOLERANCE", -np.inf)
+        check = check_theorem1_exact if form == "exact" else check_theorem1_sform
+        for name, rep in run_theorem1_suite(200, seed=15, form=form).items():
+            w = rep.worst_witness
+            assert w["slack"] == rep.max_violation
+            scn = DiscreteScenario(w["context_weights"], w["response_weights"], w["r_short"],
+                                   w["r_long"], w["pref_short"], w["pref_long"])
+            assert np.all(scn.context_weights > 0) and np.all(scn.response_weights > 0)
+            assert check(scn, ConvexLink(name), w["gamma"]).max_violation == pytest.approx(
+                w["slack"], rel=1e-12, abs=1e-15)
+
+    def test_theorem2_suite_witness_reverifies(self, monkeypatch):
+        monkeypatch.setattr(bounds, "TOLERANCE", -np.inf)
+        for key, rep in run_theorem2_suite(200, seed=16).items():
+            w = rep.worst_witness
+            scn = DiscreteScenario(w["context_weights"], w["response_weights"], w["r_short"],
+                                   w["r_long"], w["pref_short"], w["pref_long"])
+            p = np.inf if key == "inf" else float(key)
+            assert check_theorem2(scn, p, 1.0, w["gamma"]).max_violation == pytest.approx(
+                w["slack"], rel=1e-12, abs=1e-15)

@@ -52,6 +52,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2"):
             load_config(cfg)
 
+    def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"epochs = 1\nmethod = orpo # caf\xe9\n")
+        rc = run(["train", "--out", tmp_path / "r", "--config", cfg])
+        assert_clean_failure(rc, capsys, tmp_path / "r", str(cfg), "line 2", "UTF-8")
+
     def test_bad_override(self, tmp_path):
         assert run(["speedup", "--out", tmp_path / "r", "--set", "oops"]) == 1
 
@@ -153,6 +159,22 @@ class TestVerifyBoundsCommand:
         report = json.loads((tmp_path / "r" / "reports" / "bounds.json").read_text())
         assert report["selftest_nonconvex"]["witness"] is not None
 
+    @pytest.mark.parametrize("key, value", [
+        ("theorem1_scenarios", 0), ("theorem1_scenarios", -3), ("theorem2_scenarios", 0),
+        ("necessity_attempts", 0), ("lemma_instances", 0), ("lemma_instances", 4)])
+    def test_count_below_minimum_fails(self, tmp_path, capsys, key, value):
+        counts = {"lemma_instances": 500, "theorem1_scenarios": 5, "theorem2_scenarios": 5,
+                  "necessity_attempts": 100, key: value}
+        sets = [arg for k, v in counts.items() for arg in ("--set", f"{k}={v}")]
+        rc = run(["verify-bounds", "--out", tmp_path / "r", *sets])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "need at least", f"got {value}")
+        assert not (tmp_path / "r" / "reports" / "bounds.json").exists()
+
+    def test_selftest_count_below_one_fails(self, tmp_path, capsys):
+        rc = run(["verify-bounds", "--out", tmp_path / "r", "--selftest-nonconvex",
+                  "--set", "selftest_instances=0"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "need at least 1", "got 0")
+
 
 class TestForgeTrainEvalPipeline:
     def test_forge_writes_dataset_stats_manifest(self, forged):
@@ -242,6 +264,23 @@ class TestForgeTrainEvalPipeline:
                   "--set", f"dataset={tmp_path / 'unused.jsonl'}"])
         assert_clean_failure(rc, capsys, tmp_path / "r", str(ckpt),
                              "'emb'" if damage == "drop_emb" else "'out_w'")
+
+    def test_non_finite_checkpoint_is_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        model = ToyLM(needle_vocab(), 4, 0)
+        model.params["emb"][2, 1] = float("nan")
+        save_model(model, ckpt)
+        rc = run(["eval", "--out", tmp_path / "r", "--set", f"checkpoint={ckpt}",
+                  "--set", f"dataset={tmp_path / 'unused.jsonl'}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", str(ckpt), "'emb'", "non-finite")
+
+    def test_non_utf8_dataset_names_file_and_line(self, forged, tmp_path, capsys):
+        lines = forged.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'": "', b'": "\xff', 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        rc = run(["train", "--out", tmp_path / "r", "--set", f"dataset={bad}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", str(bad), "line 3", "UTF-8")
 
     def test_abort_writes_diagnostic_and_no_manifest(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
