@@ -141,9 +141,12 @@ class DiscreteScenario:
             raise ValueError("preference tables must be (contexts, M, M)")
         if self.context_weights.shape != (*batch, k) or self.response_weights.shape != (*batch, m):
             raise ValueError("weights must be (contexts,) and (M,)")
-        if not (np.all(np.isclose(self.context_weights.sum(axis=-1), 1.0))
-                and np.all(np.isclose(self.response_weights.sum(axis=-1), 1.0))):
-            raise ValueError("weights must each sum to 1")
+        # A sum over a short last axis runs one tiny numpy loop per scenario;
+        # a matrix-vector product sums a whole batch at once. The tolerance is
+        # np.isclose(sums, 1.0)'s, without its per-call overhead.
+        for w in (self.context_weights, self.response_weights):
+            if not np.all(np.abs(w @ np.ones(w.shape[-1]) - 1.0) <= 1e-8 + 1e-5):
+                raise ValueError("weights must each sum to 1")
         if np.any(self.context_weights < 0) or np.any(self.response_weights < 0):
             raise ValueError("weights must be nonnegative")
         for p in (self.pref_short, self.pref_long):

@@ -204,6 +204,12 @@ def cmd_verify_bounds(args, v: dict, out: Path) -> int:
               f"witness={'yes' if rep.worst_witness else 'no'}")
         return 2 if rep.max_violation > bounds_mod.TOLERANCE else 3
 
+    # Every count is checked before the first suite runs.
+    for key, least in (("lemma_instances", len(bounds_mod.ALL_LINKS)),
+                       ("theorem1_scenarios", 1), ("theorem2_scenarios", 1),
+                       ("necessity_attempts", 1)):
+        if v[key] < least:
+            raise ValueError(f"need at least {least} {key}, got {v[key]}")
     reports: dict[str, bounds_mod.BoundReport] = {
         "lemma1": bounds_mod.run_lemma1_suite(v["lemma_instances"], seed)}
     for form in ("exact", "sform"):

@@ -17,7 +17,7 @@ import base64
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,9 +26,11 @@ __all__ = [
     "ToyLM",
     "ScoredSequence",
     "bag_of_tokens",
+    "encode_prompts",
     "pad_responses",
     "score_rows",
     "logprob",
+    "decode_rows",
     "sample",
     "greedy_decode",
     "logprob_with_grad",
@@ -77,7 +79,7 @@ class Vocab:
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         try:
-            return np.array([self._index[t] for t in tokens], dtype=np.int64)
+            return np.array(list(map(self._index.__getitem__, tokens)), dtype=np.int64)
         except KeyError as exc:
             raise ValueError(f"token not in vocabulary: {exc.args[0]!r}") from None
 
@@ -109,15 +111,19 @@ class ToyLM:
                 "out_w": rng.normal(0.0, 0.1 * np.sqrt(2.0 / (d + v)), (d, v)),
             }
 
-    def context_hidden(self, context_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(pooled context embedding, tanh hidden state)."""
-        if len(context_ids):
-            pooled = self.params["emb"][context_ids].mean(axis=0)
-        else:
-            pooled = np.zeros(self.hidden_dim)
-        return pooled, np.tanh(self.params["ctx_w"] @ pooled)
+    def hidden_states(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pooled context embeddings, tanh hidden states), both (B, d), of B
+        :func:`bag_of_tokens` rows."""
+        pooled = counts @ self.params["emb"]
+        return pooled, np.tanh(pooled @ self.params["ctx_w"].T)
 
-    def step_logits(self, hidden: np.ndarray, prev_id: int) -> np.ndarray:
+    def context_hidden(self, context_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pooled context embedding, tanh hidden state) of one prompt."""
+        pooled, hidden = self.hidden_states(bag_of_tokens(context_ids, self.vocab.size)[None])
+        return pooled[0], hidden[0]
+
+    def step_logits(self, hidden: np.ndarray, prev_id: int | np.ndarray) -> np.ndarray:
+        """Next-token logits: (V,) for one hidden state, (B, V) for B rows."""
         state = hidden + self.params["emb"][prev_id]
         return state @ self.params["out_w"]
 
@@ -143,8 +149,9 @@ class ScoredSequence:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-softmax of each row (over the last axis)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def bag_of_tokens(ids: np.ndarray, size: int) -> np.ndarray:
@@ -153,6 +160,13 @@ def bag_of_tokens(ids: np.ndarray, size: int) -> np.ndarray:
     an empty prompt."""
     counts = np.bincount(ids, minlength=size).astype(np.float64)
     return counts / len(ids) if len(ids) else counts
+
+
+def encode_prompts(vocab: Vocab, prompts: Iterable[Sequence[str]]) -> np.ndarray:
+    """The (B, V) :func:`bag_of_tokens` rows of B token-list prompts. Only one
+    prompt's tokens need be alive at a time when ``prompts`` is a generator."""
+    return np.array([bag_of_tokens(vocab.encode(p), vocab.size) for p in prompts]
+                    ).reshape(-1, vocab.size)
 
 
 def pad_responses(responses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -185,16 +199,13 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
     left out of the backward pass.
     """
     emb, ctx_w, out_w = model.params["emb"], model.params["ctx_w"], model.params["out_w"]
-    pooled = counts @ emb
-    hidden = np.tanh(pooled @ ctx_w.T)
+    pooled, hidden = model.hidden_states(counts)
     prev = np.concatenate([np.full((len(resp_ids), 1), model.vocab.bos_id, dtype=np.int64),
                            resp_ids[:, :-1]], axis=1)
     rows, cols = np.nonzero(mask)
     prev, tok = prev[rows, cols], resp_ids[rows, cols]
     state = hidden[rows] + emb[prev]
-    logits = state @ out_w
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = _log_softmax(state @ out_w)
     per_token = np.zeros(mask.shape)
     per_token[rows, cols] = logp[np.arange(len(tok)), tok]
     if upstream is None:
@@ -221,8 +232,8 @@ def _encode_rows(vocab: Vocab, items: Sequence[tuple[Sequence[str], Sequence[str
     """:func:`score_rows` input for (context, response) token lists."""
     if any(not len(resp) for _, resp in items):
         raise ValueError("response must be non-empty")
-    counts = np.array([bag_of_tokens(vocab.encode(ctx), vocab.size) for ctx, _ in items])
-    return counts, *pad_responses([vocab.encode(resp) for _, resp in items])
+    return (encode_prompts(vocab, [ctx for ctx, _ in items]),
+            *pad_responses([vocab.encode(resp) for _, resp in items]))
 
 
 def _scored(response: Sequence[str], per_token: np.ndarray) -> ScoredSequence:
@@ -237,45 +248,61 @@ def logprob(model: ToyLM, context: Sequence[str], response: Sequence[str]) -> Sc
     return _scored(response, per_token[0])
 
 
-def sample(model: ToyLM, context: Sequence[str], n: int, temperature: float,
-           max_len: int, rng: np.random.Generator) -> list[ScoredSequence]:
-    """Ancestral samples at the given temperature; 0 means greedy.
+def decode_rows(model: ToyLM, counts: np.ndarray, max_len: int, temperature: float = 0.0,
+                rng: np.random.Generator | None = None) -> list[ScoredSequence]:
+    """Decode B prompts together in at most ``max_len`` vectorized steps.
 
-    Sequences stop at EOS or ``max_len``. The recorded log-probabilities are
-    the model's own (temperature 1) scores of the sampled tokens.
+    ``counts`` is (B, V), one :func:`bag_of_tokens` row per prompt. Temperature
+    0 is greedy. Otherwise each step draws one ``rng.random`` double per
+    unfinished row, in row order, and inverts that row's CDF exactly as
+    ``Generator.choice(p=...)`` does. A row stops after it emits EOS or at
+    ``max_len`` tokens. The recorded log-probabilities are the model's own
+    (temperature 1) scores of the emitted tokens.
     """
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    ctx_ids = model.vocab.encode(context)
-    _, hidden = model.context_hidden(ctx_ids)
-    eos = model.vocab.eos_id
-    out: list[ScoredSequence] = []
-    for _ in range(n):
-        prev = model.vocab.bos_id
-        ids: list[int] = []
-        per_token: list[float] = []
-        for _ in range(max_len):
-            logits = model.step_logits(hidden, prev)
-            logp = _log_softmax(logits)
-            if temperature == 0.0:
-                tok = int(np.argmax(logits))
-            else:
-                probs = np.exp(_log_softmax(logits / temperature))
-                probs = probs / probs.sum()
-                tok = int(rng.choice(model.vocab.size, p=probs))
-            ids.append(tok)
-            per_token.append(float(logp[tok]))
-            prev = tok
-            if tok == eos:
-                break
-        out.append(ScoredSequence(tokens=tuple(model.vocab.decode(ids)),
-                                  total_logprob=float(sum(per_token)),
-                                  per_token_logprobs=tuple(per_token)))
-    return out
+    if temperature > 0 and rng is None:
+        raise ValueError("sampling at a positive temperature needs an rng")
+    vocab = model.vocab
+    _, hidden = model.hidden_states(counts)
+    ids = np.zeros((len(counts), max_len), dtype=np.int64)
+    per_token = np.zeros((len(counts), max_len))
+    lengths = np.zeros(len(counts), dtype=np.int64)
+    prev = np.full(len(counts), vocab.bos_id)
+    live = np.arange(len(counts))  # rows that have not emitted EOS
+    for step in range(max_len):
+        if not live.size:
+            break
+        logits = model.step_logits(hidden[live], prev[live])
+        if temperature == 0.0:
+            tok = np.argmax(logits, axis=1)
+        else:
+            probs = np.exp(_log_softmax(logits / temperature))
+            probs /= probs.sum(axis=1, keepdims=True)
+            cdf = probs.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            # searchsorted(cdf, u, side="right") of each row
+            tok = (cdf <= rng.random(len(live))[:, None]).sum(axis=1)
+        ids[live, step] = tok
+        per_token[live, step] = _log_softmax(logits)[np.arange(len(live)), tok]
+        lengths[live] += 1
+        prev[live] = tok
+        live = live[tok != vocab.eos_id]
+    return [_scored(vocab.decode(row[:n]), lps) for row, lps, n in zip(ids, per_token, lengths)]
+
+
+def sample(model: ToyLM, context: Sequence[str], n: int, temperature: float,
+           max_len: int, rng: np.random.Generator | None) -> list[ScoredSequence]:
+    """``n`` ancestral samples at the given temperature; 0 means greedy (and
+    needs no ``rng``). One :func:`decode_rows` call over ``n`` copies of the
+    prompt, so with ``max_len`` > 1 the draws are made step by step across
+    the samples."""
+    rows = np.repeat(encode_prompts(model.vocab, [context]), n, axis=0)
+    return decode_rows(model, rows, max_len, temperature, rng)
 
 
 def greedy_decode(model: ToyLM, context: Sequence[str], max_len: int = 4) -> ScoredSequence:
-    return sample(model, context, 1, 0.0, max_len, np.random.default_rng(0))[0]
+    return sample(model, context, 1, 0.0, max_len, None)[0]
 
 
 def logprob_with_grad(model: ToyLM, context: Sequence[str], response: Sequence[str],

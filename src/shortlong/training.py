@@ -21,8 +21,8 @@ from .forge import ForgedSample, sub_em
 from .links import DomainError
 from .losses import (LogProbBundle, MethodConfig, RAMode, grad_solopo,
                      reward, solopo_loss)
-from .policy import (EOS, SEP, ToyLM, Vocab, bag_of_tokens, freeze, greedy_decode,
-                     pad_responses, score_rows)
+from .policy import (EOS, SEP, ToyLM, Vocab, bag_of_tokens, decode_rows, encode_prompts,
+                     freeze, pad_responses, score_rows)
 # An alias of policy.logprob, kept importable from here: perfbench/selftest.py
 # checks that the tracer patches it.
 from .policy import logprob  # noqa: F401
@@ -217,6 +217,8 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
         raise ValueError("vocab differs from the model's vocabulary")
     mc = cfg.method_cfg
     rows = _prepare(dataset, model.vocab, cfg.po_context)
+    eval_rows = None if eval_set is None else [_eval_rows(model.vocab, eval_set, kind)
+                                               for kind in ("short", "long")]
     # The scores the objective reads: both short ones, the chosen long one when
     # alpha > 0, the rejected long one for `both`; telemetry reads all four.
     reads_long = cfg.telemetry or mc.alpha != 0.0
@@ -285,30 +287,41 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 lp_rejected_long=float(np.mean(bundle.lp_l_long)) if cfg.telemetry
                 else float("nan")))
             if cfg.eval_every and eval_set is not None and step % cfg.eval_every == 0:
-                log.evals.append(EvalRecord(
-                    step=step,
-                    short_acc=evaluate(model, eval_set, "short", vocab),
-                    long_acc=evaluate(model, eval_set, "long", vocab)))
+                log.evals.append(EvalRecord(step, *(_accuracy(model, r, eval_set)
+                                                    for r in eval_rows)))
     if eval_set is not None:
-        log.evals.append(EvalRecord(step=step,
-                                    short_acc=evaluate(model, eval_set, "short", vocab),
-                                    long_acc=evaluate(model, eval_set, "long", vocab)))
+        log.evals.append(EvalRecord(step, *(_accuracy(model, r, eval_set) for r in eval_rows)))
     return model, log
 
 
-def evaluate(model: ToyLM, eval_set: Sequence[ForgedSample], context_kind: str,
-             vocab: Vocab, max_len: int = 4) -> float:
-    """Greedy-decode accuracy under substring exact match."""
+def _eval_rows(vocab: Vocab, eval_set: Sequence[ForgedSample], context_kind: str
+               ) -> np.ndarray:
+    """The (B, V) :func:`bag_of_tokens` rows of the eval prompts under one
+    context variant."""
     if context_kind not in ("short", "long"):
         raise ValueError("context_kind must be 'short' or 'long'")
     if not eval_set:
         raise ValueError("eval set must be non-empty")
-    hits = 0
-    for sample in eval_set:
-        ctx = sample.x_short if context_kind == "short" else sample.x_long
-        decoded = greedy_decode(model, assemble_prompt(ctx, sample.question), max_len)
-        hits += sub_em(decoded.text, sample.answer)
-    return hits / len(eval_set)
+    return encode_prompts(vocab, (
+        assemble_prompt(s.x_short if context_kind == "short" else s.x_long, s.question)
+        for s in eval_set))
+
+
+def _accuracy(model: ToyLM, counts: np.ndarray, eval_set: Sequence[ForgedSample],
+              max_len: int = 4) -> float:
+    """Greedy-decode accuracy of prepared eval rows under substring exact match."""
+    decoded = decode_rows(model, counts, max_len)
+    return sum(sub_em(d.text, s.answer) for d, s in zip(decoded, eval_set)) / len(eval_set)
+
+
+def evaluate(model: ToyLM, eval_set: Sequence[ForgedSample], context_kind: str,
+             vocab: Vocab, max_len: int = 4) -> float:
+    """Greedy-decode accuracy under substring exact match: the prompts are
+    encoded once and decoded together in one :func:`decode_rows` call.
+    ``vocab`` must be the model's vocabulary."""
+    if vocab != model.vocab:
+        raise ValueError("vocab differs from the model's vocabulary")
+    return _accuracy(model, _eval_rows(vocab, eval_set, context_kind), eval_set, max_len)
 
 
 @dataclass
@@ -367,16 +380,15 @@ class ComparisonReport:
 def run_comparison(seeds: Sequence[int], configs: Sequence[tuple[str, TrainConfig]],
                    dataset: Sequence[ForgedSample], eval_set: Sequence[ForgedSample],
                    vocab: Vocab, model_factory: Callable[[int], ToyLM]) -> ComparisonReport:
-    """Train every (config, seed) cell on the shared dataset and evaluate."""
+    """Train every (config, seed) cell on the shared dataset and evaluate;
+    the eval set is encoded once for all cells."""
+    eval_rows = [_eval_rows(vocab, eval_set, kind) for kind in ("short", "long")]
     rows = []
     for label, cfg in configs:
         for seed in seeds:
             model = model_factory(seed)
             run_cfg = replace(cfg, seed=seed)
             trained, log = train(model, dataset, run_cfg, vocab)
-            rows.append(RunResult(
-                label=label, seed=seed,
-                short_acc=evaluate(trained, eval_set, "short", vocab),
-                long_acc=evaluate(trained, eval_set, "long", vocab),
-                log=log))
+            rows.append(RunResult(label, seed, *(_accuracy(trained, r, eval_set)
+                                                 for r in eval_rows), log))
     return ComparisonReport(rows=rows)

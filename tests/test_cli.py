@@ -170,6 +170,15 @@ class TestVerifyBoundsCommand:
         assert_clean_failure(rc, capsys, tmp_path / "r", "need at least", f"got {value}")
         assert not (tmp_path / "r" / "reports" / "bounds.json").exists()
 
+    def test_counts_checked_before_any_suite_runs(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran before every count was checked")
+
+        monkeypatch.setattr(cli.bounds_mod, "run_lemma1_suite", never)
+        rc = run(["verify-bounds", "--out", tmp_path / "r", "--set", "theorem2_scenarios=0"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "need at least 1 theorem2_scenarios",
+                             "got 0")
+
     def test_selftest_count_below_one_fails(self, tmp_path, capsys):
         rc = run(["verify-bounds", "--out", tmp_path / "r", "--selftest-nonconvex",
                   "--set", "selftest_instances=0"])

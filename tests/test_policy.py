@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from shortlong.policy import (BOS, EOS, SEP, ScoredSequence, ToyLM, Vocab, bag_of_tokens,
-                              freeze, greedy_decode, load_model, logprob, logprob_with_grad,
-                              pad_responses, param_grad, sample, save_model, score_rows)
+                              decode_rows, encode_prompts, freeze, greedy_decode, load_model,
+                              logprob, logprob_with_grad, pad_responses, param_grad, sample,
+                              save_model, score_rows)
 
 WORDS = ("w0", "w1", "w2", "w3", "w4", "w5", "w6")
 
@@ -120,6 +121,70 @@ class TestSampling:
         d = greedy_decode(model, ["w0"], max_len=3)
         assert isinstance(d, ScoredSequence)
         assert 1 <= len(d.tokens) <= 3
+
+
+def _greedy_alone(model, context, max_len):
+    """Per-token reference decoder: one prompt, one token per Python step."""
+    _, hidden = model.context_hidden(model.vocab.encode(context))
+    prev, tokens, lps = model.vocab.bos_id, [], []
+    for _ in range(max_len):
+        logits = model.step_logits(hidden, prev)
+        shifted = logits - logits.max()
+        logp = shifted - np.log(np.exp(shifted).sum())
+        prev = int(np.argmax(logits))
+        tokens.append(model.vocab.tokens[prev])
+        lps.append(float(logp[prev]))
+        if prev == model.vocab.eos_id:
+            break
+    return tuple(tokens), lps
+
+
+class TestDecodeRows:
+    @pytest.fixture
+    def sharp(self, vocab):
+        """Scaled-up weights, so greedy decodes stop at EOS after 1, 3 or 4
+        tokens for some of the prompts below and run to max_len for others."""
+        m = ToyLM(vocab, hidden_dim=8, seed=6)
+        for arr in m.params.values():
+            arr *= 40.0
+        return m
+
+    def test_batch_equals_prompts_decoded_alone(self, sharp):
+        rng = np.random.default_rng(0)
+        prompts = [[]] + [list(rng.choice(WORDS, rng.integers(0, 12))) for _ in range(48)]
+        max_len = 5
+        batch = decode_rows(sharp, encode_prompts(sharp.vocab, prompts), max_len)
+        ends = set()
+        for context, got in zip(prompts, batch):
+            tokens, lps = _greedy_alone(sharp, context, max_len)
+            assert got.tokens == tokens
+            assert np.allclose(got.per_token_logprobs, lps, rtol=0.0, atol=1e-12)
+            assert got.total_logprob == pytest.approx(sum(lps), abs=1e-12)
+            ends.add((len(tokens), tokens[-1] == EOS))
+        # Rows stop at EOS at different steps, and some are cut at max_len.
+        assert {(1, True), (3, True), (4, True), (max_len, False)} <= ends
+
+    def test_no_rows_and_no_steps(self, sharp):
+        assert decode_rows(sharp, encode_prompts(sharp.vocab, []), 4) == []
+        out = decode_rows(sharp, encode_prompts(sharp.vocab, [["w0"], []]), 0)
+        assert [s.tokens for s in out] == [(), ()]
+
+    def test_one_step_draws_match_generator_choice(self, vocab):
+        m = ToyLM(vocab, hidden_dim=8, seed=8)
+        ctx = ["w2", "w6", "w6"]
+        _, hidden = m.context_hidden(m.vocab.encode(ctx))
+        logits = m.step_logits(hidden, m.vocab.bos_id)
+        shifted = logits - logits.max()
+        probs = np.exp(shifted - np.log(np.exp(shifted).sum()))
+        probs = probs / probs.sum()
+        rng = np.random.default_rng(23)
+        expected = [vocab.tokens[rng.choice(vocab.size, p=probs)] for _ in range(2000)]
+        got = sample(m, ctx, 2000, 1.0, 1, np.random.default_rng(23))
+        assert [s.tokens[0] for s in got] == expected
+
+    def test_positive_temperature_needs_rng(self, model):
+        with pytest.raises(ValueError, match="rng"):
+            sample(model, ["w0"], 2, 0.5, 3, None)
 
 
 class TestParamGrad:

@@ -222,24 +222,26 @@ class TestEvaluate:
     def test_oracle_decoder_scores_one(self, world):
         vocab, _, eval_set = world
 
-        # evaluate() only consumes greedy_decode via the policy module; an
-        # oracle decoder that reads off the gold answer is injected there.
+        # evaluate() decodes all prompts in one policy.decode_rows call; an
+        # oracle decoder that reads off each prompt's gold answer is injected there.
         import shortlong.training as training_mod
+        from shortlong.policy import ScoredSequence, bag_of_tokens
         from shortlong.training import assemble_prompt
 
-        answers = {" ".join(assemble_prompt(s.x_short, s.question)): s.answer
+        answers = {bag_of_tokens(vocab.encode(assemble_prompt(s.x_short, s.question)),
+                                 vocab.size).tobytes(): s.answer
                    for s in eval_set}
 
-        def fake_decode(model, prompt, max_len=4):
-            from shortlong.policy import ScoredSequence
-            return ScoredSequence((answers[" ".join(prompt)], EOS), 0.0, (0.0, 0.0))
+        def fake_decode(model, counts, max_len=4):
+            return [ScoredSequence((answers[row.tobytes()], EOS), 0.0, (0.0, 0.0))
+                    for row in counts]
 
-        original = training_mod.greedy_decode
-        training_mod.greedy_decode = fake_decode
+        original = training_mod.decode_rows
+        training_mod.decode_rows = fake_decode
         try:
-            acc = evaluate(object(), eval_set, "short", vocab)
+            acc = evaluate(ToyLM(vocab, 8, 0), eval_set, "short", vocab)
         finally:
-            training_mod.greedy_decode = original
+            training_mod.decode_rows = original
         assert acc == 1.0
 
     def test_uniform_model_hits_chance_level(self):
@@ -267,13 +269,14 @@ class TestEvaluate:
         seen = []
         import shortlong.training as training_mod
 
-        original = training_mod.greedy_decode
+        original = training_mod.encode_prompts
 
-        def spy(model, prompt, max_len=4):
-            seen.append(len(prompt))
-            return original(model, prompt, max_len)
+        def spy(vocab, prompts):
+            prompts = list(prompts)
+            seen.extend(len(p) for p in prompts)
+            return original(vocab, prompts)
 
-        training_mod.greedy_decode = spy
+        training_mod.encode_prompts = spy
         model = ToyLM(vocab, hidden_dim=8, seed=0)
         try:
             evaluate(model, eval_set[:4], "short", vocab)
@@ -282,7 +285,7 @@ class TestEvaluate:
             evaluate(model, eval_set[:4], "long", vocab)
             long_lens = list(seen)
         finally:
-            training_mod.greedy_decode = original
+            training_mod.encode_prompts = original
         assert max(short_lens) < min(long_lens)
 
 
