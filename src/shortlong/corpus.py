@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import BOS, EOS, SEP, Vocab
+from .policy import BOS, EOS, SEP, Vocab, assemble_prompt
 
 __all__ = [
     "SourceSample",
@@ -207,6 +207,6 @@ class PolicyCandidateGenerator:
                  rng: np.random.Generator) -> list[str]:
         from .policy import sample
 
-        prompt = context.split() + [SEP] + source.question.split()
-        scored = sample(self.model, prompt, self.n, self.temperature, self.max_len, rng)
+        scored = sample(self.model, assemble_prompt(context, source.question), self.n,
+                        self.temperature, self.max_len, rng)
         return [s.text for s in scored]

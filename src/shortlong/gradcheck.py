@@ -10,9 +10,10 @@ import numpy as np
 from .links import ConvexLink
 from .losses import (GRAD_FIELDS, LogProbBundle, Method, MethodConfig, RAMode,
                      grad_solopo, solopo_loss)
-from .policy import ToyLM, Vocab, param_grad
+from .policy import ToyLM, Vocab, param_grad, score_rows
+from .policy import _encode_rows  # internal on purpose
 
-__all__ = ["relative_error", "random_bundle", "stack_bundles", "check_loss_gradients",
+__all__ = ["relative_error", "random_bundle", "check_loss_gradients",
            "check_policy_gradients"]
 
 _KINK_MARGIN = 1e-3
@@ -24,8 +25,9 @@ def relative_error(analytic, numeric):
     return np.abs(analytic - numeric) / scale
 
 
-def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[float]:
-    """Distances to the nearest non-differentiable point of the total loss."""
+def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[np.ndarray]:
+    """Distances to the nearest non-differentiable points of the total loss,
+    one (n,) array per kink."""
     from .losses import _RA_SIDES, _alignment_gap, _short_margin_arg  # internal on purpose
 
     dists = []
@@ -39,30 +41,23 @@ def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[float]:
     return dists
 
 
-def random_bundle(rng: np.random.Generator, cfg: MethodConfig,
+def random_bundle(rng: np.random.Generator, cfg: MethodConfig, n: int,
                   kink_margin: float = _KINK_MARGIN) -> LogProbBundle:
-    """A random valid bundle whose loss is smooth in a ``kink_margin`` ball."""
-    while True:
-        refs = {}
-        if cfg.needs_reference:
-            refs = {name: float(rng.uniform(-12.0, -0.5))
-                    for name in ("ref_lp_w_short", "ref_lp_l_short",
-                                 "ref_lp_w_long", "ref_lp_l_long")}
-        b = LogProbBundle(
-            lp_w_short=float(rng.uniform(-12.0, -0.5)),
-            lp_l_short=float(rng.uniform(-12.0, -0.5)),
-            lp_w_long=float(rng.uniform(-12.0, -0.5)),
-            lp_l_long=float(rng.uniform(-12.0, -0.5)),
-            len_w=int(rng.integers(1, 9)), len_l=int(rng.integers(1, 9)), **refs)
-        if all(d > kink_margin for d in _kink_distances(cfg, b)):
-            return b
-
-
-def stack_bundles(bundles: Sequence[LogProbBundle]) -> LogProbBundle:
-    """One bundle whose fields are (n,) arrays of the given bundles' fields."""
-    return LogProbBundle(**{name: None if getattr(bundles[0], name) is None
-                            else np.array([getattr(b, name) for b in bundles])
-                            for name in GRAD_FIELDS + ("len_w", "len_l")})
+    """``n`` random valid bundles as one bundle of (n,) arrays, each smooth in a
+    ``kink_margin`` ball: the rows that fall inside it are redrawn."""
+    names = GRAD_FIELDS if cfg.needs_reference else GRAD_FIELDS[:4]
+    fields = {name: np.empty(n) for name in names}
+    fields.update(len_w=np.empty(n, dtype=np.int64), len_l=np.empty(n, dtype=np.int64))
+    redraw = np.arange(n)
+    while redraw.size:
+        for name in names:
+            fields[name][redraw] = rng.uniform(-12.0, -0.5, redraw.size)
+        for name in ("len_w", "len_l"):
+            fields[name][redraw] = rng.integers(1, 9, redraw.size)
+        b = LogProbBundle(**fields)
+        redraw = np.flatnonzero(np.any([d <= kink_margin for d in _kink_distances(cfg, b)],
+                                       axis=0))
+    return b
 
 
 def fd_gradient(cfg: MethodConfig, b: LogProbBundle, h: float = 1e-5) -> dict:
@@ -96,7 +91,7 @@ def check_loss_gradients(n_points: int, seed: int, *, h: float = 1e-5,
                                alpha=float(rng.uniform(0.2, 4.0)),
                                gamma=float(rng.uniform(-1.0, 1.0)),
                                eta=float(rng.uniform(0.5, 3.0)))
-            b = stack_bundles([random_bundle(rng, cfg) for _ in range(n_points)])
+            b = random_bundle(rng, cfg, n_points)
             analytic = grad_solopo(cfg, b)
             numeric = fd_gradient(cfg, b, h)
             worst = max(float(np.max(relative_error(analytic[k], numeric[k])))
@@ -123,7 +118,8 @@ def _tiny_world(seed: int) -> tuple[ToyLM, list[tuple[list[str], list[str]]]]:
 
 
 def check_policy_gradients(seed: int, *, h: float = 1e-5) -> dict:
-    """FD-validate backprop through the scorer composed with the loss."""
+    """FD-validate backprop through the scorer composed with the loss; the
+    items are encoded once, and each evaluation is one scorer pass."""
     model, items = _tiny_world(seed)
     cfg = MethodConfig(Method.ORPO, alpha=1.0)
 
@@ -137,12 +133,11 @@ def check_policy_gradients(seed: int, *, h: float = 1e-5) -> dict:
                           grad["lp_w_long"], grad["lp_l_long"]]))
 
     _, analytic = param_grad(model, items, loss)
+    rows = _encode_rows(model.vocab, items)
 
     def full_loss() -> float:
-        from .policy import logprob
-
-        lps = np.array([logprob(model, ctx, resp).total_logprob for ctx, resp in items])
-        return loss(lps)[0]
+        per_token, _ = score_rows(model, *rows)
+        return loss(per_token.sum(axis=1))[0]
 
     worst = 0.0
     for name, arr in model.params.items():

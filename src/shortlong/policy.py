@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "assemble_prompt",
     "Vocab",
     "ToyLM",
     "ScoredSequence",
@@ -43,6 +44,11 @@ __all__ = [
 BOS = "<bos>"
 EOS = "<eos>"
 SEP = "<sep>"
+
+
+def assemble_prompt(context_text: str, question: str) -> list[str]:
+    """Prompt tokens: the context, then ``SEP``, then the question."""
+    return context_text.split() + [SEP] + question.split()
 
 
 @dataclass(frozen=True)
@@ -185,18 +191,18 @@ def _onehot(ids: np.ndarray, size: int) -> np.ndarray:
     return (ids[:, None] == np.arange(size)).astype(np.float64)
 
 
-def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.ndarray,
-               upstream: np.ndarray | None = None
-               ) -> tuple[np.ndarray, dict[str, np.ndarray] | None]:
+def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.ndarray
+               ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
     """Teacher-forced scores of B (prompt, response) rows in one pass.
 
     ``counts`` is (B, V), one :func:`bag_of_tokens` row per prompt;
     ``resp_ids`` and ``mask`` are (B, T) as :func:`pad_responses` builds them
     (each row's real positions first). Returns the (B, T) per-token
     log-probabilities, exactly 0 at padded positions, so row sums are the
-    sequence log-probabilities. With ``upstream`` (B,) it also returns
-    ``sum_b upstream[b] * d logprob_b / d params``; rows whose weight is 0 are
-    left out of the backward pass.
+    sequence log-probabilities, and ``backward``: given per-row weights
+    ``upstream`` (B,), it returns ``sum_b upstream[b] * d logprob_b / d params``
+    from this pass's activations (so call it before the parameters change);
+    rows whose weight is 0 are left out.
     """
     emb, ctx_w, out_w = model.params["emb"], model.params["ctx_w"], model.params["out_w"]
     pooled, hidden = model.hidden_states(counts)
@@ -208,23 +214,23 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
     logp = _log_softmax(state @ out_w)
     per_token = np.zeros(mask.shape)
     per_token[rows, cols] = logp[np.arange(len(tok)), tok]
-    if upstream is None:
-        return per_token, None
 
-    live = np.flatnonzero(upstream)
-    at = np.isin(rows, live)
-    row_of = np.searchsorted(live, rows[at])
-    # d logprob_t / d logits = onehot - softmax
-    d_logits = -np.exp(logp[at])
-    d_logits[np.arange(len(row_of)), tok[at]] += 1.0
-    d_logits *= upstream[live][row_of, None]
-    d_state = d_logits @ out_w.T
-    # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
-    d_pre = (1.0 - hidden[live] ** 2) * (_onehot(row_of, len(live)).T @ d_state)
-    grads = {"emb": _onehot(prev[at], len(emb)).T @ d_state + counts[live].T @ (d_pre @ ctx_w),
-             "ctx_w": d_pre.T @ pooled[live],
-             "out_w": state[at].T @ d_logits}
-    return per_token, grads
+    def backward(upstream: np.ndarray) -> dict[str, np.ndarray]:
+        live = np.flatnonzero(upstream)
+        at = np.isin(rows, live)
+        row_of = np.searchsorted(live, rows[at])
+        # d logprob_t / d logits = onehot - softmax
+        d_logits = -np.exp(logp[at])
+        d_logits[np.arange(len(row_of)), tok[at]] += 1.0
+        d_logits *= upstream[live][row_of, None]
+        d_state = d_logits @ out_w.T
+        # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
+        d_pre = (1.0 - hidden[live] ** 2) * (_onehot(row_of, len(live)).T @ d_state)
+        return {"emb": _onehot(prev[at], len(emb)).T @ d_state + counts[live].T @ (d_pre @ ctx_w),
+                "ctx_w": d_pre.T @ pooled[live],
+                "out_w": state[at].T @ d_logits}
+
+    return per_token, backward
 
 
 def _encode_rows(vocab: Vocab, items: Sequence[tuple[Sequence[str], Sequence[str]]]
@@ -310,11 +316,10 @@ def logprob_with_grad(model: ToyLM, context: Sequence[str], response: Sequence[s
                       grads: dict[str, np.ndarray] | None = None
                       ) -> tuple[ScoredSequence, dict[str, np.ndarray]]:
     """Score a response and accumulate ``upstream * d logprob / d params``."""
-    per_token, row_grads = score_rows(model, *_encode_rows(model.vocab, [(context, response)]),
-                                      upstream=np.array([upstream], dtype=np.float64))
+    per_token, backward = score_rows(model, *_encode_rows(model.vocab, [(context, response)]))
     if grads is None:
         grads = model.zero_grads()
-    for key, g in row_grads.items():
+    for key, g in backward(np.array([upstream], dtype=np.float64)).items():
         grads[key] += g
     return _scored(response, per_token[0]), grads
 
@@ -329,13 +334,11 @@ def param_grad(model: ToyLM,
     ``(value, d value / d logprobs)``. Returns the loss value and parameter
     gradients. Raises on a non-finite loss.
     """
-    rows = _encode_rows(model.vocab, items)
-    per_token, _ = score_rows(model, *rows)
+    per_token, backward = score_rows(model, *_encode_rows(model.vocab, items))
     value, d_lps = loss(per_token.sum(axis=1))
     if not np.isfinite(value):
         raise ValueError("loss is not finite")
-    _, grads = score_rows(model, *rows, upstream=np.asarray(d_lps, dtype=np.float64))
-    return float(value), grads
+    return float(value), backward(np.asarray(d_lps, dtype=np.float64))
 
 
 def freeze(model: ToyLM) -> ToyLM:

@@ -19,10 +19,9 @@ import numpy as np
 
 from .forge import ForgedSample, sub_em
 from .links import DomainError
-from .losses import (LogProbBundle, MethodConfig, RAMode, grad_solopo,
-                     reward, solopo_loss)
-from .policy import (EOS, SEP, ToyLM, Vocab, bag_of_tokens, decode_rows, encode_prompts,
-                     freeze, pad_responses, score_rows)
+from .losses import LogProbBundle, MethodConfig, grad_solopo, reward, solopo_loss
+from .policy import (EOS, ToyLM, Vocab, assemble_prompt, bag_of_tokens, decode_rows,
+                     encode_prompts, freeze, pad_responses, score_rows)
 # An alias of policy.logprob, kept importable from here: perfbench/selftest.py
 # checks that the tracer patches it.
 from .policy import logprob  # noqa: F401
@@ -54,7 +53,7 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 0          # 0 disables mid-run evaluation
     po_context: str = "short"    # which variant the preference term reads
-    telemetry: bool = True       # score the long variant even when unused
+    telemetry: bool = True       # log reward_margin_long and lp_rejected_long
 
     def __post_init__(self) -> None:
         if self.lr_max < 0:
@@ -146,10 +145,6 @@ def learning_rate(step: int, total_steps: int, lr_max: float,
     return lr_max * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def assemble_prompt(context_text: str, question: str) -> list[str]:
-    return context_text.split() + [SEP] + question.split()
-
-
 # The four scoring rows of every record, in this order: (PO prompt, y_w),
 # (PO prompt, y_l), (long prompt, y_w), (long prompt, y_l).
 _FIELDS = ("lp_w_short", "lp_l_short", "lp_w_long", "lp_l_long")
@@ -192,10 +187,10 @@ def _prepare(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> 
                  np.array(len_w), np.array(len_l))
 
 
-def _logprobs(model: ToyLM, rows: _Rows, records: np.ndarray) -> np.ndarray:
-    """(len(records), 4) sequence log-probabilities of the records' rows."""
-    per_token, _ = score_rows(model, *rows.batch(records))
-    return per_token.sum(axis=1).reshape(-1, 4)
+def _non_finite(message: str, step: int, sample_index: int, **detail) -> NonFiniteLossError:
+    """The abort of one step, naming the step and the offending record."""
+    return NonFiniteLossError(f"{message} at step {step}, sample {sample_index}",
+                              {"step": step, "sample_index": sample_index, **detail})
 
 
 def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
@@ -203,11 +198,12 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
           ) -> tuple[ToyLM, TrainLog]:
     """Run the optimization loop; returns the mutated model and its log.
 
-    Every step scores all four rows of each record in one forward pass of
-    :func:`~shortlong.policy.score_rows`, whatever the objective reads,
-    evaluates the loss and its gradient once over the batch's (n,) arrays, and
-    backpropagates the whole batch in one backward pass; a row the objective
-    does not read gets weight 0. ``vocab`` must be the model's vocabulary.
+    Each step makes one pass of :func:`~shortlong.policy.score_rows` over all
+    four rows of every record in the batch, evaluates the loss and its
+    gradient once over the batch's (n,) arrays, and backpropagates through
+    that pass's ``backward`` with the field gradients as row weights. A
+    non-finite score or loss aborts with :class:`NonFiniteLossError`.
+    ``vocab`` must be the model's vocabulary.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -219,16 +215,10 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     rows = _prepare(dataset, model.vocab, cfg.po_context)
     eval_rows = None if eval_set is None else [_eval_rows(model.vocab, eval_set, kind)
                                                for kind in ("short", "long")]
-    # The scores the objective reads: both short ones, the chosen long one when
-    # alpha > 0, the rejected long one for `both`; telemetry reads all four.
-    reads_long = cfg.telemetry or mc.alpha != 0.0
-    need = np.array((True, True, reads_long,
-                     reads_long and (cfg.telemetry or mc.ra_mode is RAMode.BOTH)))
     ref_lps = None
-    if mc.needs_reference:  # the frozen reference is scored once, in batch-sized chunks
-        ref, records = freeze(model), np.arange(len(dataset))
-        ref_lps = np.concatenate([_logprobs(ref, rows, records[i:i + cfg.batch_size])
-                                  for i in range(0, len(dataset), cfg.batch_size)])
+    if mc.needs_reference:  # the frozen reference is scored once
+        per_token, _ = score_rows(freeze(model), *rows.batch(np.arange(len(dataset))))
+        ref_lps = per_token.sum(axis=1).reshape(-1, 4)
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.params)
     steps_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
@@ -242,43 +232,36 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
             lr = learning_rate(step, total_steps, cfg.lr_max, cfg.warmup_ratio)
             chunk = order[start:start + cfg.batch_size]
             n = len(chunk)
-            lps = _logprobs(model, rows, chunk)
-            bad = ~np.isfinite(lps) & need
+            per_token, backward = score_rows(model, *rows.batch(chunk))
+            lps = per_token.sum(axis=1).reshape(-1, 4)
+            bad = ~np.isfinite(lps)
             if bad.any():
                 j = int(np.flatnonzero(bad.any(axis=1))[0])
                 fields = [k for k, b in zip(_FIELDS, bad[j]) if b]
-                raise NonFiniteLossError(
-                    f"non-finite log-probability in {fields} at step {step}, "
-                    f"sample {int(chunk[j])}",
-                    {"step": step, "sample_index": int(chunk[j]), "fields": fields,
-                     "values": {k: float(v) for k, v, b in zip(_FIELDS, lps[j], bad[j]) if b}})
-            # A long-context score the objective does not read becomes the short one.
+                raise _non_finite(f"non-finite log-probability in {fields}", step, int(chunk[j]),
+                                  fields=fields,
+                                  values={k: float(v) for k, v, b in zip(_FIELDS, lps[j], bad[j])
+                                          if b})
             refs = () if ref_lps is None else ref_lps[chunk].T
-            bundle = LogProbBundle(*np.where(need, lps, lps[:, [0, 1, 0, 1]]).T,
-                                   rows.len_w[chunk], rows.len_l[chunk], *refs)
+            bundle = LogProbBundle(*lps.T, rows.len_w[chunk], rows.len_l[chunk], *refs)
             try:
                 breakdown = solopo_loss(mc, bundle)
                 bad_total = np.flatnonzero(~np.isfinite(breakdown.total))
                 if bad_total.size:
                     j = int(bad_total[0])
-                    raise NonFiniteLossError(
-                        f"non-finite loss at step {step}",
-                        {"step": step, "sample_index": int(chunk[j]),
-                         "breakdown": {k: float(np.broadcast_to(v, n)[j])
-                                       for k, v in vars(breakdown).items()}})
+                    raise _non_finite("non-finite loss", step, int(chunk[j]),
+                                      breakdown={k: float(np.broadcast_to(v, n)[j])
+                                                 for k, v in vars(breakdown).items()})
                 field_grads = grad_solopo(mc, bundle)
                 if cfg.telemetry:
                     margin = (reward(mc, bundle.lp_w_long, bundle.ref_lp_w_long, bundle.len_w)
                               - reward(mc, bundle.lp_l_long, bundle.ref_lp_l_long, bundle.len_l))
             except DomainError as exc:  # the ORPO log-odds singularity
-                idx = int(chunk[exc.index])
-                raise NonFiniteLossError(
-                    f"{exc} at step {step}, sample {idx}",
-                    {"step": step, "sample_index": idx, "error": str(exc)}) from exc
-            weights = np.column_stack([np.broadcast_to(field_grads[k] if used else 0.0, n)
-                                       for k, used in zip(_FIELDS, need)]) * (1.0 / n)
-            _, grads = score_rows(model, *rows.batch(chunk), upstream=weights.ravel())
-            opt.step(grads, lr)
+                raise _non_finite(str(exc), step, int(chunk[exc.index]),
+                                  error=str(exc)) from exc
+            weights = np.column_stack([np.broadcast_to(field_grads[k], n)
+                                       for k in _FIELDS]) * (1.0 / n)
+            opt.step(backward(weights.ravel()), lr)
             mean = {k: float(np.mean(v)) for k, v in vars(breakdown).items()}
             log.steps.append(StepRecord(
                 step=step, lr=lr, total=mean["total"], po_term=mean["po_term"],

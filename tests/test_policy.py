@@ -238,11 +238,12 @@ class TestScoreRows:
 
     def test_batch_rows_equal_rows_scored_alone(self, model, vocab):
         weights = np.array([0.7, -1.3, 2.1, 0.0])
-        per_token, grads = score_rows(model, *self.rows(vocab, self.ITEMS), upstream=weights)
+        per_token, backward = score_rows(model, *self.rows(vocab, self.ITEMS))
+        grads = backward(weights)
         total = model.zero_grads()
         for i, (ctx, resp) in enumerate(self.ITEMS):
-            alone, row_grads = score_rows(model, *self.rows(vocab, [(ctx, resp)]),
-                                          upstream=weights[i:i + 1])
+            alone, alone_backward = score_rows(model, *self.rows(vocab, [(ctx, resp)]))
+            row_grads = alone_backward(weights[i:i + 1])
             np.testing.assert_allclose(per_token[i, :len(resp)], alone[0], rtol=0, atol=1e-12)
             assert per_token[i].sum() == pytest.approx(
                 logprob(model, ctx, resp).total_logprob, abs=1e-12)
@@ -254,19 +255,37 @@ class TestScoreRows:
     def test_padding_contributes_nothing(self, model, vocab):
         counts, ids, mask = self.rows(vocab, self.ITEMS)
         weights = np.array([0.7, -1.3, 2.1, 0.4])
-        per_token, grads = score_rows(model, counts, ids, mask, upstream=weights)
+        per_token, backward = score_rows(model, counts, ids, mask)
+        grads = backward(weights)
         assert np.all(per_token[~mask] == 0.0)
         garbage = np.where(mask, ids, vocab.size - 1)
-        per_token2, grads2 = score_rows(model, counts, garbage, mask, upstream=weights)
+        per_token2, backward2 = score_rows(model, counts, garbage, mask)
+        grads2 = backward2(weights)
         np.testing.assert_array_equal(per_token, per_token2)
         for k in grads:
             np.testing.assert_array_equal(grads[k], grads2[k])
+
+    def test_backward_is_repeatable_and_linear(self, model, vocab):
+        """One pass serves any number of backward calls: each equals a fresh
+        pass's backward bit for bit, and the gradient is linear in the weights."""
+        rows = self.rows(vocab, self.ITEMS)
+        _, backward = score_rows(model, *rows)
+        a, b = np.array([0.7, -1.3, 2.1, 0.0]), np.array([0.0, 0.5, -0.25, 1.5])
+        first = backward(a)
+        again = backward(a)
+        fresh = score_rows(model, *rows)[1](a)
+        summed = backward(a + b)
+        parts = backward(b)
+        for k in first:
+            np.testing.assert_array_equal(first[k], again[k])
+            np.testing.assert_array_equal(first[k], fresh[k])
+            np.testing.assert_allclose(summed[k], first[k] + parts[k], rtol=0, atol=1e-12)
 
     def test_logprob_with_grad_accumulates_one_row(self, model, vocab):
         ctx, resp = self.ITEMS[0]
         scored, grads = logprob_with_grad(model, ctx, resp, upstream=0.5)
         _, again = logprob_with_grad(model, ctx, resp, upstream=0.5, grads=grads)
-        _, row = score_rows(model, *self.rows(vocab, [(ctx, resp)]), upstream=np.array([1.0]))
+        row = score_rows(model, *self.rows(vocab, [(ctx, resp)]))[1](np.array([1.0]))
         assert scored == logprob(model, ctx, resp)
         for k in row:
             np.testing.assert_allclose(again[k], row[k], rtol=1e-12, atol=1e-15)

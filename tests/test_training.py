@@ -100,10 +100,38 @@ class TestTrain:
             cfg = TrainConfig(MethodConfig(Method.ORPO, alpha=0.0), lr_max=1e-2,
                               batch_size=8, seed=5, telemetry=telemetry)
             model, log = train(model, data, cfg, vocab)
-            runs.append(([s.total for s in log.steps], model.params))
+            runs.append(([s.total for s in log.steps], model.params,
+                         [s.ra_term for s in log.steps]))
         assert runs[0][0] == pytest.approx(runs[1][0], abs=0)
         for k in runs[0][1]:
             np.testing.assert_array_equal(runs[0][1][k], runs[1][1][k])
+        # Telemetry only adds log columns: the logged alignment term is the
+        # true one (not 0 from long scores replaced by short ones) either way.
+        assert runs[0][2] == runs[1][2]
+        assert any(ra != 0.0 for ra in runs[0][2])
+
+    def test_one_scorer_pass_per_step(self, world, monkeypatch):
+        """Each step scores and backpropagates through one score_rows pass;
+        DPO and IPO add one pass for the frozen reference."""
+        import shortlong.training as training_mod
+
+        vocab, data, _ = world
+        calls = []
+        original = training_mod.score_rows
+
+        def counting(model, *rows):
+            calls.append(len(rows[0]))
+            return original(model, *rows)
+
+        monkeypatch.setattr(training_mod, "score_rows", counting)
+        for method in Method:
+            for telemetry in (True, False):
+                calls.clear()
+                cfg = TrainConfig(MethodConfig(method), batch_size=8, epochs=2, seed=0,
+                                  telemetry=telemetry)
+                _, log = train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
+                reference = [4 * len(data)] if method in (Method.DPO, Method.IPO) else []
+                assert calls == reference + [4 * 8] * len(log.steps)
 
     def test_long_equal_short_degenerates_to_vanilla(self, world):
         """alpha > 0 with x_long == x_short reproduces the alpha = 0 trajectory."""
@@ -158,6 +186,7 @@ class TestTrain:
         with pytest.raises(NonFiniteLossError) as err:
             train(model, data, cfg, vocab)
         assert err.value.diagnostic
+        assert {"step", "sample_index"} <= set(err.value.diagnostic)
 
     def test_log_odds_singularity_aborts_with_diagnostic(self, world):
         # A bigram-only scorer (hidden state 0, one-hot embeddings) whose
