@@ -51,6 +51,9 @@ class SourceSample:
             raise ValueError("answer must be non-empty")
         if not self.supporting_docs:
             raise ValueError("at least one supporting document is required")
+        for i, doc in enumerate(self.supporting_docs):
+            if not doc.split():
+                raise ValueError(f"supporting_docs[{i}] has no tokens")
         object.__setattr__(self, "supporting_docs", tuple(self.supporting_docs))
 
 
@@ -152,14 +155,12 @@ class StubGenerator:
 
     def __call__(self, context: str, source: SourceSample,
                  rng: np.random.Generator) -> list[str]:
+        pool = [w for w in self.wrong_answers if source.answer not in w] or [NO_ANSWER]
         out = []
         for _ in range(self.n):
             if rng.uniform() < self.p_correct:
                 out.append(source.answer)
             else:
-                pool = [w for w in self.wrong_answers if source.answer not in w]
-                if not pool:
-                    pool = [NO_ANSWER]
                 out.append(pool[int(rng.integers(len(pool)))])
         return out
 
@@ -182,14 +183,13 @@ class PrefixedStubGenerator:
 
     def __call__(self, context: str, source: SourceSample,
                  rng: np.random.Generator) -> list[str]:
+        wrongs = [v for v in self.values if source.answer not in v] + [NO_ANSWER]
         out = []
         for _ in range(self.n):
             prefix = self.prefixes[int(rng.integers(len(self.prefixes)))]
             if rng.uniform() < self.p_correct:
                 out.append(f"{prefix} {source.answer}")
             else:
-                wrongs = [v for v in self.values if source.answer not in v]
-                wrongs.append(NO_ANSWER)
                 out.append(f"{prefix} {wrongs[int(rng.integers(len(wrongs)))]}")
         return out
 

@@ -14,7 +14,7 @@ import io
 import json
 import logging
 import string
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -28,6 +28,7 @@ __all__ = [
     "ForgedSample",
     "ForgeStats",
     "InsufficientPoolError",
+    "DistractorPool",
     "token_count",
     "synthesize_context",
     "sub_em",
@@ -83,8 +84,10 @@ class ForgedSample:
     y_l: str
 
     def check_invariants(self, cfg: HaystackConfig,
-                         supporting_docs: Sequence[str] | None = None) -> None:
-        """Raise if any emission invariant is broken."""
+                         supporting_docs: Sequence[str] | None = None) -> tuple[int, int]:
+        """Raise if any emission invariant is broken; return the (short, long)
+        token counts measured."""
+        counts = []
         for target, text, name in ((cfg.target_short_tokens, self.x_short, "x_short"),
                                    (cfg.target_long_tokens, self.x_long, "x_long")):
             count = token_count(text)
@@ -95,10 +98,12 @@ class ForgedSample:
                 for doc in supporting_docs:
                     if doc not in text:
                         raise ValueError(f"supporting document missing from {name}: {doc!r}")
+            counts.append(count)
         if not sub_em(self.y_w, self.answer):
             raise ValueError("chosen response fails substring exact match")
         if sub_em(self.y_l, self.answer):
             raise ValueError("rejected response passes substring exact match")
+        return counts[0], counts[1]
 
 
 def token_count(text: str) -> int:
@@ -106,7 +111,36 @@ def token_count(text: str) -> int:
     return len(text.split())
 
 
-def synthesize_context(src: SourceSample, distractors: Sequence[str],
+class DistractorPool:
+    """Distractor documents, each split once: ``counts`` holds its whitespace
+    token count and ``heads`` the id of its first token (ids in ``head_ids``).
+    A document with no tokens is rejected."""
+
+    def __init__(self, docs: Sequence[str]):
+        self.head_ids: dict[str, int] = {}
+        counts, heads = [], []
+        for i, doc in enumerate(docs):
+            tokens = doc.split()
+            if not tokens:
+                raise ValueError(f"distractor {i} has no tokens")
+            counts.append(len(tokens))
+            heads.append(self.head_ids.setdefault(tokens[0], len(self.head_ids)))
+        self.docs = np.array(docs, dtype=object)
+        self.counts = np.array(counts, dtype=np.int64)
+        self.heads = np.array(heads, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.docs)
+
+    def subset(self, keep: np.ndarray) -> DistractorPool:
+        """The documents where the boolean mask ``keep`` is set, in pool order."""
+        sub = object.__new__(DistractorPool)
+        sub.head_ids = self.head_ids
+        sub.docs, sub.counts, sub.heads = self.docs[keep], self.counts[keep], self.heads[keep]
+        return sub
+
+
+def synthesize_context(src: SourceSample, pool: DistractorPool,
                        target_tokens: int, rng: np.random.Generator, *,
                        tolerance_frac: float = 0.05, sep: str = SEP) -> str:
     """Supporting docs plus sampled distractors, shuffled and joined by ``sep``.
@@ -116,25 +150,37 @@ def synthesize_context(src: SourceSample, distractors: Sequence[str],
     band are skipped. Raises :class:`InsufficientPoolError` if the pool runs
     out first.
     """
+    if tolerance_frac < 0:
+        raise ValueError("tolerance_frac must be non-negative")
     sep_cost = token_count(sep)
-    docs = list(src.supporting_docs)
-    total = sum(token_count(d) for d in docs) + sep_cost * (len(docs) - 1)
+    supporting = src.supporting_docs
+    total = sum(token_count(d) for d in supporting) + sep_cost * (len(supporting) - 1)
     lower = target_tokens * (1 - tolerance_frac)
     upper = target_tokens * (1 + tolerance_frac)
     if total > upper + 1e-9:
         raise ValueError("supporting documents alone exceed the target length")
-    for idx in rng.permutation(len(distractors)):
-        if total >= lower:
-            break
-        cost = token_count(distractors[idx]) + sep_cost
-        if total + cost <= upper + 1e-9:
-            docs.append(distractors[idx])
-            total += cost
+    perm = rng.permutation(len(pool))
+    costs = pool.counts[perm] + sep_cost
+    take = np.zeros(len(perm), dtype=bool)
+    start = 0
+    # Every draw below the band fits it (lower <= upper), so the draws up to
+    # the first running total >= lower are all taken; the crossing draw is
+    # taken if it stays inside the band, else skipped, and the fill goes on
+    # from the next draw.
+    while total < lower and start < len(perm):
+        running = total + np.cumsum(costs[start:])
+        cross = int(np.searchsorted(running, lower))
+        fits = cross < len(running) and int(running[cross]) <= upper + 1e-9
+        stop = cross + 1 if fits else cross
+        take[start:start + stop] = True
+        if stop:
+            total = int(running[stop - 1])
+        start += cross + 1
     if total < lower - 1e-9:
         raise InsufficientPoolError(
             f"pool exhausted at {total} tokens; target band [{lower:.0f}, {upper:.0f}]")
-    order = rng.permutation(len(docs))
-    return f" {sep} ".join(docs[i] for i in order)
+    docs = np.concatenate((np.array(supporting, dtype=object), pool.docs[perm[take]]))
+    return f" {sep} ".join(docs[rng.permutation(len(docs))].tolist())
 
 
 def _normalize(text: str) -> str:
@@ -195,6 +241,13 @@ class ForgeStats:
     achieved_compression: float = 0.0
     target_compression: float = 0.0
     discard_rate: float = 0.0
+    # Counter name -> index (in the input sources) of the first source it counted.
+    discard_examples: dict[str, int] = field(default_factory=dict)
+
+    def discard(self, counter: str, idx: int) -> None:
+        """Count source ``idx`` under ``counter``, keeping the first as an example."""
+        setattr(self, counter, getattr(self, counter) + 1)
+        self.discard_examples.setdefault(counter, idx)
 
     def finalize(self, short_counts: list[int], long_counts: list[int],
                  cfg: HaystackConfig) -> None:
@@ -210,11 +263,12 @@ class ForgeStats:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _conflict_free_pool(pool: Sequence[str], src: SourceSample) -> list[str]:
+def _conflict_free_pool(pool: DistractorPool, src: SourceSample) -> DistractorPool:
     # A haystack doc opening with a supporting doc's subject could contradict
     # the needle; skip those.
-    heads = {d.split()[0] for d in src.supporting_docs}
-    return [d for d in pool if d.split()[0] not in heads]
+    firsts = {d.split()[0] for d in src.supporting_docs}
+    heads = [pool.head_ids[h] for h in firsts if h in pool.head_ids]
+    return pool.subset(~np.isin(pool.heads, heads))
 
 
 Generator = Callable[[str, SourceSample, np.random.Generator], list[str]]
@@ -237,12 +291,13 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
     samples: list[ForgedSample] = []
     short_counts: list[int] = []
     long_counts: list[int] = []
+    distractors = DistractorPool(pool)
     for idx, src in enumerate(sources):
         if n_target is not None and len(samples) >= n_target:
             break
         stats.sources_seen += 1
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(idx,)))
-        local_pool = _conflict_free_pool(pool, src)
+        local_pool = _conflict_free_pool(distractors, src)
         try:
             x_short = synthesize_context(src, local_pool, cfg.target_short_tokens, rng,
                                          tolerance_frac=cfg.tolerance_frac)
@@ -255,14 +310,14 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
             candidates = generator(primary_ctx, src, rng)
         except Exception:
             log.warning("candidate generation failed for source %d", idx, exc_info=True)
-            stats.generator_failures += 1
+            stats.discard("generator_failures", idx)
             continue
         correct, incorrect = _partition(candidates, src.answer)
         if not incorrect:
-            stats.discarded_all_correct += 1
+            stats.discard("discarded_all_correct", idx)
             continue
         if not correct:
-            stats.discarded_all_incorrect += 1
+            stats.discard("discarded_all_incorrect", idx)
             continue
         y_w, y_l = _draw_pair(correct, incorrect, rng)
         if intersection:
@@ -271,19 +326,19 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
                 other = generator(other_ctx, src, rng)
             except Exception:
                 log.warning("candidate generation failed for source %d", idx, exc_info=True)
-                stats.generator_failures += 1
+                stats.discard("generator_failures", idx)
                 continue
             o_correct, o_incorrect = _partition(other, src.answer)
             if not o_correct or not o_incorrect:
-                stats.discarded_intersection += 1
+                stats.discard("discarded_intersection", idx)
                 continue
         sample = ForgedSample(question=src.question, answer=src.answer,
                               x_short=x_short, x_long=x_long, y_w=y_w, y_l=y_l)
-        sample.check_invariants(cfg, supporting_docs=src.supporting_docs)
+        n_short, n_long = sample.check_invariants(cfg, supporting_docs=src.supporting_docs)
         samples.append(sample)
         stats.emitted += 1
-        short_counts.append(token_count(x_short))
-        long_counts.append(token_count(x_long))
+        short_counts.append(n_short)
+        long_counts.append(n_long)
     stats.finalize(short_counts, long_counts, cfg)
     return samples, stats
 

@@ -1,6 +1,8 @@
 """Haystack synthesis, substring matching, curation, and the full pipeline."""
 
+import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from shortlong.corpus import (PrefixedStubGenerator, SourceSample, StubGenerator,
                               build_chain_corpus, needle_profile, needle_vocab,
                               value_token, word_profile)
-from shortlong.forge import (ForgedSample, HaystackConfig, InsufficientPoolError,
-                             curate_pair, forge_dataset, read_forged_jsonl,
+from shortlong.forge import (DistractorPool, ForgedSample, HaystackConfig,
+                             InsufficientPoolError, curate_pair, forge_dataset, read_forged_jsonl,
                              read_source_jsonl, sub_em, synthesize_context,
                              token_count, write_forged_jsonl)
 
@@ -22,7 +24,29 @@ def src():
 
 
 def make_pool(n):
-    return [f"e{i:02d} owns e{(i + 3) % 60:02d}" for i in range(10, 10 + n)]
+    return DistractorPool([f"e{i:02d} owns e{(i + 3) % 60:02d}" for i in range(10, 10 + n)])
+
+
+def scalar_fill(src, distractors, target_tokens, rng, tolerance_frac, skipped):
+    """Draw-by-draw reference for the fill in ``synthesize_context``; appends
+    each skipped (overshooting) draw to ``skipped``."""
+    docs = list(src.supporting_docs)
+    total = sum(token_count(d) for d in docs) + (len(docs) - 1)
+    lower = target_tokens * (1 - tolerance_frac)
+    upper = target_tokens * (1 + tolerance_frac)
+    for idx in rng.permutation(len(distractors)):
+        if total >= lower:
+            break
+        cost = token_count(distractors[idx]) + 1
+        if total + cost <= upper + 1e-9:
+            docs.append(distractors[idx])
+            total += cost
+        else:
+            skipped.append(idx)
+    if total < lower - 1e-9:
+        raise InsufficientPoolError("pool exhausted")
+    order = rng.permutation(len(docs))
+    return " <sep> ".join(docs[i] for i in order)
 
 
 class TestSynthesizeContext:
@@ -55,6 +79,41 @@ class TestSynthesizeContext:
             ctx = synthesize_context(src, pool, 120, np.random.default_rng(seed))
             for doc in src.supporting_docs:
                 assert doc in ctx
+
+    def test_matches_scalar_fill(self, src):
+        # Mostly short documents and a few of 20 or 30 tokens (411 tokens with
+        # separators). Running totals often land exactly on the 38-token lower
+        # edge of 40 ± 5 %; crossing draws overshoot the narrower bands and are
+        # skipped, which can exhaust the pool (exact 100, 320 ± 1 %); 450 ± 5 %
+        # exhausts it outright.
+        lengths = np.random.default_rng(0).choice([1, 2, 3, 4, 5, 20, 30], size=40)
+        docs = [" ".join(f"w{i}x{j}" for j in range(n)) for i, n in enumerate(lengths)]
+        pool = DistractorPool(docs)
+        cases = ((40, 0.05), (150, 0.05), (100, 0.0), (320, 0.01), (450, 0.05))
+        skipped, exhausted = [], 0
+        for seed in range(50):
+            target, tol = cases[seed % len(cases)]
+            try:
+                expect = scalar_fill(src, docs, target, np.random.default_rng(seed), tol,
+                                     skipped)
+            except InsufficientPoolError:
+                exhausted += 1
+                with pytest.raises(InsufficientPoolError):
+                    synthesize_context(src, pool, target, np.random.default_rng(seed),
+                                       tolerance_frac=tol)
+                continue
+            assert synthesize_context(src, pool, target, np.random.default_rng(seed),
+                                      tolerance_frac=tol) == expect
+        assert skipped and 10 < exhausted < 50
+
+    def test_negative_tolerance_rejected(self, src):
+        with pytest.raises(ValueError, match="tolerance_frac"):
+            synthesize_context(src, make_pool(50), 40, np.random.default_rng(0),
+                               tolerance_frac=-0.05)
+
+    def test_pool_rejects_document_without_tokens(self):
+        with pytest.raises(ValueError, match="distractor 1 has no tokens"):
+            DistractorPool(["e01 owns e02", " \t"])
 
 
 class TestSubEm:
@@ -146,6 +205,7 @@ class TestForgeDataset:
         assert samples == []
         assert stats.discarded_all_correct == 20
         assert stats.discard_rate == 1.0
+        assert stats.discard_examples == {"discarded_all_correct": 0}
 
     def test_half_correct_generator_rarely_discards(self):
         # P(one-sided over 32 draws) = 2 * 2^-32 per source; over 80 sources
@@ -165,7 +225,8 @@ class TestForgeDataset:
                                        n_target=40)
         assert stats.emitted == 40
         for s in samples:
-            s.check_invariants(self.cfg)
+            assert s.check_invariants(self.cfg) == (token_count(s.x_short),
+                                                    token_count(s.x_long))
         assert stats.achieved_compression == pytest.approx(
             self.cfg.target_compression, rel=0.10)
 
@@ -190,6 +251,7 @@ class TestForgeDataset:
         samples, stats = forge_dataset(self.sources[:12], self.pool, flaky, self.cfg)
         assert stats.generator_failures == 4
         assert stats.emitted == 8
+        assert stats.discard_examples == {"generator_failures": 2}
 
     def test_long_conditioning_flag(self):
         seen = {}
@@ -212,6 +274,26 @@ class TestForgeDataset:
                                        self.cfg, intersection=True)
         assert samples == []
         assert stats.discarded_intersection == 10
+        assert stats.discard_examples == {"discarded_intersection": 0}
+
+    # SHA-256 of the emitted records, pinned from the draw-by-draw fill; few
+    # candidates per source, so that sources are discarded for each reason.
+    @pytest.mark.parametrize("p_correct, n, n_sources, options, digest", [
+        (0.5, 4, 40, {"condition_on": "long"},
+         "cee8a3459dbf19a648fd98208465d5e91aca2600cbfa18ea36baa322408ead15"),
+        (0.5, 4, 40, {"intersection": True},
+         "7407e76decf72c2468a687fc37a0789da52f7d57b465ad28796d0c004cd24b44"),
+        (0.7, 6, 80, {},
+         "1576b8e91888b10d9151be09650fe8d897e5b493392b56bcc6067e2098a51c65"),
+    ], ids=["long", "intersection", "short"])
+    def test_records_match_recorded_digest(self, p_correct, n, n_sources, options, digest):
+        gen = StubGenerator(p_correct=p_correct, n=n, wrong_answers=self.wrong)
+        samples, _ = forge_dataset(self.sources[:n_sources], self.pool, gen, self.cfg,
+                                   **options)
+        sha = hashlib.sha256()
+        for s in samples:
+            sha.update(json.dumps(asdict(s), sort_keys=True).encode() + b"\n")
+        assert sha.hexdigest() == digest
 
     def test_policy_generator_end_to_end(self):
         from shortlong.corpus import PolicyCandidateGenerator
@@ -247,6 +329,7 @@ class TestJsonlIO:
         ("answer", ["v05"]),
         ("supporting_docs", "the doc a"),
         ("supporting_docs", ["d1", 7]),
+        ("supporting_docs", ["", "e02 founded v05"]),
     ])
     def test_source_field_types_checked(self, tmp_path, field, value):
         record = {"question": "q", "answer": "a", "supporting_docs": ["d1"], field: value}
