@@ -365,9 +365,12 @@ def cmd_eval(args, v: dict, out: Path) -> int:
     model = load_model(v["checkpoint"])
     dataset = read_forged_jsonl(v["dataset"])
     kinds = ("short", "long") if v["context"] == "both" else (v["context"],)
-    result = {f"{kind}_acc": evaluate(model, dataset, kind, model.vocab,
-                                      **_given(v, "max_len"))
-              for kind in kinds}
+    try:
+        result = {f"{kind}_acc": evaluate(model, dataset, kind, model.vocab,
+                                          **_given(v, "max_len"))
+                  for kind in kinds}
+    except ValueError as exc:  # e.g. a token the checkpoint's vocabulary lacks
+        raise ValueError(f"{v['dataset']}: {exc}") from None
     (out / "reports" / "eval.json").write_text(json.dumps(result, sort_keys=True))
     print(" ".join(f"{k}={val:.4f}" for k, val in sorted(result.items())))
     return 0

@@ -188,6 +188,12 @@ def _normalize(text: str) -> str:
     return " ".join(w for w in words if w not in _ARTICLES)
 
 
+def _answer_span(prediction: str) -> str:
+    """The text after the last answer marker (case-insensitive), else all of it."""
+    pos = prediction.lower().rfind(ANSWER_MARKER)
+    return prediction[pos + len(ANSWER_MARKER):] if pos >= 0 else prediction
+
+
 def sub_em(prediction: str, gold: str) -> bool:
     """Substring exact match on the prediction's answer span.
 
@@ -196,16 +202,20 @@ def sub_em(prediction: str, gold: str) -> bool:
     normalized: lowercase, punctuation stripped, whitespace collapsed,
     articles dropped.
     """
-    lowered = prediction.lower()
-    pos = lowered.rfind(ANSWER_MARKER)
-    span = prediction[pos + len(ANSWER_MARKER):] if pos >= 0 else prediction
-    return _normalize(gold) in _normalize(span)
+    return _normalize(gold) in _normalize(_answer_span(prediction))
 
 
 def _partition(candidates: Sequence[str], gold: str) -> tuple[list[str], list[str]]:
+    """Candidates that pass :func:`sub_em` and those that fail, each in input
+    order; the gold answer and each distinct candidate are normalized once."""
+    target = _normalize(gold)
+    verdicts: dict[str, bool] = {}
     correct, incorrect = [], []
     for c in candidates:
-        (correct if sub_em(c, gold) else incorrect).append(c)
+        ok = verdicts.get(c)
+        if ok is None:
+            ok = verdicts[c] = target in _normalize(_answer_span(c))
+        (correct if ok else incorrect).append(c)
     return correct, incorrect
 
 

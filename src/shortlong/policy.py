@@ -28,6 +28,7 @@ __all__ = [
     "ScoredSequence",
     "bag_of_tokens",
     "encode_prompts",
+    "encode_contexts",
     "pad_responses",
     "score_rows",
     "logprob",
@@ -88,9 +89,6 @@ class Vocab:
             return np.array(list(map(self._index.__getitem__, tokens)), dtype=np.int64)
         except KeyError as exc:
             raise ValueError(f"token not in vocabulary: {exc.args[0]!r}") from None
-
-    def encode_text(self, text: str) -> np.ndarray:
-        return self.encode(text.split())
 
     def decode(self, ids: Sequence[int]) -> list[str]:
         return [self.tokens[int(i)] for i in ids]
@@ -175,6 +173,87 @@ def encode_prompts(vocab: Vocab, prompts: Iterable[Sequence[str]]) -> np.ndarray
                     ).reshape(-1, vocab.size)
 
 
+# A context splits into documents at this literal: with an ASCII space on each
+# side it is always a whole token, so no token straddles a split.
+_DOC_SEP = f" {SEP} "
+# Rows are counted in blocks of about this many context characters plus V
+# per row, so only one block's split pieces and token ids are alive at a time.
+_BLOCK_CHARS = 1 << 16
+
+
+class _Pieces(dict):
+    """Piece text -> piece id. A missing piece is tokenized on its first
+    lookup: its token count goes to ``lengths`` and its ids to ``new_ids``."""
+
+    def __init__(self, index: dict[str, int]):
+        super().__init__()
+        self.index = index
+        self.lengths: list[int] = []
+        self.new_ids: list[int] = []
+
+    def __missing__(self, part: str) -> int:
+        try:
+            ids = list(map(self.index.__getitem__, part.split()))
+        except KeyError as exc:
+            raise ValueError(f"token not in vocabulary: {exc.args[0]!r}") from None
+        self[part] = pid = len(self.lengths)
+        self.lengths.append(len(ids))
+        self.new_ids += ids
+        return pid
+
+
+def encode_contexts(vocab: Vocab, contexts: Sequence[str], questions: Sequence[str]
+                    ) -> np.ndarray:
+    """The (B, V) rows ``bag_of_tokens(vocab.encode(assemble_prompt(c, q)), V)``
+    of B (context, question) pairs, bit for bit, with each distinct document
+    tokenized once per call.
+
+    A row's pieces are its context's documents (split at ``" <sep> "``) and
+    then its question; its tokens are the pieces' tokens with one ``SEP``
+    between neighbours. Pieces are tokenized in text order, so an
+    out-of-vocabulary token raises ``ValueError`` naming the first row that
+    holds one (``record i``) and that row's first such token.
+    """
+    if len(contexts) != len(questions):
+        raise ValueError("need one question per context")
+    size, sep_id = vocab.size, vocab.sep_id
+    pieces = _Pieces(vocab._index)
+    table = np.zeros(0, dtype=np.int64)  # every piece's token ids, back to back
+    out = np.empty((len(contexts), size))
+    start = 0
+    while start < len(contexts):
+        stop, chars = start, 0
+        pids: list[int] = []
+        n_pieces: list[int] = []
+        while stop < len(contexts) and (stop == start or chars <= _BLOCK_CHARS):
+            parts = contexts[stop].split(_DOC_SEP)
+            parts.append(questions[stop])
+            try:
+                pids += map(pieces.__getitem__, parts)
+            except ValueError as exc:
+                raise ValueError(f"record {stop}: {exc}") from None
+            n_pieces.append(len(parts))
+            chars += len(contexts[stop]) + size
+            stop += 1
+        table = np.concatenate((table, np.array(pieces.new_ids, dtype=np.int64)))
+        pieces.new_ids.clear()
+        lengths = np.array(pieces.lengths, dtype=np.int64)
+        offsets = np.cumsum(lengths) - lengths
+        # One ragged gather of the block's token ids, tagged with their row.
+        block, n_pieces = np.array(pids, dtype=np.int64), np.array(n_pieces)
+        lens = lengths[block]
+        first = np.cumsum(lens) - lens
+        at = np.repeat(offsets[block] - first, lens) + np.arange(lens.sum())
+        row = np.repeat(np.repeat(np.arange(stop - start), n_pieces), lens)
+        counts = np.bincount(row * size + table[at],
+                             minlength=(stop - start) * size).reshape(-1, size)
+        counts[:, sep_id] += n_pieces - 1
+        # Every row holds at least one SEP, so no row sum is 0.
+        out[start:stop] = counts / counts.sum(axis=1, keepdims=True)
+        start = stop
+    return out
+
+
 def pad_responses(responses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(B, T) response ids, zero-padded to the longest, and the (B, T) mask of
     real positions."""
@@ -224,8 +303,12 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
         d_logits[np.arange(len(row_of)), tok[at]] += 1.0
         d_logits *= upstream[live][row_of, None]
         d_state = d_logits @ out_w.T
+        # Each row's d_state summed over its positions: scattered back to
+        # (rows, T, d) and summed over T, linear in the batch.
+        d_hidden = np.zeros((len(live), mask.shape[1], d_state.shape[1]))
+        d_hidden[row_of, cols[at]] = d_state
         # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
-        d_pre = (1.0 - hidden[live] ** 2) * (_onehot(row_of, len(live)).T @ d_state)
+        d_pre = (1.0 - hidden[live] ** 2) * d_hidden.sum(axis=1)
         return {"emb": _onehot(prev[at], len(emb)).T @ d_state + counts[live].T @ (d_pre @ ctx_w),
                 "ctx_w": d_pre.T @ pooled[live],
                 "out_w": state[at].T @ d_logits}

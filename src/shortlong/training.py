@@ -20,8 +20,8 @@ import numpy as np
 from .forge import ForgedSample, sub_em
 from .links import DomainError
 from .losses import LogProbBundle, MethodConfig, grad_solopo, reward, solopo_loss
-from .policy import (EOS, ToyLM, Vocab, assemble_prompt, bag_of_tokens, decode_rows,
-                     encode_prompts, freeze, pad_responses, score_rows)
+from .policy import (EOS, ToyLM, Vocab, assemble_prompt, decode_rows, encode_contexts, freeze,
+                     pad_responses, score_rows)
 # An alias of policy.logprob, kept importable from here: perfbench/selftest.py
 # checks that the tracer patches it.
 from .policy import logprob  # noqa: F401
@@ -168,23 +168,26 @@ class _Rows:
 
 
 def _prepare(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> _Rows:
-    """Encode each prompt and response once; out-of-vocabulary tokens fail here."""
-    counts, responses, len_w, len_l = [], [], [], []
-    for sample in dataset:
-        short, long_ = (bag_of_tokens(vocab.encode(assemble_prompt(ctx, sample.question)),
-                                      vocab.size)
-                        for ctx in (sample.x_short, sample.x_long))
-        po = long_ if po_context == "long" else short
-        y_w = vocab.encode(sample.y_w.split() + [EOS])
-        y_l = vocab.encode(sample.y_l.split() + [EOS])
-        counts.append((po, po, long_, long_))
+    """Encode each prompt and response once; an out-of-vocabulary token fails
+    here, naming its record."""
+    questions = [s.question for s in dataset]
+    short, long_ = (encode_contexts(vocab, [s.x_short for s in dataset], questions),
+                    encode_contexts(vocab, [s.x_long for s in dataset], questions))
+    po = long_ if po_context == "long" else short
+    responses, len_w, len_l = [], [], []
+    for i, sample in enumerate(dataset):
+        try:
+            y_w = vocab.encode(sample.y_w.split() + [EOS])
+            y_l = vocab.encode(sample.y_l.split() + [EOS])
+        except ValueError as exc:
+            raise ValueError(f"record {i}: {exc}") from None
         responses += [y_w, y_l, y_w, y_l]
         len_w.append(len(y_w))
         len_l.append(len(y_l))
     resp_ids, mask = pad_responses(responses)
     n = len(dataset)
-    return _Rows(np.array(counts), resp_ids.reshape(n, 4, -1), mask.reshape(n, 4, -1),
-                 np.array(len_w), np.array(len_l))
+    return _Rows(np.stack((po, po, long_, long_), axis=1), resp_ids.reshape(n, 4, -1),
+                 mask.reshape(n, 4, -1), np.array(len_w), np.array(len_l))
 
 
 def _non_finite(message: str, step: int, sample_index: int, **detail) -> NonFiniteLossError:
@@ -285,9 +288,8 @@ def _eval_rows(vocab: Vocab, eval_set: Sequence[ForgedSample], context_kind: str
         raise ValueError("context_kind must be 'short' or 'long'")
     if not eval_set:
         raise ValueError("eval set must be non-empty")
-    return encode_prompts(vocab, (
-        assemble_prompt(s.x_short if context_kind == "short" else s.x_long, s.question)
-        for s in eval_set))
+    return encode_contexts(vocab, [s.x_short if context_kind == "short" else s.x_long
+                                   for s in eval_set], [s.question for s in eval_set])
 
 
 def _accuracy(model: ToyLM, counts: np.ndarray, eval_set: Sequence[ForgedSample],

@@ -241,6 +241,19 @@ class TestForgeTrainEvalPipeline:
         margins = (out / "reports" / "margins.csv").read_text().splitlines()
         assert margins[0] == "step,alpha=0#seed0,alpha=0#seed1,alpha=1#seed0,alpha=1#seed1"
 
+    def test_eval_out_of_vocabulary_names_file_record_and_token(self, forged, tmp_path,
+                                                                 capsys):
+        ckpt = tmp_path / "ckpt.json"
+        save_model(ToyLM(needle_vocab(), 4, 0), ckpt)
+        records = [json.loads(line) for line in forged.read_text().splitlines()]
+        records[3]["x_short"] += " zz"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc = run(["eval", "--out", tmp_path / "r", "--set", f"checkpoint={ckpt}",
+                  "--set", f"dataset={bad}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r",
+                             f"{bad}: record 3: token not in vocabulary: 'zz'")
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run(["train", "--out", tmp_path / "r"]) == 1
 

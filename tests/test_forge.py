@@ -11,7 +11,7 @@ from shortlong.corpus import (PrefixedStubGenerator, SourceSample, StubGenerator
                               build_chain_corpus, needle_profile, needle_vocab,
                               value_token, word_profile)
 from shortlong.forge import (DistractorPool, ForgedSample, HaystackConfig,
-                             InsufficientPoolError, curate_pair, forge_dataset, read_forged_jsonl,
+                             InsufficientPoolError, _partition, curate_pair, forge_dataset, read_forged_jsonl,
                              read_source_jsonl, sub_em, synthesize_context,
                              token_count, write_forged_jsonl)
 
@@ -156,6 +156,20 @@ class TestCuratePair:
         a = curate_pair(cands, "1960", np.random.default_rng(3))
         b = curate_pair(cands, "1960", np.random.default_rng(3))
         assert a == b
+
+    def test_partition_matches_sub_em(self):
+        """Each candidate lands where sub_em puts it, duplicates included, in
+        input order."""
+        rng = np.random.default_rng(11)
+        pieces = ["The answer is:", "the answer is: ", "1960", "the 1960", "1850", "An",
+                  "no answer.", "1960!", "WAIT", "İ"]
+        for gold in ("1960", "the 1960", "1850"):
+            candidates = [" ".join(rng.choice(pieces, size=int(rng.integers(1, 5))))
+                          for _ in range(40)]
+            candidates += candidates[:10]
+            correct, incorrect = _partition(candidates, gold)
+            assert correct == [c for c in candidates if sub_em(c, gold)]
+            assert incorrect == [c for c in candidates if not sub_em(c, gold)]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):

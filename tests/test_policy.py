@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from shortlong.policy import (BOS, EOS, SEP, ScoredSequence, ToyLM, Vocab, bag_of_tokens,
-                              decode_rows, encode_prompts, freeze, greedy_decode, load_model,
-                              logprob, logprob_with_grad, pad_responses, param_grad, sample,
-                              save_model, score_rows)
+import shortlong.policy as policy_mod
+from shortlong.corpus import StubGenerator, build_chain_corpus, word_profile
+from shortlong.forge import HaystackConfig, forge_dataset
+from shortlong.policy import (BOS, EOS, SEP, ScoredSequence, ToyLM, Vocab, assemble_prompt,
+                              bag_of_tokens, decode_rows, encode_contexts, encode_prompts,
+                              freeze, greedy_decode, load_model, logprob, logprob_with_grad,
+                              pad_responses, param_grad, sample, save_model, score_rows)
 
 WORDS = ("w0", "w1", "w2", "w3", "w4", "w5", "w6")
 
@@ -265,6 +268,21 @@ class TestScoreRows:
         for k in grads:
             np.testing.assert_array_equal(grads[k], grads2[k])
 
+    def test_row_without_positions_contributes_nothing(self, model, vocab):
+        """A weighted row whose mask is all False adds no gradient, wherever
+        it sits among the segments the backward sums."""
+        counts, ids, mask = self.rows(vocab, self.ITEMS)
+        weights = np.array([0.7, -1.3, 2.1, 0.4])
+        grads = score_rows(model, counts, ids, mask)[1](weights)
+        for at in (0, 2, 4):
+            empty = np.zeros((1, mask.shape[1]), dtype=bool)
+            with_empty = score_rows(model, np.insert(counts, at, counts[1], axis=0),
+                                    np.insert(ids, at, ids[1], axis=0),
+                                    np.insert(mask, at, empty, axis=0))[1]
+            got = with_empty(np.insert(weights, at, 5.0))
+            for k in grads:
+                np.testing.assert_allclose(got[k], grads[k], rtol=0, atol=1e-12)
+
     def test_backward_is_repeatable_and_linear(self, model, vocab):
         """One pass serves any number of backward calls: each equals a fresh
         pass's backward bit for bit, and the gradient is linear in the weights."""
@@ -289,6 +307,124 @@ class TestScoreRows:
         assert scored == logprob(model, ctx, resp)
         for k in row:
             np.testing.assert_allclose(again[k], row[k], rtol=1e-12, atol=1e-15)
+
+
+def prompt_rows(vocab, contexts, questions):
+    """The per-prompt reference that :func:`encode_contexts` must match."""
+    return np.array([bag_of_tokens(vocab.encode(assemble_prompt(c, q)), vocab.size)
+                     for c, q in zip(contexts, questions)]).reshape(-1, vocab.size)
+
+
+def first_error(vocab, contexts, questions):
+    """``record i: <message>`` of the first prompt the per-prompt path rejects."""
+    for i, (c, q) in enumerate(zip(contexts, questions)):
+        try:
+            vocab.encode(assemble_prompt(c, q))
+        except ValueError as exc:
+            return f"record {i}: {exc}"
+    return None
+
+
+class TestEncodeContexts:
+    # Joints between documents, several of which are not the split literal
+    # " <sep> " (no spaces, other whitespace, doubled separators). "<sep>"
+    # glued to a word makes an out-of-vocabulary token such as "w0<sep>".
+    JOINTS = (" <sep> ", " <sep> ", " <sep>  ", "  <sep> ", " <sep> <sep> ", "<sep>",
+              " <sep>", "<sep> ", "\t<sep>\n", "\xa0<sep>\xa0", " \u3000 ", "\n", "\t ", " ")
+    SPACES = (" ", " ", " ", "  ", "\t", "\n", "\xa0", "\u3000")
+
+    def fuzz_batch(self, rng, vocab, n_rows, clean):
+        """Rows of repeated documents; with ``clean`` every row encodes."""
+        words = WORDS + (SEP, BOS, EOS)
+        docs = ["".join(rng.choice(self.SPACES) + rng.choice(words)
+                        for _ in range(rng.integers(0, 6))) for _ in range(12)]
+        # Some documents have no leading or trailing whitespace.
+        docs = [d.strip() if rng.random() < 0.5 else d + rng.choice(self.SPACES) for d in docs]
+
+        def row():
+            k = int(rng.integers(0, 8))
+            # Documents repeat across and within rows, as haystacks do.
+            text = rng.choice(self.JOINTS).join(docs[int(rng.integers(len(docs)))]
+                                                for _ in range(k))
+            if rng.random() < 0.2:
+                text = rng.choice(self.JOINTS) + text
+            if rng.random() < 0.2:
+                text = text + rng.choice(self.JOINTS)
+            question = docs[int(rng.integers(len(docs)))] if rng.random() < 0.9 else ""
+            return text, question
+
+        contexts, questions = [], []
+        while len(contexts) < n_rows:
+            text, question = row()
+            if not clean or first_error(vocab, [text], [question]) is None:
+                contexts.append(text)
+                questions.append(question)
+        return contexts, questions
+
+    @pytest.mark.parametrize("block_chars", [None, 1, 200])
+    def test_fuzz_equals_per_prompt_encoding(self, vocab, monkeypatch, block_chars):
+        """Bit for bit the rows of the per-prompt path, in one block or in
+        many; where that path rejects a prompt, the same record and token."""
+        if block_chars is not None:
+            monkeypatch.setattr(policy_mod, "_BLOCK_CHARS", block_chars)
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for trial in range(80):
+            contexts, questions = self.fuzz_batch(rng, vocab, int(rng.integers(0, 20)),
+                                                  clean=trial % 4 != 0)
+            error = first_error(vocab, contexts, questions)
+            outcomes.add(error is None)
+            if error is None:
+                got = encode_contexts(vocab, contexts, questions)
+                assert got.shape == (len(contexts), vocab.size)
+                np.testing.assert_array_equal(got, prompt_rows(vocab, contexts, questions))
+            else:
+                with pytest.raises(ValueError) as exc:
+                    encode_contexts(vocab, contexts, questions)
+                assert str(exc.value) == error
+        assert outcomes == {True, False}
+
+    def test_edge_contexts(self, vocab):
+        contexts = ["", " ", f" {SEP} ", f"{SEP}", f" {SEP}  {SEP} w1", f"w0 {SEP} {SEP} w1 ",
+                    f"w0 {SEP} w0 {SEP} w0", "w2\xa0<sep>\u3000w3", "\tw4\n"]
+        questions = ["w5", "", "w6 w6", "", "w0", "w1", "w2", "", "w3"]
+        np.testing.assert_array_equal(encode_contexts(vocab, contexts, questions),
+                                      prompt_rows(vocab, contexts, questions))
+        assert encode_contexts(vocab, [], []).shape == (0, vocab.size)
+
+    def test_longer_than_one_block(self, vocab):
+        rng = np.random.default_rng(5)
+        docs = [" ".join(rng.choice(WORDS, size=9)) for _ in range(40)]
+        contexts = [f" {SEP} ".join(rng.choice(docs, size=120)) for _ in range(80)]
+        questions = [" ".join(rng.choice(WORDS, size=3)) for _ in contexts]
+        assert sum(map(len, contexts)) > 4 * policy_mod._BLOCK_CHARS
+        np.testing.assert_array_equal(encode_contexts(vocab, contexts, questions),
+                                      prompt_rows(vocab, contexts, questions))
+
+    def test_forged_word_corpus_records(self):
+        sources, pool = build_chain_corpus(10, 300, seed=7, profile=word_profile())
+        data, _ = forge_dataset(sources, pool, StubGenerator(p_correct=0.5, n=8),
+                                HaystackConfig(target_short_tokens=60, target_long_tokens=400,
+                                               seed=8))
+        tokens = {t for s in data for text in (s.x_short, s.x_long, s.question)
+                  for t in text.split()}
+        vocab = Vocab((BOS, EOS, SEP) + tuple(sorted(tokens - {BOS, EOS, SEP})))
+        questions = [s.question for s in data]
+        for contexts in ([s.x_short for s in data], [s.x_long for s in data]):
+            np.testing.assert_array_equal(encode_contexts(vocab, contexts, questions),
+                                          prompt_rows(vocab, contexts, questions))
+
+    def test_out_of_vocabulary_names_record_and_first_token(self, vocab):
+        contexts = [f"w0 {SEP} w1", f"w2 {SEP} w3 zz {SEP} yy", f"yy {SEP} w0"]
+        with pytest.raises(ValueError, match=r"^record 1: token not in vocabulary: 'zz'$"):
+            encode_contexts(vocab, contexts, ["w4", "w5", "w6"])
+        # A known document does not hide an unknown question token.
+        with pytest.raises(ValueError, match=r"^record 0: token not in vocabulary: 'qq'$"):
+            encode_contexts(vocab, ["w0"], ["w1 qq"])
+
+    def test_one_question_per_context(self, vocab):
+        with pytest.raises(ValueError, match="question"):
+            encode_contexts(vocab, ["w0", "w1"], ["w2"])
 
 
 class TestFreeze:

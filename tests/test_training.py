@@ -1,6 +1,7 @@
 """Trainer: schedule, determinism, telemetry, evaluation, comparisons."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,25 +213,35 @@ class TestTrain:
         assert err.value.diagnostic["sample_index"] == 0
 
     def test_prompts_encoded_once_per_dataset(self, world, monkeypatch):
-        """Encoding happens once per dataset, not once per step; the DPO
-        reference is scored from the same encoding."""
+        """Encoding happens once per dataset, not once per step: one
+        encode_contexts call over the short prompts and one over the long,
+        and one Vocab.encode per response; the DPO reference is scored from
+        the same encoding."""
+        import shortlong.training as training_mod
+
         vocab, data, _ = world
-        calls = []
-        original = Vocab.encode
+        prompt_calls, response_calls = [], []
+        original_contexts, original_encode = training_mod.encode_contexts, Vocab.encode
 
-        def counting(self, tokens):
-            calls.append(len(tokens))
-            return original(self, tokens)
+        def counting_contexts(vocab, contexts, questions):
+            prompt_calls.append(len(contexts))
+            return original_contexts(vocab, contexts, questions)
 
-        monkeypatch.setattr(Vocab, "encode", counting)
+        def counting_encode(self, tokens):
+            response_calls.append(len(tokens))
+            return original_encode(self, tokens)
+
+        monkeypatch.setattr(training_mod, "encode_contexts", counting_contexts)
+        monkeypatch.setattr(Vocab, "encode", counting_encode)
         counts = {}
         for method, epochs in ((Method.ORPO, 1), (Method.ORPO, 3), (Method.DPO, 1),
                                (Method.DPO, 3)):
-            calls.clear()
+            prompt_calls.clear()
+            response_calls.clear()
             cfg = TrainConfig(MethodConfig(method), batch_size=8, epochs=epochs, seed=0)
             train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
-            counts[method, epochs] = len(calls)
-        assert set(counts.values()) == {4 * len(data)}
+            counts[method, epochs] = (tuple(prompt_calls), len(response_calls))
+        assert set(counts.values()) == {((len(data), len(data)), 2 * len(data))}
 
     def test_vocab_must_match_model(self, world):
         """The same tokens in another order would encode differently, so a
@@ -240,6 +251,20 @@ class TestTrain:
         cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8, seed=0)
         with pytest.raises(ValueError, match="vocab"):
             train(ToyLM(shuffled, hidden_dim=8, seed=1), data, cfg, vocab)
+
+    @pytest.mark.parametrize("field", ["x_short", "x_long", "question", "y_l"])
+    def test_out_of_vocabulary_names_record_and_token(self, world, field):
+        vocab, data, _ = world
+        bad = list(data[:6])
+        bad[4] = replace(bad[4], **{field: getattr(bad[4], field) + " zz"})
+        cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8, seed=0)
+        message = r"^record 4: token not in vocabulary: 'zz'$"
+        with pytest.raises(ValueError, match=message):
+            train(ToyLM(vocab, 8, 0), bad, cfg, vocab)
+        if field != "y_l":  # evaluate encodes prompts only
+            with pytest.raises(ValueError, match=message):
+                evaluate(ToyLM(vocab, 8, 0), bad, "long" if field == "x_long" else "short",
+                         vocab)
 
     def test_empty_dataset_rejected(self, world):
         vocab, _, _ = world
@@ -293,28 +318,25 @@ class TestEvaluate:
         se = math.sqrt(p * (1 - p) / len(eval_set))
         assert abs(acc - p) <= 4 * se
 
-    def test_short_and_long_use_their_contexts(self, world):
+    def test_short_and_long_use_their_contexts(self, world, monkeypatch):
         vocab, _, eval_set = world
         seen = []
         import shortlong.training as training_mod
 
-        original = training_mod.encode_prompts
+        original = training_mod.encode_contexts
 
-        def spy(vocab, prompts):
-            prompts = list(prompts)
-            seen.extend(len(p) for p in prompts)
-            return original(vocab, prompts)
+        def spy(vocab, contexts, questions):
+            seen.extend(len(assemble_prompt(c, q)) for c, q in zip(contexts, questions))
+            return original(vocab, contexts, questions)
 
-        training_mod.encode_prompts = spy
+        monkeypatch.setattr(training_mod, "encode_contexts", spy)
         model = ToyLM(vocab, hidden_dim=8, seed=0)
-        try:
-            evaluate(model, eval_set[:4], "short", vocab)
-            short_lens = list(seen)
-            seen.clear()
-            evaluate(model, eval_set[:4], "long", vocab)
-            long_lens = list(seen)
-        finally:
-            training_mod.encode_prompts = original
+        evaluate(model, eval_set[:4], "short", vocab)
+        short_lens = list(seen)
+        seen.clear()
+        evaluate(model, eval_set[:4], "long", vocab)
+        long_lens = list(seen)
+        assert len(short_lens) == len(long_lens) == 4
         assert max(short_lens) < min(long_lens)
 
 
