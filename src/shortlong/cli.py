@@ -80,36 +80,46 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
+def _at_least(least: int) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < least:
+            raise ValueError(f"expected an integer >= {least}, got {value}")
+        return value
+    return parse
+
+
 # Per subcommand, key -> (parser, default). A None default leaves the value
 # to the library call it feeds (or, for the corpus keys, to the corpus).
 _SEED = {"seed": (int, 0)}
+_COUNT = _at_least(1)
 KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "verify-bounds": {
         **_SEED, "lemma_instances": (int, 1_000_000), "theorem1_scenarios": (int, 10_000),
         "theorem2_scenarios": (int, 10_000), "necessity_attempts": (int, 100_000),
         "selftest_instances": (int, 10_000)},
     "forge": {
-        **_SEED, "corpus": (str, "builtin-needle"), "corpus_sources": (int, None),
-        "corpus_pool": (int, None), "corpus_seed": (int, None), "distractor_pool": (str, None),
-        "n_target": (int, None), "target_short_tokens": (int, None),
-        "target_long_tokens": (int, None), "tolerance_frac": (float, None),
+        **_SEED, "corpus": (str, "builtin-needle"), "corpus_sources": (_COUNT, None),
+        "corpus_pool": (_COUNT, None), "corpus_seed": (int, None), "distractor_pool": (str, None),
+        "n_target": (_COUNT, None), "target_short_tokens": (_COUNT, None),
+        "target_long_tokens": (_COUNT, None), "tolerance_frac": (float, None),
         "condition_on": (str, None), "intersection": (_bool, None),
         "generator": (_choice("stub", "policy"), "stub"), "stub_p_correct": (float, 0.5),
-        "stub_n": (int, None), "policy_checkpoint": (str, None), "policy_n": (int, None),
-        "policy_temperature": (float, None), "policy_max_len": (int, None)},
+        "stub_n": (_COUNT, None), "policy_checkpoint": (str, None), "policy_n": (_COUNT, None),
+        "policy_temperature": (float, None), "policy_max_len": (_COUNT, None)},
     "train": {
         **_SEED, "dataset": (str, None), "eval_dataset": (str, None),
         "method": (Method, Method.ORPO), "alpha": (float, None), "beta": (float, None),
         "gamma": (float, None), "eta": (float, None), "ra_mode": (RAMode, None),
         "include_nll": (_bool, None), "lr_max": (float, None), "warmup_ratio": (float, None),
-        "batch_size": (int, None), "epochs": (int, None), "eval_every": (int, None),
-        "po_context": (str, None), "telemetry": (_bool, None), "model_hidden": (int, None),
+        "batch_size": (_COUNT, None), "epochs": (_COUNT, None), "eval_every": (_at_least(0), None),
+        "po_context": (str, None), "telemetry": (_bool, None), "model_hidden": (_COUNT, None),
         "model_seed": (int, None)},
     "eval": {
         **_SEED, "checkpoint": (str, None), "dataset": (str, None),
-        "context": (_choice("short", "long", "both"), "both"), "max_len": (int, None)},
+        "context": (_choice("short", "long", "both"), "both"), "max_len": (_COUNT, None)},
     "speedup": _SEED,
-    "grad-check": {**_SEED, "points": (int, 200)},
+    "grad-check": {**_SEED, "points": (_COUNT, 200)},
 }
 _METHOD_KEYS = ("alpha", "beta", "gamma", "eta", "ra_mode", "include_nll")
 _TRAIN_KEYS = ("lr_max", "warmup_ratio", "batch_size", "epochs", "eval_every",
@@ -279,7 +289,7 @@ def cmd_forge(args, v: dict, out: Path) -> int:
     targets = _CORPORA[v["corpus"]][3] if v["corpus"] in _CORPORA else {}
     cfg = HaystackConfig(seed=v["seed"], **{**targets, **_given(
         v, "target_short_tokens", "target_long_tokens", "tolerance_frac")})
-    samples, stats = forge_dataset(sources, pool, generator, cfg, v["n_target"] or None,
+    samples, stats = forge_dataset(sources, pool, generator, cfg, v["n_target"],
                                    **_given(v, "condition_on", "intersection"))
     write_forged_jsonl(samples, out / "data" / "forged.jsonl")
     (out / "data" / "forge_stats.json").write_text(stats.to_json())

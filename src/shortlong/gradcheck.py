@@ -28,15 +28,16 @@ def relative_error(analytic, numeric):
 def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[np.ndarray]:
     """Distances to the nearest non-differentiable points of the total loss,
     one (n,) array per kink."""
-    from .losses import _RA_SIDES, _alignment_gap, _short_margin_arg  # internal on purpose
+    from .losses import (_METHODS, _RA_SIDES, _alignment_gap,  # internal on purpose
+                         _short_margin_arg)
 
     dists = []
     if cfg.link is ConvexLink.HINGE:
         dists.append(abs(_short_margin_arg(cfg, b)))
-    if cfg.alpha > 0 and cfg.link is not ConvexLink.SQUARE:
+    if cfg.alpha > 0:
         if cfg.ra_mode is RAMode.KL_APPROX:
             dists.append(abs(b.lp_w_short - b.lp_w_long))
-        else:
+        elif not _METHODS[cfg.method].squared_gap:  # a squared gap has no kink
             dists += [abs(_alignment_gap(cfg, b, side)) for side in _RA_SIDES[cfg.ra_mode]]
     return dists
 
@@ -127,10 +128,8 @@ def check_policy_gradients(seed: int, *, h: float = 1e-5) -> dict:
         b = LogProbBundle(lp_w_short=lps[0], lp_l_short=lps[1],
                           lp_w_long=lps[2], lp_l_long=lps[3],
                           len_w=len(items[0][1]), len_l=len(items[1][1]))
-        grad = grad_solopo(cfg, b)
-        return (solopo_loss(cfg, b).total,
-                np.array([grad["lp_w_short"], grad["lp_l_short"],
-                          grad["lp_w_long"], grad["lp_l_long"]]))
+        breakdown = solopo_loss(cfg, b)
+        return breakdown.total, np.array([breakdown.grads[k] for k in GRAD_FIELDS[:4]])
 
     _, analytic = param_grad(model, items, loss)
     rows = _encode_rows(model.vocab, items)

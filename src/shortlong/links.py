@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,29 +42,6 @@ def _check_finite(x) -> np.ndarray:
     return x
 
 
-def eval_link(link: ConvexLink, x):
-    """Evaluate the convex link at ``x``.
-
-    logistic(x) = log(1 + e^-x), square(x) = x^2, hinge(x) = max(0, -x),
-    squared_hinge(x) = max(0, -x)^2, exponential(x) = e^-x.
-    Stable for |x| up to ~700; the logistic path never forms e^-x directly.
-    """
-    x = _check_finite(x)
-    if link is ConvexLink.LOGISTIC:
-        out = np.logaddexp(0.0, -x)
-    elif link is ConvexLink.SQUARE:
-        out = x * x
-    elif link is ConvexLink.HINGE:
-        out = np.maximum(0.0, -x)
-    elif link is ConvexLink.SQUARED_HINGE:
-        out = np.maximum(0.0, -x) ** 2
-    elif link is ConvexLink.EXPONENTIAL:
-        out = np.exp(-x)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown link {link!r}")
-    return out if out.ndim else float(out)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Piecewise form: never exponentiates a positive argument.
     pos = x >= 0
@@ -71,22 +49,55 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
+@dataclass(frozen=True)
+class _Link:
+    """One link: ``f(x)``, its derivative ``df(x)`` (subgradient 0 at a kink),
+    and its paired envelope ``s(x, |x|, gamma)``."""
+
+    f: Callable
+    df: Callable
+    s: Callable
+
+
+# The hinge-family envelopes are clamped at zero: the unclamped forms go
+# negative on |x| < gamma and cannot dominate a nonnegative link there.
+_LINKS = {
+    ConvexLink.LOGISTIC: _Link(f=lambda x: np.logaddexp(0.0, -x),
+                               df=lambda x: _sigmoid(x) - 1.0,
+                               s=lambda x, ax, g: ax + 2.0 * np.logaddexp(0.0, 3.0 * g)),
+    ConvexLink.SQUARE: _Link(f=lambda x: x * x,
+                             df=lambda x: 2.0 * x,
+                             s=lambda x, ax, g: 2.0 * x * x + 2.0 * g * g),
+    ConvexLink.HINGE: _Link(f=lambda x: np.maximum(0.0, -x),
+                            df=lambda x: np.where(x < 0, -1.0, 0.0),
+                            s=lambda x, ax, g: np.maximum(0.0, ax - g)),
+    ConvexLink.SQUARED_HINGE: _Link(f=lambda x: np.maximum(0.0, -x) ** 2,
+                                    df=lambda x: np.where(x < 0, 2.0 * x, 0.0),
+                                    s=lambda x, ax, g: np.maximum(0.0, x * x - g * g)),
+    # The sum-of-exponentials envelope matches f(x+g) + f(-x+g) bit-for-bit.
+    ConvexLink.EXPONENTIAL: _Link(f=lambda x: np.exp(-x),
+                                  df=lambda x: -np.exp(-x),
+                                  s=lambda x, ax, g: np.exp(-ax - g) + np.exp(ax - g)),
+}
+
+
+def _result(out: np.ndarray):
+    return out if out.ndim else float(out)
+
+
+def eval_link(link: ConvexLink, x):
+    """Evaluate the convex link at ``x``.
+
+    logistic(x) = log(1 + e^-x), square(x) = x^2, hinge(x) = max(0, -x),
+    squared_hinge(x) = max(0, -x)^2, exponential(x) = e^-x.
+    Stable for |x| up to ~700; the logistic path never forms e^-x directly.
+    """
+    return _result(_LINKS[link].f(_check_finite(x)))
+
+
 def link_deriv(link: ConvexLink, x):
     """Derivative of the link; kinked links use subgradient 0 at the kink."""
-    x = _check_finite(x)
-    if link is ConvexLink.LOGISTIC:
-        out = _sigmoid(x) - 1.0
-    elif link is ConvexLink.SQUARE:
-        out = 2.0 * x
-    elif link is ConvexLink.HINGE:
-        out = np.where(x < 0, -1.0, 0.0)
-    elif link is ConvexLink.SQUARED_HINGE:
-        out = np.where(x < 0, 2.0 * x, 0.0)
-    elif link is ConvexLink.EXPONENTIAL:
-        out = -np.exp(-x)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown link {link!r}")
-    return out if out.ndim else float(out)
+    return _result(_LINKS[link].df(_check_finite(x)))
 
 
 @dataclass(frozen=True)
@@ -104,25 +115,6 @@ def eval_bound(bound: BoundFn, x):
     Pairings: logistic -> |x| + 2 log(1 + e^{3 gamma}); square -> 2x^2 + 2 gamma^2;
     hinge -> max(0, |x| - gamma); squared hinge -> max(0, x^2 - gamma^2);
     exponential -> e^{-|x| - gamma} + e^{|x| - gamma}  (= 2 e^-gamma cosh|x|).
-
-    The hinge-family envelopes are clamped at zero: the unclamped forms go
-    negative on |x| < gamma and cannot dominate a nonnegative link there.
     """
     x = _check_finite(x)
-    g = np.asarray(bound.gamma, dtype=np.float64)
-    ax = np.abs(x)
-    link = bound.link
-    if link is ConvexLink.LOGISTIC:
-        out = ax + 2.0 * np.logaddexp(0.0, 3.0 * g)
-    elif link is ConvexLink.SQUARE:
-        out = 2.0 * x * x + 2.0 * g * g
-    elif link is ConvexLink.HINGE:
-        out = np.maximum(0.0, ax - g)
-    elif link is ConvexLink.SQUARED_HINGE:
-        out = np.maximum(0.0, x * x - g * g)
-    elif link is ConvexLink.EXPONENTIAL:
-        # Sum-of-exponentials form matches f(x+g) + f(-x+g) bit-for-bit.
-        out = np.exp(-ax - g) + np.exp(ax - g)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown link {link!r}")
-    return out if out.ndim else float(out)
+    return _result(_LINKS[bound.link].s(x, np.abs(x), np.asarray(bound.gamma, dtype=np.float64)))

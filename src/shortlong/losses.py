@@ -5,9 +5,9 @@ The objective is ``f(eta * (r(x_short, y_w) - r(x_short, y_l) - gamma))`` plus
 the short context and under the long context. Only the reward ``r`` and the
 link ``f`` change from one algorithm to the next, so each algorithm is one row
 of ``_METHODS``. Everything here is a pure, elementwise function of a
-:class:`LogProbBundle` whose fields are scalars or equal-length arrays;
-analytic gradients with respect to every log-probability field are provided
-for the trainer.
+:class:`LogProbBundle` whose fields are scalars or equal-length arrays, and
+:func:`solopo_loss` evaluates every term and its analytic gradient in one pass;
+the other public losses read that pass.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def _log_odds_deriv(t):
 @dataclass(frozen=True)
 class _Row:
     """One algorithm: its link, default hyperparameters, whether it reads a
-    reference policy and keeps it in the alignment gap, and its reward
+    reference policy, keeps it in the alignment gap and squares that gap
+    (instead of taking its absolute value), and its reward
     ``reward(beta, lp, ref_lp, length)`` with the derivative
     ``dreward(beta, lp, length)`` = dr/dlp (a reference-reading reward is a
     function of lp - ref_lp, so dr/dref_lp = -dr/dlp)."""
@@ -93,6 +94,7 @@ class _Row:
     alpha: float = 1.0
     needs_reference: bool = False
     gap_keeps_reference: bool = False
+    squared_gap: bool = False
     include_nll: bool = False    # the method has an NLL term, on by default
 
 
@@ -110,7 +112,7 @@ _METHODS = {
                       reward=lambda beta, lp, ref, n: _log_odds(lp / n),
                       dreward=lambda beta, lp, n: _log_odds_deriv(lp / n) / n),
     Method.IPO: _Row(ConvexLink.SQUARE, beta=1.0, needs_reference=True,
-                     gap_keeps_reference=True,
+                     gap_keeps_reference=True, squared_gap=True,
                      reward=lambda beta, lp, ref, n: lp - ref,
                      dreward=lambda beta, lp, n: 1.0),
     Method.SLIC: _Row(ConvexLink.HINGE, beta=1.0,
@@ -197,17 +199,14 @@ GRAD_FIELDS = (
 
 @dataclass
 class LossBreakdown:
-    """total = po_term + alpha * ra_term + nll_term."""
+    """total = po_term + alpha * ra_term + nll_term, and ``grads``, which maps
+    every name in :data:`GRAD_FIELDS` to d total / d field."""
 
     total: float | np.ndarray
     po_term: float | np.ndarray
     ra_term: float | np.ndarray
-    nll_term: float | np.ndarray = 0.0
-
-
-def _require_reference(cfg: MethodConfig, bundle: LogProbBundle) -> None:
-    if cfg.needs_reference and not bundle.has_reference():
-        raise ValueError(f"{cfg.method.value} requires reference log-probs")
+    nll_term: float | np.ndarray
+    grads: dict
 
 
 def reward(cfg: MethodConfig, lp, ref_lp, length):
@@ -229,16 +228,6 @@ def _short_margin_arg(cfg: MethodConfig, b: LogProbBundle):
     return cfg.eta * (r_w - r_l - cfg.gamma)
 
 
-def _nll(cfg: MethodConfig, b: LogProbBundle):
-    return -b.lp_w_short / b.len_w if cfg.include_nll else 0.0
-
-
-def po_loss(cfg: MethodConfig, b: LogProbBundle):
-    """Short-context preference loss f(eta * (r_w - r_l - gamma)) (+ ORPO NLL)."""
-    _require_reference(cfg, b)
-    return eval_link(cfg.link, _short_margin_arg(cfg, b)) + _nll(cfg, b)
-
-
 def _alignment_gap(cfg: MethodConfig, b: LogProbBundle, side: str):
     """r(x_short, y) - r(x_long, y) for response ``side`` ("w" or "l").
 
@@ -255,10 +244,10 @@ def _alignment_gap(cfg: MethodConfig, b: LogProbBundle, side: str):
     return row.reward(cfg.beta, lp_s, ref_s, length) - row.reward(cfg.beta, lp_l, ref_l, length)
 
 
-def _gap_penalty(cfg: MethodConfig, gap) -> tuple:
-    """(penalty, d penalty / d gap). Square-link methods penalize the squared
-    gap (shape of their envelope); everything else uses the absolute gap."""
-    if cfg.link in (ConvexLink.SQUARE, ConvexLink.SQUARED_HINGE):
+def _gap_penalty(row: _Row, gap) -> tuple:
+    """(penalty, d penalty / d gap): the squared gap for a ``squared_gap``
+    row, the absolute gap otherwise."""
+    if row.squared_gap:
         return gap * gap, 2.0 * gap
     return abs(gap), np.sign(gap)
 
@@ -267,68 +256,74 @@ def _gap_penalty(cfg: MethodConfig, gap) -> tuple:
 _RA_SIDES = {RAMode.CHOSEN_ONLY: ("w",), RAMode.BOTH: ("w", "l")}
 
 
-def solo_ra_term(cfg: MethodConfig, b: LogProbBundle):
-    """Short-to-long reward alignment penalty (unweighted by alpha).
-
-    chosen_only: penalty on the chosen response's reward gap; both: mean of
-    the chosen and rejected gaps; kl_approx: raw |lp_w_short - lp_w_long|.
-    """
-    _require_reference(cfg, b)
-    if cfg.ra_mode is RAMode.KL_APPROX:
-        return abs(b.lp_w_short - b.lp_w_long)
-    sides = _RA_SIDES[cfg.ra_mode]
-    penalties = [_gap_penalty(cfg, _alignment_gap(cfg, b, side))[0] for side in sides]
-    return sum(penalties) / len(sides)
-
-
 def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
-    """Full objective, with components reported separately."""
-    _require_reference(cfg, b)
-    po = eval_link(cfg.link, _short_margin_arg(cfg, b))
-    nll = _nll(cfg, b)
-    ra = solo_ra_term(cfg, b)
-    return LossBreakdown(total=po + cfg.alpha * ra + nll,
-                         po_term=po, ra_term=ra, nll_term=nll)
+    """The full objective, its terms and its gradient ``grads``, from one
+    evaluation of the margin and of each alignment gap.
 
-
-def grad_solopo(cfg: MethodConfig, b: LogProbBundle) -> dict:
-    """Partial derivatives of the total loss w.r.t. all eight log-prob fields.
-
-    Keys follow :data:`GRAD_FIELDS`; reference entries are zero unless the
-    method's reward reads the reference (references are frozen inputs, but
+    Alignment: chosen_only penalizes the chosen response's reward gap, both
+    averages the chosen and rejected penalties, kl_approx is the raw
+    |lp_w_short - lp_w_long|. Reference entries of ``grads`` are zero unless
+    the method's reward reads the reference (references are frozen inputs, but
     DPO/IPO rewards still carry the analytic -beta/-1 terms so finite
     differences over the raw fields agree). Kinks take subgradient 0.
     """
-    _require_reference(cfg, b)
+    if cfg.needs_reference and not b.has_reference():
+        raise ValueError(f"{cfg.method.value} requires reference log-probs")
     row = _METHODS[cfg.method]
     g = dict.fromkeys(GRAD_FIELDS, 0.0)
-
-    # Preference term.
-    fz = link_deriv(cfg.link, _short_margin_arg(cfg, b)) * cfg.eta
-    g["lp_w_short"] = fz * row.dreward(cfg.beta, b.lp_w_short, b.len_w)
-    g["lp_l_short"] = -fz * row.dreward(cfg.beta, b.lp_l_short, b.len_l)
+    z = _short_margin_arg(cfg, b)
+    po = eval_link(cfg.link, z)
+    fz = link_deriv(cfg.link, z) * cfg.eta
+    # dr/dlp per field, each evaluated at most once (the gaps reuse these).
+    slopes = {"lp_w_short": row.dreward(cfg.beta, b.lp_w_short, b.len_w),
+              "lp_l_short": row.dreward(cfg.beta, b.lp_l_short, b.len_l)}
+    g["lp_w_short"] = fz * slopes["lp_w_short"]
+    g["lp_l_short"] = -fz * slopes["lp_l_short"]
     if row.needs_reference:
         g["ref_lp_w_short"] = -g["lp_w_short"]
         g["ref_lp_l_short"] = -g["lp_l_short"]
+    nll = -b.lp_w_short / b.len_w if cfg.include_nll else 0.0
     if cfg.include_nll:
         g["lp_w_short"] = g["lp_w_short"] - 1.0 / b.len_w
 
-    # Alignment term.
     a = cfg.alpha
-    if a != 0.0 and cfg.ra_mode is RAMode.KL_APPROX:
-        sgn = np.sign(b.lp_w_short - b.lp_w_long)
-        g["lp_w_short"] = g["lp_w_short"] + a * sgn
-        g["lp_w_long"] = -a * sgn
-    elif a != 0.0:
+    if cfg.ra_mode is RAMode.KL_APPROX:
+        diff = b.lp_w_short - b.lp_w_long
+        ra = abs(diff)
+        if a != 0.0:
+            g["lp_w_short"] = g["lp_w_short"] + a * np.sign(diff)
+            g["lp_w_long"] = -a * np.sign(diff)
+    else:
         sides = _RA_SIDES[cfg.ra_mode]
-        weight = a / len(sides)
-        for side in sides:
-            outer = _gap_penalty(cfg, _alignment_gap(cfg, b, side))[1]
-            length = getattr(b, f"len_{side}")
-            for ctx, sign in (("short", weight), ("long", -weight)):
-                key = f"lp_{side}_{ctx}"
-                d = sign * outer * row.dreward(cfg.beta, getattr(b, key), length)
-                g[key] = g[key] + d
-                if row.gap_keeps_reference:
-                    g["ref_" + key] = g["ref_" + key] - d
-    return {name: _scalar(value) for name, value in g.items()}
+        penalties = [_gap_penalty(row, _alignment_gap(cfg, b, side)) for side in sides]
+        ra = sum(penalty for penalty, _ in penalties) / len(sides)
+        if a != 0.0:
+            weight = a / len(sides)
+            for side, (_, outer) in zip(sides, penalties):
+                length = getattr(b, f"len_{side}")
+                for ctx, sign in (("short", weight), ("long", -weight)):
+                    key = f"lp_{side}_{ctx}"
+                    if key not in slopes:
+                        slopes[key] = row.dreward(cfg.beta, getattr(b, key), length)
+                    d = sign * outer * slopes[key]
+                    g[key] = g[key] + d
+                    if row.gap_keeps_reference:
+                        g["ref_" + key] = g["ref_" + key] - d
+    return LossBreakdown(total=po + a * ra + nll, po_term=po, ra_term=ra, nll_term=nll,
+                         grads={name: _scalar(value) for name, value in g.items()})
+
+
+def po_loss(cfg: MethodConfig, b: LogProbBundle):
+    """Short-context preference loss f(eta * (r_w - r_l - gamma)) (+ ORPO NLL)."""
+    breakdown = solopo_loss(cfg, b)
+    return breakdown.po_term + breakdown.nll_term
+
+
+def solo_ra_term(cfg: MethodConfig, b: LogProbBundle):
+    """Short-to-long reward alignment penalty (unweighted by alpha)."""
+    return solopo_loss(cfg, b).ra_term
+
+
+def grad_solopo(cfg: MethodConfig, b: LogProbBundle) -> dict:
+    """d total / d field for every field of :data:`GRAD_FIELDS`."""
+    return solopo_loss(cfg, b).grads

@@ -19,7 +19,7 @@ import numpy as np
 
 from .forge import ForgedSample, sub_em
 from .links import DomainError
-from .losses import LogProbBundle, MethodConfig, grad_solopo, reward, solopo_loss
+from .losses import LogProbBundle, MethodConfig, reward, solopo_loss
 from .policy import (EOS, ToyLM, Vocab, assemble_prompt, decode_rows, encode_contexts, freeze,
                      pad_responses, score_rows)
 # An alias of policy.logprob, kept importable from here: perfbench/selftest.py
@@ -56,7 +56,7 @@ class TrainConfig:
     telemetry: bool = True       # log reward_margin_long and lp_rejected_long
 
     def __post_init__(self) -> None:
-        if self.lr_max < 0:
+        if not self.lr_max >= 0:
             raise ValueError("lr_max must be nonnegative")
         if not 0 <= self.warmup_ratio < 1:
             raise ValueError("warmup_ratio must lie in [0, 1)")
@@ -148,6 +148,8 @@ def learning_rate(step: int, total_steps: int, lr_max: float,
 # The four scoring rows of every record, in this order: (PO prompt, y_w),
 # (PO prompt, y_l), (long prompt, y_w), (long prompt, y_l).
 _FIELDS = ("lp_w_short", "lp_l_short", "lp_w_long", "lp_l_long")
+# The loss terms a step logs and an abort reports.
+_TERMS = ("total", "po_term", "ra_term", "nll_term")
 
 
 @dataclass
@@ -202,8 +204,9 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     """Run the optimization loop; returns the mutated model and its log.
 
     Each step makes one pass of :func:`~shortlong.policy.score_rows` over all
-    four rows of every record in the batch, evaluates the loss and its
-    gradient once over the batch's (n,) arrays, and backpropagates through
+    four rows of every record in the batch, makes one
+    :func:`~shortlong.losses.solopo_loss` call over the batch's (n,) arrays
+    for the loss terms and their field gradients, and backpropagates through
     that pass's ``backward`` with the field gradients as row weights. A
     non-finite score or loss aborts with :class:`NonFiniteLossError`.
     ``vocab`` must be the model's vocabulary.
@@ -252,23 +255,19 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 bad_total = np.flatnonzero(~np.isfinite(breakdown.total))
                 if bad_total.size:
                     j = int(bad_total[0])
-                    raise _non_finite("non-finite loss", step, int(chunk[j]),
-                                      breakdown={k: float(np.broadcast_to(v, n)[j])
-                                                 for k, v in vars(breakdown).items()})
-                field_grads = grad_solopo(mc, bundle)
+                    terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
+                    raise _non_finite("non-finite loss", step, int(chunk[j]), breakdown=terms)
                 if cfg.telemetry:
                     margin = (reward(mc, bundle.lp_w_long, bundle.ref_lp_w_long, bundle.len_w)
                               - reward(mc, bundle.lp_l_long, bundle.ref_lp_l_long, bundle.len_l))
             except DomainError as exc:  # the ORPO log-odds singularity
                 raise _non_finite(str(exc), step, int(chunk[exc.index]),
                                   error=str(exc)) from exc
-            weights = np.column_stack([np.broadcast_to(field_grads[k], n)
+            weights = np.column_stack([np.broadcast_to(breakdown.grads[k], n)
                                        for k in _FIELDS]) * (1.0 / n)
             opt.step(backward(weights.ravel()), lr)
-            mean = {k: float(np.mean(v)) for k, v in vars(breakdown).items()}
             log.steps.append(StepRecord(
-                step=step, lr=lr, total=mean["total"], po_term=mean["po_term"],
-                ra_term=mean["ra_term"], nll_term=mean["nll_term"],
+                step, lr, *(float(np.mean(getattr(breakdown, k))) for k in _TERMS),
                 reward_margin_long=float(np.mean(margin)) if cfg.telemetry else float("nan"),
                 lp_rejected_long=float(np.mean(bundle.lp_l_long)) if cfg.telemetry
                 else float("nan")))

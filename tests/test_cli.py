@@ -81,6 +81,25 @@ class TestConfigParsing:
         rc = run(["train", "--out", tmp_path / "r", "--set", "epochs=two"])
         assert_clean_failure(rc, capsys, tmp_path / "r", "'epochs'")
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "batch_size", 0), ("train", "batch_size", -4), ("train", "epochs", -1),
+        ("train", "eval_every", -1), ("train", "model_hidden", 0), ("forge", "n_target", 0),
+        ("forge", "n_target", -3), ("forge", "stub_n", 0), ("forge", "corpus_sources", -1),
+        ("eval", "max_len", -1), ("grad-check", "points", 0)])
+    @pytest.mark.parametrize("source", ["--set", "config"])
+    def test_count_out_of_range_names_key_and_where(self, tmp_path, capsys, command, key,
+                                                    value, source):
+        if source == "--set":
+            args, where = ["--set", f"{key}={value}"], "--set"
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"seed = 1\n{key} = {value}\n")
+            args, where = ["--config", cfg], f"{cfg}: line 2"
+        rc = run([command, "--out", tmp_path / "r", *args])
+        least = 0 if key == "eval_every" else 1
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"{where}: config key '{key}'",
+                             f">= {least}, got {value}")
+
     def test_typed_defaults_and_overrides(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 2\nseed = 5\n")

@@ -240,6 +240,14 @@ class TestGradients:
         worst = max(np.max(relative_error(analytic[k], numeric[k])) for k in GRAD_FIELDS)
         assert worst < 1e-5
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_random_bundle_avoids_the_kl_kink(self, method):
+        """kl_approx penalizes |lp_w_short - lp_w_long| for every method, IPO
+        included, so its kink at zero is kept out of the sample."""
+        cfg = MethodConfig(method, ra_mode=RAMode.KL_APPROX)
+        b = random_bundle(np.random.default_rng(32), cfg, 500, kink_margin=0.5)
+        assert np.all(np.abs(b.lp_w_short - b.lp_w_long) > 0.5)
+
     def test_singularity_propagates(self):
         cfg = MethodConfig(Method.ORPO)
         b = full_bundle(lp_w_short=0.0)
@@ -265,6 +273,26 @@ class TestBatch:
             np.testing.assert_allclose(np.broadcast_to(grads[name], len(bundles)),
                                        [grad_solopo(cfg, b)[name] for b in bundles],
                                        rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_public_losses_read_the_one_pass(self, method, mode):
+        """po_loss, solo_ra_term and grad_solopo are exactly the pass's
+        po_term + nll_term, ra_term and grads, for arrays and scalars."""
+        rng = np.random.default_rng(43)
+        cfg = MethodConfig(method, ra_mode=mode, alpha=1.3, eta=1.7)
+        batch = random_bundle(rng, cfg, 16)
+        for b in (batch, row(batch, 3)):
+            bd = solopo_loss(cfg, b)
+            assert set(bd.grads) == set(GRAD_FIELDS)
+            np.testing.assert_array_equal(po_loss(cfg, b), bd.po_term + bd.nll_term)
+            np.testing.assert_array_equal(solo_ra_term(cfg, b), bd.ra_term)
+            grads = grad_solopo(cfg, b)
+            for name in GRAD_FIELDS:
+                np.testing.assert_array_equal(grads[name], bd.grads[name])
+                assert type(grads[name]) is type(bd.grads[name])
+            if b is not batch:
+                assert all(type(v) is float for v in bd.grads.values())
 
     def test_singular_element_is_named(self):
         rng = np.random.default_rng(42)

@@ -134,6 +134,32 @@ class TestTrain:
                 reference = [4 * len(data)] if method in (Method.DPO, Method.IPO) else []
                 assert calls == reference + [4 * 8] * len(log.steps)
 
+    def test_one_loss_pass_per_step(self, world, monkeypatch):
+        """Each step reads the loss terms and the field gradients from one
+        solopo_loss call, and never calls grad_solopo."""
+        import shortlong.losses as losses_mod
+        import shortlong.training as training_mod
+
+        vocab, data, _ = world
+        calls = []
+        original = training_mod.solopo_loss
+
+        def counting(cfg, bundle):
+            calls.append(len(bundle.lp_w_short))
+            return original(cfg, bundle)
+
+        def forbidden(cfg, bundle):
+            raise AssertionError("train called grad_solopo")
+
+        monkeypatch.setattr(training_mod, "solopo_loss", counting)
+        monkeypatch.setattr(losses_mod, "grad_solopo", forbidden)
+        for method in Method:
+            calls.clear()
+            cfg = TrainConfig(MethodConfig(method), batch_size=8, epochs=2, seed=0)
+            _, log = train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
+            assert calls == [8] * len(log.steps)
+        assert not hasattr(training_mod, "grad_solopo")
+
     def test_long_equal_short_degenerates_to_vanilla(self, world):
         """alpha > 0 with x_long == x_short reproduces the alpha = 0 trajectory."""
         vocab, data, _ = world
@@ -212,6 +238,29 @@ class TestTrain:
         assert err.value.diagnostic["step"] == 1
         assert err.value.diagnostic["sample_index"] == 0
 
+    def test_non_finite_loss_names_record_and_terms(self, world, monkeypatch):
+        """A non-finite total aborts naming the record and reporting the four
+        loss terms of that record, not the field gradients."""
+        import shortlong.training as training_mod
+
+        vocab, data, _ = world
+        original = training_mod.solopo_loss
+
+        def poisoned(cfg, bundle):
+            breakdown = original(cfg, bundle)
+            total = np.array(breakdown.total)
+            total[2] = np.inf
+            return replace(breakdown, total=total)
+
+        monkeypatch.setattr(training_mod, "solopo_loss", poisoned)
+        cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8, seed=0)
+        with pytest.raises(NonFiniteLossError, match="non-finite loss at step 1") as err:
+            train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
+        diagnostic = err.value.diagnostic
+        assert diagnostic["sample_index"] == int(np.random.default_rng(0).permutation(32)[2])
+        assert list(diagnostic["breakdown"]) == ["total", "po_term", "ra_term", "nll_term"]
+        assert diagnostic["breakdown"]["total"] == np.inf
+
     def test_prompts_encoded_once_per_dataset(self, world, monkeypatch):
         """Encoding happens once per dataset, not once per step: one
         encode_contexts call over the short prompts and one over the long,
@@ -265,6 +314,11 @@ class TestTrain:
             with pytest.raises(ValueError, match=message):
                 evaluate(ToyLM(vocab, 8, 0), bad, "long" if field == "x_long" else "short",
                          vocab)
+
+    @pytest.mark.parametrize("lr_max", [-1e-3, float("nan")])
+    def test_learning_rate_must_be_nonnegative(self, lr_max):
+        with pytest.raises(ValueError, match="lr_max"):
+            TrainConfig(MethodConfig(Method.ORPO), lr_max=lr_max)
 
     def test_empty_dataset_rejected(self, world):
         vocab, _, _ = world
