@@ -95,9 +95,9 @@ _SEED = {"seed": (int, 0)}
 _COUNT = _at_least(1)
 KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "verify-bounds": {
-        **_SEED, "lemma_instances": (int, 1_000_000), "theorem1_scenarios": (int, 10_000),
-        "theorem2_scenarios": (int, 10_000), "necessity_attempts": (int, 100_000),
-        "selftest_instances": (int, 10_000)},
+        **_SEED, "lemma_instances": (_at_least(len(bounds_mod.ALL_LINKS)), 1_000_000),
+        "theorem1_scenarios": (_COUNT, 10_000), "theorem2_scenarios": (_COUNT, 10_000),
+        "necessity_attempts": (_COUNT, 100_000), "selftest_instances": (_COUNT, 10_000)},
     "forge": {
         **_SEED, "corpus": (str, "builtin-needle"), "corpus_sources": (_COUNT, None),
         "corpus_pool": (_COUNT, None), "corpus_seed": (int, None), "distractor_pool": (str, None),
@@ -214,12 +214,6 @@ def cmd_verify_bounds(args, v: dict, out: Path) -> int:
               f"witness={'yes' if rep.worst_witness else 'no'}")
         return 2 if rep.max_violation > bounds_mod.TOLERANCE else 3
 
-    # Every count is checked before the first suite runs.
-    for key, least in (("lemma_instances", len(bounds_mod.ALL_LINKS)),
-                       ("theorem1_scenarios", 1), ("theorem2_scenarios", 1),
-                       ("necessity_attempts", 1)):
-        if v[key] < least:
-            raise ValueError(f"need at least {least} {key}, got {v[key]}")
     reports: dict[str, bounds_mod.BoundReport] = {
         "lemma1": bounds_mod.run_lemma1_suite(v["lemma_instances"], seed)}
     for form in ("exact", "sform"):
@@ -343,8 +337,10 @@ def cmd_train(args, v: dict, out: Path) -> int:
         if eval_set is None:
             raise ConfigError("--compare requires 'eval_dataset'")
         seeds = [int(x) for x in (args.seeds or str(v["seed"])).split(",")]
-        report = run_comparison(seeds, arms, dataset, eval_set, vocab,
-                                lambda sd: ToyLM(vocab, seed=sd, **hidden))
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError(f"--seeds must be distinct, got {args.seeds}")
+        report = run_comparison(arms, dataset, eval_set,
+                                {sd: ToyLM(vocab, seed=sd, **hidden) for sd in seeds})
         report.write_csv(out / "reports" / "comparison.csv")
         report.write_json(out / "reports" / "comparison.json")
         report.write_margins_csv(out / "reports" / "margins.csv")

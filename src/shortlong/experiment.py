@@ -7,6 +7,8 @@ instruction-tuned starting point), then continue training one arm per
 alignment coefficient from the shared warm snapshot. The alignment arm that
 maximizes mean long-context accuracy is compared against the alpha=0 arm:
 long accuracy should beat it decisively while short accuracy stays level.
+Chosen-only and both-sides alignment arms continue from the same snapshots
+for the margin curves.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from .corpus import (PrefixedStubGenerator, build_chain_corpus, needle_profile,
 from .forge import ForgedSample, HaystackConfig, forge_dataset
 from .losses import Method, MethodConfig, RAMode
 from .policy import ToyLM, Vocab
-from .training import ComparisonReport, TrainConfig, run_comparison, train
+from .training import TrainConfig, run_comparison, train
 
 __all__ = ["ExperimentConfig", "build_experiment_data", "directional_experiment",
-           "pooled_se", "margin_telemetry_runs"]
+           "pooled_se"]
 
 
 @dataclass
@@ -43,6 +45,16 @@ class ExperimentConfig:
     data_seed: int = 100
     method: Method = Method.ORPO
     ra_mode: RAMode = RAMode.CHOSEN_ONLY
+
+    def __post_init__(self) -> None:
+        for name in ("seeds", "alphas"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        for name in ("n_train", "n_eval", "hidden_dim", "warm_epochs", "arm_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def build_experiment_data(cfg: ExperimentConfig
@@ -67,22 +79,6 @@ def build_experiment_data(cfg: ExperimentConfig
     return train_data, eval_data, vocab
 
 
-def _warm_factory(cfg: ExperimentConfig, train_data, vocab):
-    cache: dict[int, ToyLM] = {}
-
-    def factory(seed: int) -> ToyLM:
-        if seed not in cache:
-            model = ToyLM(vocab, hidden_dim=cfg.hidden_dim, seed=seed)
-            warm_cfg = TrainConfig(MethodConfig(cfg.method, alpha=0.0),
-                                   lr_max=cfg.warm_lr, batch_size=cfg.batch_size,
-                                   epochs=cfg.warm_epochs, seed=1000 + seed)
-            train(model, train_data, warm_cfg, vocab)
-            cache[seed] = model
-        return cache[seed].clone()
-
-    return factory
-
-
 def pooled_se(a: np.ndarray, b: np.ndarray) -> float:
     """Standard error of the difference of two seed-level means."""
     va = a.var(ddof=1) / a.size if a.size > 1 else 0.0
@@ -91,18 +87,30 @@ def pooled_se(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def directional_experiment(cfg: ExperimentConfig | None = None) -> dict:
-    """Run the full comparison; returns aggregates and the headline stats."""
+    """Run the whole study from one forge and one warm-up per seed: the alpha
+    sweep with its aggregates and headline stats, and under ``"margins"`` the
+    chosen-only vs both-sides alignment runs (alpha = 0.5, the first two
+    seeds) for margin-curve overlays."""
     cfg = cfg or ExperimentConfig()
     train_data, eval_data, vocab = build_experiment_data(cfg)
-    factory = _warm_factory(cfg, train_data, vocab)
-    configs = []
-    for alpha in (0.0,) + tuple(cfg.alphas):
-        mc = MethodConfig(cfg.method, alpha=alpha, ra_mode=cfg.ra_mode)
-        configs.append((f"alpha={alpha:g}",
-                        TrainConfig(mc, lr_max=cfg.arm_lr, batch_size=cfg.batch_size,
-                                    epochs=cfg.arm_epochs)))
-    report = run_comparison(list(cfg.seeds), configs, train_data, eval_data,
-                            vocab, factory)
+    warm = MethodConfig(cfg.method, alpha=0.0)
+    starts = {seed: train(ToyLM(vocab, hidden_dim=cfg.hidden_dim, seed=seed), train_data,
+                          TrainConfig(warm, lr_max=cfg.warm_lr, batch_size=cfg.batch_size,
+                                      epochs=cfg.warm_epochs, seed=1000 + seed), vocab)[0]
+              for seed in cfg.seeds}
+
+    def arm(label: str, alpha: float, ra_mode: RAMode) -> tuple[str, TrainConfig]:
+        return label, TrainConfig(MethodConfig(cfg.method, alpha=alpha, ra_mode=ra_mode),
+                                  lr_max=cfg.arm_lr, batch_size=cfg.batch_size,
+                                  epochs=cfg.arm_epochs)
+
+    report = run_comparison([arm(f"alpha={a:g}", a, cfg.ra_mode)
+                             for a in (0.0,) + tuple(cfg.alphas)],
+                            train_data, eval_data, starts)
+    margins = run_comparison([arm(f"ra={mode.value}", 0.5, mode)
+                              for mode in (RAMode.CHOSEN_ONLY, RAMode.BOTH)],
+                             train_data, eval_data,
+                             {seed: starts[seed] for seed in cfg.seeds[:2]})
     agg = report.aggregates()
 
     def accs(label: str, which: str) -> np.ndarray:
@@ -128,20 +136,5 @@ def directional_experiment(cfg: ExperimentConfig | None = None) -> dict:
         # standard error counts against the tuned arm.
         "short_maintained": short_gap >= -max(short_se, 1e-12),
         "report": report,
+        "margins": margins,
     }
-
-
-def margin_telemetry_runs(cfg: ExperimentConfig | None = None,
-                          alpha: float = 0.5) -> ComparisonReport:
-    """Chosen-only vs both-sides alignment runs, for margin-curve overlays."""
-    cfg = cfg or ExperimentConfig()
-    train_data, eval_data, vocab = build_experiment_data(cfg)
-    factory = _warm_factory(cfg, train_data, vocab)
-    configs = []
-    for mode in (RAMode.CHOSEN_ONLY, RAMode.BOTH):
-        mc = MethodConfig(cfg.method, alpha=alpha, ra_mode=mode)
-        configs.append((f"ra={mode.value}",
-                        TrainConfig(mc, lr_max=cfg.arm_lr, batch_size=cfg.batch_size,
-                                    epochs=cfg.arm_epochs)))
-    return run_comparison(list(cfg.seeds)[:2], configs, train_data, eval_data,
-                          vocab, factory)

@@ -111,7 +111,7 @@ _METHODS = {
     Method.ORPO: _Row(ConvexLink.LOGISTIC, beta=0.1, include_nll=True,
                       reward=lambda beta, lp, ref, n: _log_odds(lp / n),
                       dreward=lambda beta, lp, n: _log_odds_deriv(lp / n) / n),
-    Method.IPO: _Row(ConvexLink.SQUARE, beta=1.0, needs_reference=True,
+    Method.IPO: _Row(ConvexLink.SQUARE, beta=1.0, gamma=0.5, needs_reference=True,
                      gap_keeps_reference=True, squared_gap=True,
                      reward=lambda beta, lp, ref, n: lp - ref,
                      dreward=lambda beta, lp, n: 1.0),
@@ -126,8 +126,9 @@ class MethodConfig:
     """Algorithm choice plus its hyperparameters.
 
     ``None`` hyperparameters are filled with the per-method defaults
-    (DPO/ORPO beta=0.1, SimPO beta=2.0 gamma=1.4; alpha 3/1/1 for
-    DPO/SimPO/ORPO and 1 otherwise; NLL term on for ORPO).
+    (DPO/ORPO beta=0.1, SimPO beta=2.0 gamma=1.4, IPO gamma=0.5, the target
+    margin 1/(2 tau) at tau = 1; alpha 3/1/1 for DPO/SimPO/ORPO and 1
+    otherwise; NLL term on for ORPO).
     """
 
     method: Method

@@ -266,10 +266,6 @@ def pad_responses(responses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarr
     return ids, mask
 
 
-def _onehot(ids: np.ndarray, size: int) -> np.ndarray:
-    return (ids[:, None] == np.arange(size)).astype(np.float64)
-
-
 def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.ndarray
                ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
     """Teacher-forced scores of B (prompt, response) rows in one pass.
@@ -309,7 +305,10 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
         d_hidden[row_of, cols[at]] = d_state
         # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
         d_pre = (1.0 - hidden[live] ** 2) * d_hidden.sum(axis=1)
-        return {"emb": _onehot(prev[at], len(emb)).T @ d_state + counts[live].T @ (d_pre @ ctx_w),
+        # d emb[prev] += d_state, summed in one bincount over (token, coordinate) bins
+        bins = (prev[at, None] * emb.shape[1] + np.arange(emb.shape[1])).ravel()
+        d_prev = np.bincount(bins, d_state.ravel(), minlength=emb.size).reshape(emb.shape)
+        return {"emb": d_prev + counts[live].T @ (d_pre @ ctx_w),
                 "ctx_w": d_pre.T @ pooled[live],
                 "out_w": state[at].T @ d_logits}
 

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +60,9 @@ class TrainConfig:
             raise ValueError("lr_max must be nonnegative")
         if not 0 <= self.warmup_ratio < 1:
             raise ValueError("warmup_ratio must lie in [0, 1)")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("eval_every", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.po_context not in ("short", "long"):
             raise ValueError("po_context must be 'short' or 'long'")
 
@@ -361,18 +364,21 @@ class ComparisonReport:
         Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1))
 
 
-def run_comparison(seeds: Sequence[int], configs: Sequence[tuple[str, TrainConfig]],
-                   dataset: Sequence[ForgedSample], eval_set: Sequence[ForgedSample],
-                   vocab: Vocab, model_factory: Callable[[int], ToyLM]) -> ComparisonReport:
-    """Train every (config, seed) cell on the shared dataset and evaluate;
-    the eval set is encoded once for all cells."""
+def run_comparison(configs: Sequence[tuple[str, TrainConfig]], dataset: Sequence[ForgedSample],
+                   eval_set: Sequence[ForgedSample], starts: dict[int, ToyLM]
+                   ) -> ComparisonReport:
+    """Train every (config, seed) cell from a clone of ``starts[seed]`` with
+    the config's seed set to ``seed``, and evaluate. The starts must share one
+    vocabulary: the eval set is encoded once for all cells."""
+    vocabs = {model.vocab for model in starts.values()}
+    if len(vocabs) != 1:
+        raise ValueError("starts must hold at least one model, all with one vocabulary")
+    (vocab,) = vocabs
     eval_rows = [_eval_rows(vocab, eval_set, kind) for kind in ("short", "long")]
     rows = []
     for label, cfg in configs:
-        for seed in seeds:
-            model = model_factory(seed)
-            run_cfg = replace(cfg, seed=seed)
-            trained, log = train(model, dataset, run_cfg, vocab)
+        for seed, start in starts.items():
+            trained, log = train(start.clone(), dataset, replace(cfg, seed=seed), vocab)
             rows.append(RunResult(label, seed, *(_accuracy(trained, r, eval_set)
                                                  for r in eval_rows), log))
     return ComparisonReport(rows=rows)

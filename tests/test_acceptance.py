@@ -249,9 +249,7 @@ def test_criterion_10_directional_experiment(directional_result):
 def test_criterion_11_margin_telemetry(directional_result, tmp_path):
     """Chosen-only vs both-sides margin curves come out as plot-ready CSV;
     report-only, no numeric claim asserted."""
-    from shortlong.experiment import ExperimentConfig, margin_telemetry_runs
-
-    report = margin_telemetry_runs(ExperimentConfig(seeds=(0, 1)))
+    report = directional_result["margins"]
     path = tmp_path / "margins.csv"
     report.write_margins_csv(path)
     lines = path.read_text().splitlines()

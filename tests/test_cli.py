@@ -186,7 +186,8 @@ class TestVerifyBoundsCommand:
                   "necessity_attempts": 100, key: value}
         sets = [arg for k, v in counts.items() for arg in ("--set", f"{k}={v}")]
         rc = run(["verify-bounds", "--out", tmp_path / "r", *sets])
-        assert_clean_failure(rc, capsys, tmp_path / "r", "need at least", f"got {value}")
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"--set: config key {key!r}: "
+                             "expected an integer >= ", f"got {value}")
         assert not (tmp_path / "r" / "reports" / "bounds.json").exists()
 
     def test_counts_checked_before_any_suite_runs(self, tmp_path, capsys, monkeypatch):
@@ -195,13 +196,14 @@ class TestVerifyBoundsCommand:
 
         monkeypatch.setattr(cli.bounds_mod, "run_lemma1_suite", never)
         rc = run(["verify-bounds", "--out", tmp_path / "r", "--set", "theorem2_scenarios=0"])
-        assert_clean_failure(rc, capsys, tmp_path / "r", "need at least 1 theorem2_scenarios",
-                             "got 0")
+        assert_clean_failure(rc, capsys, tmp_path / "r", "--set: config key 'theorem2_scenarios': "
+                             "expected an integer >= 1", "got 0")
 
     def test_selftest_count_below_one_fails(self, tmp_path, capsys):
         rc = run(["verify-bounds", "--out", tmp_path / "r", "--selftest-nonconvex",
                   "--set", "selftest_instances=0"])
-        assert_clean_failure(rc, capsys, tmp_path / "r", "need at least 1", "got 0")
+        assert_clean_failure(rc, capsys, tmp_path / "r", "--set: config key 'selftest_instances': "
+                             "expected an integer >= 1", "got 0")
 
 
 class TestForgeTrainEvalPipeline:
@@ -259,6 +261,12 @@ class TestForgeTrainEvalPipeline:
         assert len(comparison) == 1 + 4
         margins = (out / "reports" / "margins.csv").read_text().splitlines()
         assert margins[0] == "step,alpha=0#seed0,alpha=0#seed1,alpha=1#seed0,alpha=1#seed1"
+
+    def test_train_compare_repeated_seed_fails(self, forged, tmp_path, capsys):
+        rc = run(["train", "--out", tmp_path / "r", "--compare", "alpha:0,1",
+                  "--seeds", "0,0", "--set", f"dataset={forged}",
+                  "--set", f"eval_dataset={forged}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "--seeds must be distinct", "0,0")
 
     def test_eval_out_of_vocabulary_names_file_record_and_token(self, forged, tmp_path,
                                                                  capsys):

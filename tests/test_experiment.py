@@ -40,6 +40,43 @@ class TestHarness:
         assert set(result["aggregates"]) == {"alpha=0", "alpha=0.5"}
         assert isinstance(result["long_improved"], bool)
         assert isinstance(result["short_maintained"], bool)
+        assert [(r.label, r.seed) for r in result["margins"].rows] == \
+            [("ra=chosen_only", 0), ("ra=both", 0)]
+
+    def test_one_forge_and_one_warm_up_per_seed(self, monkeypatch):
+        """The alpha sweep and the margin runs share one forge and each seed's
+        warm-up: 2 seeds x (1 warm-up + 2 sweep arms + 2 margin arms)."""
+        import shortlong.experiment as experiment_mod
+        import shortlong.training as training_mod
+
+        forges, trains = [], []
+        build, train = experiment_mod.build_experiment_data, training_mod.train
+
+        def spy_build(cfg):
+            forges.append(cfg)
+            return build(cfg)
+
+        def spy_train(model, dataset, cfg, vocab, eval_set=None):
+            trains.append((cfg.method_cfg.alpha, cfg.seed))
+            return train(model, dataset, cfg, vocab, eval_set)
+
+        monkeypatch.setattr(experiment_mod, "build_experiment_data", spy_build)
+        monkeypatch.setattr(experiment_mod, "train", spy_train)
+        monkeypatch.setattr(training_mod, "train", spy_train)
+        result = directional_experiment(small_cfg(seeds=(0, 1)))
+        assert len(forges) == 1
+        warm_ups = sorted(seed for alpha, seed in trains if alpha == 0.0 and seed >= 1000)
+        assert warm_ups == [1000, 1001]
+        assert len(trains) == 2 + 2 * 2 + 2 * 2
+        assert [(r.label, r.seed) for r in result["margins"].rows] == [
+            ("ra=chosen_only", 0), ("ra=chosen_only", 1), ("ra=both", 0), ("ra=both", 1)]
+
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", ()), ("alphas", ()), ("seeds", (0, 0)), ("n_train", 0), ("n_eval", 0),
+        ("hidden_dim", 0), ("warm_epochs", 0), ("arm_epochs", -1), ("batch_size", 0)])
+    def test_config_rejects_bad_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig(**{field: value})
 
     def test_pooled_se(self):
         a = np.array([0.5, 0.7])

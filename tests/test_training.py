@@ -9,7 +9,7 @@ import pytest
 from shortlong.corpus import (PrefixedStubGenerator, build_chain_corpus,
                               needle_profile, needle_vocab, value_token)
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset
-from shortlong.losses import Method, MethodConfig
+from shortlong.losses import Method, MethodConfig, RAMode
 from shortlong.policy import BOS, EOS, ToyLM, Vocab, freeze, logprob
 from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, assemble_prompt,
                                 evaluate, learning_rate, run_comparison, train)
@@ -320,6 +320,25 @@ class TestTrain:
         with pytest.raises(ValueError, match="lr_max"):
             TrainConfig(MethodConfig(Method.ORPO), lr_max=lr_max)
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -4), ("epochs", 0), ("epochs", -1),
+        ("eval_every", -1)])
+    def test_counts_below_minimum_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be at least .*, got {value}$"):
+            TrainConfig(MethodConfig(Method.ORPO), **{field: value})
+
+    @pytest.mark.parametrize("ra_mode", [RAMode.CHOSEN_ONLY, RAMode.BOTH])
+    def test_default_ipo_step_moves_parameters(self, world, ra_mode):
+        """IPO's target margin gamma > 0: a policy equal to its own frozen
+        reference is not at the loss minimum, so the first step updates it."""
+        vocab, data, _ = world
+        model = ToyLM(vocab, hidden_dim=8, seed=1)
+        before = {k: v.copy() for k, v in model.params.items()}
+        cfg = TrainConfig(MethodConfig(Method.IPO, ra_mode=ra_mode), lr_max=1e-2,
+                          batch_size=len(data), seed=0)
+        train(model, data, cfg, vocab)
+        assert any(not np.array_equal(model.params[k], before[k]) for k in before)
+
     def test_empty_dataset_rejected(self, world):
         vocab, _, _ = world
         with pytest.raises(ValueError):
@@ -399,8 +418,8 @@ class TestComparison:
         vocab, data, eval_set = world
         cfg = TrainConfig(MethodConfig(Method.ORPO, alpha=0.5), lr_max=1e-2,
                           batch_size=8)
-        report = run_comparison([0], [("a", cfg), ("b", cfg)], data, eval_set,
-                                vocab, lambda s: ToyLM(vocab, 8, s))
+        report = run_comparison([("a", cfg), ("b", cfg)], data, eval_set,
+                                {0: ToyLM(vocab, 8, 0)})
         a, b = report.rows
         assert (a.short_acc, a.long_acc) == (b.short_acc, b.long_acc)
 
@@ -409,8 +428,8 @@ class TestComparison:
         configs = [(f"alpha={a}", TrainConfig(MethodConfig(Method.ORPO, alpha=a),
                                               lr_max=1e-2, batch_size=8))
                    for a in (0.0, 1.0)]
-        report = run_comparison([0, 1], configs, data, eval_set, vocab,
-                                lambda s: ToyLM(vocab, 8, s))
+        report = run_comparison(configs, data, eval_set,
+                                {s: ToyLM(vocab, 8, s) for s in (0, 1)})
         report.write_csv(tmp_path / "rows.csv")
         report.write_margins_csv(tmp_path / "margins.csv")
         report.write_json(tmp_path / "agg.json")
@@ -423,3 +442,25 @@ class TestComparison:
         agg = report.aggregates()
         assert set(agg) == {"alpha=0.0", "alpha=1.0"}
         assert all(v["n"] == 2 for v in agg.values())
+
+    def test_starts_left_unchanged(self, world):
+        """Every cell trains a clone of its start, and a cell matches a plain
+        train from that start with the config's seed set to the cell's."""
+        vocab, data, eval_set = world
+        cfg = TrainConfig(MethodConfig(Method.ORPO, alpha=1.0), lr_max=1e-2, batch_size=8)
+        starts = {s: ToyLM(vocab, 8, s) for s in (0, 1)}
+        before = {s: {k: v.copy() for k, v in m.params.items()} for s, m in starts.items()}
+        report = run_comparison([("a", cfg)], data, eval_set, starts)
+        for seed, model in starts.items():
+            for k, v in model.params.items():
+                np.testing.assert_array_equal(v, before[seed][k])
+        _, log = train(starts[1].clone(), data, replace(cfg, seed=1), vocab)
+        assert report.rows[1].log.steps == log.steps
+
+    def test_starts_must_share_one_vocabulary(self, world):
+        vocab, data, eval_set = world
+        cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8)
+        shuffled = Vocab(tuple(reversed(vocab.tokens)))
+        for starts in ({0: ToyLM(vocab, 8, 0), 1: ToyLM(shuffled, 8, 1)}, {}):
+            with pytest.raises(ValueError, match="vocabulary"):
+                run_comparison([("a", cfg)], data, eval_set, starts)
