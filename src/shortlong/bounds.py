@@ -76,10 +76,6 @@ class RewardAssignment:
     r_lw: float  # long context, chosen
     r_ll: float  # long context, rejected
 
-    def deltas(self) -> tuple[float, float, float]:
-        """(long-short chosen gap, short margin, short-long rejected gap)."""
-        return (self.r_lw - self.r_sw, self.r_sw - self.r_sl, self.r_sl - self.r_ll)
-
 
 def lemma_slack(link: ConvexLink, gamma: float, ra: RewardAssignment) -> float:
     """Signed slack of the three-term split of a single margin loss.
@@ -165,16 +161,17 @@ class DiscreteScenario:
                                 self.r_short[i][pairs], self.r_long[i][pairs],
                                 self.pref_short[i][prefs], self.pref_long[i][prefs])
 
-    def satisfies_discrimination(self, tol: float = 1e-12) -> bool | np.ndarray:
-        """Long-context preferences never easier than short-context ones; one
-        flag per scenario of a batch."""
-        ok = np.all(self.pref_long <= self.pref_short + tol, axis=(-3, -2, -1))
+    def satisfies_discrimination(self) -> bool | np.ndarray:
+        """Long-context preferences never easier than short-context ones (to
+        1e-12); one flag per scenario of a batch."""
+        ok = np.all(self.pref_long <= self.pref_short + 1e-12, axis=(-3, -2, -1))
         return ok if ok.ndim else bool(ok)
 
-    def instance_rewards(self, k: int, i: int, j: int) -> RewardAssignment:
-        """The induced 4-tuple for context pair ``k`` and response pair (i, j)."""
-        return RewardAssignment(r_sw=float(self.r_short[k, i]), r_sl=float(self.r_short[k, j]),
-                                r_lw=float(self.r_long[k, i]), r_ll=float(self.r_long[k, j]))
+    def _witness_fields(self, i: int | None = None) -> dict[str, list]:
+        """Every field of scenario ``i`` of a batch (trimmed, as ``self[i]``),
+        or of this scenario when ``i`` is None, as nested lists."""
+        scn = self if i is None else self[i]
+        return {f.name: getattr(scn, f.name).tolist() for f in fields(scn)}
 
 
 @dataclass
@@ -259,19 +256,19 @@ def theorem1_sform_slack(scn: DiscreteScenario, link: ConvexLink, gamma) -> floa
     return lhs - (short + _per_scenario(w[:, None] * q * envelope)) / 3.0
 
 
-def _report(check: str, scn: DiscreteScenario, link: ConvexLink, gamma,
-            slack, **extra) -> BoundReport:
-    """The worst of one slack or of a batch's; a violating worst scenario,
-    trimmed to its real contexts and responses, is the witness."""
+def _report(check: str, link_name: str, gamma, slack,
+            instance: Callable[[int | None], dict], **extra) -> BoundReport:
+    """The worst of one slack or of a batch's; a violating worst instance is
+    the witness: its link, gamma and slack, and ``instance(i)``, the fields of
+    batch entry ``i`` (None for a single slack)."""
     instances = np.size(slack)
-    if np.ndim(slack):
-        i = int(np.argmax(slack))
-        scn, gamma, slack = scn[i], float(np.broadcast_to(gamma, np.shape(slack))[i]), slack[i]
+    i = int(np.argmax(slack)) if np.ndim(slack) else None
+    if i is not None:
+        gamma, slack = float(np.broadcast_to(gamma, np.shape(slack))[i]), slack[i]
     worst = float(slack)
     witness = None
     if worst > TOLERANCE:
-        witness = {"link": link.value, "gamma": gamma, "slack": worst,
-                   **{f.name: getattr(scn, f.name).tolist() for f in fields(scn)}}
+        witness = {"link": link_name, "gamma": gamma, "slack": worst, **instance(i)}
     return BoundReport(check=check, instances=instances, max_violation=worst,
                        worst_witness=witness, **extra)
 
@@ -283,12 +280,14 @@ def _require_discrimination(scn: DiscreteScenario) -> None:
 
 def check_theorem1_exact(scn: DiscreteScenario, link: ConvexLink, gamma) -> BoundReport:
     _require_discrimination(scn)
-    return _report("theorem1_exact", scn, link, gamma, theorem1_exact_slack(scn, link, gamma))
+    return _report("theorem1_exact", link.value, gamma, theorem1_exact_slack(scn, link, gamma),
+                   scn._witness_fields)
 
 
 def check_theorem1_sform(scn: DiscreteScenario, link: ConvexLink, gamma) -> BoundReport:
     _require_discrimination(scn)
-    return _report("theorem1_sform", scn, link, gamma, theorem1_sform_slack(scn, link, gamma))
+    return _report("theorem1_sform", link.value, gamma, theorem1_sform_slack(scn, link, gamma),
+                   scn._witness_fields)
 
 
 def _p_norm_gaps(q: np.ndarray, gaps: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +322,7 @@ def check_theorem2(scn: DiscreteScenario, p: float, c1: float, gamma) -> BoundRe
     lhs, short, _ = _po_terms(arrays, pairs, link, gamma)
     slack = lhs - (short / 3.0 + c1 * _per_scenario(w * dp, axis=0) + c2)
     slack = np.where(np.any(failing, axis=0), -np.inf, slack)
-    report = _report("theorem2", scn, link, gamma, slack,
+    report = _report("theorem2", link.value, gamma, slack, scn._witness_fields,
                      condition_failures=int(np.sum(failing)))
     if report.condition_failures and not np.ndim(slack):
         report.worst_witness = {"d1": d1.tolist(), "dp": dp.tolist(), "p": p}
@@ -362,36 +361,27 @@ def random_scenario(rng: np.random.Generator, *, max_contexts: int = 4,
     return batch[0] if size is None else batch
 
 
-def _lemma_report(check: str, link_name: str, gammas: np.ndarray, rewards: np.ndarray,
-                  slack: np.ndarray, seed: int) -> BoundReport:
-    i = int(np.argmax(slack))
-    worst = float(slack[i])
-    witness = {"link": link_name, "gamma": float(gammas[i]), "rewards": rewards[i].tolist(),
-               "slack": worst} if worst > TOLERANCE else None
-    return BoundReport(check=check, instances=slack.size, max_violation=worst, seed=seed,
-                       worst_witness=witness)
-
-
 def run_lemma1_suite(n_instances: int, seed: int, *,
-                     links: tuple[ConvexLink, ...] = ALL_LINKS,
                      gamma_range: tuple[float, float] = (-3.0, 3.0),
                      reward_range: tuple[float, float] = (-10.0, 10.0)) -> BoundReport:
     """Vectorized random certification of the three-term split."""
-    _require(n_instances, len(links), "lemma instances (one per link)")
+    n_links = len(ALL_LINKS)
+    _require(n_instances, n_links, "lemma instances (one per link)")
     rng = np.random.default_rng(seed)
-    per_link = n_instances // len(links)
+    per_link = n_instances // n_links
     reports = []
-    for link in links:
-        count = per_link if link is not links[-1] else n_instances - per_link * (len(links) - 1)
+    for link in ALL_LINKS:
+        count = per_link if link is not ALL_LINKS[-1] else n_instances - per_link * (n_links - 1)
         gammas = rng.uniform(*gamma_range, count)
         rewards = rng.uniform(*reward_range, (count, 4))
-        reports.append(_lemma_report("lemma1", link.value, gammas, rewards,
-                                     _lemma_slack_batch(link, gammas, rewards), seed))
+        reports.append(_report("lemma1", link.value, gammas,
+                               _lemma_slack_batch(link, gammas, rewards),
+                               lambda i: {"rewards": rewards[i].tolist()}, seed=seed))
     return replace(max(reports, key=lambda r: r.max_violation), instances=n_instances)
 
 
-def run_theorem1_suite(n_scenarios: int, seed: int, *, form: str = "exact",
-                       links: tuple[ConvexLink, ...] = ALL_LINKS) -> dict[str, BoundReport]:
+def run_theorem1_suite(n_scenarios: int, seed: int, *, form: str = "exact"
+                       ) -> dict[str, BoundReport]:
     """Random-scenario certification; one report per link, from one batch of
     ``n_scenarios`` scenarios and one slack call."""
     if form not in ("exact", "sform"):
@@ -399,14 +389,15 @@ def run_theorem1_suite(n_scenarios: int, seed: int, *, form: str = "exact",
     _require(n_scenarios, 1, "scenario per link")
     slack_fn = theorem1_exact_slack if form == "exact" else theorem1_sform_slack
     reports: dict[str, BoundReport] = {}
-    for link in links:
+    for link in ALL_LINKS:
         rng = np.random.default_rng([seed, ALL_LINKS.index(link)])
         gammas = rng.uniform(*(SFORM_GAMMA_RANGES[link] if form == "sform" else (-3.0, 3.0)),
                              n_scenarios)
         scns = random_scenario(rng, reward_range=_REWARD_RANGE.get(link, _DEFAULT_REWARD_RANGE),
                                size=n_scenarios)
-        reports[link.value] = _report(f"theorem1_{form}[{link.value}]", scns, link, gammas,
-                                      slack_fn(scns, link, gammas), seed=seed)
+        reports[link.value] = _report(f"theorem1_{form}[{link.value}]", link.value, gammas,
+                                      slack_fn(scns, link, gammas), scns._witness_fields,
+                                      seed=seed)
     return reports
 
 
@@ -426,9 +417,9 @@ def run_theorem2_suite(n_scenarios: int, seed: int, *,
     return reports
 
 
-def run_assumption_necessity_search(n_attempts: int, seed: int, *,
-                                    link: ConvexLink = ConvexLink.LOGISTIC) -> BoundReport:
-    """Search for a bound violation once discrimination is NOT enforced.
+def run_assumption_necessity_search(n_attempts: int, seed: int) -> BoundReport:
+    """Search for a logistic-link bound violation once discrimination is NOT
+    enforced.
 
     Diagnostic demonstrating the assumption is load-bearing: uses the smallest
     scenario class (one context pair, two responses) as one batch.
@@ -452,8 +443,9 @@ def run_assumption_necessity_search(n_attempts: int, seed: int, *,
 
     ps, pl = pair_probs(), pair_probs()
     scns = DiscreteScenario(np.ones((b, 1)), np.stack([q1, 1.0 - q1], axis=1), rs, rl, ps, pl)
-    slack = theorem1_exact_slack(scns, link, gam)
-    report = _report(f"assumption_necessity[{link.value}]", scns, link, gam, slack, seed=seed)
+    slack = theorem1_exact_slack(scns, ConvexLink.LOGISTIC, gam)
+    report = _report("assumption_necessity[logistic]", "logistic", gam, slack,
+                     scns._witness_fields, seed=seed)
     witness = report.worst_witness
     if witness is not None:
         # One context pair: the witness lists its rewards and preferences directly.
@@ -472,5 +464,5 @@ def run_nonconvex_selftest(n_instances: int, seed: int) -> BoundReport:
     rewards = rng.uniform(-10.0, 10.0, (n_instances, 4))
     slack = _lemma_slack_batch(ConvexLink.SQUARE, gammas, rewards,
                                link_fn=lambda x: -np.square(x))
-    return _lemma_report("selftest_nonconvex", "negated_square (non-convex)", gammas, rewards,
-                         slack, seed)
+    return _report("selftest_nonconvex", "negated_square (non-convex)", gammas, slack,
+                   lambda i: {"rewards": rewards[i].tolist()}, seed=seed)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import astuple
 from pathlib import Path
@@ -89,6 +90,26 @@ def _at_least(least: int) -> Callable[[str], int]:
     return parse
 
 
+def _number(least: float, most: float = math.inf) -> Callable[[str], float]:
+    span = (f"a finite number >= {least:g}" if most == math.inf
+            else f"a number in [{least:g}, {most:g}]")
+
+    def parse(raw: str) -> float:
+        value = float(raw)
+        if not (math.isfinite(value) and least <= value <= most):
+            raise ValueError(f"expected {span}, got {raw!r}")
+        return value
+    return parse
+
+
+def _flag_values(flag: str, parse: Callable[[str], object], texts: list[str]) -> list:
+    """A flag's values, parsed; a bad one raises ConfigError naming the flag."""
+    try:
+        return [parse(text) for text in texts]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 # Per subcommand, key -> (parser, default). A None default leaves the value
 # to the library call it feeds (or, for the corpus keys, to the corpus).
 _SEED = {"seed": (int, 0)}
@@ -102,11 +123,11 @@ KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         **_SEED, "corpus": (str, "builtin-needle"), "corpus_sources": (_COUNT, None),
         "corpus_pool": (_COUNT, None), "corpus_seed": (int, None), "distractor_pool": (str, None),
         "n_target": (_COUNT, None), "target_short_tokens": (_COUNT, None),
-        "target_long_tokens": (_COUNT, None), "tolerance_frac": (float, None),
+        "target_long_tokens": (_COUNT, None), "tolerance_frac": (_number(0), None),
         "condition_on": (str, None), "intersection": (_bool, None),
-        "generator": (_choice("stub", "policy"), "stub"), "stub_p_correct": (float, 0.5),
+        "generator": (_choice("stub", "policy"), "stub"), "stub_p_correct": (_number(0, 1), 0.5),
         "stub_n": (_COUNT, None), "policy_checkpoint": (str, None), "policy_n": (_COUNT, None),
-        "policy_temperature": (float, None), "policy_max_len": (_COUNT, None)},
+        "policy_temperature": (_number(0), None), "policy_max_len": (_COUNT, None)},
     "train": {
         **_SEED, "dataset": (str, None), "eval_dataset": (str, None),
         "method": (Method, Method.ORPO), "alpha": (float, None), "beta": (float, None),
@@ -336,7 +357,7 @@ def cmd_train(args, v: dict, out: Path) -> int:
     if arms is not None:
         if eval_set is None:
             raise ConfigError("--compare requires 'eval_dataset'")
-        seeds = [int(x) for x in (args.seeds or str(v["seed"])).split(",")]
+        seeds = _flag_values("--seeds", int, (args.seeds or str(v["seed"])).split(","))
         if len(set(seeds)) != len(seeds):
             raise ConfigError(f"--seeds must be distinct, got {args.seeds}")
         report = run_comparison(arms, dataset, eval_set,
@@ -386,8 +407,8 @@ def cmd_eval(args, v: dict, out: Path) -> int:
 
 
 def cmd_speedup(args, v: dict, out: Path) -> int:
-    c_values = [float(c) for c in (args.c or ["0.125", "0.25", "0.5", "1.0"])]
-    n_values = [float(n) for n in (args.n or ["1000"])]
+    c_values = _flag_values("--c", float, args.c or ["0.125", "0.25", "0.5", "1.0"])
+    n_values = _flag_values("--n", float, args.n or ["1000"])
     models = [efficiency.CostModel(long_tokens=n, compression=c)
               for n in n_values for c in c_values]
     efficiency.write_report_csv(models, out / "reports" / "speedup.csv")

@@ -16,6 +16,7 @@ Two profiles of the same generator:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,13 @@ def build_chain_corpus(n_sources: int, pool_size: int, seed: int,
     return sources, pool
 
 
+def _check_stub(p_correct: float, n: int) -> None:
+    if not 0 <= p_correct <= 1:
+        raise ValueError(f"p_correct must lie in [0, 1], got {p_correct}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 @dataclass
 class StubGenerator:
     """Test/experiment candidate generator with a controlled accuracy rate.
@@ -152,6 +160,9 @@ class StubGenerator:
     p_correct: float
     n: int = 32
     wrong_answers: tuple[str, ...] = (NO_ANSWER,)
+
+    def __post_init__(self) -> None:
+        _check_stub(self.p_correct, self.n)
 
     def __call__(self, context: str, source: SourceSample,
                  rng: np.random.Generator) -> list[str]:
@@ -181,6 +192,9 @@ class PrefixedStubGenerator:
     values: tuple[str, ...]
     prefixes: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        _check_stub(self.p_correct, self.n)
+
     def __call__(self, context: str, source: SourceSample,
                  rng: np.random.Generator) -> list[str]:
         wrongs = [v for v in self.values if source.answer not in v] + [NO_ANSWER]
@@ -202,6 +216,13 @@ class PolicyCandidateGenerator:
     n: int = 32
     temperature: float = 0.85
     max_len: int = 6
+
+    def __post_init__(self) -> None:
+        for name in ("n", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature}")
 
     def __call__(self, context: str, source: SourceSample,
                  rng: np.random.Generator) -> list[str]:

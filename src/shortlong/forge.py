@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 import string
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -66,6 +67,9 @@ class HaystackConfig:
             raise ValueError("token targets must be positive")
         if self.target_short_tokens >= self.target_long_tokens:
             raise ValueError("short target must be below the long target")
+        if not (math.isfinite(self.tolerance_frac) and self.tolerance_frac >= 0):
+            raise ValueError(f"tolerance_frac must be a finite number >= 0, "
+                             f"got {self.tolerance_frac}")
 
     @property
     def target_compression(self) -> float:
@@ -142,17 +146,17 @@ class DistractorPool:
 
 def synthesize_context(src: SourceSample, pool: DistractorPool,
                        target_tokens: int, rng: np.random.Generator, *,
-                       tolerance_frac: float = 0.05, sep: str = SEP) -> str:
-    """Supporting docs plus sampled distractors, shuffled and joined by ``sep``.
+                       tolerance_frac: float = 0.05) -> str:
+    """Supporting docs plus sampled distractors, shuffled and joined by ``SEP``.
 
     Distractors are drawn without replacement in a seeded random order until
     the joined length enters the tolerance band; docs that would overshoot the
     band are skipped. Raises :class:`InsufficientPoolError` if the pool runs
     out first.
     """
-    if tolerance_frac < 0:
-        raise ValueError("tolerance_frac must be non-negative")
-    sep_cost = token_count(sep)
+    if not (math.isfinite(tolerance_frac) and tolerance_frac >= 0):
+        raise ValueError(f"tolerance_frac must be a finite number >= 0, got {tolerance_frac}")
+    sep_cost = token_count(SEP)
     supporting = src.supporting_docs
     total = sum(token_count(d) for d in supporting) + sep_cost * (len(supporting) - 1)
     lower = target_tokens * (1 - tolerance_frac)
@@ -180,7 +184,7 @@ def synthesize_context(src: SourceSample, pool: DistractorPool,
         raise InsufficientPoolError(
             f"pool exhausted at {total} tokens; target band [{lower:.0f}, {upper:.0f}]")
     docs = np.concatenate((np.array(supporting, dtype=object), pool.docs[perm[take]]))
-    return f" {sep} ".join(docs[rng.permutation(len(docs))].tolist())
+    return f" {SEP} ".join(docs[rng.permutation(len(docs))].tolist())
 
 
 def _normalize(text: str) -> str:
@@ -284,6 +288,22 @@ def _conflict_free_pool(pool: DistractorPool, src: SourceSample) -> DistractorPo
 Generator = Callable[[str, SourceSample, np.random.Generator], list[str]]
 
 
+def _generate(generator: Generator, context: str, src: SourceSample, rng: np.random.Generator,
+              idx: int, stats: ForgeStats) -> tuple[list[str], list[str]] | None:
+    """The candidates for ``context`` split by :func:`sub_em` into (correct,
+    incorrect), or None once a failed call (one that raises or returns no
+    candidates) is counted under ``generator_failures``."""
+    try:
+        candidates = generator(context, src, rng)
+    except Exception:
+        log.warning("candidate generation failed for source %d", idx, exc_info=True)
+        candidates = []
+    if not candidates:
+        stats.discard("generator_failures", idx)
+        return None
+    return _partition(candidates, src.answer)
+
+
 def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
                   generator: Generator, cfg: HaystackConfig,
                   n_target: int | None = None, *,
@@ -315,14 +335,11 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
                                         tolerance_frac=cfg.tolerance_frac)
         except InsufficientPoolError as exc:
             raise InsufficientPoolError(f"source {idx}: {exc}") from None
-        primary_ctx = x_short if condition_on == "short" else x_long
-        try:
-            candidates = generator(primary_ctx, src, rng)
-        except Exception:
-            log.warning("candidate generation failed for source %d", idx, exc_info=True)
-            stats.discard("generator_failures", idx)
+        primary, other = (x_short, x_long) if condition_on == "short" else (x_long, x_short)
+        split = _generate(generator, primary, src, rng, idx, stats)
+        if split is None:
             continue
-        correct, incorrect = _partition(candidates, src.answer)
+        correct, incorrect = split
         if not incorrect:
             stats.discard("discarded_all_correct", idx)
             continue
@@ -331,15 +348,10 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
             continue
         y_w, y_l = _draw_pair(correct, incorrect, rng)
         if intersection:
-            other_ctx = x_long if condition_on == "short" else x_short
-            try:
-                other = generator(other_ctx, src, rng)
-            except Exception:
-                log.warning("candidate generation failed for source %d", idx, exc_info=True)
-                stats.discard("generator_failures", idx)
+            split = _generate(generator, other, src, rng, idx, stats)
+            if split is None:
                 continue
-            o_correct, o_incorrect = _partition(other, src.answer)
-            if not o_correct or not o_incorrect:
+            if not all(split):
                 stats.discard("discarded_intersection", idx)
                 continue
         sample = ForgedSample(question=src.question, answer=src.answer,
@@ -373,47 +385,49 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     return enumerate(_universal_lines(text), start=1)
 
 
+def _jsonl_records(path: str | Path, parse: Callable[[object], object]) -> list:
+    """``parse`` of the JSON value of each non-blank line; a line that is not
+    JSON, or whose value ``parse`` rejects, raises ValueError naming the path
+    and the line."""
+    out = []
+    for lineno, line in text_lines(path):
+        if line.strip():
+            try:
+                out.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
+    return out
+
+
+def _source(obj) -> SourceSample:
+    docs = obj["supporting_docs"]
+    for key in ("question", "answer"):
+        if not isinstance(obj[key], str):
+            raise TypeError(f"field {key!r} must be a string, got {obj[key]!r}")
+    if not isinstance(docs, list) or not all(isinstance(d, str) for d in docs):
+        raise TypeError(f"field 'supporting_docs' must be a list of strings, got {docs!r}")
+    return SourceSample(question=obj["question"], answer=obj["answer"],
+                        supporting_docs=tuple(docs))
+
+
 def read_source_jsonl(path: str | Path) -> list[SourceSample]:
     """Load SourceSample records; malformed lines, and fields that are not a
     string (``question``, ``answer``) or a list of strings
     (``supporting_docs``), report their line number."""
-    out = []
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            docs = obj["supporting_docs"]
-            for key in ("question", "answer"):
-                if not isinstance(obj[key], str):
-                    raise TypeError(f"field {key!r} must be a string, got {obj[key]!r}")
-            if not isinstance(docs, list) or not all(isinstance(d, str) for d in docs):
-                raise TypeError(f"field 'supporting_docs' must be a list of strings, "
-                                f"got {docs!r}")
-            out.append(SourceSample(question=obj["question"], answer=obj["answer"],
-                                    supporting_docs=tuple(docs)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
-    return out
+    return _jsonl_records(path, _source)
+
+
+def _distractor(doc) -> str:
+    if not isinstance(doc, str) or not doc.split():
+        raise ValueError(f"a distractor must be a non-empty JSON string, got {doc!r}")
+    return doc
 
 
 def read_distractor_pool(path: str | Path) -> list[str]:
     """Load distractor documents, one JSON string per non-blank line; a line
     that is not a non-empty JSON string raises ValueError naming the path and
     line."""
-    out = []
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
-        if not isinstance(doc, str) or not doc.split():
-            raise ValueError(f"{path}: line {lineno}: a distractor must be a non-empty "
-                             f"JSON string, got {doc!r}")
-        out.append(doc)
-    return out
+    return _jsonl_records(path, _distractor)
 
 
 _FORGED_FIELDS = ("question", "answer", "x_short", "x_long", "y_w", "y_l")
@@ -427,19 +441,14 @@ def write_forged_jsonl(samples: Iterable[ForgedSample], path: str | Path) -> Non
             fh.write("\n")
 
 
+def _forged(obj) -> ForgedSample:
+    fields = {k: obj[k] for k in _FORGED_FIELDS}
+    wrong = [k for k, value in fields.items() if not isinstance(value, str)]
+    if wrong:
+        raise TypeError(f"field {wrong[0]!r} must be a string, "
+                        f"got {type(fields[wrong[0]]).__name__}")
+    return ForgedSample(**fields)
+
+
 def read_forged_jsonl(path: str | Path) -> list[ForgedSample]:
-    out = []
-    for lineno, line in text_lines(path):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            fields = {k: obj[k] for k in _FORGED_FIELDS}
-            wrong = [k for k, value in fields.items() if not isinstance(value, str)]
-            if wrong:
-                raise TypeError(f"field {wrong[0]!r} must be a string, "
-                                f"got {type(fields[wrong[0]]).__name__}")
-            out.append(ForgedSample(**fields))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
-    return out
+    return _jsonl_records(path, _forged)

@@ -3,20 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
 
 import numpy as np
 
 from .links import ConvexLink
 from .losses import (GRAD_FIELDS, LogProbBundle, Method, MethodConfig, RAMode,
                      grad_solopo, solopo_loss)
-from .policy import ToyLM, Vocab, param_grad, score_rows
+from .policy import ToyLM, Vocab, score_rows
 from .policy import _encode_rows  # internal on purpose
 
 __all__ = ["relative_error", "random_bundle", "check_loss_gradients",
            "check_policy_gradients"]
 
 _KINK_MARGIN = 1e-3
+# The central-difference step of every check, reported as "h".
+_H = 1e-5
 
 
 def relative_error(analytic, numeric):
@@ -61,7 +62,7 @@ def random_bundle(rng: np.random.Generator, cfg: MethodConfig, n: int,
     return b
 
 
-def fd_gradient(cfg: MethodConfig, b: LogProbBundle, h: float = 1e-5) -> dict:
+def fd_gradient(cfg: MethodConfig, b: LogProbBundle) -> dict:
     """Independent numerical gradient of the total loss over the lp fields
     (elementwise, so a stacked bundle is differentiated point by point)."""
     grads = {}
@@ -70,22 +71,21 @@ def fd_gradient(cfg: MethodConfig, b: LogProbBundle, h: float = 1e-5) -> dict:
         if base is None:
             grads[name] = 0.0
             continue
-        up = solopo_loss(cfg, replace(b, **{name: base + h})).total
-        down = solopo_loss(cfg, replace(b, **{name: base - h})).total
-        grads[name] = (up - down) / (2.0 * h)
+        up = solopo_loss(cfg, replace(b, **{name: base + _H})).total
+        down = solopo_loss(cfg, replace(b, **{name: base - _H})).total
+        grads[name] = (up - down) / (2.0 * _H)
     return grads
 
 
-def check_loss_gradients(n_points: int, seed: int, *, h: float = 1e-5,
-                         methods: Sequence[Method] = tuple(Method),
-                         modes: Sequence[RAMode] = tuple(RAMode)) -> dict:
-    """Max relative error of grad_solopo vs finite differences per combo; the
-    points of one combo are checked in one array call of each."""
+def check_loss_gradients(n_points: int, seed: int) -> dict:
+    """Max relative error of grad_solopo vs finite differences per method x
+    alignment-mode combo; the points of one combo are checked in one array
+    call of each."""
     if n_points < 1:
         raise ValueError("grad-check needs at least one point per combo")
-    report = {"h": h, "points_per_combo": n_points, "combos": {}, "max_relative_error": 0.0}
-    for method in methods:
-        for mode in modes:
+    report = {"h": _H, "points_per_combo": n_points, "combos": {}, "max_relative_error": 0.0}
+    for method in Method:
+        for mode in RAMode:
             rng = np.random.default_rng([seed, list(Method).index(method),
                                          list(RAMode).index(mode)])
             cfg = MethodConfig(method, ra_mode=mode,
@@ -94,7 +94,7 @@ def check_loss_gradients(n_points: int, seed: int, *, h: float = 1e-5,
                                eta=float(rng.uniform(0.5, 3.0)))
             b = random_bundle(rng, cfg, n_points)
             analytic = grad_solopo(cfg, b)
-            numeric = fd_gradient(cfg, b, h)
+            numeric = fd_gradient(cfg, b)
             worst = max(float(np.max(relative_error(analytic[k], numeric[k])))
                         for k in GRAD_FIELDS)
             key = f"{method.value}/{mode.value}"
@@ -118,36 +118,34 @@ def _tiny_world(seed: int) -> tuple[ToyLM, list[tuple[list[str], list[str]]]]:
     return model, items
 
 
-def check_policy_gradients(seed: int, *, h: float = 1e-5) -> dict:
+def check_policy_gradients(seed: int) -> dict:
     """FD-validate backprop through the scorer composed with the loss; the
-    items are encoded once, and each evaluation is one scorer pass."""
+    items are encoded once, and each evaluation is one scorer pass, whose
+    ``backward`` gives the analytic gradient at the unperturbed point."""
     model, items = _tiny_world(seed)
     cfg = MethodConfig(Method.ORPO, alpha=1.0)
-
-    def loss(lps: np.ndarray) -> tuple[float, np.ndarray]:
-        b = LogProbBundle(lp_w_short=lps[0], lp_l_short=lps[1],
-                          lp_w_long=lps[2], lp_l_long=lps[3],
-                          len_w=len(items[0][1]), len_l=len(items[1][1]))
-        breakdown = solopo_loss(cfg, b)
-        return breakdown.total, np.array([breakdown.grads[k] for k in GRAD_FIELDS[:4]])
-
-    _, analytic = param_grad(model, items, loss)
     rows = _encode_rows(model.vocab, items)
 
-    def full_loss() -> float:
-        per_token, _ = score_rows(model, *rows)
-        return loss(per_token.sum(axis=1))[0]
+    def scored():
+        """The loss breakdown of one scorer pass, and that pass's ``backward``."""
+        per_token, backward = score_rows(model, *rows)
+        lps = per_token.sum(axis=1)
+        b = LogProbBundle(lp_w_short=lps[0], lp_l_short=lps[1], lp_w_long=lps[2],
+                          lp_l_long=lps[3], len_w=len(items[0][1]), len_l=len(items[1][1]))
+        return solopo_loss(cfg, b), backward
 
+    breakdown, backward = scored()
+    analytic = backward(np.array([breakdown.grads[k] for k in GRAD_FIELDS[:4]]))
     worst = 0.0
     for name, arr in model.params.items():
         flat = arr.ravel()
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + h
-            up = full_loss()
-            flat[i] = keep - h
-            down = full_loss()
+            flat[i] = keep + _H
+            up = scored()[0].total
+            flat[i] = keep - _H
+            down = scored()[0].total
             flat[i] = keep
             worst = max(worst, float(relative_error(float(analytic[name].ravel()[i]),
-                                                    (up - down) / (2.0 * h))))
-    return {"h": h, "max_relative_error": worst}
+                                                    (up - down) / (2.0 * _H))))
+    return {"h": _H, "max_relative_error": worst}

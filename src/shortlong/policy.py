@@ -36,7 +36,6 @@ __all__ = [
     "sample",
     "greedy_decode",
     "logprob_with_grad",
-    "param_grad",
     "freeze",
     "save_model",
     "load_model",
@@ -404,23 +403,6 @@ def logprob_with_grad(model: ToyLM, context: Sequence[str], response: Sequence[s
     for key, g in backward(np.array([upstream], dtype=np.float64)).items():
         grads[key] += g
     return _scored(response, per_token[0]), grads
-
-
-def param_grad(model: ToyLM,
-               items: Sequence[tuple[Sequence[str], Sequence[str]]],
-               loss: Callable[[np.ndarray], tuple[float, np.ndarray]]
-               ) -> tuple[float, dict[str, np.ndarray]]:
-    """Backpropagate a loss over the scored log-probabilities of ``items``.
-
-    ``loss`` maps the vector of per-item log-probabilities to
-    ``(value, d value / d logprobs)``. Returns the loss value and parameter
-    gradients. Raises on a non-finite loss.
-    """
-    per_token, backward = score_rows(model, *_encode_rows(model.vocab, items))
-    value, d_lps = loss(per_token.sum(axis=1))
-    if not np.isfinite(value):
-        raise ValueError("loss is not finite")
-    return float(value), backward(np.asarray(d_lps, dtype=np.float64))
 
 
 def freeze(model: ToyLM) -> ToyLM:

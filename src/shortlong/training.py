@@ -1,6 +1,6 @@
 """Deterministic optimization loop for the toy policy.
 
-Adam with decoupled weight decay, linear warmup into a cosine decay to zero,
+Adam (no weight decay), linear warmup into a cosine decay to zero,
 per-step loss-component telemetry (long-context reward margin and rejected
 log-prob), and substring-exact-match evaluation under either context variant.
 The entire trajectory is a function of (dataset, config, seed).
@@ -113,27 +113,25 @@ class NonFiniteLossError(RuntimeError):
 
 
 class AdamW:
-    """Adam moments with decoupled weight decay over a dict of arrays."""
+    """Adam moments (beta1 0.9, beta2 0.999, eps 1e-8) over a dict of arrays,
+    with weight decay 0."""
 
-    def __init__(self, params: dict[str, np.ndarray], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         for key, p in self.params.items():
             g = grads[key]
             self.m[key] = b1 * self.m[key] + (1 - b1) * g
             self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
             m_hat = self.m[key] / (1 - b1 ** self.t)
             v_hat = self.v[key] / (1 - b2 ** self.t)
-            p -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
+            p -= lr * (m_hat / (np.sqrt(v_hat) + 1e-8))
 
 
 def learning_rate(step: int, total_steps: int, lr_max: float,
@@ -212,7 +210,9 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     for the loss terms and their field gradients, and backpropagates through
     that pass's ``backward`` with the field gradients as row weights. A
     non-finite score or loss aborts with :class:`NonFiniteLossError`.
-    ``vocab`` must be the model's vocabulary.
+    ``vocab`` must be the model's vocabulary. A positive ``lr_max`` whose
+    schedule is 0 at every step (one step with ``warmup_ratio`` 0) raises
+    ValueError.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -220,6 +220,11 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
         raise ValueError("cannot train a frozen model")
     if vocab != model.vocab:
         raise ValueError("vocab differs from the model's vocabulary")
+    total_steps = math.ceil(len(dataset) / cfg.batch_size) * cfg.epochs
+    if cfg.lr_max > 0 and not any(learning_rate(s, total_steps, cfg.lr_max, cfg.warmup_ratio)
+                                  for s in range(1, total_steps + 1)):
+        raise ValueError(f"with warmup_ratio {cfg.warmup_ratio} the learning rate is 0 at "
+                         f"every step (of {total_steps}); raise warmup_ratio or the step count")
     mc = cfg.method_cfg
     rows = _prepare(dataset, model.vocab, cfg.po_context)
     eval_rows = None if eval_set is None else [_eval_rows(model.vocab, eval_set, kind)
@@ -230,8 +235,6 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
         ref_lps = per_token.sum(axis=1).reshape(-1, 4)
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.params)
-    steps_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.epochs
     log = TrainLog()
     step = 0
     for _ in range(cfg.epochs):

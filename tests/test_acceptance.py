@@ -103,8 +103,9 @@ def test_criterion_04_generalized_distance_suite():
 def test_criterion_05_gradient_fidelity():
     """Analytic gradients match central finite differences (h = 1e-5) at 10^3
     smooth points for all 5 methods x 3 alignment modes."""
-    report = check_loss_gradients(1000, SEED, h=1e-5)
-    ok = report["max_relative_error"] < 1e-4 and len(report["combos"]) == 15
+    report = check_loss_gradients(1000, SEED)
+    ok = (report["h"] == 1e-5 and report["max_relative_error"] < 1e-4
+          and len(report["combos"]) == 15)
     assert _verdict(5, ok, f"15 combos, max relative error "
                            f"{report['max_relative_error']:.3e}")
 

@@ -67,12 +67,6 @@ class TestScenarioType:
         bad = single_pair_scenario(1, 0, 1, 0, p_short=0.3, p_long=0.8)
         assert not bad.satisfies_discrimination()
 
-    def test_instance_rewards_view(self):
-        scn = single_pair_scenario(1, 2, 3, 4)
-        ra = scn.instance_rewards(0, 0, 1)
-        assert (ra.r_sw, ra.r_sl, ra.r_lw, ra.r_ll) == (1, 2, 3, 4)
-        assert ra.deltas() == (3 - 1, 1 - 2, 2 - 4)
-
 
 class TestTheorem1Exact:
     def test_degenerate_scenario_reduces_to_lemma(self):

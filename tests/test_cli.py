@@ -100,6 +100,19 @@ class TestConfigParsing:
         assert_clean_failure(rc, capsys, tmp_path / "r", f"{where}: config key '{key}'",
                              f">= {least}, got {value}")
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("stub_p_correct", "1.5", "a number in [0, 1], got '1.5'"),
+        ("stub_p_correct", "nan", "a number in [0, 1], got 'nan'"),
+        ("policy_temperature", "-1", "a finite number >= 0, got '-1'"),
+        ("policy_temperature", "inf", "a finite number >= 0, got 'inf'"),
+        ("tolerance_frac", "nan", "a finite number >= 0, got 'nan'")])
+    def test_forge_number_out_of_range_names_key_and_where(self, tmp_path, capsys, key,
+                                                          value, expected):
+        rc = run(["forge", "--out", tmp_path / "r", "--set", f"{key}={value}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"--set: config key '{key}'",
+                             expected)
+        assert not (tmp_path / "r" / "data" / "forged.jsonl").exists()
+
     def test_typed_defaults_and_overrides(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 2\nseed = 5\n")
@@ -140,6 +153,11 @@ class TestSpeedupCommand:
         out = capsys.readouterr().out
         assert "speedup=1.939" in out
         assert (tmp_path / "r" / "reports" / "speedup.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--c", "abc"), ("--n", "1e3x")])
+    def test_non_number_names_flag(self, tmp_path, capsys, flag, value):
+        rc = run(["speedup", "--out", tmp_path / "r", flag, value])
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"error: {flag}: ", repr(value))
 
     def test_manifest_written(self, tmp_path):
         run(["speedup", "--out", tmp_path / "r", "--seed", "7"])
@@ -267,6 +285,12 @@ class TestForgeTrainEvalPipeline:
                   "--seeds", "0,0", "--set", f"dataset={forged}",
                   "--set", f"eval_dataset={forged}"])
         assert_clean_failure(rc, capsys, tmp_path / "r", "--seeds must be distinct", "0,0")
+
+    def test_train_compare_non_integer_seed_names_flag(self, forged, tmp_path, capsys):
+        rc = run(["train", "--out", tmp_path / "r", "--compare", "alpha:0,1",
+                  "--seeds", "0,x", "--set", f"dataset={forged}",
+                  "--set", f"eval_dataset={forged}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "error: --seeds: ", "'x'")
 
     def test_eval_out_of_vocabulary_names_file_record_and_token(self, forged, tmp_path,
                                                                  capsys):

@@ -111,6 +111,12 @@ class TestSynthesizeContext:
             synthesize_context(src, make_pool(50), 40, np.random.default_rng(0),
                                tolerance_frac=-0.05)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, src, tol):
+        with pytest.raises(ValueError, match="tolerance_frac must be a finite number"):
+            synthesize_context(src, make_pool(50), 40, np.random.default_rng(0),
+                               tolerance_frac=tol)
+
     def test_pool_rejects_document_without_tokens(self):
         with pytest.raises(ValueError, match="distractor 1 has no tokens"):
             DistractorPool(["e01 owns e02", " \t"])
@@ -267,6 +273,26 @@ class TestForgeDataset:
         assert stats.emitted == 8
         assert stats.discard_examples == {"generator_failures": 2}
 
+    def test_empty_candidate_list_is_generator_failure(self):
+        samples, stats = forge_dataset(self.sources[:5], self.pool, lambda c, s, r: [],
+                                       self.cfg)
+        assert samples == []
+        assert stats.generator_failures == 5
+        assert stats.discarded_all_correct == 0
+        assert stats.discard_examples == {"generator_failures": 0}
+
+    def test_empty_intersection_candidates_are_generator_failure(self):
+        def long_empty(context, source, rng):
+            if token_count(context) > 128:
+                return []
+            return StubGenerator(0.5, 16, self.wrong)(context, source, rng)
+
+        samples, stats = forge_dataset(self.sources[:4], self.pool, long_empty, self.cfg,
+                                       intersection=True)
+        assert samples == []
+        assert stats.generator_failures == 4
+        assert stats.discarded_intersection == 0
+
     def test_long_conditioning_flag(self):
         seen = {}
 
@@ -321,6 +347,40 @@ class TestForgeDataset:
         assert stats.emitted >= 4
         for s in samples:
             s.check_invariants(self.cfg)
+
+
+class TestSettingRanges:
+    """Out-of-range generator and haystack settings fail at construction,
+    before any source is forged."""
+
+    @pytest.mark.parametrize("p_correct, n", [(1.5, 8), (-0.1, 8), (float("nan"), 8),
+                                              (0.5, 0)])
+    def test_stub_generators(self, p_correct, n):
+        with pytest.raises(ValueError, match="p_correct" if n else "n must be"):
+            StubGenerator(p_correct=p_correct, n=n)
+        with pytest.raises(ValueError, match="p_correct" if n else "n must be"):
+            PrefixedStubGenerator(p_correct=p_correct, n=n, values=("v00",),
+                                  prefixes=("e00",))
+
+    def test_stub_generator_bounds_accepted(self):
+        for p_correct in (0.0, 1.0):
+            StubGenerator(p_correct=p_correct, n=1)
+
+    @pytest.mark.parametrize("options, match", [
+        ({"temperature": -1.0}, "temperature"), ({"temperature": float("nan")}, "temperature"),
+        ({"temperature": float("inf")}, "temperature"), ({"n": 0}, "n must be"),
+        ({"max_len": 0}, "max_len must be")])
+    def test_policy_generator(self, options, match):
+        from shortlong.corpus import PolicyCandidateGenerator
+        from shortlong.policy import ToyLM
+
+        with pytest.raises(ValueError, match=match):
+            PolicyCandidateGenerator(ToyLM(needle_vocab(), hidden_dim=4), **options)
+
+    @pytest.mark.parametrize("tol", [-0.05, float("nan"), float("inf")])
+    def test_haystack_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance_frac"):
+            HaystackConfig(target_short_tokens=64, target_long_tokens=256, tolerance_frac=tol)
 
 
 class TestJsonlIO:

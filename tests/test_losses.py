@@ -236,7 +236,7 @@ class TestGradients:
         cfg = MethodConfig(method, ra_mode=mode)
         b = random_bundle(rng, cfg, 200)
         analytic = grad_solopo(cfg, b)
-        numeric = fd_gradient(cfg, b, h=1e-5)
+        numeric = fd_gradient(cfg, b)
         worst = max(np.max(relative_error(analytic[k], numeric[k])) for k in GRAD_FIELDS)
         assert worst < 1e-5
 

@@ -59,12 +59,6 @@ class TestAdamW:
             * (np.abs([0.5, -0.25]) / (np.abs([0.5, -0.25]) + 1e-8))
         np.testing.assert_allclose(params["w"], expected, atol=1e-9)
 
-    def test_decoupled_weight_decay(self):
-        params = {"w": np.array([2.0])}
-        opt = AdamW(params, weight_decay=0.1)
-        opt.step({"w": np.array([0.0])}, lr=0.5)
-        np.testing.assert_allclose(params["w"], [2.0 - 0.5 * 0.1 * 2.0])
-
 
 class TestTrain:
     def test_zero_lr_is_identity(self, world):
@@ -76,6 +70,19 @@ class TestTrain:
         for k, v in model.params.items():
             np.testing.assert_array_equal(v, before[k])
         assert len(log.steps) == math.ceil(len(data) / 8)
+
+    def test_schedule_zero_at_every_step_rejected(self, world):
+        """One step with warmup_ratio 0: the cosine is 0 at the last (and only)
+        step, so a positive lr_max would move nothing."""
+        vocab, data, _ = world
+        model = ToyLM(vocab, hidden_dim=8, seed=1)
+        cfg = TrainConfig(MethodConfig(Method.ORPO), lr_max=0.1, warmup_ratio=0.0,
+                          batch_size=len(data))
+        assert learning_rate(1, 1, cfg.lr_max, cfg.warmup_ratio) == 0.0
+        with pytest.raises(ValueError, match="warmup_ratio 0.0 .* 0 at every step"):
+            train(model, data, cfg, vocab)
+        _, log = train(model, data, replace(cfg, warmup_ratio=0.1), vocab)
+        assert [s.lr for s in log.steps] == [0.1]
 
     def test_deterministic_trajectory(self, world):
         vocab, data, _ = world
