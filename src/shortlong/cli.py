@@ -102,6 +102,13 @@ def _number(least: float, most: float = math.inf) -> Callable[[str], float]:
     return parse
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _flag_values(flag: str, parse: Callable[[str], object], texts: list[str]) -> list:
     """A flag's values, parsed; a bad one raises ConfigError naming the flag."""
     try:
@@ -130,9 +137,9 @@ KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "policy_temperature": (_number(0), None), "policy_max_len": (_COUNT, None)},
     "train": {
         **_SEED, "dataset": (str, None), "eval_dataset": (str, None),
-        "method": (Method, Method.ORPO), "alpha": (float, None), "beta": (float, None),
-        "gamma": (float, None), "eta": (float, None), "ra_mode": (RAMode, None),
-        "include_nll": (_bool, None), "lr_max": (float, None), "warmup_ratio": (float, None),
+        "method": (Method, Method.ORPO), "alpha": (_finite, None), "beta": (_finite, None),
+        "gamma": (_finite, None), "eta": (_finite, None), "ra_mode": (RAMode, None),
+        "include_nll": (_bool, None), "lr_max": (_finite, None), "warmup_ratio": (_finite, None),
         "batch_size": (_COUNT, None), "epochs": (_COUNT, None), "eval_every": (_at_least(0), None),
         "po_context": (str, None), "telemetry": (_bool, None), "model_hidden": (_COUNT, None),
         "model_seed": (int, None)},

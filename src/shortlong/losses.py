@@ -13,6 +13,7 @@ the other public losses read that pass.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -146,6 +147,9 @@ class MethodConfig:
                 setattr(self, name, getattr(row, name))
         if self.include_nll and not row.include_nll:
             raise ValueError("include_nll is only meaningful for ORPO")
+        for name in ("alpha", "beta", "gamma", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
         if self.alpha < 0:

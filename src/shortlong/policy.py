@@ -53,7 +53,12 @@ def assemble_prompt(context_text: str, question: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocab:
-    """Ordered token set; must contain the three specials and >= 8 entries."""
+    """Ordered token set; must contain the three specials and >= 8 entries.
+
+    Each object also holds the read-only :func:`encode_contexts` row of
+    every (context, question) pair it has encoded, so a pair is tokenized
+    once per object; equal objects do not share rows.
+    """
 
     tokens: tuple[str, ...]
 
@@ -66,6 +71,7 @@ class Vocab:
             if special not in self.tokens:
                 raise ValueError(f"vocabulary must contain {special}")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "_rows", {})  # (context, question) -> (V,) row
 
     @property
     def size(self) -> int:
@@ -204,35 +210,43 @@ class _Pieces(dict):
 def encode_contexts(vocab: Vocab, contexts: Sequence[str], questions: Sequence[str]
                     ) -> np.ndarray:
     """The (B, V) rows ``bag_of_tokens(vocab.encode(assemble_prompt(c, q)), V)``
-    of B (context, question) pairs, bit for bit, with each distinct document
-    tokenized once per call.
+    of B (context, question) pairs, bit for bit, in a new array.
 
-    A row's pieces are its context's documents (split at ``" <sep> "``) and
-    then its question; its tokens are the pieces' tokens with one ``SEP``
-    between neighbours. Pieces are tokenized in text order, so an
-    out-of-vocabulary token raises ``ValueError`` naming the first row that
-    holds one (``record i``) and that row's first such token.
+    A pair that ``vocab`` has encoded before is read from its row cache. The
+    others are counted in blocks and cached, with each distinct document
+    tokenized once per call: a row's pieces are its context's documents
+    (split at ``" <sep> "``) and then its question; its tokens are the
+    pieces' tokens with one ``SEP`` between neighbours. Pieces are tokenized
+    in text order, so an out-of-vocabulary token raises ``ValueError`` naming
+    the first row that holds one (``record i``) and that row's first such
+    token; that row and the rest of its block are not cached.
     """
     if len(contexts) != len(questions):
         raise ValueError("need one question per context")
-    size, sep_id = vocab.size, vocab.sep_id
+    size, sep_id, cache = vocab.size, vocab.sep_id, vocab._rows
+    pairs = list(zip(contexts, questions))
+    todo: dict[tuple[str, str], int] = {}  # each uncached pair -> its first row
+    for i, pair in enumerate(pairs):
+        if pair not in cache:
+            todo.setdefault(pair, i)
+    misses = list(todo.items())
     pieces = _Pieces(vocab._index)
     table = np.zeros(0, dtype=np.int64)  # every piece's token ids, back to back
-    out = np.empty((len(contexts), size))
     start = 0
-    while start < len(contexts):
+    while start < len(misses):
         stop, chars = start, 0
         pids: list[int] = []
         n_pieces: list[int] = []
-        while stop < len(contexts) and (stop == start or chars <= _BLOCK_CHARS):
-            parts = contexts[stop].split(_DOC_SEP)
-            parts.append(questions[stop])
+        while stop < len(misses) and (stop == start or chars <= _BLOCK_CHARS):
+            (context, question), index = misses[stop]
+            parts = context.split(_DOC_SEP)
+            parts.append(question)
             try:
                 pids += map(pieces.__getitem__, parts)
             except ValueError as exc:
-                raise ValueError(f"record {stop}: {exc}") from None
+                raise ValueError(f"record {index}: {exc}") from None
             n_pieces.append(len(parts))
-            chars += len(contexts[stop]) + size
+            chars += len(context) + size
             stop += 1
         table = np.concatenate((table, np.array(pieces.new_ids, dtype=np.int64)))
         pieces.new_ids.clear()
@@ -248,20 +262,21 @@ def encode_contexts(vocab: Vocab, contexts: Sequence[str], questions: Sequence[s
                              minlength=(stop - start) * size).reshape(-1, size)
         counts[:, sep_id] += n_pieces - 1
         # Every row holds at least one SEP, so no row sum is 0.
-        out[start:stop] = counts / counts.sum(axis=1, keepdims=True)
+        rows = counts / counts.sum(axis=1, keepdims=True)
+        rows.setflags(write=False)
+        cache.update(zip((pair for pair, _ in misses[start:stop]), rows))
         start = stop
-    return out
+    return np.array([cache[pair] for pair in pairs]).reshape(-1, size)
 
 
 def pad_responses(responses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """(B, T) response ids, zero-padded to the longest, and the (B, T) mask of
     real positions."""
-    width = max((len(r) for r in responses), default=0)
-    ids = np.zeros((len(responses), width), dtype=np.int64)
-    mask = np.zeros((len(responses), width), dtype=bool)
-    for row, resp in enumerate(responses):
-        ids[row, :len(resp)] = resp
-        mask[row, :len(resp)] = True
+    lengths = np.fromiter(map(len, responses), dtype=np.int64, count=len(responses))
+    mask = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    ids = np.zeros(mask.shape, dtype=np.int64)
+    if len(responses):
+        ids[mask] = np.concatenate(responses)
     return ids, mask
 
 

@@ -56,8 +56,8 @@ class TrainConfig:
     telemetry: bool = True       # log reward_margin_long and lp_rejected_long
 
     def __post_init__(self) -> None:
-        if not self.lr_max >= 0:
-            raise ValueError("lr_max must be nonnegative")
+        if not 0 <= self.lr_max < math.inf:
+            raise ValueError(f"lr_max must be finite and nonnegative, got {self.lr_max}")
         if not 0 <= self.warmup_ratio < 1:
             raise ValueError("warmup_ratio must lie in [0, 1)")
         for name, least in (("batch_size", 1), ("epochs", 1), ("eval_every", 0)):
@@ -227,8 +227,6 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                          f"every step (of {total_steps}); raise warmup_ratio or the step count")
     mc = cfg.method_cfg
     rows = _prepare(dataset, model.vocab, cfg.po_context)
-    eval_rows = None if eval_set is None else [_eval_rows(model.vocab, eval_set, kind)
-                                               for kind in ("short", "long")]
     ref_lps = None
     if mc.needs_reference:  # the frozen reference is scored once
         per_token, _ = score_rows(freeze(model), *rows.batch(np.arange(len(dataset))))
@@ -278,40 +276,30 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 lp_rejected_long=float(np.mean(bundle.lp_l_long)) if cfg.telemetry
                 else float("nan")))
             if cfg.eval_every and eval_set is not None and step % cfg.eval_every == 0:
-                log.evals.append(EvalRecord(step, *(_accuracy(model, r, eval_set)
-                                                    for r in eval_rows)))
+                log.evals.append(EvalRecord(step, *(evaluate(model, eval_set, kind, vocab)
+                                                    for kind in ("short", "long"))))
     if eval_set is not None:
-        log.evals.append(EvalRecord(step, *(_accuracy(model, r, eval_set) for r in eval_rows)))
+        log.evals.append(EvalRecord(step, *(evaluate(model, eval_set, kind, vocab)
+                                            for kind in ("short", "long"))))
     return model, log
-
-
-def _eval_rows(vocab: Vocab, eval_set: Sequence[ForgedSample], context_kind: str
-               ) -> np.ndarray:
-    """The (B, V) :func:`bag_of_tokens` rows of the eval prompts under one
-    context variant."""
-    if context_kind not in ("short", "long"):
-        raise ValueError("context_kind must be 'short' or 'long'")
-    if not eval_set:
-        raise ValueError("eval set must be non-empty")
-    return encode_contexts(vocab, [s.x_short if context_kind == "short" else s.x_long
-                                   for s in eval_set], [s.question for s in eval_set])
-
-
-def _accuracy(model: ToyLM, counts: np.ndarray, eval_set: Sequence[ForgedSample],
-              max_len: int = 4) -> float:
-    """Greedy-decode accuracy of prepared eval rows under substring exact match."""
-    decoded = decode_rows(model, counts, max_len)
-    return sum(sub_em(d.text, s.answer) for d, s in zip(decoded, eval_set)) / len(eval_set)
 
 
 def evaluate(model: ToyLM, eval_set: Sequence[ForgedSample], context_kind: str,
              vocab: Vocab, max_len: int = 4) -> float:
     """Greedy-decode accuracy under substring exact match: the prompts are
-    encoded once and decoded together in one :func:`decode_rows` call.
-    ``vocab`` must be the model's vocabulary."""
+    encoded by one :func:`encode_contexts` call (which reads the pairs
+    ``vocab`` has encoded before from its cache) and decoded together in one
+    :func:`decode_rows` call. ``vocab`` must be the model's vocabulary."""
     if vocab != model.vocab:
         raise ValueError("vocab differs from the model's vocabulary")
-    return _accuracy(model, _eval_rows(vocab, eval_set, context_kind), eval_set, max_len)
+    if context_kind not in ("short", "long"):
+        raise ValueError("context_kind must be 'short' or 'long'")
+    if not eval_set:
+        raise ValueError("eval set must be non-empty")
+    counts = encode_contexts(vocab, [s.x_short if context_kind == "short" else s.x_long
+                                     for s in eval_set], [s.question for s in eval_set])
+    decoded = decode_rows(model, counts, max_len)
+    return sum(sub_em(d.text, s.answer) for d, s in zip(decoded, eval_set)) / len(eval_set)
 
 
 @dataclass
@@ -372,16 +360,15 @@ def run_comparison(configs: Sequence[tuple[str, TrainConfig]], dataset: Sequence
                    ) -> ComparisonReport:
     """Train every (config, seed) cell from a clone of ``starts[seed]`` with
     the config's seed set to ``seed``, and evaluate. The starts must share one
-    vocabulary: the eval set is encoded once for all cells."""
+    vocabulary, so every cell reads the eval rows from one row cache."""
     vocabs = {model.vocab for model in starts.values()}
     if len(vocabs) != 1:
         raise ValueError("starts must hold at least one model, all with one vocabulary")
     (vocab,) = vocabs
-    eval_rows = [_eval_rows(vocab, eval_set, kind) for kind in ("short", "long")]
     rows = []
     for label, cfg in configs:
         for seed, start in starts.items():
             trained, log = train(start.clone(), dataset, replace(cfg, seed=seed), vocab)
-            rows.append(RunResult(label, seed, *(_accuracy(trained, r, eval_set)
-                                                 for r in eval_rows), log))
+            rows.append(RunResult(label, seed, *(evaluate(trained, eval_set, kind, vocab)
+                                                 for kind in ("short", "long")), log))
     return ComparisonReport(rows=rows)

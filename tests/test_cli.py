@@ -113,6 +113,22 @@ class TestConfigParsing:
                              expected)
         assert not (tmp_path / "r" / "data" / "forged.jsonl").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "inf"), ("alpha", "nan"), ("beta", "inf"), ("gamma", "nan"),
+        ("eta", "-inf"), ("lr_max", "inf"), ("warmup_ratio", "nan")])
+    @pytest.mark.parametrize("source", ["--set", "config"])
+    def test_train_non_finite_number_names_key_and_where(self, tmp_path, capsys, key, value,
+                                                         source):
+        if source == "--set":
+            args, where = ["--set", f"{key}={value}"], "--set"
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"seed = 1\n{key} = {value}\n")
+            args, where = ["--config", cfg], f"{cfg}: line 2"
+        rc = run(["train", "--out", tmp_path / "r", *args])
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"{where}: config key '{key}'",
+                             f"expected a finite number, got '{value}'")
+
     def test_typed_defaults_and_overrides(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 2\nseed = 5\n")

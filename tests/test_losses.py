@@ -51,6 +51,12 @@ class TestDefaults:
         with pytest.raises(ValueError):
             MethodConfig(Method.DPO, include_nll=True)
 
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "eta"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_hyperparameter_names_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            MethodConfig(Method.ORPO, **{name: value})
+
 
 class TestReward:
     def test_simpo_length_normalized(self):

@@ -255,6 +255,15 @@ class TestScoreRows:
         for k in total:
             np.testing.assert_allclose(grads[k], total[k], rtol=0, atol=1e-12)
 
+    def test_pad_responses(self):
+        ids, mask = pad_responses([np.array([3, 4, 5]), np.array([], dtype=np.int64),
+                                   np.array([6])])
+        assert ids.dtype == np.int64 and mask.dtype == bool
+        assert ids.tolist() == [[3, 4, 5], [0, 0, 0], [6, 0, 0]]
+        assert mask.tolist() == [[True] * 3, [False] * 3, [True, False, False]]
+        ids, mask = pad_responses([])
+        assert ids.shape == mask.shape == (0, 0)
+
     def test_padding_contributes_nothing(self, model, vocab):
         counts, ids, mask = self.rows(vocab, self.ITEMS)
         weights = np.array([0.7, -1.3, 2.1, 0.4])
@@ -370,18 +379,22 @@ class TestEncodeContexts:
         rng = np.random.default_rng(2024)
         outcomes = set()
         for trial in range(80):
+            # A fresh vocabulary has no cached rows: every call runs the
+            # block encoder, and the second call reads the cache.
+            vocab = Vocab(vocab.tokens)
             contexts, questions = self.fuzz_batch(rng, vocab, int(rng.integers(0, 20)),
                                                   clean=trial % 4 != 0)
             error = first_error(vocab, contexts, questions)
             outcomes.add(error is None)
-            if error is None:
-                got = encode_contexts(vocab, contexts, questions)
-                assert got.shape == (len(contexts), vocab.size)
-                np.testing.assert_array_equal(got, prompt_rows(vocab, contexts, questions))
-            else:
-                with pytest.raises(ValueError) as exc:
-                    encode_contexts(vocab, contexts, questions)
-                assert str(exc.value) == error
+            for _ in range(2):
+                if error is None:
+                    got = encode_contexts(vocab, contexts, questions)
+                    assert got.shape == (len(contexts), vocab.size)
+                    np.testing.assert_array_equal(got, prompt_rows(vocab, contexts, questions))
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        encode_contexts(vocab, contexts, questions)
+                    assert str(exc.value) == error
         assert outcomes == {True, False}
 
     def test_edge_contexts(self, vocab):
@@ -425,6 +438,76 @@ class TestEncodeContexts:
     def test_one_question_per_context(self, vocab):
         with pytest.raises(ValueError, match="question"):
             encode_contexts(vocab, ["w0", "w1"], ["w2"])
+
+    CONTEXTS = [f"w0 {SEP} w1", f"w2 {SEP} w3 {SEP} w0", "w4", ""]
+    QUESTIONS = ["w5", "w6", "w0 w1", "w2"]
+
+    def spy_tokenized(self, monkeypatch) -> list[str]:
+        """The pieces tokenized from now on, in order."""
+        seen = []
+        original = policy_mod._Pieces.__missing__
+
+        def spy(pieces, part):
+            seen.append(part)
+            return original(pieces, part)
+
+        monkeypatch.setattr(policy_mod._Pieces, "__missing__", spy)
+        return seen
+
+    def test_repeated_pairs_are_read_from_the_cache(self, vocab, monkeypatch):
+        """A second call on the same pairs, in any order, tokenizes nothing;
+        a call that adds one pair tokenizes only that pair's pieces."""
+        expected = prompt_rows(vocab, self.CONTEXTS, self.QUESTIONS)
+        tokenized = self.spy_tokenized(monkeypatch)
+        first = encode_contexts(vocab, self.CONTEXTS, self.QUESTIONS)
+        assert tokenized
+        tokenized.clear()
+        again = encode_contexts(vocab, self.CONTEXTS[::-1], self.QUESTIONS[::-1])
+        assert tokenized == []
+        np.testing.assert_array_equal(first, expected)
+        np.testing.assert_array_equal(again, expected[::-1])
+        more = encode_contexts(vocab, self.CONTEXTS + [f"w6 {SEP} w0"], self.QUESTIONS + ["w4"])
+        assert tokenized == ["w6", "w0", "w4"]
+        np.testing.assert_array_equal(more[:-1], expected)
+        np.testing.assert_array_equal(
+            more[-1:], prompt_rows(vocab, [f"w6 {SEP} w0"], ["w4"]))
+
+    def test_returned_rows_are_the_callers(self, vocab):
+        """Writing into a returned array does not change the next call's rows."""
+        expected = prompt_rows(vocab, self.CONTEXTS, self.QUESTIONS)
+        for _ in range(2):
+            got = encode_contexts(vocab, self.CONTEXTS, self.QUESTIONS)
+            np.testing.assert_array_equal(got, expected)
+            got[:] = -1.0
+
+    @pytest.mark.parametrize("block_chars", [None, 1])
+    def test_out_of_vocabulary_after_cached_rows(self, vocab, monkeypatch, block_chars):
+        """Cached pairs before an unknown token keep the caller's row index in
+        the error, and a failed row is never cached, so a retry fails the same
+        way; the rows before it still encode."""
+        if block_chars is not None:
+            monkeypatch.setattr(policy_mod, "_BLOCK_CHARS", block_chars)
+        encode_contexts(vocab, self.CONTEXTS[2:], self.QUESTIONS[2:])
+        contexts = self.CONTEXTS + [f"w1 {SEP} zz", "w5", f"w1 {SEP} zz"]
+        questions = self.QUESTIONS + ["w2", "w3", "w2"]
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^record 4: token not in vocabulary: 'zz'$"):
+                encode_contexts(vocab, contexts, questions)
+        np.testing.assert_array_equal(encode_contexts(vocab, contexts[:4], questions[:4]),
+                                      prompt_rows(vocab, contexts[:4], questions[:4]))
+
+    def test_equal_vocabularies_encode_alone(self, vocab, monkeypatch):
+        """Equal but distinct vocabularies hold their own rows: each encodes
+        the pairs itself, and both get the per-prompt rows."""
+        other = Vocab(vocab.tokens)
+        assert other == vocab and other is not vocab
+        expected = prompt_rows(vocab, self.CONTEXTS, self.QUESTIONS)
+        tokenized = self.spy_tokenized(monkeypatch)
+        for v in (vocab, other):
+            tokenized.clear()
+            np.testing.assert_array_equal(encode_contexts(v, self.CONTEXTS, self.QUESTIONS),
+                                          expected)
+            assert tokenized
 
 
 class TestFreeze:

@@ -322,7 +322,7 @@ class TestTrain:
                 evaluate(ToyLM(vocab, 8, 0), bad, "long" if field == "x_long" else "short",
                          vocab)
 
-    @pytest.mark.parametrize("lr_max", [-1e-3, float("nan")])
+    @pytest.mark.parametrize("lr_max", [-1e-3, float("nan"), float("inf")])
     def test_learning_rate_must_be_nonnegative(self, lr_max):
         with pytest.raises(ValueError, match="lr_max"):
             TrainConfig(MethodConfig(Method.ORPO), lr_max=lr_max)
@@ -397,6 +397,31 @@ class TestEvaluate:
         p = 1.0 / len(tokens)
         se = math.sqrt(p * (1 - p) / len(eval_set))
         assert abs(acc - p) <= 4 * se
+
+    def test_repeated_calls_tokenize_once(self, world, monkeypatch):
+        """The eval prompts are tokenized by the first call only: the later
+        calls read their rows from the vocabulary's cache."""
+        import shortlong.policy as policy_mod
+
+        vocab = Vocab(world[0].tokens)  # no rows cached by other tests
+        eval_set = world[2]
+        tokenized = []
+        original = policy_mod._Pieces.__missing__
+
+        def spy(pieces, part):
+            tokenized.append(part)
+            return original(pieces, part)
+
+        monkeypatch.setattr(policy_mod._Pieces, "__missing__", spy)
+        model = ToyLM(vocab, hidden_dim=8, seed=0)
+        per_call = []
+        accs = set()
+        for _ in range(3):
+            tokenized.clear()
+            accs.add(evaluate(model, eval_set, "long", vocab))
+            per_call.append(len(tokenized))
+        assert per_call[0] > 0 and per_call[1:] == [0, 0]
+        assert len(accs) == 1
 
     def test_short_and_long_use_their_contexts(self, world, monkeypatch):
         vocab, _, eval_set = world
