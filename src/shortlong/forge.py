@@ -10,6 +10,7 @@ discarded. The whole pipeline is a pure function of (inputs, seed).
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import logging
@@ -187,7 +188,10 @@ def synthesize_context(src: SourceSample, pool: DistractorPool,
     return f" {SEP} ".join(docs[rng.permutation(len(docs))].tolist())
 
 
+@functools.lru_cache(maxsize=4096)
 def _normalize(text: str) -> str:
+    """Lowercase, punctuation stripped, articles dropped, whitespace collapsed.
+    Memoized: gold answers and decoded texts repeat across calls."""
     words = text.lower().translate(_PUNCT_TABLE).split()
     return " ".join(w for w in words if w not in _ARTICLES)
 

@@ -351,16 +351,23 @@ def logprob(model: ToyLM, context: Sequence[str], response: Sequence[str]) -> Sc
 
 
 def decode_rows(model: ToyLM, counts: np.ndarray, max_len: int, temperature: float = 0.0,
-                rng: np.random.Generator | None = None) -> list[ScoredSequence]:
+                rng: np.random.Generator | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode B prompts together in at most ``max_len`` vectorized steps.
 
     ``counts`` is (B, V), one :func:`bag_of_tokens` row per prompt. Temperature
     0 is greedy. Otherwise each step draws one ``rng.random`` double per
     unfinished row, in row order, and inverts that row's CDF exactly as
     ``Generator.choice(p=...)`` does. A row stops after it emits EOS or at
-    ``max_len`` tokens. The recorded log-probabilities are the model's own
-    (temperature 1) scores of the emitted tokens.
+    ``max_len`` tokens.
+
+    Returns ``(ids, lengths, per_token)``: the (B, max_len) int64 token ids,
+    the (B,) number of tokens each row emitted, and the (B, max_len) float64
+    log-probabilities of those tokens under the model's own (temperature 1)
+    scores. Both (B, max_len) arrays are 0 past each row's length.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
     if temperature > 0 and rng is None:
@@ -386,11 +393,14 @@ def decode_rows(model: ToyLM, counts: np.ndarray, max_len: int, temperature: flo
             # searchsorted(cdf, u, side="right") of each row
             tok = (cdf <= rng.random(len(live))[:, None]).sum(axis=1)
         ids[live, step] = tok
-        per_token[live, step] = _log_softmax(logits)[np.arange(len(live)), tok]
+        # _log_softmax(logits)[r, tok], gathered before the normalizer
+        top = logits.max(axis=1, keepdims=True)
+        per_token[live, step] = ((logits[np.arange(len(live)), tok] - top[:, 0])
+                                 - np.log(np.exp(logits - top).sum(axis=1)))
         lengths[live] += 1
         prev[live] = tok
         live = live[tok != vocab.eos_id]
-    return [_scored(vocab.decode(row[:n]), lps) for row, lps, n in zip(ids, per_token, lengths)]
+    return ids, lengths, per_token
 
 
 def sample(model: ToyLM, context: Sequence[str], n: int, temperature: float,
@@ -400,7 +410,9 @@ def sample(model: ToyLM, context: Sequence[str], n: int, temperature: float,
     prompt, so with ``max_len`` > 1 the draws are made step by step across
     the samples."""
     rows = np.repeat(encode_prompts(model.vocab, [context]), n, axis=0)
-    return decode_rows(model, rows, max_len, temperature, rng)
+    ids, lengths, per_token = decode_rows(model, rows, max_len, temperature, rng)
+    return [_scored(model.vocab.decode(row[:k]), lps)
+            for row, lps, k in zip(ids, per_token, lengths)]
 
 
 def greedy_decode(model: ToyLM, context: Sequence[str], max_len: int = 4) -> ScoredSequence:

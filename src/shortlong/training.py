@@ -177,20 +177,25 @@ def _prepare(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> 
     short, long_ = (encode_contexts(vocab, [s.x_short for s in dataset], questions),
                     encode_contexts(vocab, [s.x_long for s in dataset], questions))
     po = long_ if po_context == "long" else short
-    responses, len_w, len_l = [], [], []
-    for i, sample in enumerate(dataset):
-        try:
-            y_w = vocab.encode(sample.y_w.split() + [EOS])
-            y_l = vocab.encode(sample.y_l.split() + [EOS])
-        except ValueError as exc:
-            raise ValueError(f"record {i}: {exc}") from None
-        responses += [y_w, y_l, y_w, y_l]
-        len_w.append(len(y_w))
-        len_l.append(len(y_l))
-    resp_ids, mask = pad_responses(responses)
-    n = len(dataset)
-    return _Rows(np.stack((po, po, long_, long_), axis=1), resp_ids.reshape(n, 4, -1),
-                 mask.reshape(n, 4, -1), np.array(len_w), np.array(len_l))
+    # texts[2i] and texts[2i + 1] are record i's y_w and y_l; each distinct
+    # one is encoded once, all of them in one lookup.
+    texts = [text for s in dataset for text in (s.y_w, s.y_l)]
+    distinct: dict[str, int] = {}
+    slots = np.array([distinct.setdefault(text, len(distinct)) for text in texts])
+    words = [text.split() + [EOS] for text in distinct]
+    try:
+        flat = vocab.encode([w for ws in words for w in ws])
+    except ValueError as exc:
+        # The bad token is the first one of the first text that holds one.
+        known = set(vocab.tokens)
+        bad = next(i for i, text in enumerate(texts) if not known.issuperset(text.split()))
+        raise ValueError(f"record {bad // 2}: {exc}") from None
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    ends = np.cumsum(lengths).tolist()
+    ids, mask = pad_responses([flat[end - n:end] for end, n in zip(ends, lengths.tolist())])
+    order = slots.reshape(-1, 2)[:, [0, 1, 0, 1]]  # (y_w, y_l, y_w, y_l) per record
+    return _Rows(np.stack((po, po, long_, long_), axis=1), ids[order], mask[order],
+                 lengths[order[:, 0]], lengths[order[:, 1]])
 
 
 def _non_finite(message: str, step: int, sample_index: int, **detail) -> NonFiniteLossError:
@@ -288,8 +293,9 @@ def evaluate(model: ToyLM, eval_set: Sequence[ForgedSample], context_kind: str,
              vocab: Vocab, max_len: int = 4) -> float:
     """Greedy-decode accuracy under substring exact match: the prompts are
     encoded by one :func:`encode_contexts` call (which reads the pairs
-    ``vocab`` has encoded before from its cache) and decoded together in one
-    :func:`decode_rows` call. ``vocab`` must be the model's vocabulary."""
+    ``vocab`` has encoded before from its cache), decoded together in one
+    :func:`decode_rows` call, and graded from the returned token ids.
+    ``vocab`` must be the model's vocabulary."""
     if vocab != model.vocab:
         raise ValueError("vocab differs from the model's vocabulary")
     if context_kind not in ("short", "long"):
@@ -298,8 +304,12 @@ def evaluate(model: ToyLM, eval_set: Sequence[ForgedSample], context_kind: str,
         raise ValueError("eval set must be non-empty")
     counts = encode_contexts(vocab, [s.x_short if context_kind == "short" else s.x_long
                                      for s in eval_set], [s.question for s in eval_set])
-    decoded = decode_rows(model, counts, max_len)
-    return sum(sub_em(d.text, s.answer) for d, s in zip(decoded, eval_set)) / len(eval_set)
+    ids, lengths, _ = decode_rows(model, counts, max_len)
+    tokens, eos = vocab.tokens, vocab.eos_id
+    # Each row's ScoredSequence.text: its tokens with EOS dropped.
+    texts = (" ".join(tokens[t] for t in row[:n] if t != eos)
+             for row, n in zip(ids.tolist(), lengths.tolist()))
+    return sum(sub_em(text, s.answer) for text, s in zip(texts, eval_set)) / len(eval_set)
 
 
 @dataclass

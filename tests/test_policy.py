@@ -8,11 +8,12 @@ import pytest
 
 import shortlong.policy as policy_mod
 from shortlong.corpus import StubGenerator, build_chain_corpus, word_profile
-from shortlong.forge import HaystackConfig, forge_dataset
+from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset, sub_em
 from shortlong.policy import (BOS, EOS, SEP, ScoredSequence, ToyLM, Vocab, assemble_prompt,
                               bag_of_tokens, decode_rows, encode_contexts, encode_prompts,
                               freeze, greedy_decode, load_model, logprob, logprob_with_grad,
                               pad_responses, sample, save_model, score_rows)
+from shortlong.training import evaluate
 
 WORDS = ("w0", "w1", "w2", "w3", "w4", "w5", "w6")
 
@@ -156,10 +157,18 @@ class TestDecodeRows:
         rng = np.random.default_rng(0)
         prompts = [[]] + [list(rng.choice(WORDS, rng.integers(0, 12))) for _ in range(48)]
         max_len = 5
-        batch = decode_rows(sharp, encode_prompts(sharp.vocab, prompts), max_len)
+        ids, lengths, per_token = decode_rows(sharp, encode_prompts(sharp.vocab, prompts),
+                                              max_len)
+        assert ids.shape == per_token.shape == (len(prompts), max_len)
+        assert (ids.dtype, lengths.shape, per_token.dtype) == (np.int64, (len(prompts),),
+                                                               np.float64)
         ends = set()
-        for context, got in zip(prompts, batch):
+        for context, row, n, lps_row in zip(prompts, ids, lengths, per_token):
             tokens, lps = _greedy_alone(sharp, context, max_len)
+            assert tuple(sharp.vocab.decode(row[:n])) == tokens
+            assert np.allclose(lps_row[:n], lps, rtol=0.0, atol=1e-12)
+            assert not row[n:].any() and not lps_row[n:].any()
+            got = greedy_decode(sharp, context, max_len)
             assert got.tokens == tokens
             assert np.allclose(got.per_token_logprobs, lps, rtol=0.0, atol=1e-12)
             assert got.total_logprob == pytest.approx(sum(lps), abs=1e-12)
@@ -168,9 +177,73 @@ class TestDecodeRows:
         assert {(1, True), (3, True), (4, True), (max_len, False)} <= ends
 
     def test_no_rows_and_no_steps(self, sharp):
-        assert decode_rows(sharp, encode_prompts(sharp.vocab, []), 4) == []
-        out = decode_rows(sharp, encode_prompts(sharp.vocab, [["w0"], []]), 0)
-        assert [s.tokens for s in out] == [(), ()]
+        ids, lengths, per_token = decode_rows(sharp, encode_prompts(sharp.vocab, []), 4)
+        assert (ids.shape, lengths.shape, per_token.shape) == ((0, 4), (0,), (0, 4))
+        ids, lengths, per_token = decode_rows(
+            sharp, encode_prompts(sharp.vocab, [["w0"], []]), 0)
+        assert (ids.shape, lengths.tolist(), per_token.shape) == ((2, 0), [0, 0], (2, 0))
+        assert [s.tokens for s in sample(sharp, ["w0"], 2, 0.0, 0, None)] == [(), ()]
+
+    def test_negative_max_len_fails_by_name(self, sharp):
+        message = r"^max_len must be >= 0, got -1$"
+        with pytest.raises(ValueError, match=message):
+            decode_rows(sharp, encode_prompts(sharp.vocab, [["w0"]]), -1)
+        with pytest.raises(ValueError, match=message):
+            sample(sharp, ["w0"], 2, 0.0, -1, None)
+        eval_set = [ForgedSample("w0", "w1", "w2", "w2 w3", "w1", "w4")]
+        with pytest.raises(ValueError, match=message):
+            evaluate(sharp, eval_set, "short", sharp.vocab, max_len=-1)
+
+    def test_evaluate_grades_greedy_decode_texts(self, sharp):
+        """evaluate's texts, formed from token ids, grade exactly as the
+        greedy ScoredSequence texts do, for rows that stop at EOS at
+        different steps and rows cut at max_len."""
+        rng = np.random.default_rng(1)
+        max_len = 5
+
+        def context():
+            return " ".join(rng.choice(WORDS, rng.integers(1, 12)))
+
+        eval_set = []
+        for i in range(60):
+            x_short, x_long = context(), context()
+            decoded = greedy_decode(sharp, assemble_prompt(x_short, "w0"), max_len).text
+            # A decoded word, a random word, or a special that only leaks into
+            # a text if EOS or the padding past a row's length is not dropped.
+            answer = [decoded.split()[-1] if decoded else EOS, str(rng.choice(WORDS)),
+                      EOS, BOS][i % 4]
+            eval_set.append(ForgedSample("w0", answer, x_short, x_long, answer, "w6"))
+        for kind in ("short", "long"):
+            hits = [sub_em(greedy_decode(
+                sharp, assemble_prompt(getattr(s, f"x_{kind}"), s.question), max_len).text,
+                s.answer) for s in eval_set]
+            assert 0 < sum(hits) < len(hits)
+            assert evaluate(sharp, eval_set, kind, sharp.vocab, max_len) == \
+                sum(hits) / len(hits)
+
+    def test_sampled_output_matches_recorded(self, vocab):
+        """Temperature-0.85 draws for a fixed rng, recorded before decode_rows
+        returned arrays: the same tokens and log-probabilities, exactly."""
+        m = ToyLM(vocab, hidden_dim=8, seed=8)
+        for arr in m.params.values():
+            arr *= 10.0
+        got = sample(m, ["w2", "w4"], 6, 0.85, 5, np.random.default_rng(5))
+        assert [(" ".join(s.tokens), s.per_token_logprobs) for s in got] == [
+            ("w2 w0 w0 w1 w0", (-3.0867636349711125, -2.0916166939766083, -2.342808745394931,
+                                -2.2150634134342733, -2.392963305230806)),
+            ("w2 <bos> <sep> w2 w5", (-3.0867636349711125, -1.9583777798352549,
+                                      -1.8945169774251074, -2.6849813325439453,
+                                      -1.7330441416996516)),
+            ("w0 <bos> w6 w3 <bos>", (-1.8354936561012052, -2.3468506025575016,
+                                      -3.0231762140463245, -1.1411891678222483,
+                                      -2.19183998651098)),
+            ("<eos>", (-2.5021863820449566,)),
+            ("<bos> w6 w5 <eos>", (-1.490290387691808, -3.0231762140463245,
+                                   -2.341147137013939, -2.700444428613051)),
+            ("<sep> w3 w5 w3 w3", (-1.8945169774251074, -1.8353009599890517,
+                                   -2.0999381462525046, -2.1544130786656694,
+                                   -2.8083003334512786)),
+        ]
 
     def test_one_step_draws_match_generator_choice(self, vocab):
         m = ToyLM(vocab, hidden_dim=8, seed=8)

@@ -10,9 +10,10 @@ from shortlong.corpus import (PrefixedStubGenerator, build_chain_corpus,
                               needle_profile, needle_vocab, value_token)
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset
 from shortlong.losses import Method, MethodConfig, RAMode
-from shortlong.policy import BOS, EOS, ToyLM, Vocab, freeze, logprob
-from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, assemble_prompt,
-                                evaluate, learning_rate, run_comparison, train)
+from shortlong.policy import BOS, EOS, ToyLM, Vocab, freeze, logprob, pad_responses
+from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, _prepare,
+                                assemble_prompt, evaluate, learning_rate, run_comparison,
+                                train)
 
 
 @pytest.fixture(scope="module")
@@ -271,12 +272,13 @@ class TestTrain:
     def test_prompts_encoded_once_per_dataset(self, world, monkeypatch):
         """Encoding happens once per dataset, not once per step: one
         encode_contexts call over the short prompts and one over the long,
-        and one Vocab.encode per response; the DPO reference is scored from
-        the same encoding."""
+        and one Vocab.encode call over the distinct responses; the DPO
+        reference is scored from the same encoding."""
         import shortlong.training as training_mod
 
         vocab, data, _ = world
         prompt_calls, response_calls = [], []
+        distinct = {text for s in data for text in (s.y_w, s.y_l)}
         original_contexts, original_encode = training_mod.encode_contexts, Vocab.encode
 
         def counting_contexts(vocab, contexts, questions):
@@ -296,8 +298,25 @@ class TestTrain:
             response_calls.clear()
             cfg = TrainConfig(MethodConfig(method), batch_size=8, epochs=epochs, seed=0)
             train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
-            counts[method, epochs] = (tuple(prompt_calls), len(response_calls))
-        assert set(counts.values()) == {((len(data), len(data)), 2 * len(data))}
+            counts[method, epochs] = (tuple(prompt_calls), tuple(response_calls))
+        tokens = sum(len(text.split()) + 1 for text in distinct)  # each ends in EOS
+        assert len(distinct) < 2 * len(data)
+        assert set(counts.values()) == {((len(data), len(data)), (tokens,))}
+
+    def test_responses_encode_as_one_row_each(self, world):
+        """The one-lookup encoding equals padding each record's own
+        (y_w, y_l, y_w, y_l) encodings, bit for bit."""
+        vocab, data, _ = world
+        rows = _prepare(data, vocab, "short")
+        responses = []
+        for s in data:
+            y_w, y_l = (vocab.encode(text.split() + [EOS]) for text in (s.y_w, s.y_l))
+            responses += [y_w, y_l, y_w, y_l]
+        ids, mask = pad_responses(responses)
+        assert np.array_equal(rows.resp_ids, ids.reshape(len(data), 4, -1))
+        assert np.array_equal(rows.mask, mask.reshape(len(data), 4, -1))
+        assert rows.len_w.tolist() == [len(r) for r in responses[0::4]]
+        assert rows.len_l.tolist() == [len(r) for r in responses[1::4]]
 
     def test_vocab_must_match_model(self, world):
         """The same tokens in another order would encode differently, so a
@@ -308,7 +327,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="vocab"):
             train(ToyLM(shuffled, hidden_dim=8, seed=1), data, cfg, vocab)
 
-    @pytest.mark.parametrize("field", ["x_short", "x_long", "question", "y_l"])
+    @pytest.mark.parametrize("field", ["x_short", "x_long", "question", "y_w", "y_l"])
     def test_out_of_vocabulary_names_record_and_token(self, world, field):
         vocab, data, _ = world
         bad = list(data[:6])
@@ -317,10 +336,21 @@ class TestTrain:
         message = r"^record 4: token not in vocabulary: 'zz'$"
         with pytest.raises(ValueError, match=message):
             train(ToyLM(vocab, 8, 0), bad, cfg, vocab)
-        if field != "y_l":  # evaluate encodes prompts only
+        if field not in ("y_w", "y_l"):  # evaluate encodes prompts only
             with pytest.raises(ValueError, match=message):
                 evaluate(ToyLM(vocab, 8, 0), bad, "long" if field == "x_long" else "short",
                          vocab)
+
+    def test_out_of_vocabulary_names_first_bad_response(self, world):
+        """Record 2's y_l and record 4's y_w are both bad: record order wins
+        over the y_w-before-y_l order within a record."""
+        vocab, data, _ = world
+        bad = list(data[:6])
+        bad[2] = replace(bad[2], y_l=bad[2].y_l + " zz")
+        bad[4] = replace(bad[4], y_w=bad[4].y_w + " qq")
+        cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8, seed=0)
+        with pytest.raises(ValueError, match=r"^record 2: token not in vocabulary: 'zz'$"):
+            train(ToyLM(vocab, 8, 0), bad, cfg, vocab)
 
     @pytest.mark.parametrize("lr_max", [-1e-3, float("nan"), float("inf")])
     def test_learning_rate_must_be_nonnegative(self, lr_max):
@@ -357,9 +387,10 @@ class TestEvaluate:
         vocab, _, eval_set = world
 
         # evaluate() decodes all prompts in one policy.decode_rows call; an
-        # oracle decoder that reads off each prompt's gold answer is injected there.
+        # oracle decoder whose token ids spell each prompt's gold answer is
+        # injected there.
         import shortlong.training as training_mod
-        from shortlong.policy import ScoredSequence, bag_of_tokens
+        from shortlong.policy import bag_of_tokens
         from shortlong.training import assemble_prompt
 
         answers = {bag_of_tokens(vocab.encode(assemble_prompt(s.x_short, s.question)),
@@ -367,8 +398,9 @@ class TestEvaluate:
                    for s in eval_set}
 
         def fake_decode(model, counts, max_len=4):
-            return [ScoredSequence((answers[row.tobytes()], EOS), 0.0, (0.0, 0.0))
-                    for row in counts]
+            ids, mask = pad_responses([vocab.encode(answers[row.tobytes()].split() + [EOS])
+                                       for row in counts])
+            return ids, mask.sum(axis=1), np.zeros(ids.shape)
 
         original = training_mod.decode_rows
         training_mod.decode_rows = fake_decode
