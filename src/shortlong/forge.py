@@ -285,8 +285,9 @@ def _conflict_free_pool(pool: DistractorPool, src: SourceSample) -> DistractorPo
     # A haystack doc opening with a supporting doc's subject could contradict
     # the needle; skip those.
     firsts = {d.split()[0] for d in src.supporting_docs}
-    heads = [pool.head_ids[h] for h in firsts if h in pool.head_ids]
-    return pool.subset(~np.isin(pool.heads, heads))
+    conflict = np.zeros(len(pool.head_ids), dtype=bool)  # indexed by head id
+    conflict[[pool.head_ids[h] for h in firsts if h in pool.head_ids]] = True
+    return pool.subset(~conflict[pool.heads])
 
 
 Generator = Callable[[str, SourceSample, np.random.Generator], list[str]]

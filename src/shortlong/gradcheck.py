@@ -29,17 +29,17 @@ def relative_error(analytic, numeric):
 def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[np.ndarray]:
     """Distances to the nearest non-differentiable points of the total loss,
     one (n,) array per kink."""
-    from .losses import (_METHODS, _RA_SIDES, _alignment_gap,  # internal on purpose
-                         _short_margin_arg)
+    from .losses import _METHODS, _RA_RESPONSES, _reward_pass  # internal on purpose
 
+    _, _, z, gaps, _ = _reward_pass(cfg, b)
     dists = []
     if cfg.link is ConvexLink.HINGE:
-        dists.append(abs(_short_margin_arg(cfg, b)))
+        dists.append(abs(z))
     if cfg.alpha > 0:
         if cfg.ra_mode is RAMode.KL_APPROX:
             dists.append(abs(b.lp_w_short - b.lp_w_long))
         elif not _METHODS[cfg.method].squared_gap:  # a squared gap has no kink
-            dists += [abs(_alignment_gap(cfg, b, side)) for side in _RA_SIDES[cfg.ra_mode]]
+            dists += list(abs(gaps[:_RA_RESPONSES[cfg.ra_mode]]))
     return dists
 
 

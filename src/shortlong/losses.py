@@ -204,13 +204,15 @@ GRAD_FIELDS = (
 
 @dataclass
 class LossBreakdown:
-    """total = po_term + alpha * ra_term + nll_term, and ``grads``, which maps
-    every name in :data:`GRAD_FIELDS` to d total / d field."""
+    """total = po_term + alpha * ra_term + nll_term; the long-context reward
+    margin r(x_long, y_w) - r(x_long, y_l); and ``grads``, which maps every
+    name in :data:`GRAD_FIELDS` to d total / d field."""
 
     total: float | np.ndarray
     po_term: float | np.ndarray
     ra_term: float | np.ndarray
     nll_term: float | np.ndarray
+    reward_margin_long: float | np.ndarray
     grads: dict
 
 
@@ -226,15 +228,14 @@ def reward(cfg: MethodConfig, lp, ref_lp, length):
     return _scalar(_METHODS[cfg.method].reward(cfg.beta, lp, ref_lp, length))
 
 
-def _short_margin_arg(cfg: MethodConfig, b: LogProbBundle):
-    row = _METHODS[cfg.method]
-    r_w = row.reward(cfg.beta, b.lp_w_short, b.ref_lp_w_short, b.len_w)
-    r_l = row.reward(cfg.beta, b.lp_l_short, b.ref_lp_l_short, b.len_l)
-    return cfg.eta * (r_w - r_l - cfg.gamma)
+def _reward_pass(cfg: MethodConfig, b: LogProbBundle) -> tuple:
+    """One stacked reward pass over the four policy fields.
 
-
-def _alignment_gap(cfg: MethodConfig, b: LogProbBundle, side: str):
-    """r(x_short, y) - r(x_long, y) for response ``side`` ("w" or "l").
+    Returns ``(lp, lens, z, gaps, margin_long)``: the (4, ...) stack of
+    ``GRAD_FIELDS[:4]`` and of their response lengths, the short margin
+    argument ``eta * (r_w - r_l - gamma)``, the (2, ...) alignment gaps
+    ``r(x_short, y) - r(x_long, y)`` of y_w and y_l, and the long-context
+    margin ``r(x_long, y_w) - r(x_long, y_l)``.
 
     A row that does not keep the reference in the gap (DPO) aligns only the
     policy term: both contexts share one reference, which cancels. Sharing the
@@ -242,11 +243,13 @@ def _alignment_gap(cfg: MethodConfig, b: LogProbBundle, side: str):
     correctly rounded beta * (lp_short - lp_long) even when the gap is tiny.
     """
     row = _METHODS[cfg.method]
-    lp_s, lp_l = getattr(b, f"lp_{side}_short"), getattr(b, f"lp_{side}_long")
-    ref_s, ref_l = ((getattr(b, f"ref_lp_{side}_short"), getattr(b, f"ref_lp_{side}_long"))
-                    if row.gap_keeps_reference else (lp_l, lp_l))
-    length = getattr(b, f"len_{side}")
-    return row.reward(cfg.beta, lp_s, ref_s, length) - row.reward(cfg.beta, lp_l, ref_l, length)
+    lp = np.array([b.lp_w_short, b.lp_l_short, b.lp_w_long, b.lp_l_long])
+    lens = np.array([b.len_w, b.len_l, b.len_w, b.len_l])
+    ref = np.array([getattr(b, k) for k in GRAD_FIELDS[4:]]) if row.needs_reference else None
+    r = row.reward(cfg.beta, lp, ref, lens)
+    gaps = (r[:2] - r[2:] if ref is None or row.gap_keeps_reference
+            else row.reward(cfg.beta, lp[:2], lp[2:], lens[:2]))
+    return lp, lens, cfg.eta * (r[0] - r[1] - cfg.gamma), gaps, r[2] - r[3]
 
 
 def _gap_penalty(row: _Row, gap) -> tuple:
@@ -257,65 +260,63 @@ def _gap_penalty(row: _Row, gap) -> tuple:
     return abs(gap), np.sign(gap)
 
 
-# The responses each gap-based alignment mode averages over.
-_RA_SIDES = {RAMode.CHOSEN_ONLY: ("w",), RAMode.BOTH: ("w", "l")}
+# How many responses each gap-based alignment mode averages over: y_w, then y_l.
+_RA_RESPONSES = {RAMode.CHOSEN_ONLY: 1, RAMode.BOTH: 2}
 
 
 def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
     """The full objective, its terms and its gradient ``grads``, from one
-    evaluation of the margin and of each alignment gap.
+    stacked pass of the method's reward and of its derivative over all four
+    policy fields (see :func:`_reward_pass`).
 
     Alignment: chosen_only penalizes the chosen response's reward gap, both
     averages the chosen and rejected penalties, kl_approx is the raw
     |lp_w_short - lp_w_long|. Reference entries of ``grads`` are zero unless
     the method's reward reads the reference (references are frozen inputs, but
     DPO/IPO rewards still carry the analytic -beta/-1 terms so finite
-    differences over the raw fields agree). Kinks take subgradient 0.
+    differences over the raw fields agree). Kinks take subgradient 0. Every
+    policy field goes through the reward, so an ORPO log-odds singularity in
+    any of them raises :class:`DomainError`, whose index is the flat position
+    in the (4, ...) stack of ``GRAD_FIELDS[:4]``: record ``index % n``.
     """
     if cfg.needs_reference and not b.has_reference():
         raise ValueError(f"{cfg.method.value} requires reference log-probs")
     row = _METHODS[cfg.method]
-    g = dict.fromkeys(GRAD_FIELDS, 0.0)
-    z = _short_margin_arg(cfg, b)
+    lp, lens, z, gaps, margin_long = _reward_pass(cfg, b)
+    slope = np.broadcast_to(row.dreward(cfg.beta, lp, lens), lp.shape)  # dr/dlp per field
     po = eval_link(cfg.link, z)
     fz = link_deriv(cfg.link, z) * cfg.eta
-    # dr/dlp per field, each evaluated at most once (the gaps reuse these).
-    slopes = {"lp_w_short": row.dreward(cfg.beta, b.lp_w_short, b.len_w),
-              "lp_l_short": row.dreward(cfg.beta, b.lp_l_short, b.len_l)}
-    g["lp_w_short"] = fz * slopes["lp_w_short"]
-    g["lp_l_short"] = -fz * slopes["lp_l_short"]
+    g = np.zeros((len(GRAD_FIELDS),) + lp.shape[1:])  # d total / d field, GRAD_FIELDS order
+    g[0] = fz * slope[0]
+    g[1] = -fz * slope[1]
     if row.needs_reference:
-        g["ref_lp_w_short"] = -g["lp_w_short"]
-        g["ref_lp_l_short"] = -g["lp_l_short"]
+        g[4:6] = -g[:2]
     nll = -b.lp_w_short / b.len_w if cfg.include_nll else 0.0
     if cfg.include_nll:
-        g["lp_w_short"] = g["lp_w_short"] - 1.0 / b.len_w
+        g[0] -= 1.0 / b.len_w
 
     a = cfg.alpha
     if cfg.ra_mode is RAMode.KL_APPROX:
         diff = b.lp_w_short - b.lp_w_long
         ra = abs(diff)
         if a != 0.0:
-            g["lp_w_short"] = g["lp_w_short"] + a * np.sign(diff)
-            g["lp_w_long"] = -a * np.sign(diff)
+            g[0] += a * np.sign(diff)
+            g[2] = -a * np.sign(diff)
     else:
-        sides = _RA_SIDES[cfg.ra_mode]
-        penalties = [_gap_penalty(row, _alignment_gap(cfg, b, side)) for side in sides]
-        ra = sum(penalty for penalty, _ in penalties) / len(sides)
+        k = _RA_RESPONSES[cfg.ra_mode]
+        penalty, outer = _gap_penalty(row, gaps[:k])
+        ra = penalty.sum(axis=0) / k
         if a != 0.0:
-            weight = a / len(sides)
-            for side, (_, outer) in zip(sides, penalties):
-                length = getattr(b, f"len_{side}")
-                for ctx, sign in (("short", weight), ("long", -weight)):
-                    key = f"lp_{side}_{ctx}"
-                    if key not in slopes:
-                        slopes[key] = row.dreward(cfg.beta, getattr(b, key), length)
-                    d = sign * outer * slopes[key]
-                    g[key] = g[key] + d
-                    if row.gap_keeps_reference:
-                        g["ref_" + key] = g["ref_" + key] - d
+            weighted = a / k * outer
+            d_short, d_long = weighted * slope[:k], weighted * slope[2:2 + k]
+            g[:k] += d_short
+            g[2:2 + k] -= d_long
+            if row.gap_keeps_reference:
+                g[4:4 + k] -= d_short
+                g[6:6 + k] += d_long
     return LossBreakdown(total=po + a * ra + nll, po_term=po, ra_term=ra, nll_term=nll,
-                         grads={name: _scalar(value) for name, value in g.items()})
+                         reward_margin_long=_scalar(margin_long),
+                         grads={name: _scalar(value) for name, value in zip(GRAD_FIELDS, g)})
 
 
 def po_loss(cfg: MethodConfig, b: LogProbBundle):

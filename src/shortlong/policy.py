@@ -305,22 +305,23 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
     per_token[rows, cols] = logp[np.arange(len(tok)), tok]
 
     def backward(upstream: np.ndarray) -> dict[str, np.ndarray]:
-        live = np.flatnonzero(upstream)
-        at = np.isin(rows, live)
-        row_of = np.searchsorted(live, rows[at])
+        keep = upstream != 0.0
+        live = np.flatnonzero(keep)
+        at = keep[rows]
+        row_of = (np.cumsum(keep) - 1)[rows[at]]  # each position's rank among the live rows
         # d logprob_t / d logits = onehot - softmax
         d_logits = -np.exp(logp[at])
         d_logits[np.arange(len(row_of)), tok[at]] += 1.0
         d_logits *= upstream[live][row_of, None]
         d_state = d_logits @ out_w.T
-        # Each row's d_state summed over its positions: scattered back to
-        # (rows, T, d) and summed over T, linear in the batch.
-        d_hidden = np.zeros((len(live), mask.shape[1], d_state.shape[1]))
-        d_hidden[row_of, cols[at]] = d_state
+        # Each live row's d_state summed over its positions, and d emb[prev] +=
+        # d_state, each in one bincount over (row or token, coordinate) bins.
+        d = emb.shape[1]
+        d_row = np.bincount((row_of[:, None] * d + np.arange(d)).ravel(), d_state.ravel(),
+                            minlength=len(live) * d).reshape(len(live), d)
         # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
-        d_pre = (1.0 - hidden[live] ** 2) * d_hidden.sum(axis=1)
-        # d emb[prev] += d_state, summed in one bincount over (token, coordinate) bins
-        bins = (prev[at, None] * emb.shape[1] + np.arange(emb.shape[1])).ravel()
+        d_pre = (1.0 - hidden[live] ** 2) * d_row
+        bins = (prev[at, None] * d + np.arange(d)).ravel()
         d_prev = np.bincount(bins, d_state.ravel(), minlength=emb.size).reshape(emb.shape)
         return {"emb": d_prev + counts[live].T @ (d_pre @ ctx_w),
                 "ctx_w": d_pre.T @ pooled[live],

@@ -19,7 +19,7 @@ import numpy as np
 
 from .forge import ForgedSample, sub_em
 from .links import DomainError
-from .losses import LogProbBundle, MethodConfig, reward, solopo_loss
+from .losses import LogProbBundle, MethodConfig, solopo_loss
 from .policy import (EOS, ToyLM, Vocab, assemble_prompt, decode_rows, encode_contexts, freeze,
                      pad_responses, score_rows)
 # An alias of policy.logprob, kept importable from here: perfbench/selftest.py
@@ -114,24 +114,36 @@ class NonFiniteLossError(RuntimeError):
 
 class AdamW:
     """Adam moments (beta1 0.9, beta2 0.999, eps 1e-8) over a dict of arrays,
-    with weight decay 0."""
+    with weight decay 0. A step updates the moments and the parameters in
+    place, with the float operations of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g`` and ``p -= lr * (m_hat / (sqrt(v_hat) + eps))``;
+    it never writes into ``grads``."""
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._bufs = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
         b1, b2 = 0.9, 0.999
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         for key, p in self.params.items():
-            g = grads[key]
-            self.m[key] = b1 * self.m[key] + (1 - b1) * g
-            self.v[key] = b2 * self.v[key] + (1 - b2) * g * g
-            m_hat = self.m[key] / (1 - b1 ** self.t)
-            v_hat = self.v[key] / (1 - b2 ** self.t)
-            p -= lr * (m_hat / (np.sqrt(v_hat) + 1e-8))
+            g, m, v = grads[key], self.m[key], self.v[key]
+            step, denom = self._bufs[key]
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=step)
+            v *= b2
+            np.multiply(g, 1 - b2, out=step)
+            v += np.multiply(step, g, out=step)
+            np.sqrt(np.divide(v, c2, out=denom), out=denom)
+            denom += 1e-8
+            np.divide(m, c1, out=step)
+            step /= denom
+            step *= lr
+            p -= step
 
 
 def learning_rate(step: int, total_steps: int, lr_max: float,
@@ -212,9 +224,11 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     Each step makes one pass of :func:`~shortlong.policy.score_rows` over all
     four rows of every record in the batch, makes one
     :func:`~shortlong.losses.solopo_loss` call over the batch's (n,) arrays
-    for the loss terms and their field gradients, and backpropagates through
-    that pass's ``backward`` with the field gradients as row weights. A
-    non-finite score or loss aborts with :class:`NonFiniteLossError`.
+    for the loss terms, the long-context reward margin and the field
+    gradients, and backpropagates through that pass's ``backward`` with the
+    field gradients as row weights. A non-finite score or loss, or an ORPO
+    log-odds singularity in any of the four fields, aborts with
+    :class:`NonFiniteLossError` naming the record.
     ``vocab`` must be the model's vocabulary. A positive ``lr_max`` whose
     schedule is 0 at every step (one step with ``warmup_ratio`` 0) raises
     ValueError.
@@ -261,23 +275,23 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
             bundle = LogProbBundle(*lps.T, rows.len_w[chunk], rows.len_l[chunk], *refs)
             try:
                 breakdown = solopo_loss(mc, bundle)
-                bad_total = np.flatnonzero(~np.isfinite(breakdown.total))
-                if bad_total.size:
-                    j = int(bad_total[0])
-                    terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
-                    raise _non_finite("non-finite loss", step, int(chunk[j]), breakdown=terms)
-                if cfg.telemetry:
-                    margin = (reward(mc, bundle.lp_w_long, bundle.ref_lp_w_long, bundle.len_w)
-                              - reward(mc, bundle.lp_l_long, bundle.ref_lp_l_long, bundle.len_l))
-            except DomainError as exc:  # the ORPO log-odds singularity
-                raise _non_finite(str(exc), step, int(chunk[exc.index]),
+            except DomainError as exc:  # the ORPO log-odds singularity, in a (4, n) stack
+                raise _non_finite(str(exc), step, int(chunk[exc.index % n]),
                                   error=str(exc)) from exc
-            weights = np.column_stack([np.broadcast_to(breakdown.grads[k], n)
-                                       for k in _FIELDS]) * (1.0 / n)
+            bad_total = np.flatnonzero(~np.isfinite(breakdown.total))
+            if bad_total.size:
+                j = int(bad_total[0])
+                terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
+                raise _non_finite("non-finite loss", step, int(chunk[j]), breakdown=terms)
+            weights = np.empty((n, len(_FIELDS)))
+            for j, key in enumerate(_FIELDS):
+                weights[:, j] = breakdown.grads[key]
+            weights *= 1.0 / n
             opt.step(backward(weights.ravel()), lr)
             log.steps.append(StepRecord(
                 step, lr, *(float(np.mean(getattr(breakdown, k))) for k in _TERMS),
-                reward_margin_long=float(np.mean(margin)) if cfg.telemetry else float("nan"),
+                reward_margin_long=float(np.mean(breakdown.reward_margin_long)) if cfg.telemetry
+                else float("nan"),
                 lp_rejected_long=float(np.mean(bundle.lp_l_long)) if cfg.telemetry
                 else float("nan")))
             if cfg.eval_every and eval_set is not None and step % cfg.eval_every == 0:

@@ -365,6 +365,25 @@ class TestScoreRows:
             for k in grads:
                 np.testing.assert_allclose(got[k], grads[k], rtol=0, atol=1e-12)
 
+    def test_zero_weights_give_zero_gradients(self, model, vocab):
+        _, backward = score_rows(model, *self.rows(vocab, self.ITEMS))
+        grads = backward(np.zeros(len(self.ITEMS)))
+        assert set(grads) == set(model.params)
+        for k, g in grads.items():
+            assert g.shape == model.params[k].shape
+            assert not g.any()
+
+    def test_zero_weight_rows_are_left_out(self, model, vocab):
+        """Rows of weight 0 contribute nothing: the backward equals the one
+        over the batch with those rows removed."""
+        counts, ids, mask = self.rows(vocab, self.ITEMS + self.ITEMS[::-1])
+        weights = np.array([0.7, 0.0, 2.1, 0.0, 0.0, -0.5, 1.2, 0.0])
+        kept = np.flatnonzero(weights)
+        grads = score_rows(model, counts, ids, mask)[1](weights)
+        alone = score_rows(model, counts[kept], ids[kept], mask[kept])[1](weights[kept])
+        for k in grads:  # the two passes' matmuls may block differently
+            np.testing.assert_allclose(grads[k], alone[k], rtol=0, atol=1e-12)
+
     def test_backward_is_repeatable_and_linear(self, model, vocab):
         """One pass serves any number of backward calls: each equals a fresh
         pass's backward bit for bit, and the gradient is linear in the weights."""

@@ -60,6 +60,28 @@ class TestAdamW:
             * (np.abs([0.5, -0.25]) / (np.abs([0.5, -0.25]) + 1e-8))
         np.testing.assert_allclose(params["w"], expected, atol=1e-9)
 
+    def test_in_place_steps_equal_textbook_update(self):
+        """Several steps equal the textbook update bit for bit, and the
+        caller's gradient arrays are never written."""
+        rng = np.random.default_rng(5)
+        params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
+        p_ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(x) for k, x in params.items()}
+        opt = AdamW(params)
+        for t, lr in enumerate((0.1, 0.05, 0.02, 0.3), start=1):
+            grads = {k: rng.normal(size=x.shape) for k, x in params.items()}
+            before = {k: g.copy() for k, g in grads.items()}
+            opt.step(grads, lr)
+            for k, g in grads.items():
+                m[k] = 0.9 * m[k] + (1 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+                m_hat, v_hat = m[k] / (1 - 0.9 ** t), v[k] / (1 - 0.999 ** t)
+                p_ref[k] = p_ref[k] - lr * (m_hat / (np.sqrt(v_hat) + 1e-8))
+                assert np.array_equal(grads[k], before[k])
+                assert np.array_equal(params[k], p_ref[k])
+                assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k])
+
 
 class TestTrain:
     def test_zero_lr_is_identity(self, world):
@@ -245,6 +267,56 @@ class TestTrain:
             train(model, [sample], cfg, vocab)
         assert err.value.diagnostic["step"] == 1
         assert err.value.diagnostic["sample_index"] == 0
+
+    @pytest.mark.parametrize("field, telemetry", [(2, True), (3, False)])
+    def test_singular_long_field_names_its_record(self, world, monkeypatch, field, telemetry):
+        """A log-odds singularity in a long-context field of a record that is
+        not first in its batch names that record, not its position in the
+        stacked (4, n) reward pass. Every field is evaluated, so ORPO aborts
+        on a singular lp_l_long even with telemetry off and chosen-only
+        alignment, where no term reads it."""
+        import shortlong.training as training_mod
+
+        vocab, data, _ = world
+        original = training_mod.score_rows
+
+        def singular(model, *rows):
+            per_token, backward = original(model, *rows)
+            per_token[4 * 6 + field] = 0.0  # record 6 of the batch: lp_w_long or lp_l_long
+            return per_token, backward
+
+        monkeypatch.setattr(training_mod, "score_rows", singular)
+        cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8, seed=0, telemetry=telemetry)
+        with pytest.raises(NonFiniteLossError, match="singularity") as err:
+            train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
+        assert err.value.diagnostic["step"] == 1
+        first_batch = np.random.default_rng(0).permutation(32)[:8]
+        assert err.value.diagnostic["sample_index"] == int(first_batch[6])
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_margin_telemetry_equals_public_reward(self, world, monkeypatch, method):
+        """Each step's reward_margin_long is the batch mean of the public
+        reward's long-context margin on that step's log-probs."""
+        import shortlong.training as training_mod
+        from shortlong.losses import reward
+
+        vocab, data, _ = world
+        bundles = []
+        original = training_mod.solopo_loss
+
+        def recording(cfg, bundle):
+            bundles.append(bundle)
+            return original(cfg, bundle)
+
+        monkeypatch.setattr(training_mod, "solopo_loss", recording)
+        mc = MethodConfig(method)
+        cfg = TrainConfig(mc, batch_size=8, epochs=2, seed=0)
+        _, log = train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
+        assert len(bundles) == len(log.steps)
+        for rec, b in zip(log.steps, bundles):
+            margin = (reward(mc, b.lp_w_long, b.ref_lp_w_long, b.len_w)
+                      - reward(mc, b.lp_l_long, b.ref_lp_l_long, b.len_l))
+            assert rec.reward_margin_long == float(np.mean(margin))
 
     def test_non_finite_loss_names_record_and_terms(self, world, monkeypatch):
         """A non-finite total aborts naming the record and reporting the four
