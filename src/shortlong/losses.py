@@ -186,11 +186,16 @@ class LogProbBundle:
     ref_lp_l_long: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if np.any(self.len_w < 1) or np.any(self.len_l < 1):
+        if np.minimum(self.len_w, self.len_l).min() < 1:
             raise ValueError("response lengths must be >= 1")
-        for name in GRAD_FIELDS[:4]:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+        # A sum is finite exactly when its terms are, unless finite terms
+        # overflow; only then, or when a field is bad, are the fields checked
+        # one by one.
+        if not np.isfinite(self.lp_w_short + self.lp_l_short
+                           + self.lp_w_long + self.lp_l_long).all():
+            for name in GRAD_FIELDS[:4]:
+                if not np.all(np.isfinite(getattr(self, name))):
+                    raise ValueError(f"{name} must be finite")
 
     def has_reference(self) -> bool:
         return all(getattr(self, name) is not None for name in GRAD_FIELDS[4:])

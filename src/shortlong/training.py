@@ -288,12 +288,18 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 weights[:, j] = breakdown.grads[key]
             weights *= 1.0 / n
             opt.step(backward(weights.ravel()), lr)
-            log.steps.append(StepRecord(
-                step, lr, *(float(np.mean(getattr(breakdown, k))) for k in _TERMS),
-                reward_margin_long=float(np.mean(breakdown.reward_margin_long)) if cfg.telemetry
-                else float("nan"),
-                lp_rejected_long=float(np.mean(bundle.lp_l_long)) if cfg.telemetry
-                else float("nan")))
+            # One row mean per logged term; a scalar term (a disabled NLL) fills
+            # its row, and the telemetry columns are NaN without telemetry.
+            terms = [getattr(breakdown, k) for k in _TERMS]
+            if cfg.telemetry:
+                terms += [breakdown.reward_margin_long, bundle.lp_l_long]
+            stacked = np.empty((len(terms), n))
+            for j, term in enumerate(terms):
+                stacked[j] = term
+            means = stacked.mean(axis=1).tolist()
+            if not cfg.telemetry:
+                means += [float("nan")] * 2
+            log.steps.append(StepRecord(step, lr, *means))
             if cfg.eval_every and eval_set is not None and step % cfg.eval_every == 0:
                 log.evals.append(EvalRecord(step, *(evaluate(model, eval_set, kind, vocab)
                                                     for kind in ("short", "long"))))

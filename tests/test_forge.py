@@ -1,8 +1,10 @@
 """Haystack synthesis, substring matching, curation, and the full pipeline."""
 
 import hashlib
+import itertools
 import json
-from dataclasses import asdict
+import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ import pytest
 from shortlong.corpus import (PrefixedStubGenerator, SourceSample, StubGenerator,
                               build_chain_corpus, needle_profile, needle_vocab,
                               value_token, word_profile)
+from shortlong import forge
 from shortlong.forge import (DistractorPool, ForgedSample, HaystackConfig,
                              InsufficientPoolError, _partition, curate_pair, forge_dataset, read_forged_jsonl,
                              read_source_jsonl, sub_em, synthesize_context,
                              token_count, write_forged_jsonl)
+from shortlong.policy import SEP
 
 
 @pytest.fixture
@@ -120,6 +124,78 @@ class TestSynthesizeContext:
     def test_pool_rejects_document_without_tokens(self):
         with pytest.raises(ValueError, match="distractor 1 has no tokens"):
             DistractorPool(["e01 owns e02", " \t"])
+
+
+# Each whitespace class str.split treats (ASCII space, an ASCII control, an
+# information separator, NEL, no-break space, ideographic space) and two letters.
+TOKEN_ALPHABET = (" ", "\t", "\x1c", "\x85", "\xa0", "\u3000", "a", "\xe9")
+
+
+def all_strings(alphabet, longest=6):
+    for n in range(longest + 1):
+        for chars in itertools.product(alphabet, repeat=n):
+            yield "".join(chars)
+
+
+@pytest.fixture(scope="module")
+def criterion9():
+    """A criterion-9-size forge: 520 sources, 1100/7500-token contexts."""
+    sources, pool = build_chain_corpus(520, 2200, seed=11, profile=word_profile())
+    cfg = HaystackConfig(target_short_tokens=1100, target_long_tokens=7500, seed=11)
+    gen = StubGenerator(p_correct=0.5, n=32,
+                        wrong_answers=tuple(str(1800 + i) for i in range(240)))
+    samples, _ = forge_dataset(sources, pool, gen, cfg)
+    return samples, cfg
+
+
+class TestTokenCount:
+    def test_every_short_string_matches_split(self, monkeypatch):
+        for text in all_strings(TOKEN_ALPHABET):
+            assert token_count(text) == len(text.split()), repr(text)
+        monkeypatch.setattr(forge, "_SCAN_MIN_CHARS", 1)  # scan every non-empty ASCII text
+        for text in all_strings(TOKEN_ALPHABET):
+            assert token_count(text) == len(text.split()), repr(text)
+
+    def test_every_ascii_character(self, monkeypatch):
+        monkeypatch.setattr(forge, "_SCAN_MIN_CHARS", 1)
+        for c in map(chr, range(128)):
+            for text in (c, c * 3, f"a{c}b", f"{c}a{c}{c}b{c}"):
+                assert token_count(text) == len(text.split()), repr(text)
+
+    def test_long_ascii_text_matches_split(self):
+        pad = "w " * forge._SCAN_MIN_CHARS
+        for text in all_strings([c for c in TOKEN_ALPHABET if c.isascii()]):
+            for long_text in (pad + text, text + pad, text + pad.rstrip() + text):
+                assert token_count(long_text) == len(long_text.split()), repr(text)
+
+    def test_forged_contexts_match_split(self, criterion9):
+        samples, _ = criterion9
+        assert len(samples) >= 500
+        for s in samples:
+            for text in (s.x_short, s.x_long):
+                assert text.isascii() and len(text) >= forge._SCAN_MIN_CHARS
+                assert token_count(text) == len(text.split())
+
+
+class TestCheckInvariantsReadsText:
+    def test_tab_separators_count_the_same(self, criterion9):
+        samples, cfg = criterion9
+        s = samples[0]
+        tabbed = replace(s, x_long=s.x_long.replace(f" {SEP} ", f"\t{SEP}\t"))
+        assert tabbed.x_long != s.x_long
+        assert tabbed.check_invariants(cfg) == s.check_invariants(cfg)
+
+    def test_one_token_past_the_band_raises(self, criterion9):
+        samples, cfg = criterion9
+        s = samples[0]
+        _, n_long = s.check_invariants(cfg)
+        upper = math.floor(cfg.target_long_tokens * (1 + cfg.tolerance_frac))
+        at_edge = replace(s, x_long=s.x_long + " w" * (upper - n_long))
+        assert at_edge.check_invariants(cfg)[1] == upper
+        over = replace(s, x_long=at_edge.x_long + " w")
+        with pytest.raises(ValueError, match=f"^x_long has {upper + 1} tokens, "
+                                             f"outside tolerance of {cfg.target_long_tokens}$"):
+            over.check_invariants(cfg)
 
 
 class TestSubEm:

@@ -318,3 +318,34 @@ class TestBundleValidation:
     def test_finite_required(self):
         with pytest.raises(ValueError):
             full_bundle(lp_w_short=float("nan"))
+
+    @pytest.mark.parametrize("name", GRAD_FIELDS[:4])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [None, 5])
+    def test_non_finite_field_is_named(self, name, bad, n):
+        """Scalar fields, or (n,) arrays with one bad element."""
+        fields = {k: np.full(n, v) if n else v for k, v in
+                  dict(lp_w_short=-3.0, lp_l_short=-5.0, lp_w_long=-4.0, lp_l_long=-6.0,
+                       len_w=2, len_l=3).items()}
+        if n:
+            fields[name][3] = bad
+        else:
+            fields[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            LogProbBundle(**fields)
+
+    def test_first_bad_field_is_named(self):
+        # +inf and -inf sum to nan: both fields are bad, the first is named.
+        with pytest.raises(ValueError, match="^lp_l_short must be finite$"):
+            full_bundle(lp_l_short=math.inf, lp_l_long=-math.inf)
+
+    @pytest.mark.parametrize("name", ["len_w", "len_l"])
+    @pytest.mark.parametrize("value", [0, -1, np.array([2, 0, 3])])
+    def test_short_length_message(self, name, value):
+        with pytest.raises(ValueError, match=r"^response lengths must be >= 1$"):
+            full_bundle(**{name: value})
+
+    def test_finite_fields_whose_sum_overflows_pass(self):
+        b = full_bundle(lp_w_short=-1e308, lp_l_short=-1e308, lp_w_long=-1e308,
+                        lp_l_long=-1e308)
+        assert b.lp_l_long == -1e308
