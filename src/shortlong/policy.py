@@ -178,94 +178,29 @@ def encode_prompts(vocab: Vocab, prompts: Iterable[Sequence[str]]) -> np.ndarray
                     ).reshape(-1, vocab.size)
 
 
-# A context splits into documents at this literal: with an ASCII space on each
-# side it is always a whole token, so no token straddles a split.
-_DOC_SEP = f" {SEP} "
-# Rows are counted in blocks of about this many context characters plus V
-# per row, so only one block's split pieces and token ids are alive at a time.
-_BLOCK_CHARS = 1 << 16
-
-
-class _Pieces(dict):
-    """Piece text -> piece id. A missing piece is tokenized on its first
-    lookup: its token count goes to ``lengths`` and its ids to ``new_ids``."""
-
-    def __init__(self, index: dict[str, int]):
-        super().__init__()
-        self.index = index
-        self.lengths: list[int] = []
-        self.new_ids: list[int] = []
-
-    def __missing__(self, part: str) -> int:
-        try:
-            ids = list(map(self.index.__getitem__, part.split()))
-        except KeyError as exc:
-            raise ValueError(f"token not in vocabulary: {exc.args[0]!r}") from None
-        self[part] = pid = len(self.lengths)
-        self.lengths.append(len(ids))
-        self.new_ids += ids
-        return pid
-
-
 def encode_contexts(vocab: Vocab, contexts: Sequence[str], questions: Sequence[str]
                     ) -> np.ndarray:
     """The (B, V) rows ``bag_of_tokens(vocab.encode(assemble_prompt(c, q)), V)``
-    of B (context, question) pairs, bit for bit, in a new array.
+    of B (context, question) pairs, in a new array.
 
-    A pair that ``vocab`` has encoded before is read from its row cache. The
-    others are counted in blocks and cached, with each distinct document
-    tokenized once per call: a row's pieces are its context's documents
-    (split at ``" <sep> "``) and then its question; its tokens are the
-    pieces' tokens with one ``SEP`` between neighbours. Pieces are tokenized
-    in text order, so an out-of-vocabulary token raises ``ValueError`` naming
-    the first row that holds one (``record i``) and that row's first such
-    token; that row and the rest of its block are not cached.
+    A pair that ``vocab`` has encoded before is read from its row cache; any
+    other is encoded by that definition, in row order, and cached read-only.
+    An out-of-vocabulary token raises ``ValueError`` naming the first row
+    that holds one (``record i``) and that row's first such token; a row
+    that fails is not cached.
     """
     if len(contexts) != len(questions):
         raise ValueError("need one question per context")
-    size, sep_id, cache = vocab.size, vocab.sep_id, vocab._rows
+    size, cache = vocab.size, vocab._rows
     pairs = list(zip(contexts, questions))
-    todo: dict[tuple[str, str], int] = {}  # each uncached pair -> its first row
     for i, pair in enumerate(pairs):
         if pair not in cache:
-            todo.setdefault(pair, i)
-    misses = list(todo.items())
-    pieces = _Pieces(vocab._index)
-    table = np.zeros(0, dtype=np.int64)  # every piece's token ids, back to back
-    start = 0
-    while start < len(misses):
-        stop, chars = start, 0
-        pids: list[int] = []
-        n_pieces: list[int] = []
-        while stop < len(misses) and (stop == start or chars <= _BLOCK_CHARS):
-            (context, question), index = misses[stop]
-            parts = context.split(_DOC_SEP)
-            parts.append(question)
             try:
-                pids += map(pieces.__getitem__, parts)
+                row = bag_of_tokens(vocab.encode(assemble_prompt(*pair)), size)
             except ValueError as exc:
-                raise ValueError(f"record {index}: {exc}") from None
-            n_pieces.append(len(parts))
-            chars += len(context) + size
-            stop += 1
-        table = np.concatenate((table, np.array(pieces.new_ids, dtype=np.int64)))
-        pieces.new_ids.clear()
-        lengths = np.array(pieces.lengths, dtype=np.int64)
-        offsets = np.cumsum(lengths) - lengths
-        # One ragged gather of the block's token ids, tagged with their row.
-        block, n_pieces = np.array(pids, dtype=np.int64), np.array(n_pieces)
-        lens = lengths[block]
-        first = np.cumsum(lens) - lens
-        at = np.repeat(offsets[block] - first, lens) + np.arange(lens.sum())
-        row = np.repeat(np.repeat(np.arange(stop - start), n_pieces), lens)
-        counts = np.bincount(row * size + table[at],
-                             minlength=(stop - start) * size).reshape(-1, size)
-        counts[:, sep_id] += n_pieces - 1
-        # Every row holds at least one SEP, so no row sum is 0.
-        rows = counts / counts.sum(axis=1, keepdims=True)
-        rows.setflags(write=False)
-        cache.update(zip((pair for pair, _ in misses[start:stop]), rows))
-        start = stop
+                raise ValueError(f"record {i}: {exc}") from None
+            row.setflags(write=False)
+            cache[pair] = row
     return np.array([cache[pair] for pair in pairs]).reshape(-1, size)
 
 
@@ -456,14 +391,19 @@ def save_model(model: ToyLM, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ToyLM:
-    """Read a checkpoint; a missing field, or a wrongly sized array or one
-    with a non-finite entry, raises ValueError naming the path."""
+    """Read a checkpoint; a missing field, a ``hidden_dim`` that is not an
+    integer >= 1, a ``seed`` that is not an integer, or a wrongly sized array
+    or one with a non-finite entry, raises ValueError naming the path."""
     try:
         payload = json.loads(Path(path).read_text())
         if payload["format_version"] != 1:
             raise ValueError(f"unsupported checkpoint version: {payload['format_version']!r}")
         vocab = Vocab(tuple(payload["tokens"]))
-        d, seed = int(payload["hidden_dim"]), int(payload["seed"])
+        d, seed = payload["hidden_dim"], payload["seed"]
+        if type(d) is not int or d < 1:
+            raise ValueError(f"hidden_dim must be an integer >= 1, got {d!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         raws = {name: base64.b64decode(payload["arrays"][name])
                 for name in ("emb", "ctx_w", "out_w")}
     except KeyError as exc:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .forge import ForgedSample, sub_em
 from .links import DomainError
-from .losses import LogProbBundle, MethodConfig, solopo_loss
-from .policy import (EOS, ToyLM, Vocab, assemble_prompt, decode_rows, encode_contexts, freeze,
+from .losses import GRAD_FIELDS, LogProbBundle, MethodConfig, solopo_loss
+from .policy import (EOS, ToyLM, Vocab, assemble_prompt, decode_rows, encode_contexts,
                      pad_responses, score_rows)
 # An alias of policy.logprob, kept importable from here: perfbench/selftest.py
 # checks that the tracer patches it.
@@ -158,16 +158,15 @@ def learning_rate(step: int, total_steps: int, lr_max: float,
     return lr_max * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-# The four scoring rows of every record, in this order: (PO prompt, y_w),
-# (PO prompt, y_l), (long prompt, y_w), (long prompt, y_l).
-_FIELDS = ("lp_w_short", "lp_l_short", "lp_w_long", "lp_l_long")
 # The loss terms a step logs and an abort reports.
 _TERMS = ("total", "po_term", "ra_term", "nll_term")
 
 
 @dataclass
 class _Rows:
-    """Every record's scoring rows, encoded once per dataset."""
+    """Every record's scoring rows, encoded once per dataset: (PO prompt, y_w),
+    (PO prompt, y_l), (long prompt, y_w), (long prompt, y_l), the log-prob
+    fields ``GRAD_FIELDS[:4]`` in order."""
 
     counts: np.ndarray    # (n, 4, V) prompt bags of tokens
     resp_ids: np.ndarray  # (n, 4, T) padded response ids
@@ -247,8 +246,8 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     mc = cfg.method_cfg
     rows = _prepare(dataset, model.vocab, cfg.po_context)
     ref_lps = None
-    if mc.needs_reference:  # the frozen reference is scored once
-        per_token, _ = score_rows(freeze(model), *rows.batch(np.arange(len(dataset))))
+    if mc.needs_reference:  # the reference (the model before any step) is scored once
+        per_token, _ = score_rows(model, *rows.batch(np.arange(len(dataset))))
         ref_lps = per_token.sum(axis=1).reshape(-1, 4)
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.params)
@@ -266,11 +265,10 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
             bad = ~np.isfinite(lps)
             if bad.any():
                 j = int(np.flatnonzero(bad.any(axis=1))[0])
-                fields = [k for k, b in zip(_FIELDS, bad[j]) if b]
+                values = {k: float(v) for k, v, b in zip(GRAD_FIELDS[:4], lps[j], bad[j]) if b}
+                fields = list(values)
                 raise _non_finite(f"non-finite log-probability in {fields}", step, int(chunk[j]),
-                                  fields=fields,
-                                  values={k: float(v) for k, v, b in zip(_FIELDS, lps[j], bad[j])
-                                          if b})
+                                  fields=fields, values=values)
             refs = () if ref_lps is None else ref_lps[chunk].T
             bundle = LogProbBundle(*lps.T, rows.len_w[chunk], rows.len_l[chunk], *refs)
             try:
@@ -283,8 +281,8 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 j = int(bad_total[0])
                 terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
                 raise _non_finite("non-finite loss", step, int(chunk[j]), breakdown=terms)
-            weights = np.empty((n, len(_FIELDS)))
-            for j, key in enumerate(_FIELDS):
+            weights = np.empty((n, 4))
+            for j, key in enumerate(GRAD_FIELDS[:4]):
                 weights[:, j] = breakdown.grads[key]
             weights *= 1.0 / n
             opt.step(backward(weights.ravel()), lr)

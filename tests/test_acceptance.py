@@ -9,6 +9,7 @@ import itertools
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +265,19 @@ def test_criterion_11_margin_telemetry(directional_result, tmp_path):
     float(lines[1].split(",")[1])
     assert _verdict(11, ok, f"margins.csv with columns {header[1:]} "
                             f"and {len(lines) - 1} steps (report-only)")
+
+
+def test_readme_alpha_table_matches_the_experiment(directional_result):
+    """The README's alpha table is the rendering of this run's aggregates:
+    ``mean ± std`` of long and of short accuracy per arm, at 3 decimals."""
+    rendered = {f"α = {label.removeprefix('alpha=')}":
+                [f"{agg['long_mean']:.3f} ± {agg['long_std']:.3f}",
+                 f"{agg['short_mean']:.3f} ± {agg['short_std']:.3f}"]
+                for label, agg in directional_result["aggregates"].items()}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for line in readme.splitlines():
+        cells = [" ".join(cell.split()) for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and cells[0].startswith("α ="):
+            table[cells[0]] = cells[1:]
+    assert table == rendered

@@ -2,11 +2,11 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-import shortlong.policy as policy_mod
 from shortlong.corpus import StubGenerator, build_chain_corpus, word_profile
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset, sub_em
 from shortlong.policy import (BOS, EOS, SEP, ScoredSequence, ToyLM, Vocab, assemble_prompt,
@@ -462,17 +462,14 @@ class TestEncodeContexts:
                 questions.append(question)
         return contexts, questions
 
-    @pytest.mark.parametrize("block_chars", [None, 1, 200])
-    def test_fuzz_equals_per_prompt_encoding(self, vocab, monkeypatch, block_chars):
-        """Bit for bit the rows of the per-prompt path, in one block or in
-        many; where that path rejects a prompt, the same record and token."""
-        if block_chars is not None:
-            monkeypatch.setattr(policy_mod, "_BLOCK_CHARS", block_chars)
+    def test_fuzz_equals_per_prompt_encoding(self, vocab):
+        """Bit for bit the rows of the per-prompt path; where that path
+        rejects a prompt, the same record and token."""
         rng = np.random.default_rng(2024)
         outcomes = set()
         for trial in range(80):
-            # A fresh vocabulary has no cached rows: every call runs the
-            # block encoder, and the second call reads the cache.
+            # A fresh vocabulary has no cached rows: the first call encodes
+            # every pair, and the second call reads the cache.
             vocab = Vocab(vocab.tokens)
             contexts, questions = self.fuzz_batch(rng, vocab, int(rng.integers(0, 20)),
                                                   clean=trial % 4 != 0)
@@ -497,12 +494,11 @@ class TestEncodeContexts:
                                       prompt_rows(vocab, contexts, questions))
         assert encode_contexts(vocab, [], []).shape == (0, vocab.size)
 
-    def test_longer_than_one_block(self, vocab):
+    def test_large_batch_of_long_contexts(self, vocab):
         rng = np.random.default_rng(5)
         docs = [" ".join(rng.choice(WORDS, size=9)) for _ in range(40)]
         contexts = [f" {SEP} ".join(rng.choice(docs, size=120)) for _ in range(80)]
         questions = [" ".join(rng.choice(WORDS, size=3)) for _ in contexts]
-        assert sum(map(len, contexts)) > 4 * policy_mod._BLOCK_CHARS
         np.testing.assert_array_equal(encode_contexts(vocab, contexts, questions),
                                       prompt_rows(vocab, contexts, questions))
 
@@ -534,21 +530,21 @@ class TestEncodeContexts:
     CONTEXTS = [f"w0 {SEP} w1", f"w2 {SEP} w3 {SEP} w0", "w4", ""]
     QUESTIONS = ["w5", "w6", "w0 w1", "w2"]
 
-    def spy_tokenized(self, monkeypatch) -> list[str]:
-        """The pieces tokenized from now on, in order."""
+    def spy_tokenized(self, monkeypatch) -> list[list[str]]:
+        """The token lists passed to ``Vocab.encode`` from now on, in order."""
         seen = []
-        original = policy_mod._Pieces.__missing__
+        original = Vocab.encode
 
-        def spy(pieces, part):
-            seen.append(part)
-            return original(pieces, part)
+        def spy(vocab, tokens):
+            seen.append(list(tokens))
+            return original(vocab, tokens)
 
-        monkeypatch.setattr(policy_mod._Pieces, "__missing__", spy)
+        monkeypatch.setattr(Vocab, "encode", spy)
         return seen
 
     def test_repeated_pairs_are_read_from_the_cache(self, vocab, monkeypatch):
         """A second call on the same pairs, in any order, tokenizes nothing;
-        a call that adds one pair tokenizes only that pair's pieces."""
+        a call that adds one pair tokenizes only that pair's prompt."""
         expected = prompt_rows(vocab, self.CONTEXTS, self.QUESTIONS)
         tokenized = self.spy_tokenized(monkeypatch)
         first = encode_contexts(vocab, self.CONTEXTS, self.QUESTIONS)
@@ -559,7 +555,7 @@ class TestEncodeContexts:
         np.testing.assert_array_equal(first, expected)
         np.testing.assert_array_equal(again, expected[::-1])
         more = encode_contexts(vocab, self.CONTEXTS + [f"w6 {SEP} w0"], self.QUESTIONS + ["w4"])
-        assert tokenized == ["w6", "w0", "w4"]
+        assert tokenized == [assemble_prompt(f"w6 {SEP} w0", "w4")]
         np.testing.assert_array_equal(more[:-1], expected)
         np.testing.assert_array_equal(
             more[-1:], prompt_rows(vocab, [f"w6 {SEP} w0"], ["w4"]))
@@ -572,13 +568,10 @@ class TestEncodeContexts:
             np.testing.assert_array_equal(got, expected)
             got[:] = -1.0
 
-    @pytest.mark.parametrize("block_chars", [None, 1])
-    def test_out_of_vocabulary_after_cached_rows(self, vocab, monkeypatch, block_chars):
+    def test_out_of_vocabulary_after_cached_rows(self, vocab):
         """Cached pairs before an unknown token keep the caller's row index in
         the error, and a failed row is never cached, so a retry fails the same
         way; the rows before it still encode."""
-        if block_chars is not None:
-            monkeypatch.setattr(policy_mod, "_BLOCK_CHARS", block_chars)
         encode_contexts(vocab, self.CONTEXTS[2:], self.QUESTIONS[2:])
         contexts = self.CONTEXTS + [f"w1 {SEP} zz", "w5", f"w1 {SEP} zz"]
         questions = self.QUESTIONS + ["w2", "w3", "w2"]
@@ -657,4 +650,23 @@ class TestSerialization:
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field,value", [
+        ("hidden_dim", 0), ("hidden_dim", -2), ("hidden_dim", 4.7), ("hidden_dim", True),
+        ("hidden_dim", "8"), ("seed", 4.7), ("seed", True), ("seed", "8")])
+    def test_non_integer_header_rejected(self, model, tmp_path, field, value):
+        """``hidden_dim`` must be a JSON integer >= 1 and ``seed`` a JSON
+        integer; anything else fails naming the path, whatever the arrays."""
+        import json
+
+        path = tmp_path / "ckpt.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        if field == "hidden_dim" and value == 0:  # arrays of the d = 0 shapes
+            payload["arrays"] = {name: "" for name in payload["arrays"]}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad checkpoint: "
+                                             f"{field} must be an integer"):
             load_model(path)

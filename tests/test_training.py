@@ -505,18 +505,16 @@ class TestEvaluate:
     def test_repeated_calls_tokenize_once(self, world, monkeypatch):
         """The eval prompts are tokenized by the first call only: the later
         calls read their rows from the vocabulary's cache."""
-        import shortlong.policy as policy_mod
-
         vocab = Vocab(world[0].tokens)  # no rows cached by other tests
         eval_set = world[2]
         tokenized = []
-        original = policy_mod._Pieces.__missing__
+        original = Vocab.encode
 
-        def spy(pieces, part):
-            tokenized.append(part)
-            return original(pieces, part)
+        def spy(vocab, tokens):
+            tokenized.append(tokens)
+            return original(vocab, tokens)
 
-        monkeypatch.setattr(policy_mod._Pieces, "__missing__", spy)
+        monkeypatch.setattr(Vocab, "encode", spy)
         model = ToyLM(vocab, hidden_dim=8, seed=0)
         per_call = []
         accs = set()
