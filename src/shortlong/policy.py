@@ -287,8 +287,7 @@ def logprob(model: ToyLM, context: Sequence[str], response: Sequence[str]) -> Sc
 
 
 def decode_rows(model: ToyLM, counts: np.ndarray, max_len: int, temperature: float = 0.0,
-                rng: np.random.Generator | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Decode B prompts together in at most ``max_len`` vectorized steps.
 
     ``counts`` is (B, V), one :func:`bag_of_tokens` row per prompt. Temperature
@@ -297,10 +296,8 @@ def decode_rows(model: ToyLM, counts: np.ndarray, max_len: int, temperature: flo
     ``Generator.choice(p=...)`` does. A row stops after it emits EOS or at
     ``max_len`` tokens.
 
-    Returns ``(ids, lengths, per_token)``: the (B, max_len) int64 token ids,
-    the (B,) number of tokens each row emitted, and the (B, max_len) float64
-    log-probabilities of those tokens under the model's own (temperature 1)
-    scores. Both (B, max_len) arrays are 0 past each row's length.
+    Returns ``(ids, lengths)``: the (B, max_len) int64 token ids, 0 past each
+    row's length, and the (B,) number of tokens each row emitted.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -311,7 +308,6 @@ def decode_rows(model: ToyLM, counts: np.ndarray, max_len: int, temperature: flo
     vocab = model.vocab
     _, hidden = model.hidden_states(counts)
     ids = np.zeros((len(counts), max_len), dtype=np.int64)
-    per_token = np.zeros((len(counts), max_len))
     lengths = np.zeros(len(counts), dtype=np.int64)
     prev = np.full(len(counts), vocab.bos_id)
     live = np.arange(len(counts))  # rows that have not emitted EOS
@@ -329,14 +325,10 @@ def decode_rows(model: ToyLM, counts: np.ndarray, max_len: int, temperature: flo
             # searchsorted(cdf, u, side="right") of each row
             tok = (cdf <= rng.random(len(live))[:, None]).sum(axis=1)
         ids[live, step] = tok
-        # _log_softmax(logits)[r, tok], gathered before the normalizer
-        top = logits.max(axis=1, keepdims=True)
-        per_token[live, step] = ((logits[np.arange(len(live)), tok] - top[:, 0])
-                                 - np.log(np.exp(logits - top).sum(axis=1)))
         lengths[live] += 1
         prev[live] = tok
         live = live[tok != vocab.eos_id]
-    return ids, lengths, per_token
+    return ids, lengths
 
 
 def sample(model: ToyLM, context: Sequence[str], n: int, temperature: float,
@@ -344,9 +336,11 @@ def sample(model: ToyLM, context: Sequence[str], n: int, temperature: float,
     """``n`` ancestral samples at the given temperature; 0 means greedy (and
     needs no ``rng``). One :func:`decode_rows` call over ``n`` copies of the
     prompt, so with ``max_len`` > 1 the draws are made step by step across
-    the samples."""
+    the samples, then one :func:`score_rows` pass gives the log-probabilities
+    of the decoded tokens under the model's own (temperature 1) scores."""
     rows = np.repeat(encode_prompts(model.vocab, [context]), n, axis=0)
-    ids, lengths, per_token = decode_rows(model, rows, max_len, temperature, rng)
+    ids, lengths = decode_rows(model, rows, max_len, temperature, rng)
+    per_token, _ = score_rows(model, rows, ids, np.arange(max_len) < lengths[:, None])
     return [_scored(model.vocab.decode(row[:k]), lps)
             for row, lps, k in zip(ids, per_token, lengths)]
 
@@ -391,14 +385,19 @@ def save_model(model: ToyLM, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ToyLM:
-    """Read a checkpoint; a missing field, a ``hidden_dim`` that is not an
-    integer >= 1, a ``seed`` that is not an integer, or a wrongly sized array
-    or one with a non-finite entry, raises ValueError naming the path."""
+    """Read a checkpoint; a missing field, a ``format_version`` that is not
+    the integer 1, ``tokens`` that are not a list of strings, a ``hidden_dim``
+    that is not an integer >= 1, a ``seed`` that is not an integer, or a
+    wrongly sized array or one with a non-finite entry, raises ValueError
+    naming the path."""
     try:
         payload = json.loads(Path(path).read_text())
-        if payload["format_version"] != 1:
-            raise ValueError(f"unsupported checkpoint version: {payload['format_version']!r}")
-        vocab = Vocab(tuple(payload["tokens"]))
+        version, tokens = payload["format_version"], payload["tokens"]
+        if type(version) is not int or version != 1:
+            raise ValueError(f"unsupported checkpoint version: {version!r}")
+        if type(tokens) is not list or not all(type(t) is str for t in tokens):
+            raise ValueError("tokens must be a list of strings")
+        vocab = Vocab(tuple(tokens))
         d, seed = payload["hidden_dim"], payload["seed"]
         if type(d) is not int or d < 1:
             raise ValueError(f"hidden_dim must be an integer >= 1, got {d!r}")

@@ -312,7 +312,8 @@ def evaluate(model: ToyLM, eval_set: Sequence[ForgedSample], context_kind: str,
     """Greedy-decode accuracy under substring exact match: the prompts are
     encoded by one :func:`encode_contexts` call (which reads the pairs
     ``vocab`` has encoded before from its cache), decoded together in one
-    :func:`decode_rows` call, and graded from the returned token ids.
+    :func:`decode_rows` call, and graded from the returned token ids with
+    one :func:`sub_em` call per distinct (decoded ids, answer) pair.
     ``vocab`` must be the model's vocabulary."""
     if vocab != model.vocab:
         raise ValueError("vocab differs from the model's vocabulary")
@@ -322,12 +323,14 @@ def evaluate(model: ToyLM, eval_set: Sequence[ForgedSample], context_kind: str,
         raise ValueError("eval set must be non-empty")
     counts = encode_contexts(vocab, [s.x_short if context_kind == "short" else s.x_long
                                      for s in eval_set], [s.question for s in eval_set])
-    ids, lengths, _ = decode_rows(model, counts, max_len)
+    ids, lengths = decode_rows(model, counts, max_len)
     tokens, eos = vocab.tokens, vocab.eos_id
-    # Each row's ScoredSequence.text: its tokens with EOS dropped.
-    texts = (" ".join(tokens[t] for t in row[:n] if t != eos)
-             for row, n in zip(ids.tolist(), lengths.tolist()))
-    return sum(sub_em(text, s.answer) for text, s in zip(texts, eval_set)) / len(eval_set)
+    keys = [(tuple(row[:n]), s.answer)
+            for row, n, s in zip(ids.tolist(), lengths.tolist(), eval_set)]
+    # One sub_em call per distinct key, on its ScoredSequence.text (EOS dropped).
+    hit = {key: sub_em(" ".join(tokens[t] for t in key[0] if t != eos), key[1])
+           for key in set(keys)}
+    return sum(map(hit.__getitem__, keys)) / len(keys)
 
 
 @dataclass

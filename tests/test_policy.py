@@ -102,7 +102,8 @@ class TestSampling:
     def test_recorded_scores_match_rescoring(self, model):
         for s in sample(model, ["w2", "w4"], 16, 0.85, 6, np.random.default_rng(5)):
             rescored = logprob(model, ["w2", "w4"], list(s.tokens))
-            assert s.total_logprob == pytest.approx(rescored.total_logprob, abs=1e-12)
+            assert s.total_logprob == rescored.total_logprob
+            assert s.per_token_logprobs == rescored.per_token_logprobs
 
     def test_one_step_frequencies_match_softmax(self, vocab):
         """Empirical first-token frequencies converge to the step distribution
@@ -157,11 +158,13 @@ class TestDecodeRows:
         rng = np.random.default_rng(0)
         prompts = [[]] + [list(rng.choice(WORDS, rng.integers(0, 12))) for _ in range(48)]
         max_len = 5
-        ids, lengths, per_token = decode_rows(sharp, encode_prompts(sharp.vocab, prompts),
-                                              max_len)
-        assert ids.shape == per_token.shape == (len(prompts), max_len)
-        assert (ids.dtype, lengths.shape, per_token.dtype) == (np.int64, (len(prompts),),
-                                                               np.float64)
+        counts = encode_prompts(sharp.vocab, prompts)
+        ids, lengths = decode_rows(sharp, counts, max_len)
+        assert ids.shape == (len(prompts), max_len)
+        assert (ids.dtype, lengths.shape) == (np.int64, (len(prompts),))
+        # The batch's log-probabilities as sample computes them: one
+        # teacher-forced score_rows pass over the decoded ids.
+        per_token, _ = score_rows(sharp, counts, ids, np.arange(max_len) < lengths[:, None])
         ends = set()
         for context, row, n, lps_row in zip(prompts, ids, lengths, per_token):
             tokens, lps = _greedy_alone(sharp, context, max_len)
@@ -177,11 +180,10 @@ class TestDecodeRows:
         assert {(1, True), (3, True), (4, True), (max_len, False)} <= ends
 
     def test_no_rows_and_no_steps(self, sharp):
-        ids, lengths, per_token = decode_rows(sharp, encode_prompts(sharp.vocab, []), 4)
-        assert (ids.shape, lengths.shape, per_token.shape) == ((0, 4), (0,), (0, 4))
-        ids, lengths, per_token = decode_rows(
-            sharp, encode_prompts(sharp.vocab, [["w0"], []]), 0)
-        assert (ids.shape, lengths.tolist(), per_token.shape) == ((2, 0), [0, 0], (2, 0))
+        ids, lengths = decode_rows(sharp, encode_prompts(sharp.vocab, []), 4)
+        assert (ids.shape, lengths.shape) == ((0, 4), (0,))
+        ids, lengths = decode_rows(sharp, encode_prompts(sharp.vocab, [["w0"], []]), 0)
+        assert (ids.shape, lengths.tolist()) == ((2, 0), [0, 0])
         assert [s.tokens for s in sample(sharp, ["w0"], 2, 0.0, 0, None)] == [(), ()]
 
     def test_negative_max_len_fails_by_name(self, sharp):
@@ -220,6 +222,37 @@ class TestDecodeRows:
             assert 0 < sum(hits) < len(hits)
             assert evaluate(sharp, eval_set, kind, sharp.vocab, max_len) == \
                 sum(hits) / len(hits)
+
+    def test_evaluate_grades_each_distinct_decode_once(self, sharp, monkeypatch):
+        """evaluate makes one sub_em call per distinct (decoded ids, answer)
+        pair and still returns the mean of the per-row greedy-decode grades,
+        when each decoded row meets several different answers, pairs repeat,
+        and rows stop at EOS or are cut at max_len."""
+        import shortlong.training as training_mod
+
+        rng = np.random.default_rng(2)
+        max_len = 5
+        contexts = [" ".join(rng.choice(WORDS, rng.integers(1, 12))) for _ in range(16)]
+        decoded = [greedy_decode(sharp, assemble_prompt(c, "w0"), max_len) for c in contexts]
+        assert {d.tokens[-1] == EOS for d in decoded} == {True, False}
+        assert len({d.tokens for d in decoded}) < len(decoded)  # contexts that decode alike
+        eval_set, expected, pairs = [], [], set()
+        for c, d in zip(contexts, decoded):
+            for answer in (d.text.split()[-1] if d.text else EOS, "w1", "w5", EOS) * 2:
+                eval_set.append(ForgedSample("w0", answer, c, c, answer, "w6"))
+                expected.append(sub_em(d.text, answer))
+                pairs.add((d.tokens, answer))
+        assert 0 < sum(expected) < len(expected)
+        calls = []
+
+        def spy(prediction, gold):
+            calls.append((prediction, gold))
+            return sub_em(prediction, gold)
+
+        monkeypatch.setattr(training_mod, "sub_em", spy)
+        assert evaluate(sharp, eval_set, "short", sharp.vocab, max_len) == \
+            sum(expected) / len(expected)
+        assert len(calls) == len(set(calls)) == len(pairs) < len(eval_set)
 
     def test_sampled_output_matches_recorded(self, vocab):
         """Temperature-0.85 draws for a fixed rng, recorded before decode_rows
@@ -669,4 +702,25 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad checkpoint: "
                                              f"{field} must be an integer"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("format_version", True, "unsupported checkpoint version: True"),
+        ("format_version", 1.0, "unsupported checkpoint version: 1.0"),
+        ("format_version", "1", "unsupported checkpoint version: '1'"),
+        ("tokens", [BOS, EOS, SEP, "w0", "w1", "w2", 7, None, "w5", "w6"],
+         "tokens must be a list of strings"),
+        ("tokens", "".join((BOS, EOS, SEP) + WORDS), "tokens must be a list of strings")])
+    def test_bad_version_or_tokens_rejected(self, model, tmp_path, field, value, message):
+        """``format_version`` must be the JSON integer 1 and ``tokens`` a list
+        of strings; anything else fails naming the path."""
+        import json
+
+        path = tmp_path / "ckpt.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bad checkpoint: "
+                                             f"{re.escape(message)}$"):
             load_model(path)
