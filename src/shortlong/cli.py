@@ -353,6 +353,8 @@ def _train_vocab(*datasets: list[ForgedSample]) -> Vocab:
 
 
 def cmd_train(args, v: dict, out: Path) -> int:
+    if args.seeds and not args.compare:
+        raise ConfigError("--seeds requires --compare")
     arms = _compare_arms(args.compare, v) if args.compare else None
     if not v["dataset"]:
         raise ConfigError("train requires a 'dataset' (forged JSONL path)")
@@ -502,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         (out / "reports" / "abort.json").write_text(json.dumps(exc.diagnostic, sort_keys=True))
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, InsufficientPoolError) as exc:
+    except (ValueError, OSError, InsufficientPoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     inputs = {key: Path(values[key]) for key in _INPUT_KEYS.get(args.command, ())

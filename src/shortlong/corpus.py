@@ -141,71 +141,56 @@ def build_chain_corpus(n_sources: int, pool_size: int, seed: int,
     return sources, pool
 
 
-def _check_stub(p_correct: float, n: int) -> None:
-    if not 0 <= p_correct <= 1:
-        raise ValueError(f"p_correct must lie in [0, 1], got {p_correct}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-
-
 @dataclass
 class StubGenerator:
     """Test/experiment candidate generator with a controlled accuracy rate.
 
     Each of the ``n`` candidates is the gold answer with probability
-    ``p_correct``, otherwise a draw from ``wrong_answers`` (which must not
-    contain the gold answer as a substring).
+    ``p_correct``, otherwise a draw from ``wrong_answers`` (skipping those that
+    contain the gold answer). With ``prefixes``, each candidate is led by a
+    uniformly random prefix token (modeling the lead-in diversity of
+    temperature-sampled reasoning traces), which keeps a trained scorer's
+    per-token probability of any chosen response bounded away from 1, so
+    odds-based rewards stay well-conditioned.
     """
 
     p_correct: float
     n: int = 32
     wrong_answers: tuple[str, ...] = (NO_ANSWER,)
+    prefixes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_stub(self.p_correct, self.n)
+        if not 0 <= self.p_correct <= 1:
+            raise ValueError(f"p_correct must lie in [0, 1], got {self.p_correct}")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
 
     def __call__(self, context: str, source: SourceSample,
                  rng: np.random.Generator) -> list[str]:
-        pool = [w for w in self.wrong_answers if source.answer not in w] or [NO_ANSWER]
+        answer, prefixes = source.answer, self.prefixes
+        pool = [w for w in self.wrong_answers if answer not in w] or [NO_ANSWER]
         out = []
         for _ in range(self.n):
+            prefix = prefixes[int(rng.integers(len(prefixes)))] if prefixes else None
             if rng.uniform() < self.p_correct:
-                out.append(source.answer)
+                verdict = answer
             else:
-                out.append(pool[int(rng.integers(len(pool)))])
+                verdict = pool[int(rng.integers(len(pool)))]
+            out.append(verdict if prefix is None else f"{prefix} {verdict}")
         return out
 
 
-@dataclass
-class PrefixedStubGenerator:
-    """Stub emitting 'prefix verdict' candidates.
+class PrefixedStubGenerator(StubGenerator):
+    """A prefixed :class:`StubGenerator` whose wrong verdicts are ``values``
+    or an abstention."""
 
-    The prefix is a uniformly random token (modeling the lead-in diversity of
-    temperature-sampled reasoning traces); the verdict is the gold answer with
-    probability ``p_correct``, else a wrong value or an abstention. The random
-    prefix keeps a trained scorer's per-token probability of any chosen
-    response bounded away from 1, so odds-based rewards stay well-conditioned.
-    """
+    def __init__(self, p_correct: float, n: int, values: tuple[str, ...],
+                 prefixes: tuple[str, ...]) -> None:
+        super().__init__(p_correct, n, tuple(values) + (NO_ANSWER,), tuple(prefixes))
 
-    p_correct: float
-    n: int
-    values: tuple[str, ...]
-    prefixes: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        _check_stub(self.p_correct, self.n)
-
-    def __call__(self, context: str, source: SourceSample,
-                 rng: np.random.Generator) -> list[str]:
-        wrongs = [v for v in self.values if source.answer not in v] + [NO_ANSWER]
-        out = []
-        for _ in range(self.n):
-            prefix = self.prefixes[int(rng.integers(len(self.prefixes)))]
-            if rng.uniform() < self.p_correct:
-                out.append(f"{prefix} {source.answer}")
-            else:
-                out.append(f"{prefix} {wrongs[int(rng.integers(len(wrongs)))]}")
-        return out
+    # Bound here too: perfbench's corpus.generator probe patches __call__ in
+    # this class's own namespace.
+    __call__ = StubGenerator.__call__
 
 
 @dataclass

@@ -36,7 +36,6 @@ __all__ = [
     "sample",
     "greedy_decode",
     "logprob_with_grad",
-    "freeze",
     "save_model",
     "load_model",
 ]
@@ -85,10 +84,6 @@ class Vocab:
     def eos_id(self) -> int:
         return self._index[EOS]
 
-    @property
-    def sep_id(self) -> int:
-        return self._index[SEP]
-
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         try:
             return np.array(list(map(self._index.__getitem__, tokens)), dtype=np.int64)
@@ -107,7 +102,6 @@ class ToyLM:
         self.vocab = vocab
         self.hidden_dim = hidden_dim
         self.seed = seed
-        self.frozen = False
         if _params is not None:
             self.params = _params
         else:
@@ -360,15 +354,6 @@ def logprob_with_grad(model: ToyLM, context: Sequence[str], response: Sequence[s
     for key, g in backward(np.array([upstream], dtype=np.float64)).items():
         grads[key] += g
     return _scored(response, per_token[0]), grads
-
-
-def freeze(model: ToyLM) -> ToyLM:
-    """Deep, immutable snapshot for use as a reference policy."""
-    snapshot = model.clone()
-    for arr in snapshot.params.values():
-        arr.setflags(write=False)
-    snapshot.frozen = True
-    return snapshot
 
 
 def save_model(model: ToyLM, path: str | Path) -> None:

@@ -227,15 +227,14 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     gradients, and backpropagates through that pass's ``backward`` with the
     field gradients as row weights. A non-finite score or loss, or an ORPO
     log-odds singularity in any of the four fields, aborts with
-    :class:`NonFiniteLossError` naming the record.
-    ``vocab`` must be the model's vocabulary. A positive ``lr_max`` whose
-    schedule is 0 at every step (one step with ``warmup_ratio`` 0) raises
-    ValueError.
+    :class:`NonFiniteLossError` naming the record. With an ``eval_set``, one
+    :class:`EvalRecord` is logged at every ``eval_every``-th step and at the
+    last step. ``vocab`` must be the model's vocabulary. A positive
+    ``lr_max`` whose schedule is 0 at every step (one step with
+    ``warmup_ratio`` 0) raises ValueError.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    if model.frozen:
-        raise ValueError("cannot train a frozen model")
     if vocab != model.vocab:
         raise ValueError("vocab differs from the model's vocabulary")
     total_steps = math.ceil(len(dataset) / cfg.batch_size) * cfg.epochs
@@ -298,12 +297,10 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
             if not cfg.telemetry:
                 means += [float("nan")] * 2
             log.steps.append(StepRecord(step, lr, *means))
-            if cfg.eval_every and eval_set is not None and step % cfg.eval_every == 0:
+            if eval_set is not None and (step == total_steps or
+                                         cfg.eval_every and step % cfg.eval_every == 0):
                 log.evals.append(EvalRecord(step, *(evaluate(model, eval_set, kind, vocab)
                                                     for kind in ("short", "long"))))
-    if eval_set is not None:
-        log.evals.append(EvalRecord(step, *(evaluate(model, eval_set, kind, vocab)
-                                            for kind in ("short", "long"))))
     return model, log
 
 

@@ -308,6 +308,30 @@ class TestForgeTrainEvalPipeline:
                   "--set", f"eval_dataset={forged}"])
         assert_clean_failure(rc, capsys, tmp_path / "r", "error: --seeds: ", "'x'")
 
+    def test_seeds_without_compare_fails(self, forged, tmp_path, capsys):
+        rc = run(["train", "--out", tmp_path / "r", "--seeds", "1,2,3",
+                  "--set", f"dataset={forged}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "--seeds requires --compare")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--config", "{dir}"]), ("train", ["--set", "dataset={dir}"]),
+        ("eval", ["--set", "checkpoint={dir}", "--set", "dataset={forged}"]),
+        ("forge", ["--config", "{dir}"]), ("forge", ["--set", "corpus={dir}"])])
+    def test_directory_as_input_file_is_error(self, forged, tmp_path, capsys, command, flags):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        rc = run([command, "--out", tmp_path / "r",
+                  *(f.format(dir=folder, forged=forged) for f in flags)])
+        assert_clean_failure(rc, capsys, tmp_path / "r", str(folder))
+
+    @pytest.mark.parametrize("command", ["speedup", "forge"])
+    def test_out_naming_a_file_is_error(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        rc = run([command, "--out", taken])
+        assert_clean_failure(rc, capsys, taken, str(taken))
+        assert taken.read_text() == "keep"
+
     def test_eval_out_of_vocabulary_names_file_record_and_token(self, forged, tmp_path,
                                                                  capsys):
         ckpt = tmp_path / "ckpt.json"

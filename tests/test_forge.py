@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from shortlong.corpus import (PrefixedStubGenerator, SourceSample, StubGenerator,
+from shortlong.corpus import (NO_ANSWER, PrefixedStubGenerator, SourceSample, StubGenerator,
                               build_chain_corpus, needle_profile, needle_vocab,
                               value_token, word_profile)
 from shortlong import forge
@@ -285,6 +285,37 @@ class TestChainCorpus:
         sources, pool = build_chain_corpus(20, 2200, seed=3, profile=word_profile())
         assert len(pool) == 2200
         assert all(len(s.supporting_docs) == 2 for s in sources)
+
+
+def _prefixed_stub_loop(p_correct, n, values, prefixes, source, rng):
+    """The separate loop PrefixedStubGenerator ran before it became a
+    StubGenerator with prefixes: it draws a prefix index, then the uniform,
+    then (when wrong) a wrong-answer index, for each candidate."""
+    wrongs = [v for v in values if source.answer not in v] + [NO_ANSWER]
+    out = []
+    for _ in range(n):
+        prefix = prefixes[int(rng.integers(len(prefixes)))]
+        if rng.uniform() < p_correct:
+            out.append(f"{prefix} {source.answer}")
+        else:
+            out.append(f"{prefix} {wrongs[int(rng.integers(len(wrongs)))]}")
+    return out
+
+
+class TestStubGenerator:
+    @pytest.mark.parametrize("profile", [needle_profile(), word_profile()])
+    def test_prefixes_reproduce_the_prefixed_loop(self, profile):
+        values = tuple(value_token(profile, i) for i in range(profile.n_values))
+        prefixes = tuple(profile.entity(i) for i in range(profile.n_entities))
+        sources, _ = build_chain_corpus(60, 10, seed=7, profile=profile)
+        stub = StubGenerator(0.5, 8, values + (NO_ANSWER,), prefixes)
+        prefixed = PrefixedStubGenerator(p_correct=0.5, n=8, values=values, prefixes=prefixes)
+        for seed in range(3):
+            rngs = [np.random.default_rng(seed) for _ in range(3)]
+            for source in sources:
+                expected = _prefixed_stub_loop(0.5, 8, values, prefixes, source, rngs[0])
+                assert stub("", source, rngs[1]) == expected
+                assert prefixed("", source, rngs[2]) == expected
 
 
 class TestForgeDataset:

@@ -1,4 +1,4 @@
-"""Toy scorer: exact log-probabilities, sampling, freezing, serialization."""
+"""Toy scorer: exact log-probabilities, sampling, cloning, serialization."""
 
 import itertools
 import math
@@ -11,7 +11,7 @@ from shortlong.corpus import StubGenerator, build_chain_corpus, word_profile
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset, sub_em
 from shortlong.policy import (BOS, EOS, SEP, ScoredSequence, ToyLM, Vocab, assemble_prompt,
                               bag_of_tokens, decode_rows, encode_contexts, encode_prompts,
-                              freeze, greedy_decode, load_model, logprob, logprob_with_grad,
+                              greedy_decode, load_model, logprob, logprob_with_grad,
                               pad_responses, sample, save_model, score_rows)
 from shortlong.training import evaluate
 
@@ -628,24 +628,21 @@ class TestEncodeContexts:
             assert tokenized
 
 
-class TestFreeze:
-    def test_snapshot_immutable_and_stable(self, model, vocab):
-        ref = freeze(model)
+class TestClone:
+    def test_snapshot_independent_and_stable(self, model, vocab):
+        ref = model.clone()
         before = {k: v.copy() for k, v in ref.params.items()}
-        with pytest.raises(ValueError):
-            ref.params["emb"][0, 0] = 1.0
         # mutate the live model heavily; the snapshot must not move
         for k in model.params:
             model.params[k] += 1.0
         for k, v in ref.params.items():
             np.testing.assert_array_equal(v, before[k])
-        assert ref.frozen
 
     def test_margin_zero_at_reference(self, model):
         """A policy identical to its reference scores every margin at zero."""
         from shortlong.losses import LogProbBundle, Method, MethodConfig, po_loss
 
-        ref = freeze(model)
+        ref = model.clone()
         ctx, y_w, y_l = ["w0", "w1"], ["w2", EOS], ["w3", EOS]
         b = LogProbBundle(
             lp_w_short=logprob(model, ctx, y_w).total_logprob,

@@ -10,7 +10,7 @@ from shortlong.corpus import (PrefixedStubGenerator, build_chain_corpus,
                               needle_profile, needle_vocab, value_token)
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset
 from shortlong.losses import Method, MethodConfig, RAMode
-from shortlong.policy import BOS, EOS, ToyLM, Vocab, freeze, logprob, pad_responses
+from shortlong.policy import BOS, EOS, ToyLM, Vocab, logprob, pad_responses
 from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, _prepare,
                                 assemble_prompt, evaluate, learning_rate, run_comparison,
                                 train)
@@ -93,6 +93,17 @@ class TestTrain:
         for k, v in model.params.items():
             np.testing.assert_array_equal(v, before[k])
         assert len(log.steps) == math.ceil(len(data) / 8)
+
+    @pytest.mark.parametrize("eval_every, steps", [(0, [4]), (2, [2, 4]), (3, [3, 4])])
+    def test_one_eval_per_eval_step(self, world, eval_every, steps):
+        """Evaluations fall on every eval_every-th step and on the last step,
+        once each, also when eval_every divides the step count."""
+        vocab, data, eval_set = world
+        cfg = TrainConfig(MethodConfig(Method.ORPO), lr_max=1e-2, batch_size=8, seed=0,
+                          eval_every=eval_every)
+        _, log = train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab, eval_set=eval_set)
+        assert len(log.steps) == 4
+        assert [rec.step for rec in log.evals] == steps
 
     def test_schedule_zero_at_every_step_rejected(self, world):
         """One step with warmup_ratio 0: the cosine is 0 at the last (and only)
@@ -221,10 +232,10 @@ class TestTrain:
     def test_reference_model_never_moves(self, world):
         vocab, data, _ = world
         model = ToyLM(vocab, hidden_dim=8, seed=7)
-        ref_before = freeze(model)
+        ref_before = model.clone()
         cfg = TrainConfig(MethodConfig(Method.DPO), lr_max=5e-2, batch_size=8, seed=8)
         trained, _ = train(model, data, cfg, vocab)
-        # re-freezing the ORIGINAL initialization must equal what train used:
+        # a clone of the ORIGINAL initialization must equal what train used:
         # the trained model changed, the snapshot did not
         fresh = ToyLM(vocab, hidden_dim=8, seed=7)
         for k in fresh.params:
