@@ -119,7 +119,8 @@ def _flag_values(flag: str, parse: Callable[[str], object], texts: list[str]) ->
 
 # Per subcommand, key -> (parser, default). A None default leaves the value
 # to the library call it feeds (or, for the corpus keys, to the corpus).
-_SEED = {"seed": (int, 0)}
+_NON_NEGATIVE = _at_least(0)
+_SEED = {"seed": (_NON_NEGATIVE, 0)}
 _COUNT = _at_least(1)
 KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "verify-bounds": {
@@ -128,7 +129,8 @@ KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "necessity_attempts": (_COUNT, 100_000), "selftest_instances": (_COUNT, 10_000)},
     "forge": {
         **_SEED, "corpus": (str, "builtin-needle"), "corpus_sources": (_COUNT, None),
-        "corpus_pool": (_COUNT, None), "corpus_seed": (int, None), "distractor_pool": (str, None),
+        "corpus_pool": (_COUNT, None), "corpus_seed": (_NON_NEGATIVE, None),
+        "distractor_pool": (str, None),
         "n_target": (_COUNT, None), "target_short_tokens": (_COUNT, None),
         "target_long_tokens": (_COUNT, None), "tolerance_frac": (_number(0), None),
         "condition_on": (str, None), "intersection": (_bool, None),
@@ -140,9 +142,9 @@ KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "method": (Method, Method.ORPO), "alpha": (_finite, None), "beta": (_finite, None),
         "gamma": (_finite, None), "eta": (_finite, None), "ra_mode": (RAMode, None),
         "include_nll": (_bool, None), "lr_max": (_finite, None), "warmup_ratio": (_finite, None),
-        "batch_size": (_COUNT, None), "epochs": (_COUNT, None), "eval_every": (_at_least(0), None),
+        "batch_size": (_COUNT, None), "epochs": (_COUNT, None), "eval_every": (_NON_NEGATIVE, None),
         "po_context": (str, None), "telemetry": (_bool, None), "model_hidden": (_COUNT, None),
-        "model_seed": (int, None)},
+        "model_seed": (_NON_NEGATIVE, None)},
     "eval": {
         **_SEED, "checkpoint": (str, None), "dataset": (str, None),
         "context": (_choice("short", "long", "both"), "both"), "max_len": (_COUNT, None)},
@@ -366,7 +368,7 @@ def cmd_train(args, v: dict, out: Path) -> int:
     if arms is not None:
         if eval_set is None:
             raise ConfigError("--compare requires 'eval_dataset'")
-        seeds = _flag_values("--seeds", int, (args.seeds or str(v["seed"])).split(","))
+        seeds = _flag_values("--seeds", _NON_NEGATIVE, (args.seeds or str(v["seed"])).split(","))
         if len(set(seeds)) != len(seeds):
             raise ConfigError(f"--seeds must be distinct, got {args.seeds}")
         report = run_comparison(arms, dataset, eval_set,

@@ -172,7 +172,7 @@ class StubGenerator:
         out = []
         for _ in range(self.n):
             prefix = prefixes[int(rng.integers(len(prefixes)))] if prefixes else None
-            if rng.uniform() < self.p_correct:
+            if rng.random() < self.p_correct:
                 verdict = answer
             else:
                 verdict = pool[int(rng.integers(len(pool)))]

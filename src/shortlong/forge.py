@@ -71,6 +71,13 @@ class HaystackConfig:
         if not (math.isfinite(self.tolerance_frac) and self.tolerance_frac >= 0):
             raise ValueError(f"tolerance_frac must be a finite number >= 0, "
                              f"got {self.tolerance_frac}")
+        tol = self.tolerance_frac
+        short, long = ((t * (1 - tol), t * (1 + tol))
+                       for t in (self.target_short_tokens, self.target_long_tokens))
+        if short[1] >= long[0]:
+            raise ValueError(f"tolerance_frac {tol} makes the length bands overlap: "
+                             f"short [{short[0]:.0f}, {short[1]:.0f}], "
+                             f"long [{long[0]:.0f}, {long[1]:.0f}]")
 
     @property
     def target_compression(self) -> float:
@@ -169,7 +176,7 @@ def synthesize_context(src: SourceSample, pool: DistractorPool,
     Distractors are drawn without replacement in a seeded random order until
     the joined length enters the tolerance band; docs that would overshoot the
     band are skipped. Raises :class:`InsufficientPoolError` if the pool runs
-    out first.
+    out first, and ValueError if the supporting docs alone overshoot the band.
     """
     if not (math.isfinite(tolerance_frac) and tolerance_frac >= 0):
         raise ValueError(f"tolerance_frac must be a finite number >= 0, got {tolerance_frac}")
@@ -179,7 +186,9 @@ def synthesize_context(src: SourceSample, pool: DistractorPool,
     lower = target_tokens * (1 - tolerance_frac)
     upper = target_tokens * (1 + tolerance_frac)
     if total > upper + 1e-9:
-        raise ValueError("supporting documents alone exceed the target length")
+        raise ValueError(f"supporting documents alone exceed the target length: {total} "
+                         f"tokens for a target of {target_tokens} (band [{lower:.0f}, "
+                         f"{upper:.0f}])")
     perm = rng.permutation(len(pool))
     costs = pool.counts[perm] + sep_cost
     take = np.zeros(len(perm), dtype=bool)
@@ -354,8 +363,8 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
                                          tolerance_frac=cfg.tolerance_frac)
             x_long = synthesize_context(src, local_pool, cfg.target_long_tokens, rng,
                                         tolerance_frac=cfg.tolerance_frac)
-        except InsufficientPoolError as exc:
-            raise InsufficientPoolError(f"source {idx}: {exc}") from None
+        except (InsufficientPoolError, ValueError) as exc:
+            raise type(exc)(f"source {idx}: {exc}") from None
         primary, other = (x_short, x_long) if condition_on == "short" else (x_long, x_short)
         split = _generate(generator, primary, src, rng, idx, stats)
         if split is None:
@@ -452,14 +461,25 @@ def read_distractor_pool(path: str | Path) -> list[str]:
 
 
 _FORGED_FIELDS = ("question", "answer", "x_short", "x_long", "y_w", "y_l")
+# The bytes json.dumps writes unescaped: printable ASCII but '"' and '\\'.
+_PLAIN = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
+
+
+def _json_string(text: str) -> str:
+    """``json.dumps(text)``; text of plain bytes only is quoted as it is,
+    without the per-character escaper."""
+    if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
+        return f'"{text}"'
+    return json.dumps(text)
 
 
 def write_forged_jsonl(samples: Iterable[ForgedSample], path: str | Path) -> None:
+    """One ``json.dumps(record, sort_keys=True)`` line per sample, byte for
+    byte, with each line built from its fields' JSON strings."""
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            fh.write(json.dumps({k: getattr(s, k) for k in _FORGED_FIELDS},
-                                sort_keys=True))
-            fh.write("\n")
+            fh.write("{" + ", ".join(f'"{k}": {_json_string(getattr(s, k))}'
+                                     for k in sorted(_FORGED_FIELDS)) + "}\n")
 
 
 def _forged(obj) -> ForgedSample:

@@ -61,6 +61,47 @@ class TestScenarioType:
         with pytest.raises(ValueError):
             DiscreteScenario([1.0], [0.5, 0.5], [[0, 0]], [[0, 0]], p, p)
 
+    @pytest.mark.parametrize("field, index", [
+        ("context_weights", (0,)), ("response_weights", (1,)), ("r_short", (0, 1)),
+        ("r_long", (0, 0)), ("pref_short", (0, 0, 1)), ("pref_long", (0, 1, 0))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_field(self, field, index, bad):
+        scn = single_pair_scenario(1, 0, 1, 0, p_short=0.8, p_long=0.3)
+        values = {name: np.array(getattr(scn, name)) for name in
+                  ("context_weights", "response_weights", "r_short", "r_long",
+                   "pref_short", "pref_long")}
+        values[field][index] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            DiscreteScenario(**values)
+
+    def test_pair_and_diagonal_checks_match_transposed_form(self):
+        """Over random batches with some pair sums pushed past 1, the gathered
+        pair check rejects exactly the tables ``P + Pᵀ`` does."""
+        rng = np.random.default_rng(21)
+        for n, k, m in [(1, 1, 2), (40, 1, 2), (30, 3, 4), (5, 2, 5), (8, 1, 1)]:
+            for trial in range(20):
+                batch = random_scenario(rng, max_contexts=k, max_responses=max(m, 2),
+                                        size=n)
+                p = batch.pref_short[..., :m, :m].copy()
+                if trial % 2:
+                    at = tuple(int(rng.integers(s)) for s in p.shape[:-2])
+                    i, j = rng.choice(m, 2, replace=False) if m > 1 else (0, 0)
+                    p[at + (i, j)] = 1.0 - p[at + (j, i)] + rng.choice([1e-13, 1e-11, 0.1])
+                    p = np.clip(p, 0.0, 1.0)
+                    np.einsum("...ii->...i", p)[...] = 0.0
+                args = (batch.context_weights, np.full((n, m), 1.0 / m),
+                        batch.r_short[..., :m], batch.r_long[..., :m], p, np.zeros_like(p))
+                if np.any(p + np.swapaxes(p, -1, -2) > 1 + 1e-12):
+                    with pytest.raises(ValueError, match=r"P\[i,j\] \+ P\[j,i\]"):
+                        DiscreteScenario(*args)
+                else:
+                    DiscreteScenario(*args)
+                if m > 1:
+                    p = np.zeros_like(p)
+                    p[(0,) * (p.ndim - 2) + (m - 1, m - 1)] = 1e-300
+                    with pytest.raises(ValueError, match=r"P\[i,i\] must be 0"):
+                        DiscreteScenario(*args[:4], p, p)
+
     def test_discrimination_flag(self):
         scn = single_pair_scenario(1, 0, 1, 0, p_short=0.8, p_long=0.3)
         assert scn.satisfies_discrimination()

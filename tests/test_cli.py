@@ -100,6 +100,31 @@ class TestConfigParsing:
         assert_clean_failure(rc, capsys, tmp_path / "r", f"{where}: config key '{key}'",
                              f">= {least}, got {value}")
 
+    @pytest.mark.parametrize("command, key, source", [
+        (command, key, source) for command, key in [
+            ("verify-bounds", "seed"), ("forge", "seed"), ("forge", "corpus_seed"),
+            ("train", "seed"), ("train", "model_seed"), ("eval", "seed"),
+            ("speedup", "seed"), ("grad-check", "seed")]
+        for source in ["--seed", "--set", "config"] if source != "--seed" or key == "seed"])
+    def test_negative_seed_names_key_and_where(self, tmp_path, capsys, command, key, source):
+        if source == "--seed":
+            args, where = ["--seed", "-5"], "--seed"
+        elif source == "--set":
+            args, where = ["--set", f"{key}=-5"], "--set"
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"# seeds\n{key} = -5\n")
+            args, where = ["--config", cfg], f"{cfg}: line 2"
+        rc = run([command, "--out", tmp_path / "r", *args])
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"{where}: config key '{key}'",
+                             "expected an integer >= 0, got -5")
+
+    def test_zero_seed_accepted(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["train", "--seed", "0", "--set", "model_seed=0"])
+        values = cli.parse_settings("train", args)
+        assert values["seed"] == 0 and values["model_seed"] == 0
+
     @pytest.mark.parametrize("key, value, expected", [
         ("stub_p_correct", "1.5", "a number in [0, 1], got '1.5'"),
         ("stub_p_correct", "nan", "a number in [0, 1], got 'nan'"),
@@ -307,6 +332,25 @@ class TestForgeTrainEvalPipeline:
                   "--seeds", "0,x", "--set", f"dataset={forged}",
                   "--set", f"eval_dataset={forged}"])
         assert_clean_failure(rc, capsys, tmp_path / "r", "error: --seeds: ", "'x'")
+
+    def test_train_compare_negative_seed_names_flag(self, forged, tmp_path, capsys):
+        rc = run(["train", "--out", tmp_path / "r", "--compare", "alpha:0,1",
+                  "--seeds", "0,-2", "--set", f"dataset={forged}",
+                  "--set", f"eval_dataset={forged}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r",
+                             "error: --seeds: expected an integer >= 0, got -2")
+
+    def test_overlapping_length_bands_fail(self, tmp_path, capsys):
+        rc = run(["forge", "--out", tmp_path / "r", "--set", "tolerance_frac=1.5"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "tolerance_frac 1.5",
+                             "short [-32, 160], long [-256, 1280]")
+        assert not (tmp_path / "r" / "data" / "forged.jsonl").exists()
+
+    def test_oversized_supporting_documents_name_the_source(self, tmp_path, capsys):
+        rc = run(["forge", "--out", tmp_path / "r", "--set", "target_short_tokens=3",
+                  "--set", "target_long_tokens=5"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "error: source 0: supporting "
+                             "documents alone exceed the target length", "target of 3")
 
     def test_seeds_without_compare_fails(self, forged, tmp_path, capsys):
         rc = run(["train", "--out", tmp_path / "r", "--seeds", "1,2,3",

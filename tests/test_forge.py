@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -302,7 +303,33 @@ def _prefixed_stub_loop(p_correct, n, values, prefixes, source, rng):
     return out
 
 
+def _uniform_stub_loop(p_correct, n, wrong_answers, source, rng):
+    """StubGenerator's loop as it drew its verdicts with ``rng.uniform()``."""
+    pool = [w for w in wrong_answers if source.answer not in w] or [NO_ANSWER]
+    out = []
+    for _ in range(n):
+        if rng.uniform() < p_correct:
+            out.append(source.answer)
+        else:
+            out.append(pool[int(rng.integers(len(pool)))])
+    return out
+
+
 class TestStubGenerator:
+    @pytest.mark.parametrize("profile", [needle_profile(), word_profile()])
+    @pytest.mark.parametrize("p_correct", [0.0, 0.3, 0.5, 1.0])
+    def test_unprefixed_reproduces_the_uniform_loop(self, profile, p_correct):
+        wrong = tuple(value_token(profile, i) for i in range(profile.n_values)) + (NO_ANSWER,)
+        sources, _ = build_chain_corpus(60, 10, seed=3, profile=profile)
+        stub = StubGenerator(p_correct, 32, wrong)
+        for seed in range(3):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            for source in sources:
+                assert stub("", source, rngs[0]) == _uniform_stub_loop(
+                    p_correct, 32, wrong, source, rngs[1])
+            # Both loops leave the stream at the same position.
+            assert rngs[0].integers(2**62) == rngs[1].integers(2**62)
+
     @pytest.mark.parametrize("profile", [needle_profile(), word_profile()])
     def test_prefixes_reproduce_the_prefixed_loop(self, profile):
         values = tuple(value_token(profile, i) for i in range(profile.n_values))
@@ -442,6 +469,13 @@ class TestForgeDataset:
             sha.update(json.dumps(asdict(s), sort_keys=True).encode() + b"\n")
         assert sha.hexdigest() == digest
 
+    def test_oversized_supporting_documents_name_the_source(self):
+        cfg = HaystackConfig(target_short_tokens=3, target_long_tokens=5, seed=9)
+        gen = StubGenerator(p_correct=0.5, n=8, wrong_answers=self.wrong)
+        with pytest.raises(ValueError, match=r"^source 0: supporting documents alone exceed "
+                           r"the target length: 7 tokens for a target of 3 \(band \[3, 3\]\)$"):
+            forge_dataset(self.sources, self.pool, gen, cfg)
+
     def test_policy_generator_end_to_end(self):
         from shortlong.corpus import PolicyCandidateGenerator
         from shortlong.policy import ToyLM
@@ -488,6 +522,70 @@ class TestSettingRanges:
     def test_haystack_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance_frac"):
             HaystackConfig(target_short_tokens=64, target_long_tokens=256, tolerance_frac=tol)
+
+    @pytest.mark.parametrize("short, long, tol", [
+        (64, 512, 1.5), (64, 512, 1.0), (64, 512, 0.8), (100, 150, 0.2), (90, 110, 0.1)])
+    def test_haystack_bands_overlap(self, short, long, tol):
+        bands = (f"short [{short * (1 - tol):.0f}, {short * (1 + tol):.0f}], "
+                 f"long [{long * (1 - tol):.0f}, {long * (1 + tol):.0f}]")
+        with pytest.raises(ValueError, match=re.escape(f"tolerance_frac {tol} ")) as info:
+            HaystackConfig(target_short_tokens=short, target_long_tokens=long,
+                           tolerance_frac=tol)
+        assert bands in str(info.value)
+
+    @pytest.mark.parametrize("short, long, tol", [
+        (64, 512, 0.77), (1100, 7500, 0.05), (20, 40, 0.2), (100, 150, 0.19)])
+    def test_haystack_disjoint_bands_accepted(self, short, long, tol):
+        HaystackConfig(target_short_tokens=short, target_long_tokens=long, tolerance_frac=tol)
+
+
+def reference_jsonl(samples) -> bytes:
+    """The forged JSONL as ``json.dumps`` writes it, one sorted-key line per
+    sample."""
+    return "".join(json.dumps({k: getattr(s, k) for k in forge._FORGED_FIELDS},
+                              sort_keys=True) + "\n" for s in samples).encode("utf-8")
+
+
+# Strings that json.dumps must escape, and plain ones around them.
+SPECIAL_TEXTS = ["", '"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\x80", "\xe9",
+                 "\u3000", "\U0001f600", "\ud800", 'say "hi"', "a\\b", "plain text <sep> 1800",
+                 " ~!#$%&'()*+,-./0123456789:;<=>?@[]^_`{|}", "caf\xe9 \x7f end"]
+
+
+class TestJsonlWriter:
+    def test_every_code_point_below_3000_quotes_as_json(self):
+        for c in range(0x3000):
+            text = f"ab{chr(c)}cd"
+            assert forge._json_string(text) == json.dumps(text), hex(c)
+
+    @pytest.mark.parametrize("text", SPECIAL_TEXTS)
+    def test_special_strings_quote_as_json(self, text):
+        assert forge._json_string(text) == json.dumps(text)
+
+    def test_special_samples_match_reference(self, tmp_path):
+        texts = itertools.cycle(SPECIAL_TEXTS)
+        samples = [ForgedSample(*(next(texts) for _ in range(6)))
+                   for _ in range(2 * len(SPECIAL_TEXTS))]
+        path = tmp_path / "f.jsonl"
+        write_forged_jsonl(samples, path)
+        assert path.read_bytes() == reference_jsonl(samples)
+        assert read_forged_jsonl(path) == samples
+
+    def test_word_forge_matches_reference(self, tmp_path):
+        profile = word_profile()
+        sources, pool = build_chain_corpus(24, 400, seed=4, profile=profile)
+        wrong = tuple(value_token(profile, i) for i in range(profile.n_values))
+        samples, _ = forge_dataset(sources, pool, StubGenerator(0.5, 8, wrong),
+                                   HaystackConfig(100, 600, seed=4))
+        assert len(samples) > 10
+        path = tmp_path / "f.jsonl"
+        write_forged_jsonl(samples, path)
+        assert path.read_bytes() == reference_jsonl(samples)
+
+    def test_empty_input_writes_empty_file(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        write_forged_jsonl([], path)
+        assert path.read_bytes() == b""
 
 
 class TestJsonlIO:
