@@ -21,7 +21,6 @@ per link (or p) and report its max plus a witness dump.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Callable
@@ -105,14 +104,6 @@ def _require(count: int, least: int, what: str) -> None:
         raise ValueError(f"need at least {least} {what}, got {count}")
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_indices(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices into an (m, m) table of ``P[i, j]`` and of ``P[j, i]``
-    over the pairs i < j, and of the diagonal."""
-    i, j = np.triu_indices(m, 1)
-    return i * m + j, j * m + i, np.arange(m) * (m + 1)
-
-
 @dataclass
 class DiscreteScenario:
     """A finite world: weighted context pairs, weighted responses, rewards.
@@ -157,16 +148,12 @@ class DiscreteScenario:
                 raise ValueError("weights must each sum to 1")
         if np.any(self.context_weights < 0) or np.any(self.response_weights < 0):
             raise ValueError("weights must be nonnegative")
-        # Pair sums and the diagonal are gathered from the flattened (M, M)
-        # tables; a transposed view would run numpy loops of length M.
-        upper, lower, diagonal = _pair_indices(m)
         for p in (self.pref_short, self.pref_long):
-            if not ((p >= 0) & (p <= 1)).all():
+            if np.any(p < 0) or np.any(p > 1):
                 raise ValueError("preference probabilities must lie in [0, 1]")
-            flat = p.reshape(-1, m * m)
-            if np.any(flat[:, upper] + flat[:, lower] > 1 + 1e-12):
+            if np.any(p + np.swapaxes(p, -1, -2) > 1 + 1e-12):
                 raise ValueError("P[i,j] + P[j,i] must not exceed 1")
-            if np.any(flat[:, diagonal] != 0):
+            if np.any(np.diagonal(p, axis1=-2, axis2=-1) != 0):
                 raise ValueError("P[i,i] must be 0")
 
     def __getitem__(self, i: int) -> DiscreteScenario:

@@ -74,9 +74,10 @@ class TestScenarioType:
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             DiscreteScenario(**values)
 
-    def test_pair_and_diagonal_checks_match_transposed_form(self):
-        """Over random batches with some pair sums pushed past 1, the gathered
-        pair check rejects exactly the tables ``P + Pᵀ`` does."""
+    def test_pair_and_diagonal_checks_match_a_pair_loop(self):
+        """Over random batches with some pair sums pushed past 1, the pair
+        check rejects exactly the tables in which some pair i < j of some
+        table sums past 1 + 1e-12, found by looping over the pairs."""
         rng = np.random.default_rng(21)
         for n, k, m in [(1, 1, 2), (40, 1, 2), (30, 3, 4), (5, 2, 5), (8, 1, 1)]:
             for trial in range(20):
@@ -91,7 +92,9 @@ class TestScenarioType:
                     np.einsum("...ii->...i", p)[...] = 0.0
                 args = (batch.context_weights, np.full((n, m), 1.0 / m),
                         batch.r_short[..., :m], batch.r_long[..., :m], p, np.zeros_like(p))
-                if np.any(p + np.swapaxes(p, -1, -2) > 1 + 1e-12):
+                tables = p.reshape(-1, m, m)
+                if any(t[i, j] + t[j, i] > 1 + 1e-12 for t in tables
+                       for i in range(m) for j in range(i + 1, m)):
                     with pytest.raises(ValueError, match=r"P\[i,j\] \+ P\[j,i\]"):
                         DiscreteScenario(*args)
                 else:
