@@ -30,9 +30,9 @@ from . import bounds as bounds_mod
 from . import efficiency
 from .corpus import (PolicyCandidateGenerator, StubGenerator, build_chain_corpus,
                      needle_profile, needle_vocab, value_token, word_profile)
-from .forge import (ForgedSample, HaystackConfig, InsufficientPoolError, forge_dataset,
-                    read_distractor_pool, read_forged_jsonl, read_source_jsonl,
-                    text_lines, write_forged_jsonl)
+from .forge import (ForgedSample, ForgeStats, HaystackConfig, InsufficientPoolError,
+                    iter_forged, read_distractor_pool, read_forged_jsonl,
+                    read_source_jsonl, text_lines, write_forged_jsonl)
 from .gradcheck import check_loss_gradients, check_policy_gradients
 from .losses import Method, MethodConfig, RAMode
 from .policy import ToyLM, Vocab, load_model, save_model
@@ -206,7 +206,12 @@ def _or(value, default):
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex SHA-256 of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _prepare_run_dir(out: Path) -> None:
@@ -307,15 +312,29 @@ def _build_generator(v: dict, profile) -> object:
         **_given(v, "policy_n", "policy_temperature", "policy_max_len", prefix="policy_"))
 
 
+def _write_atomically(samples: Iterator[ForgedSample], path: Path) -> None:
+    """Stream ``samples`` into ``path`` with ``.part`` appended, then rename
+    it to ``path``: a forge that fails partway, for any reason, removes its
+    partial file and leaves an earlier ``path`` as it was."""
+    part = path.with_name(path.name + ".part")
+    try:
+        write_forged_jsonl(samples, part)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    part.replace(path)
+
+
 def cmd_forge(args, v: dict, out: Path) -> int:
     sources, pool, profile = _load_corpus(v)
     generator = _build_generator(v, profile)
     targets = _CORPORA[v["corpus"]][3] if v["corpus"] in _CORPORA else {}
     cfg = HaystackConfig(seed=v["seed"], **{**targets, **_given(
         v, "target_short_tokens", "target_long_tokens", "tolerance_frac")})
-    samples, stats = forge_dataset(sources, pool, generator, cfg, v["n_target"],
-                                   **_given(v, "condition_on", "intersection"))
-    write_forged_jsonl(samples, out / "data" / "forged.jsonl")
+    stats = ForgeStats()
+    samples = iter_forged(sources, pool, generator, cfg, stats, v["n_target"],
+                          **_given(v, "condition_on", "intersection"))
+    _write_atomically(samples, out / "data" / "forged.jsonl")
     (out / "data" / "forge_stats.json").write_text(stats.to_json())
     print(f"emitted {stats.emitted} samples "
           f"(discard rate {stats.discard_rate:.3f}, achieved c "

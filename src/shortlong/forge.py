@@ -35,6 +35,7 @@ __all__ = [
     "synthesize_context",
     "sub_em",
     "curate_pair",
+    "iter_forged",
     "forge_dataset",
     "text_lines",
     "read_source_jsonl",
@@ -334,26 +335,28 @@ def _generate(generator: Generator, context: str, src: SourceSample, rng: np.ran
     return _partition(candidates, src.answer)
 
 
-def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
-                  generator: Generator, cfg: HaystackConfig,
-                  n_target: int | None = None, *,
-                  condition_on: str = "short",
-                  intersection: bool = False) -> tuple[list[ForgedSample], ForgeStats]:
-    """Run the full pipeline; deterministic given (inputs, cfg.seed).
+def iter_forged(sources: Iterable[SourceSample], pool: Sequence[str],
+                generator: Generator, cfg: HaystackConfig, stats: ForgeStats,
+                n_target: int | None = None, *, condition_on: str = "short",
+                intersection: bool = False) -> Iterator[ForgedSample]:
+    """The pipeline as a stream: each sample is yielded as soon as it passes
+    :meth:`ForgedSample.check_invariants`; deterministic given (inputs,
+    cfg.seed).
 
-    ``condition_on`` selects which context variant the generator sees for the
-    emitted pair ("short" or "long"); ``intersection`` additionally requires
-    that the other variant also yields a valid pair.
+    ``stats`` is filled as sources are read and is complete (finalized) only
+    once the iterator is exhausted. ``condition_on`` selects which context
+    variant the generator sees for the emitted pair ("short" or "long");
+    ``intersection`` additionally requires that the other variant also
+    yields a valid pair. Nothing runs, and no argument is checked, before the
+    first sample is asked for.
     """
     if condition_on not in ("short", "long"):
         raise ValueError("condition_on must be 'short' or 'long'")
-    stats = ForgeStats()
-    samples: list[ForgedSample] = []
     short_counts: list[int] = []
     long_counts: list[int] = []
     distractors = DistractorPool(pool)
     for idx, src in enumerate(sources):
-        if n_target is not None and len(samples) >= n_target:
+        if n_target is not None and stats.emitted >= n_target:
             break
         stats.sources_seen += 1
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(idx,)))
@@ -387,12 +390,22 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
         sample = ForgedSample(question=src.question, answer=src.answer,
                               x_short=x_short, x_long=x_long, y_w=y_w, y_l=y_l)
         n_short, n_long = sample.check_invariants(cfg, supporting_docs=src.supporting_docs)
-        samples.append(sample)
         stats.emitted += 1
         short_counts.append(n_short)
         long_counts.append(n_long)
+        yield sample
     stats.finalize(short_counts, long_counts, cfg)
-    return samples, stats
+
+
+def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
+                  generator: Generator, cfg: HaystackConfig,
+                  n_target: int | None = None, *,
+                  condition_on: str = "short",
+                  intersection: bool = False) -> tuple[list[ForgedSample], ForgeStats]:
+    """:func:`iter_forged` collected into a list, with its finalized stats."""
+    stats = ForgeStats()
+    return list(iter_forged(sources, pool, generator, cfg, stats, n_target,
+                            condition_on=condition_on, intersection=intersection)), stats
 
 
 def _universal_lines(text: str) -> list[str]:

@@ -1,14 +1,19 @@
 """Command-line surface: configs, manifests, artifacts, exit codes."""
 
+import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from shortlong import cli
+from shortlong import cli, forge
 from shortlong.cli import KEYS, load_config, main
-from shortlong.corpus import build_chain_corpus, needle_vocab, word_profile
+from shortlong.corpus import StubGenerator, build_chain_corpus, needle_vocab, word_profile
+from shortlong.forge import (HaystackConfig, forge_dataset, read_distractor_pool,
+                             read_source_jsonl, write_forged_jsonl)
 from shortlong.policy import ToyLM, load_model, save_model
 from shortlong.training import NonFiniteLossError
 
@@ -495,6 +500,154 @@ class TestExternalCorpus:
         assert manifests[0]["input_digests"]["distractor_pool"] != \
             manifests[1]["input_digests"]["distractor_pool"]
         assert manifests[0]["overrides"] == manifests[1]["overrides"]
+
+
+def _write_jsonl(path: Path, rows) -> Path:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return path
+
+
+@pytest.fixture
+def fill_passes(monkeypatch):
+    """[synthesize_context calls, fill passes] in ``forge``: each fill pass
+    takes one cumulative sum, and a context takes a pass past its first only
+    after an overshooting draw that its fill skipped."""
+    counts = [0, 0]
+    synthesize = forge.synthesize_context
+
+    def counted_synthesize(*args, **kwargs):
+        counts[0] += 1
+        return synthesize(*args, **kwargs)
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def cumsum(*args, **kwargs):
+            counts[1] += 1
+            return np.cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(forge, "synthesize_context", counted_synthesize)
+    monkeypatch.setattr(forge, "np", CountedNumpy())
+    return counts
+
+
+class TestStreamedForge:
+    """``forge`` streams its records into ``forged.jsonl.part`` and renames it
+    to ``forged.jsonl`` once the last record is written."""
+
+    SHORT, LONG = 60, 300
+
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        """24 word-profile sources, and a pool of 150 documents of 1 to 40
+        tokens, so that a fill meets draws that overshoot its band."""
+        sources, _ = build_chain_corpus(24, 1, seed=0, profile=word_profile())
+        src = _write_jsonl(tmp_path / "sources.jsonl", [
+            {"question": s.question, "answer": s.answer,
+             "supporting_docs": list(s.supporting_docs)} for s in sources])
+        pool = [" ".join(f"d{i}w{j}" for j in range(1 + 7 * i % 40)) for i in range(150)]
+        return src, _write_jsonl(tmp_path / "pool.jsonl", pool)
+
+    def forge(self, out, src, pool_path, **settings):
+        sets = {"corpus": src, "distractor_pool": pool_path, "stub_n": 3,
+                "target_short_tokens": self.SHORT, "target_long_tokens": self.LONG,
+                **settings}
+        return run(["forge", "--out", out, "--seed", "1",
+                    *(a for key, value in sets.items() for a in ("--set", f"{key}={value}"))])
+
+    @pytest.mark.parametrize("settings", [
+        {"condition_on": "short", "intersection": False},
+        {"condition_on": "short", "intersection": True},
+        {"condition_on": "long", "intersection": False},
+        {"condition_on": "long", "intersection": True},
+        {"condition_on": "long", "intersection": True, "n_target": 5}])
+    def test_stream_equals_list(self, tmp_path, corpus, fill_passes, settings):
+        src, pool_path = corpus
+        assert self.forge(tmp_path / "r", src, pool_path, **settings) == 0
+        samples, stats = forge_dataset(
+            read_source_jsonl(src), read_distractor_pool(pool_path),
+            StubGenerator(0.5, n=3), HaystackConfig(self.SHORT, self.LONG, seed=1),
+            settings.get("n_target"), condition_on=settings["condition_on"],
+            intersection=settings["intersection"])
+        write_forged_jsonl(samples, tmp_path / "list.jsonl")
+        data = tmp_path / "r" / "data"
+        assert (data / "forged.jsonl").read_bytes() == (tmp_path / "list.jsonl").read_bytes()
+        assert (data / "forge_stats.json").read_text() == stats.to_json()
+        assert not (data / "forged.jsonl.part").exists()
+        calls, passes = fill_passes
+        assert passes > calls  # some fill skipped an overshooting draw
+        if "n_target" in settings:
+            assert stats.emitted == 5 and stats.sources_seen < 24
+
+    def test_failing_source_leaves_no_partial_output(self, tmp_path, capsys, corpus):
+        src, pool_path = corpus
+        data = tmp_path / "r" / "data"
+        assert self.forge(tmp_path / "r", src, pool_path) == 0
+        before = [(data / name).read_bytes() for name in ("forged.jsonl", "forge_stats.json")]
+        rows = [json.loads(line) for line in src.read_text().splitlines()]
+        rows[3]["supporting_docs"] = [" ".join(["long"] * 2 * self.SHORT)]
+        bad = _write_jsonl(tmp_path / "bad.jsonl", rows)
+        capsys.readouterr()
+        for out in (tmp_path / "r", tmp_path / "fresh"):
+            assert self.forge(out, bad, pool_path) == 1
+            assert capsys.readouterr().err.startswith(
+                "error: source 3: supporting documents alone exceed the target length")
+            assert not (out / "data" / "forged.jsonl.part").exists()
+        assert not (tmp_path / "fresh" / "data" / "forged.jsonl").exists()
+        assert not (tmp_path / "fresh" / "manifest.json").exists()
+        assert [(data / name).read_bytes()
+                for name in ("forged.jsonl", "forge_stats.json")] == before
+
+    @pytest.mark.parametrize("exc", [ValueError("generator broke"), KeyboardInterrupt()])
+    def test_exception_mid_stream_removes_part_file(self, tmp_path, capsys, corpus,
+                                                    monkeypatch, exc):
+        src, pool_path = corpus
+        data = tmp_path / "r" / "data"
+        seen = []
+
+        def failing(*args, **kwargs):
+            for i, sample in enumerate(forge.iter_forged(*args, **kwargs)):
+                if i == 2:
+                    seen.append((data / "forged.jsonl.part").exists())
+                    raise exc
+                yield sample
+
+        monkeypatch.setattr(cli, "iter_forged", failing)
+        if isinstance(exc, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                self.forge(tmp_path / "r", src, pool_path)
+        else:
+            assert self.forge(tmp_path / "r", src, pool_path) == 1
+            assert capsys.readouterr().err == "error: generator broke\n"
+        assert seen == [True]
+        assert list(data.iterdir()) == []
+
+
+def test_forge_memory_does_not_grow_with_sources(tmp_path):
+    """Records go to disk as they are forged: the traced peak of a forge of
+    160 sources is within 0.5 MiB of that of 40 sources."""
+    def forge_peak(n: int) -> int:
+        tracemalloc.start()
+        try:
+            assert run(["forge", "--out", tmp_path / str(n), "--set", "corpus=builtin-word",
+                        "--set", f"corpus_sources={n}", "--set", "corpus_pool=2200"]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    forge_peak(40)  # first-call caches and lazy imports
+    assert forge_peak(160) - forge_peak(40) < 0.5 * 2**20
+
+
+@pytest.mark.parametrize("size", [0, (1 << 20) + 4097])
+def test_manifest_digest_reads_in_chunks(tmp_path, monkeypatch, size):
+    path = tmp_path / "blob"
+    path.write_bytes(bytes(range(251)) * (size // 251) + b"x" * (size % 251))
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()
+    monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail("whole-file read"))
+    assert cli._sha256(path) == expected
 
 
 def test_train_on_builtin_word_forge(tmp_path, capsys):
