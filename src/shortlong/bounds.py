@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .links import BoundFn, ConvexLink, eval_bound, eval_link
+from .links import BoundFn, ConvexLink, _softplus, eval_bound, eval_link
 
 __all__ = [
     "TOLERANCE",
@@ -310,18 +310,19 @@ def check_theorem2(scn: DiscreteScenario, p: float, c1: float, gamma) -> BoundRe
     the substituted distance); failing contexts count as condition failures,
     not bound violations, and leave their scenario out of the max. Then checks
     long loss <= short PO / 3 + c1 * E[D_p] + (2/3) log(1 + e^{3 gamma}).
+    ``p`` may be inf; a NaN ``p`` or a non-finite ``c1`` raises ValueError.
     """
-    if p < 1:
-        raise ValueError("p-norm distance requires p >= 1")
-    if c1 < 1:
-        raise ValueError("c1 must be >= 1")
+    if not p >= 1:
+        raise ValueError(f"p-norm distance requires p >= 1, got p={p}")
+    if not (np.isfinite(c1) and c1 >= 1):
+        raise ValueError(f"c1 must be finite and >= 1, got c1={c1}")
     _require_discrimination(scn)
     link = ConvexLink.LOGISTIC
     arrays, pairs = _arrays(scn)
     w, q, r_s, r_l = arrays[:4]
     d1, dp = _p_norm_gaps(q, np.abs(r_s - r_l), p)
     failing = d1 > c1 * dp + 1e-12
-    c2 = 2.0 / 3.0 * np.logaddexp(0.0, 3.0 * np.asarray(gamma, dtype=np.float64))
+    c2 = 2.0 / 3.0 * _softplus(3.0 * np.asarray(gamma, dtype=np.float64))
     lhs, short, _ = _po_terms(arrays, pairs, link, gamma)
     slack = lhs - (short / 3.0 + c1 * _per_scenario(w * dp, axis=0) + c2)
     slack = np.where(np.any(failing, axis=0), -np.inf, slack)

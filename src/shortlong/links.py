@@ -3,7 +3,9 @@
 A link ``f`` turns a reward margin into a loss; each link is paired with an
 envelope ``s`` satisfying ``f(x + gamma) + f(-x + gamma) <= s(|x|)``, which is
 what licenses replacing a pair of opposed margin losses by a single
-absolute-gap penalty. All evaluators accept scalars or numpy arrays.
+absolute-gap penalty. All evaluators accept scalars or numpy arrays. The
+logistic link and its envelope are finite for every finite argument: they
+only form e^{-|x|}.
 """
 
 from __future__ import annotations
@@ -34,12 +36,27 @@ class DomainError(ValueError):
         super().__init__(message if self.index is None else f"{message} (element {self.index})")
 
 
-def _check_finite(x) -> np.ndarray:
+def _check_finite(x, what: str = "link argument") -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     finite = np.isfinite(x)
     if not finite.all():
-        raise DomainError("link argument must be finite", ~finite)
+        raise DomainError(f"{what} must be finite", ~finite)
     return x
+
+
+def _softplus(t) -> np.ndarray:
+    """log(1 + e^t) for float64 ``t``, as max(t, 0) + log1p(e^{-|t|}).
+
+    The piecewise form numpy's scalar log-add-exp loop evaluates, written with
+    the vectorized exp and log1p loops. The exponent is never positive, so
+    nothing overflows. Returns a new array (0-d for a scalar ``t``); the steps
+    run in place in it."""
+    out = np.asarray(np.abs(t))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(t, 0.0)
+    return out
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -62,9 +79,9 @@ class _Link:
 # The hinge-family envelopes are clamped at zero: the unclamped forms go
 # negative on |x| < gamma and cannot dominate a nonnegative link there.
 _LINKS = {
-    ConvexLink.LOGISTIC: _Link(f=lambda x: np.logaddexp(0.0, -x),
+    ConvexLink.LOGISTIC: _Link(f=lambda x: _softplus(-x),
                                df=lambda x: _sigmoid(x) - 1.0,
-                               s=lambda x, ax, g: ax + 2.0 * np.logaddexp(0.0, 3.0 * g)),
+                               s=lambda x, ax, g: ax + 2.0 * _softplus(3.0 * g)),
     ConvexLink.SQUARE: _Link(f=lambda x: x * x,
                              df=lambda x: 2.0 * x,
                              s=lambda x, ax, g: 2.0 * x * x + 2.0 * g * g),
@@ -90,7 +107,7 @@ def eval_link(link: ConvexLink, x):
 
     logistic(x) = log(1 + e^-x), square(x) = x^2, hinge(x) = max(0, -x),
     squared_hinge(x) = max(0, -x)^2, exponential(x) = e^-x.
-    Stable for |x| up to ~700; the logistic path never forms e^-x directly.
+    Finite for every finite x; the logistic path only forms e^{-|x|}.
     """
     return _result(_LINKS[link].f(_check_finite(x)))
 
@@ -115,6 +132,8 @@ def eval_bound(bound: BoundFn, x):
     Pairings: logistic -> |x| + 2 log(1 + e^{3 gamma}); square -> 2x^2 + 2 gamma^2;
     hinge -> max(0, |x| - gamma); squared hinge -> max(0, x^2 - gamma^2);
     exponential -> e^{-|x| - gamma} + e^{|x| - gamma}  (= 2 e^-gamma cosh|x|).
+    A non-finite ``x`` or ``gamma`` raises :class:`DomainError`.
     """
     x = _check_finite(x)
-    return _result(_LINKS[bound.link].s(x, np.abs(x), np.asarray(bound.gamma, dtype=np.float64)))
+    gamma = _check_finite(bound.gamma, "envelope margin gamma")
+    return _result(_LINKS[bound.link].s(x, np.abs(x), gamma))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from shortlong import bounds
+from shortlong import bounds, links
 from shortlong.bounds import (ALL_LINKS, SFORM_GAMMA_RANGES, TOLERANCE, BoundReport,
                               DiscreteScenario, RewardAssignment, check_theorem1_exact,
                               check_theorem1_sform, check_theorem2, lemma_slack,
@@ -210,6 +210,49 @@ class TestTheorem2:
         scn = single_pair_scenario(1, 0, 1, 0)
         with pytest.raises(ValueError, match="p >= 1"):
             check_theorem2(scn, 0.5, 1.0, 0.0)
+
+    @pytest.mark.parametrize("p, c1, match", [(math.nan, 1.0, "p >= 1"),
+                                              (2.0, math.nan, "c1"),
+                                              (2.0, math.inf, "c1")])
+    def test_nan_p_and_non_finite_c1_rejected(self, p, c1, match):
+        with pytest.raises(ValueError, match=match):
+            check_theorem2(single_pair_scenario(1, 0, 1, 0), p, c1, 0.0)
+
+    def test_infinite_p_accepted(self):
+        rep = check_theorem2(single_pair_scenario(1, 0, 1, 0), math.inf, 1.0, 0.0)
+        assert math.isfinite(rep.max_violation) and rep.passed
+
+
+class TestLogisticKernelCertificates:
+    """Certificates computed with the vectorized logistic kernel equal those
+    of an ``np.logaddexp`` reference: worst slacks within rel 1e-12 and the
+    same witnesses."""
+
+    @staticmethod
+    def certificates(seed: int) -> dict[str, BoundReport]:
+        reports = {"lemma1": run_lemma1_suite(30_000, seed),
+                   "necessity": run_assumption_necessity_search(3_000, seed)}
+        for form in ("exact", "sform"):
+            reports.update({f"theorem1_{form}[{k}]": r
+                            for k, r in run_theorem1_suite(300, seed, form=form).items()})
+        reports.update({f"theorem2[{k}]": r for k, r in run_theorem2_suite(300, seed).items()})
+        return reports
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_logaddexp_reference(self, monkeypatch, seed):
+        kernel = self.certificates(seed)
+        reference = lambda t: np.logaddexp(0.0, t)
+        monkeypatch.setattr(links, "_softplus", reference)
+        monkeypatch.setattr(bounds, "_softplus", reference)
+        xs = np.linspace(-40.0, 40.0, 801)
+        assert np.array_equal(eval_link(ConvexLink.LOGISTIC, xs), np.logaddexp(0.0, -xs))
+        ref = self.certificates(seed)
+        assert kernel.keys() == ref.keys()
+        assert ref["necessity"].worst_witness["violations_found"] > 0
+        for key, want in ref.items():
+            got = kernel[key]
+            assert got.max_violation == pytest.approx(want.max_violation, rel=1e-12, abs=0), key
+            assert got.worst_witness == want.worst_witness, key
 
 
 class TestNecessitySearch:

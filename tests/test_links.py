@@ -1,11 +1,12 @@
 """Link functions: values, convexity, derivatives, and envelope domination."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from shortlong.links import BoundFn, ConvexLink, eval_bound, eval_link, link_deriv
+from shortlong.links import BoundFn, ConvexLink, DomainError, eval_bound, eval_link, link_deriv
 
 ALL_LINKS = list(ConvexLink)
 
@@ -43,6 +44,42 @@ class TestLinkValues:
         xs = np.array([-1.0, 0.0, 1.0])
         out = eval_link(ConvexLink.HINGE, xs)
         np.testing.assert_allclose(out, [1.0, 0.0, 0.0])
+
+
+class TestLogisticKernel:
+    """The logistic link and envelope against an ``np.logaddexp`` reference."""
+
+    EDGES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12, 1.0,
+             36.7, 37.0, 709.78, 745.1, 1e300)
+    GRID = np.concatenate([EDGES, [-e for e in EDGES],
+                           np.random.default_rng(22).uniform(-60.0, 60.0, 10**6)])
+
+    @staticmethod
+    def assert_within_4_ulp(got, ref):
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    def test_link_matches_reference(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eval_link(ConvexLink.LOGISTIC, self.GRID)
+        self.assert_within_4_ulp(got, np.logaddexp(0.0, -self.GRID))
+
+    def test_envelope_matches_reference(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = eval_bound(BoundFn(ConvexLink.LOGISTIC, self.GRID), 0.0)
+        ref = 2.0 * np.logaddexp(0.0, 3.0 * self.GRID)
+        self.assert_within_4_ulp(got, ref)
+
+    def test_link_non_increasing(self):
+        assert np.all(np.diff(eval_link(ConvexLink.LOGISTIC, np.sort(self.GRID))) <= 0.0)
+
+    def test_scalar_in_float_out_array_in_array_out(self):
+        bound = BoundFn(ConvexLink.LOGISTIC, 0.5)
+        assert type(eval_link(ConvexLink.LOGISTIC, 2.0)) is float
+        assert type(eval_bound(bound, 2.0)) is float
+        assert isinstance(eval_link(ConvexLink.LOGISTIC, np.array([2.0])), np.ndarray)
+        assert isinstance(eval_bound(bound, np.array([2.0])), np.ndarray)
 
 
 class TestConvexity:
@@ -94,6 +131,20 @@ class TestBoundValues:
     def test_squared_hinge_clamped(self):
         assert eval_bound(BoundFn(ConvexLink.SQUARED_HINGE, 2.0), 1.0) == 0.0
         assert eval_bound(BoundFn(ConvexLink.SQUARED_HINGE, 2.0), 3.0) == 5.0
+
+
+class TestBoundMargin:
+    @pytest.mark.parametrize("link, gamma", [(ConvexLink.LOGISTIC, math.nan),
+                                             (ConvexLink.EXPONENTIAL, math.inf),
+                                             (ConvexLink.HINGE, -math.inf)])
+    def test_non_finite_gamma_rejected(self, link, gamma):
+        with pytest.raises(DomainError, match="gamma"):
+            eval_bound(BoundFn(link, gamma), 1.0)
+
+    def test_non_finite_gamma_element_named(self):
+        with pytest.raises(DomainError, match="gamma") as err:
+            eval_bound(BoundFn(ConvexLink.SQUARE, np.array([0.0, 1.0, math.nan])), 1.0)
+        assert err.value.index == 2
 
 
 class TestDomination:
