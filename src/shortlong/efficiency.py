@@ -38,8 +38,8 @@ class CostModel:
     ra_mode: RAMode = RAMode.CHOSEN_ONLY
 
     def __post_init__(self) -> None:
-        if self.long_tokens <= 0:
-            raise ValueError("long_tokens must be positive")
+        if not (math.isfinite(self.long_tokens) and self.long_tokens > 0):
+            raise ValueError(f"long_tokens must be positive and finite, got {self.long_tokens}")
         if not 0.0 < self.compression <= 1.0:
             raise ValueError("compression must lie in (0, 1]")
 
@@ -47,16 +47,17 @@ class CostModel:
 def flops(model: CostModel, variant: str) -> float:
     """Cost units for one training pass.
 
-    vanilla -> 2 N^2; decomposed chosen-only -> (2 c^2 + 1) N^2; decomposed
-    both-sides -> (2 c^2 + 2) N^2 (the rejected response scores the long
-    context a second time — an extension beyond the chosen-only accounting).
+    vanilla -> 2 N^2; decomposed chosen-only and kl_approx (both read only
+    the chosen response's long row) -> (2 c^2 + 1) N^2; decomposed both-sides
+    -> (2 c^2 + 2) N^2 (the rejected response scores the long context a
+    second time — an extension beyond the chosen-only accounting).
     """
     n2 = model.long_tokens * model.long_tokens
     c2 = model.compression * model.compression
     if variant == "vanilla":
         return 2.0 * n2
     if variant == "solo":
-        long_passes = 1.0 if model.ra_mode is RAMode.CHOSEN_ONLY else 2.0
+        long_passes = 2.0 if model.ra_mode is RAMode.BOTH else 1.0
         return (2.0 * c2 + long_passes) * n2
     raise ValueError("variant must be 'vanilla' or 'solo'")
 
@@ -69,15 +70,18 @@ def speedup(c: float) -> float:
 
 
 def report_rows(models: Sequence[CostModel]) -> list[dict]:
+    """One row per model; ``speedup`` and ``crossover`` are read off the
+    row's own flops, so they follow its ``ra_mode``."""
     rows = []
     for m in models:
+        vanilla, solo = flops(m, "vanilla"), flops(m, "solo")
         rows.append({
             "long_tokens": m.long_tokens,
             "compression": m.compression,
-            "flops_vanilla": flops(m, "vanilla"),
-            "flops_solo": flops(m, "solo"),
-            "speedup": speedup(m.compression),
-            "crossover": m.compression < CROSSOVER_COMPRESSION,
+            "flops_vanilla": vanilla,
+            "flops_solo": solo,
+            "speedup": vanilla / solo,
+            "crossover": solo < vanilla,
         })
     return rows
 

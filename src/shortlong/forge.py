@@ -11,7 +11,6 @@ discarded. The whole pipeline is a pure function of (inputs, seed).
 from __future__ import annotations
 
 import functools
-import io
 import json
 import logging
 import math
@@ -34,7 +33,6 @@ __all__ = [
     "token_count",
     "synthesize_context",
     "sub_em",
-    "curate_pair",
     "iter_forged",
     "forge_dataset",
     "text_lines",
@@ -259,17 +257,6 @@ def _draw_pair(correct: Sequence[str], incorrect: Sequence[str],
             incorrect[int(rng.integers(len(incorrect)))])
 
 
-def curate_pair(candidates: Sequence[str], gold: str,
-                rng: np.random.Generator) -> tuple[str, str] | None:
-    """One uniform (chosen, rejected) draw, or None if either side is empty."""
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    correct, incorrect = _partition(candidates, gold)
-    if not correct or not incorrect:
-        return None
-    return _draw_pair(correct, incorrect, rng)
-
-
 @dataclass
 class ForgeStats:
     """Sidecar statistics for one forge run."""
@@ -293,11 +280,12 @@ class ForgeStats:
         setattr(self, counter, getattr(self, counter) + 1)
         self.discard_examples.setdefault(counter, idx)
 
-    def finalize(self, short_counts: list[int], long_counts: list[int],
-                 cfg: HaystackConfig) -> None:
-        if short_counts:
-            self.mean_short_tokens = float(np.mean(short_counts))
-            self.mean_long_tokens = float(np.mean(long_counts))
+    def finalize(self, short_total: int, long_total: int, cfg: HaystackConfig) -> None:
+        """Fill the derived fields from the emitted samples' summed (short,
+        long) token counts."""
+        if self.emitted:
+            self.mean_short_tokens = short_total / self.emitted
+            self.mean_long_tokens = long_total / self.emitted
             self.achieved_compression = self.mean_short_tokens / self.mean_long_tokens
         self.target_compression = cfg.target_compression
         if self.sources_seen:
@@ -352,8 +340,7 @@ def iter_forged(sources: Iterable[SourceSample], pool: Sequence[str],
     """
     if condition_on not in ("short", "long"):
         raise ValueError("condition_on must be 'short' or 'long'")
-    short_counts: list[int] = []
-    long_counts: list[int] = []
+    short_total = long_total = 0
     distractors = DistractorPool(pool)
     for idx, src in enumerate(sources):
         if n_target is not None and stats.emitted >= n_target:
@@ -391,10 +378,10 @@ def iter_forged(sources: Iterable[SourceSample], pool: Sequence[str],
                               x_short=x_short, x_long=x_long, y_w=y_w, y_l=y_l)
         n_short, n_long = sample.check_invariants(cfg, supporting_docs=src.supporting_docs)
         stats.emitted += 1
-        short_counts.append(n_short)
-        long_counts.append(n_long)
+        short_total += n_short
+        long_total += n_long
         yield sample
-    stats.finalize(short_counts, long_counts, cfg)
+    stats.finalize(short_total, long_total, cfg)
 
 
 def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
@@ -408,24 +395,21 @@ def forge_dataset(sources: Sequence[SourceSample], pool: Sequence[str],
                             condition_on=condition_on, intersection=intersection)), stats
 
 
-def _universal_lines(text: str) -> list[str]:
-    """``text`` split at line feeds, CR-LF pairs and lone carriage returns,
-    as text-mode reading splits it."""
-    return io.StringIO(text, newline=None).read().split("\n")
-
-
 def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line without its ending) for each line of a UTF-8 text
-    file; a byte that is not valid UTF-8 raises ValueError naming the path
-    and the line."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = len(_universal_lines(data[:exc.start].decode("utf-8")))
-        raise ValueError(f"{path}: line {lineno}: not valid UTF-8 "
-                         f"({exc.reason} at byte {exc.start})") from None
-    return enumerate(_universal_lines(text), start=1)
+    file, read one line at a time; LF, CR-LF and a lone CR each end a line.
+    A byte that is not valid UTF-8 raises ValueError naming the path and the
+    line."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                # surrogateescape decodes an undecodable byte b to U+DC00 + b.
+                raise ValueError(f"{path}: line {lineno}: not valid UTF-8 (byte "
+                                 f"0x{ord(line[exc.start]) - 0xDC00:02x} at column "
+                                 f"{exc.start + 1})") from None
+            yield lineno, line.rstrip("\n")
 
 
 def _jsonl_records(path: str | Path, parse: Callable[[object], object]) -> list:

@@ -7,7 +7,7 @@ link ``f`` change from one algorithm to the next, so each algorithm is one row
 of ``_METHODS``. Everything here is a pure, elementwise function of a
 :class:`LogProbBundle` whose fields are scalars or equal-length arrays, and
 :func:`solopo_loss` evaluates every term and its analytic gradient in one pass;
-the other public losses read that pass.
+:func:`grad_solopo` reads that pass.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ __all__ = [
     "LogProbBundle",
     "LossBreakdown",
     "reward",
-    "po_loss",
-    "solo_ra_term",
     "solopo_loss",
     "grad_solopo",
     "GRAD_FIELDS",
@@ -322,17 +320,6 @@ def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
     return LossBreakdown(total=po + a * ra + nll, po_term=po, ra_term=ra, nll_term=nll,
                          reward_margin_long=_scalar(margin_long),
                          grads={name: _scalar(value) for name, value in zip(GRAD_FIELDS, g)})
-
-
-def po_loss(cfg: MethodConfig, b: LogProbBundle):
-    """Short-context preference loss f(eta * (r_w - r_l - gamma)) (+ ORPO NLL)."""
-    breakdown = solopo_loss(cfg, b)
-    return breakdown.po_term + breakdown.nll_term
-
-
-def solo_ra_term(cfg: MethodConfig, b: LogProbBundle):
-    """Short-to-long reward alignment penalty (unweighted by alpha)."""
-    return solopo_loss(cfg, b).ra_term
 
 
 def grad_solopo(cfg: MethodConfig, b: LogProbBundle) -> dict:

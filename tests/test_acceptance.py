@@ -21,8 +21,7 @@ from shortlong.efficiency import CROSSOVER_COMPRESSION, speedup
 from shortlong.forge import HaystackConfig, forge_dataset, write_forged_jsonl
 from shortlong.gradcheck import check_loss_gradients, random_bundle
 from shortlong.links import BoundFn, ConvexLink, eval_bound, eval_link
-from shortlong.losses import (Method, MethodConfig, RAMode, po_loss, solo_ra_term,
-                              solopo_loss)
+from shortlong.losses import Method, MethodConfig, RAMode, solopo_loss
 
 SEED = 20240
 
@@ -125,8 +124,8 @@ def test_criterion_06_degeneration_identity():
             b = random_bundle(rng, cfg, 100)
             b = replace(b, lp_w_long=b.lp_w_short, lp_l_long=b.lp_l_short,
                         ref_lp_w_long=b.ref_lp_w_short, ref_lp_l_long=b.ref_lp_l_short)
-            worst = max(worst, float(np.max(np.abs(solopo_loss(cfg, b).total
-                                                   - po_loss(cfg, b)))))
+            bd = solopo_loss(cfg, b)
+            worst = max(worst, float(np.max(np.abs(bd.total - (bd.po_term + bd.nll_term)))))
     ok = worst <= 1e-12
     assert _verdict(6, ok, f"max |total - plain| = {worst:.3e} over 6000 bundles")
 
@@ -145,11 +144,12 @@ def test_criterion_07_alignment_kl_identities():
     simpo = MethodConfig(Method.SIMPO)
     simpo_kl = MethodConfig(Method.SIMPO, ra_mode=RAMode.KL_APPROX)
     b = random_bundle(rng, dpo, 50_000)
-    worst = max(worst, float(np.max(np.abs(solo_ra_term(dpo, b)
-                                           - dpo.beta * solo_ra_term(dpo_kl, b)))))
+    worst = max(worst, float(np.max(np.abs(solopo_loss(dpo, b).ra_term
+                                           - dpo.beta * solopo_loss(dpo_kl, b).ra_term))))
     b = random_bundle(rng, simpo, 50_000)
-    worst = max(worst, float(np.max(np.abs(solo_ra_term(simpo, b)
-                                           - simpo.beta / b.len_w * solo_ra_term(simpo_kl, b)))))
+    worst = max(worst, float(np.max(np.abs(
+        solopo_loss(simpo, b).ra_term
+        - simpo.beta / b.len_w * solopo_loss(simpo_kl, b).ra_term))))
     ok = worst <= 1e-12
     assert _verdict(7, ok, f"max identity error {worst:.3e} over 1e5 bundles")
 

@@ -205,6 +205,12 @@ class TestSpeedupCommand:
         rc = run(["speedup", "--out", tmp_path / "r", flag, value])
         assert_clean_failure(rc, capsys, tmp_path / "r", f"error: {flag}: ", repr(value))
 
+    @pytest.mark.parametrize("n", ["nan", "inf"])
+    def test_non_finite_length_fails_cleanly(self, tmp_path, capsys, n):
+        rc = run(["speedup", "--out", tmp_path / "r", "--n", n, "--c", "0.5"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "long_tokens must be", n)
+        assert not (tmp_path / "r" / "reports" / "speedup.csv").exists()
+
     def test_manifest_written(self, tmp_path):
         run(["speedup", "--out", tmp_path / "r", "--seed", "7"])
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
@@ -484,6 +490,16 @@ class TestExternalCorpus:
         pool_path.write_text(json.dumps(pool[0]) + "\n" + line + "\n")
         rc = self.forge(tmp_path / "r", src, pool_path)
         assert_clean_failure(rc, capsys, tmp_path / "r", str(pool_path), "line 2")
+
+    @pytest.mark.parametrize("which", ["sources", "pool"])
+    def test_non_utf8_input_names_file_and_line(self, tmp_path, capsys, corpus, which):
+        src, pool_path, _ = corpus
+        bad = src if which == "sources" else pool_path
+        lines = bad.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"', b'"\xe9', 1)
+        bad.write_bytes(b"\n".join(lines))
+        rc = self.forge(tmp_path / "r", src, pool_path)
+        assert_clean_failure(rc, capsys, tmp_path / "r", str(bad), "line 3", "UTF-8")
 
     def test_exhausted_pool_names_source_and_band(self, tmp_path, capsys, corpus):
         src, pool_path, pool = corpus

@@ -24,6 +24,17 @@ class TestFlops:
         cm = CostModel(1000, 0.5, ra_mode=RAMode.BOTH)
         assert flops(cm, "solo") == pytest.approx((2 * 0.25 + 2) * 1e6)
 
+    def test_kl_approx_reads_one_long_row(self):
+        """kl_approx penalizes only the chosen response's gap, so it pays one
+        long pass, as chosen-only does."""
+        cm = CostModel(1000, 0.5, ra_mode=RAMode.KL_APPROX)
+        assert flops(cm, "solo") == flops(CostModel(1000, 0.5), "solo") == 1_500_000
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    def test_non_finite_length_rejected(self, n):
+        with pytest.raises(ValueError, match="long_tokens must be"):
+            CostModel(n, 0.5)
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             CostModel(1000, 0.0)
@@ -75,6 +86,22 @@ class TestReport:
         assert rows[0]["crossover"] is True
         assert rows[1]["crossover"] is False
         assert CROSSOVER_COMPRESSION == pytest.approx(0.70711, abs=1e-5)
+
+    def test_chosen_only_rows_equal_the_closed_form(self):
+        rows = report_rows([CostModel(1000, c) for c in (0.125, 0.25, 0.5, 1.0)])
+        assert [r["speedup"] for r in rows] == [speedup(c) for c in (0.125, 0.25, 0.5, 1.0)]
+        assert [r["crossover"] for r in rows] == [True, True, True, False]
+
+    @pytest.mark.parametrize("mode", list(RAMode))
+    def test_columns_follow_the_row_ra_mode(self, mode):
+        for c in (0.125, 0.5, 0.7, 1.0):
+            row = report_rows([CostModel(1000, c, ra_mode=mode)])[0]
+            assert row["speedup"] == row["flops_vanilla"] / row["flops_solo"]
+            assert row["crossover"] is (row["flops_solo"] < row["flops_vanilla"])
+        # both-sides pays a second long pass: no compression makes it cheaper.
+        both = report_rows([CostModel(1000, 0.125, ra_mode=RAMode.BOTH)])[0]
+        assert both["speedup"] == pytest.approx(2 / (2 * 0.125 ** 2 + 2))
+        assert both["crossover"] is False
 
     def test_csv_emission(self, tmp_path):
         path = tmp_path / "speedup.csv"

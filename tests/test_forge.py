@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import re
+import sys
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -14,10 +16,12 @@ from shortlong.corpus import (NO_ANSWER, PrefixedStubGenerator, SourceSample, St
                               build_chain_corpus, needle_profile, needle_vocab,
                               value_token, word_profile)
 from shortlong import forge
+from shortlong.cli import load_config
 from shortlong.forge import (DistractorPool, ForgedSample, HaystackConfig,
-                             InsufficientPoolError, _partition, curate_pair, forge_dataset, read_forged_jsonl,
-                             read_source_jsonl, sub_em, synthesize_context,
-                             token_count, write_forged_jsonl)
+                             InsufficientPoolError, _partition, forge_dataset, read_forged_jsonl,
+                             read_distractor_pool, read_source_jsonl, sub_em,
+                             synthesize_context, text_lines, token_count,
+                             write_forged_jsonl)
 from shortlong.policy import SEP
 
 
@@ -221,23 +225,42 @@ class TestSubEm:
         assert sub_em("An Owl!", "owl")
 
 
+def fixed(*candidates):
+    """A generator that returns ``candidates``, with ``{answer}`` filled in
+    from the source, whatever the context."""
+    return lambda context, source, rng: [c.format(answer=source.answer) for c in candidates]
+
+
 class TestCuratePair:
+    """Pair curation through the pipeline: one source, fixed candidates."""
+
+    def setup_method(self):
+        self.sources, self.pool = build_chain_corpus(4, 360, seed=5, profile=needle_profile())
+        self.cfg = HaystackConfig(target_short_tokens=64, target_long_tokens=256, seed=9)
+
+    def forge_one(self, generator):
+        return forge_dataset(self.sources[:1], self.pool, generator, self.cfg)
+
     def test_all_correct_discarded(self):
-        rng = np.random.default_rng(0)
-        assert curate_pair(["x 1960", "y 1960"], "1960", rng) is None
+        samples, stats = self.forge_one(fixed("x {answer}", "y {answer}"))
+        assert samples == []
+        assert stats.discarded_all_correct == 1
 
     def test_all_incorrect_discarded(self):
-        rng = np.random.default_rng(0)
-        assert curate_pair(["no", "nah"], "1960", rng) is None
+        samples, stats = self.forge_one(fixed("no", "nah"))
+        assert samples == []
+        assert stats.discarded_all_incorrect == 1
 
     def test_single_pair(self):
-        rng = np.random.default_rng(0)
-        assert curate_pair(["1960", "no"], "1960", rng) == ("1960", "no")
+        samples, _ = self.forge_one(fixed("{answer}", "no"))
+        assert [(s.y_w, s.y_l) for s in samples] == [(self.sources[0].answer, "no")]
 
     def test_seeded_draw_reproducible(self):
-        cands = [f"cand {i} 1960" for i in range(8)] + [f"cand {i} miss" for i in range(8)]
-        a = curate_pair(cands, "1960", np.random.default_rng(3))
-        b = curate_pair(cands, "1960", np.random.default_rng(3))
+        gen = fixed(*[f"cand {i} {{answer}}" for i in range(8)],
+                    *[f"cand {i} miss" for i in range(8)])
+        a = self.forge_one(gen)
+        b = self.forge_one(gen)
+        assert a[1].emitted == 1
         assert a == b
 
     def test_partition_matches_sub_em(self):
@@ -255,8 +278,9 @@ class TestCuratePair:
             assert incorrect == [c for c in candidates if not sub_em(c, gold)]
 
     def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            curate_pair([], "1960", np.random.default_rng(0))
+        samples, stats = self.forge_one(fixed())
+        assert samples == []
+        assert stats.generator_failures == 1
 
 
 class TestChainCorpus:
@@ -625,3 +649,76 @@ class TestJsonlIO:
                                     "supporting_docs": ["d1", "d2"]}) + "\n")
         [src] = read_source_jsonl(path)
         assert src.supporting_docs == ("d1", "d2")
+
+
+VALID_PIECES = [b"\n", b"\r", b"\r\n", b"a", b"bc", b" ", "\x85".encode(), "\u2028".encode(),
+                "\xe9".encode(), "\u20ac".encode(), "\U0001f600".encode()]
+# A stray continuation byte, a byte that never occurs, truncated sequences, an
+# overlong encoding and an encoded surrogate.
+INVALID_PIECES = [b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xc0\xaf",
+                  b"\xed\xa0\x80"]
+
+
+def reference_lines(path):
+    """A strict text-mode read split at its (translated) line feeds; the
+    break after the last line opens no line."""
+    with open(path, encoding="utf-8", newline=None) as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return list(enumerate(lines, start=1))
+
+
+class TestTextLines:
+    def test_matches_text_mode_and_names_first_bad_line(self, tmp_path):
+        path = tmp_path / "f.txt"
+        rng = np.random.default_rng(17)
+        for trial in range(1500):
+            pieces = VALID_PIECES + (INVALID_PIECES if trial % 3 == 0 else [])
+            data = b"".join(pieces[i] for i in rng.integers(len(pieces),
+                                                            size=int(rng.integers(0, 24))))
+            path.write_bytes(data)
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno = len(re.split(rb"\r\n|\r|\n", data[:exc.start]))
+                with pytest.raises(ValueError) as err:
+                    list(text_lines(path))
+                assert str(err.value).startswith(f"{path}: line {lineno}: not valid UTF-8 "
+                                                 f"(byte 0x{data[exc.start]:02x} at column ")
+            else:
+                assert list(text_lines(path)) == reference_lines(path)
+
+    def test_pool_read_holds_about_the_documents(self, tmp_path):
+        path = tmp_path / "pool.jsonl"
+        path.write_text("".join(json.dumps(" ".join(f"w{(i * 7 + k) % 997}" for k in range(12)))
+                                + "\n" for i in range(20_000)))
+        tracemalloc.start()
+        try:
+            docs = read_distractor_pool(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sys.getsizeof(docs) + sum(sys.getsizeof(d) for d in docs)
+        assert len(docs) == 20_000
+        assert peak <= 1.5 * kept
+
+    @pytest.mark.parametrize("read, data", [
+        (read_distractor_pool, b'"a b"\n"x \xff"\n"c d"\n'),
+        (read_distractor_pool, b'"a b"\n5\n"c d"\n'),
+        (load_config, b"a = 1\nb = \xff\nc = 2\n"),
+        (load_config, b"a = 1\nbroken\nc = 2\n"),
+    ], ids=["pool-utf8", "pool-json", "config-utf8", "config-syntax"])
+    def test_file_closed_when_reader_raises(self, tmp_path, monkeypatch, read, data):
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(forge, "open", tracking_open, raising=False)
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="line 2"):
+            read(path)
+        assert len(opened) == 1 and opened[0].closed

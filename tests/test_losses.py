@@ -8,8 +8,7 @@ import pytest
 
 from shortlong.gradcheck import fd_gradient, random_bundle, relative_error
 from shortlong.losses import (GRAD_FIELDS, LogProbBundle, Method, MethodConfig,
-                              RAMode, grad_solopo, po_loss, reward, solo_ra_term,
-                              solopo_loss)
+                              RAMode, grad_solopo, reward, solopo_loss)
 
 ALL_METHODS = list(Method)
 ALL_MODES = list(RAMode)
@@ -90,7 +89,8 @@ class TestPoLoss:
         cfg = MethodConfig(Method.DPO, gamma=0.0, eta=1.0)
         b = full_bundle(ref_lp_w_short=-3.0, ref_lp_l_short=-5.0,
                         ref_lp_w_long=-4.0, ref_lp_l_long=-6.0)
-        assert po_loss(cfg, b) == pytest.approx(math.log(2), abs=1e-12)
+        bd = solopo_loss(cfg, b)
+        assert bd.po_term + bd.nll_term == pytest.approx(math.log(2), abs=1e-12)
 
     def test_square_link_zero_at_margin(self):
         # margin exactly gamma -> link argument 0 -> loss 0
@@ -99,20 +99,24 @@ class TestPoLoss:
                         ref_lp_w_short=-3.0, ref_lp_l_short=-3.0,
                         ref_lp_w_long=-3.0, ref_lp_l_long=-3.0)
         # reward margin = (lp_w - ref_w) - (lp_l - ref_l) = 0 - (-2) = 2 = gamma
-        assert po_loss(cfg, b) == pytest.approx(0.0, abs=1e-12)
+        bd = solopo_loss(cfg, b)
+        assert bd.po_term + bd.nll_term == pytest.approx(0.0, abs=1e-12)
 
     def test_simpo_frozen_oracle_value(self):
         # -log sigmoid(2*(-2/2) - 2*(-6/2) - 1.4) = log1p(exp(-2.6)),
         # evaluated independently with the high-precision stdlib path.
         cfg = MethodConfig(Method.SIMPO, eta=1.0)
         b = full_bundle(lp_w_short=-2.0, lp_l_short=-6.0, len_w=2, len_l=2)
-        assert po_loss(cfg, b) == pytest.approx(0.0716446919676698, abs=1e-12)
+        bd = solopo_loss(cfg, b)
+        assert bd.po_term + bd.nll_term == pytest.approx(0.0716446919676698, abs=1e-12)
 
     def test_orpo_nll_term_included(self):
         cfg = MethodConfig(Method.ORPO)
         cfg_no = MethodConfig(Method.ORPO, include_nll=False)
         b = full_bundle()
-        assert po_loss(cfg, b) - po_loss(cfg_no, b) == pytest.approx(3.0 / 2.0)
+        bd, bd_no = solopo_loss(cfg, b), solopo_loss(cfg_no, b)
+        assert ((bd.po_term + bd.nll_term) - (bd_no.po_term + bd_no.nll_term)
+                == pytest.approx(3.0 / 2.0))
 
 
 class TestAlignmentTerm:
@@ -124,14 +128,14 @@ class TestAlignmentTerm:
                 refs = dict(ref_lp_w_short=-1.0, ref_lp_l_short=-2.0,
                             ref_lp_w_long=-1.0, ref_lp_l_long=-2.0)
             b = full_bundle(lp_w_long=-3.0, lp_l_long=-5.0, **refs)
-            assert solo_ra_term(cfg, b) == pytest.approx(0.0, abs=1e-15)
+            assert solopo_loss(cfg, b).ra_term == pytest.approx(0.0, abs=1e-15)
 
     def test_dpo_chosen_only_value(self):
         cfg = MethodConfig(Method.DPO)  # beta 0.1
         b = full_bundle(lp_w_short=-5.0, lp_w_long=-9.0,
                         ref_lp_w_short=-1.0, ref_lp_l_short=-1.0,
                         ref_lp_w_long=-1.0, ref_lp_l_long=-1.0)
-        assert solo_ra_term(cfg, b) == pytest.approx(0.4, abs=1e-12)
+        assert solopo_loss(cfg, b).ra_term == pytest.approx(0.4, abs=1e-12)
 
     def test_dpo_kl_identity(self):
         """Chosen-only term is exactly beta times the raw log-prob gap."""
@@ -139,7 +143,8 @@ class TestAlignmentTerm:
         cfg = MethodConfig(Method.DPO)
         kl_cfg = MethodConfig(Method.DPO, ra_mode=RAMode.KL_APPROX)
         b = random_bundle(rng, cfg, 2000)
-        np.testing.assert_allclose(solo_ra_term(cfg, b), cfg.beta * solo_ra_term(kl_cfg, b),
+        np.testing.assert_allclose(solopo_loss(cfg, b).ra_term,
+                                   cfg.beta * solopo_loss(kl_cfg, b).ra_term,
                                    rtol=0, atol=1e-12)
 
     def test_simpo_kl_identity(self):
@@ -147,8 +152,8 @@ class TestAlignmentTerm:
         cfg = MethodConfig(Method.SIMPO)
         kl_cfg = MethodConfig(Method.SIMPO, ra_mode=RAMode.KL_APPROX)
         b = random_bundle(rng, cfg, 2000)
-        np.testing.assert_allclose(solo_ra_term(cfg, b),
-                                   (cfg.beta / b.len_w) * solo_ra_term(kl_cfg, b),
+        np.testing.assert_allclose(solopo_loss(cfg, b).ra_term,
+                                   (cfg.beta / b.len_w) * solopo_loss(kl_cfg, b).ra_term,
                                    rtol=0, atol=1e-12)
 
     def test_both_mode_averages(self):
@@ -156,14 +161,14 @@ class TestAlignmentTerm:
         b = full_bundle()
         gap_w = abs(b.lp_w_short - b.lp_w_long)
         gap_l = abs(b.lp_l_short - b.lp_l_long)
-        assert solo_ra_term(cfg_b, b) == pytest.approx(0.5 * (gap_w + gap_l))
+        assert solopo_loss(cfg_b, b).ra_term == pytest.approx(0.5 * (gap_w + gap_l))
 
     def test_square_link_squares_the_gap(self):
         cfg = MethodConfig(Method.IPO)
         b = full_bundle(ref_lp_w_short=-1.0, ref_lp_l_short=-1.0,
                         ref_lp_w_long=-2.0, ref_lp_l_long=-2.0)
         gap = (b.lp_w_short - (-1.0)) - (b.lp_w_long - (-2.0))
-        assert solo_ra_term(cfg, b) == pytest.approx(gap * gap)
+        assert solopo_loss(cfg, b).ra_term == pytest.approx(gap * gap)
 
 
 class TestTotalLoss:
@@ -179,22 +184,25 @@ class TestTotalLoss:
                         ref_lp_w_long=b.ref_lp_w_short, ref_lp_l_long=b.ref_lp_l_short)
             breakdown = solopo_loss(cfg, b)
             assert breakdown.ra_term == 0.0
-            assert breakdown.total == pytest.approx(po_loss(cfg, b), abs=1e-12)
+            assert breakdown.total == pytest.approx(breakdown.po_term + breakdown.nll_term,
+                                                    abs=1e-12)
 
     def test_alpha_zero_equals_po(self):
         rng = np.random.default_rng(12)
         for method in ALL_METHODS:
             cfg = MethodConfig(method, alpha=0.0)
             b = make_bundle(rng, method)
-            assert solopo_loss(cfg, b).total == pytest.approx(po_loss(cfg, b), abs=1e-15)
+            bd = solopo_loss(cfg, b)
+            assert bd.total == pytest.approx(bd.po_term + bd.nll_term, abs=1e-15)
 
     def test_orpo_componentwise_recomposition(self):
         cfg = MethodConfig(Method.ORPO, alpha=1.0)
         b = full_bundle()
         bd = solopo_loss(cfg, b)
-        po_only = po_loss(MethodConfig(Method.ORPO, include_nll=False), b)
+        bd_no = solopo_loss(MethodConfig(Method.ORPO, include_nll=False), b)
+        po_only = bd_no.po_term + bd_no.nll_term
         nll = -b.lp_w_short / b.len_w
-        ra = solo_ra_term(cfg, b)
+        ra = solopo_loss(cfg, b).ra_term
         assert bd.po_term == pytest.approx(po_only, abs=1e-15)
         assert bd.nll_term == pytest.approx(nll, abs=1e-15)
         assert bd.ra_term == pytest.approx(ra, abs=1e-15)
@@ -283,16 +291,13 @@ class TestBatch:
     @pytest.mark.parametrize("method", ALL_METHODS)
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_public_losses_read_the_one_pass(self, method, mode):
-        """po_loss, solo_ra_term and grad_solopo are exactly the pass's
-        po_term + nll_term, ra_term and grads, for arrays and scalars."""
+        """grad_solopo is exactly the pass's grads, for arrays and scalars."""
         rng = np.random.default_rng(43)
         cfg = MethodConfig(method, ra_mode=mode, alpha=1.3, eta=1.7)
         batch = random_bundle(rng, cfg, 16)
         for b in (batch, row(batch, 3)):
             bd = solopo_loss(cfg, b)
             assert set(bd.grads) == set(GRAD_FIELDS)
-            np.testing.assert_array_equal(po_loss(cfg, b), bd.po_term + bd.nll_term)
-            np.testing.assert_array_equal(solo_ra_term(cfg, b), bd.ra_term)
             grads = grad_solopo(cfg, b)
             for name in GRAD_FIELDS:
                 np.testing.assert_array_equal(grads[name], bd.grads[name])

@@ -640,7 +640,7 @@ class TestClone:
 
     def test_margin_zero_at_reference(self, model):
         """A policy identical to its reference scores every margin at zero."""
-        from shortlong.losses import LogProbBundle, Method, MethodConfig, po_loss
+        from shortlong.losses import LogProbBundle, Method, MethodConfig, solopo_loss
 
         ref = model.clone()
         ctx, y_w, y_l = ["w0", "w1"], ["w2", EOS], ["w3", EOS]
@@ -654,7 +654,8 @@ class TestClone:
             ref_lp_l_short=logprob(ref, ctx, y_l).total_logprob,
             ref_lp_w_long=logprob(ref, ctx, y_w).total_logprob,
             ref_lp_l_long=logprob(ref, ctx, y_l).total_logprob)
-        assert po_loss(MethodConfig(Method.DPO), b) == pytest.approx(math.log(2), abs=1e-12)
+        bd = solopo_loss(MethodConfig(Method.DPO), b)
+        assert bd.po_term + bd.nll_term == pytest.approx(math.log(2), abs=1e-12)
 
 
 class TestSerialization:
