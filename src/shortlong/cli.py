@@ -18,21 +18,23 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
 from dataclasses import astuple
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from . import bounds as bounds_mod
 from . import efficiency
-from .corpus import (PolicyCandidateGenerator, StubGenerator, build_chain_corpus,
-                     needle_profile, needle_vocab, value_token, word_profile)
+from .corpus import (PolicyCandidateGenerator, SourceSample, StubGenerator,
+                     build_chain_corpus, needle_profile, needle_vocab, value_token,
+                     word_profile)
 from .forge import (ForgedSample, ForgeStats, HaystackConfig, InsufficientPoolError,
-                    iter_forged, read_distractor_pool, read_forged_jsonl,
-                    read_source_jsonl, text_lines, write_forged_jsonl)
+                    iter_forged, iter_source_jsonl, read_distractor_pool,
+                    read_forged_jsonl, text_lines, write_forged_jsonl)
 from .gradcheck import check_loss_gradients, check_policy_gradients
 from .losses import Method, MethodConfig, RAMode
 from .policy import ToyLM, Vocab, load_model, save_model
@@ -214,9 +216,27 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+_RUN_SUBDIRS = ("reports", "data", "checkpoints", "logs")
+
+
+def _missing_run_dirs(out: Path) -> list[Path]:
+    """The directories :func:`_prepare_run_dir` would create, deepest first."""
+    return [d for d in (*(out / sub for sub in _RUN_SUBDIRS), out, *out.parents)
+            if not d.exists()]
+
+
 def _prepare_run_dir(out: Path) -> None:
-    for sub in ("reports", "data", "checkpoints", "logs"):
+    for sub in _RUN_SUBDIRS:
         (out / sub).mkdir(parents=True, exist_ok=True)
+
+
+def _remove_empty(dirs: list[Path]) -> None:
+    """Remove each of ``dirs``, deepest first, that is still empty."""
+    for d in dirs:
+        try:
+            d.rmdir()
+        except OSError:  # not empty, or already gone
+            pass
 
 
 def _write_manifest(out: Path, args: argparse.Namespace, seed: int,
@@ -282,7 +302,11 @@ def _write_bound_reports(out: Path, reports: dict[str, "bounds_mod.BoundReport"]
 # ------------------------------------------------------------------------ forge
 
 
-def _load_corpus(v: dict) -> tuple[list, list, object]:
+def _load_corpus(v: dict) -> tuple[Iterable[SourceSample], list[str], object]:
+    """(sources, distractor pool, profile): an external corpus's sources are
+    read as the forge asks for them, so ``n_target`` also stops the reading;
+    its first record is read at once, so a corpus that cannot be opened
+    fails before the pool is read."""
     corpus = v["corpus"]
     if corpus in _CORPORA:
         make_profile, n_sources, pool_size, _ = _CORPORA[corpus]
@@ -291,11 +315,12 @@ def _load_corpus(v: dict) -> tuple[list, list, object]:
             _or(v["corpus_sources"], n_sources), _or(v["corpus_pool"], pool_size),
             _or(v["corpus_seed"], v["seed"]), profile)
         return sources, pool, profile
-    sources = read_source_jsonl(corpus)
+    sources = iter_source_jsonl(corpus)
+    head = list(itertools.islice(sources, 1))
     if not v["distractor_pool"]:
         raise ConfigError("external corpora require a 'distractor_pool' JSONL"
                           " of documents (one JSON string per line)")
-    return sources, read_distractor_pool(v["distractor_pool"]), None
+    return itertools.chain(head, sources), read_distractor_pool(v["distractor_pool"]), None
 
 
 def _build_generator(v: dict, profile) -> object:
@@ -514,11 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse the keys, run the subcommand in a fresh run directory, and write
-    ``manifest.json`` unless the run failed with an error."""
+    ``manifest.json`` unless the run failed with an error. A run that fails
+    with an error removes the directories it created that are still empty;
+    one that aborts training keeps them and writes ``reports/abort.json``."""
     args = build_parser().parse_args(argv)
     out = Path(args.out)
+    created: list[Path] = []
     try:
         values = parse_settings(args.command, args)
+        created = _missing_run_dirs(out)
         _prepare_run_dir(out)
         rc = args.func(args, values, out)
     except NonFiniteLossError as exc:
@@ -526,6 +555,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, InsufficientPoolError) as exc:
+        _remove_empty(created)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     inputs = {key: Path(values[key]) for key in _INPUT_KEYS.get(args.command, ())

@@ -36,6 +36,7 @@ __all__ = [
     "iter_forged",
     "forge_dataset",
     "text_lines",
+    "iter_source_jsonl",
     "read_source_jsonl",
     "read_distractor_pool",
     "write_forged_jsonl",
@@ -412,18 +413,17 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield lineno, line.rstrip("\n")
 
 
-def _jsonl_records(path: str | Path, parse: Callable[[object], object]) -> list:
-    """``parse`` of the JSON value of each non-blank line; a line that is not
-    JSON, or whose value ``parse`` rejects, raises ValueError naming the path
-    and the line."""
-    out = []
+def _jsonl_records(path: str | Path, parse: Callable[[object], object]) -> Iterator:
+    """``parse`` of the JSON value of each non-blank line, read as the values
+    are asked for; a line that is not JSON, or whose value ``parse`` rejects,
+    raises ValueError naming the path and the line."""
     for lineno, line in text_lines(path):
         if line.strip():
             try:
-                out.append(parse(json.loads(line)))
+                record = parse(json.loads(line))
             except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                 raise ValueError(f"{path}: malformed JSONL at line {lineno}: {exc}") from exc
-    return out
+            yield record
 
 
 def _source(obj) -> SourceSample:
@@ -437,11 +437,17 @@ def _source(obj) -> SourceSample:
                         supporting_docs=tuple(docs))
 
 
-def read_source_jsonl(path: str | Path) -> list[SourceSample]:
-    """Load SourceSample records; malformed lines, and fields that are not a
-    string (``question``, ``answer``) or a list of strings
-    (``supporting_docs``), report their line number."""
+def iter_source_jsonl(path: str | Path) -> Iterator[SourceSample]:
+    """SourceSample records, one line at a time, so a consumer that stops
+    early leaves the rest of the file unread (and unchecked); malformed
+    lines, and fields that are not a string (``question``, ``answer``) or a
+    list of strings (``supporting_docs``), report their line number."""
     return _jsonl_records(path, _source)
+
+
+def read_source_jsonl(path: str | Path) -> list[SourceSample]:
+    """Every record of :func:`iter_source_jsonl`, in a list."""
+    return list(iter_source_jsonl(path))
 
 
 def _distractor(doc) -> str:
@@ -454,7 +460,7 @@ def read_distractor_pool(path: str | Path) -> list[str]:
     """Load distractor documents, one JSON string per non-blank line; a line
     that is not a non-empty JSON string raises ValueError naming the path and
     line."""
-    return _jsonl_records(path, _distractor)
+    return list(_jsonl_records(path, _distractor))
 
 
 _FORGED_FIELDS = ("question", "answer", "x_short", "x_long", "y_w", "y_l")
@@ -489,4 +495,4 @@ def _forged(obj) -> ForgedSample:
 
 
 def read_forged_jsonl(path: str | Path) -> list[ForgedSample]:
-    return _jsonl_records(path, _forged)
+    return list(_jsonl_records(path, _forged))

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ConvexLink", "BoundFn", "DomainError", "eval_link", "link_deriv", "eval_bound"]
+__all__ = ["ConvexLink", "BoundFn", "DomainError", "eval_link", "link_value_and_deriv",
+           "eval_bound"]
 
 
 class ConvexLink(enum.Enum):
@@ -59,20 +60,21 @@ def _softplus(t) -> np.ndarray:
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Piecewise form: never exponentiates a positive argument.
-    pos = x >= 0
-    z = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+def _logistic_value_and_deriv(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log(1 + e^-x), -1 / (1 + e^x)) from one e^{-|x|}: the value as
+    ``_softplus(-x)`` forms it, the slope as 1/(1 + e) - 1 for x >= 0 and
+    e/(1 + e) - 1 for x < 0, so no positive argument is exponentiated."""
+    e = np.exp(-np.abs(x))
+    return np.log1p(e) + np.maximum(-x, 0.0), np.where(x >= 0, 1.0, e) / (1.0 + e) - 1.0
 
 
 @dataclass(frozen=True)
 class _Link:
-    """One link: ``f(x)``, its derivative ``df(x)`` (subgradient 0 at a kink),
-    and its paired envelope ``s(x, |x|, gamma)``."""
+    """One link: ``f(x)``, the pair ``fdf(x)`` = (f(x), f'(x)) (subgradient 0
+    at a kink), and its paired envelope ``s(x, |x|, gamma)``."""
 
     f: Callable
-    df: Callable
+    fdf: Callable
     s: Callable
 
 
@@ -80,20 +82,21 @@ class _Link:
 # negative on |x| < gamma and cannot dominate a nonnegative link there.
 _LINKS = {
     ConvexLink.LOGISTIC: _Link(f=lambda x: _softplus(-x),
-                               df=lambda x: _sigmoid(x) - 1.0,
+                               fdf=_logistic_value_and_deriv,
                                s=lambda x, ax, g: ax + 2.0 * _softplus(3.0 * g)),
     ConvexLink.SQUARE: _Link(f=lambda x: x * x,
-                             df=lambda x: 2.0 * x,
+                             fdf=lambda x: (x * x, 2.0 * x),
                              s=lambda x, ax, g: 2.0 * x * x + 2.0 * g * g),
     ConvexLink.HINGE: _Link(f=lambda x: np.maximum(0.0, -x),
-                            df=lambda x: np.where(x < 0, -1.0, 0.0),
+                            fdf=lambda x: (np.maximum(0.0, -x), np.where(x < 0, -1.0, 0.0)),
                             s=lambda x, ax, g: np.maximum(0.0, ax - g)),
     ConvexLink.SQUARED_HINGE: _Link(f=lambda x: np.maximum(0.0, -x) ** 2,
-                                    df=lambda x: np.where(x < 0, 2.0 * x, 0.0),
+                                    fdf=lambda x: (np.maximum(0.0, -x) ** 2,
+                                                   np.where(x < 0, 2.0 * x, 0.0)),
                                     s=lambda x, ax, g: np.maximum(0.0, x * x - g * g)),
     # The sum-of-exponentials envelope matches f(x+g) + f(-x+g) bit-for-bit.
     ConvexLink.EXPONENTIAL: _Link(f=lambda x: np.exp(-x),
-                                  df=lambda x: -np.exp(-x),
+                                  fdf=lambda x: (np.exp(-x), -np.exp(-x)),
                                   s=lambda x, ax, g: np.exp(-ax - g) + np.exp(ax - g)),
 }
 
@@ -112,9 +115,11 @@ def eval_link(link: ConvexLink, x):
     return _result(_LINKS[link].f(_check_finite(x)))
 
 
-def link_deriv(link: ConvexLink, x):
-    """Derivative of the link; kinked links use subgradient 0 at the kink."""
-    return _result(_LINKS[link].df(_check_finite(x)))
+def link_value_and_deriv(link: ConvexLink, x) -> tuple:
+    """``(eval_link(link, x), f'(x))`` with one finiteness check; kinked links
+    use subgradient 0 at the kink."""
+    value, slope = _LINKS[link].fdf(_check_finite(x))
+    return _result(value), _result(slope)
 
 
 @dataclass(frozen=True)

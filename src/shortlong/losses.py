@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .links import ConvexLink, DomainError, eval_link, link_deriv
+from .links import ConvexLink, DomainError, link_value_and_deriv
 
 __all__ = [
     "Method",
@@ -60,35 +60,30 @@ def _below_zero(t) -> np.ndarray:
     return t
 
 
-def _log_odds(t):
-    """log(p / (1 - p)) for p = e^t, t < 0, without forming p - 1 directly."""
-    t = _below_zero(t)
+def _log_odds(lp, n) -> tuple:
+    """(log(p / (1 - p)), its derivative by lp) for p = e^t, t = lp / n < 0,
+    without forming p - 1 directly: the derivative is 1 / (1 - e^t) / n."""
+    t = _below_zero(lp / n)
     # log(1 - e^t): expm1 near zero, log1p(-exp) otherwise; the far branch's
     # input is clamped so the branch np.where discards stays finite.
-    near = t > -0.6931471805599453
-    log1m = np.where(near, np.log(-np.expm1(t)),
+    one_minus_p = -np.expm1(t)
+    log1m = np.where(t > -0.6931471805599453, np.log(one_minus_p),
                      np.log1p(-np.exp(np.minimum(t, -0.6931471805599453))))
-    return _scalar(t - log1m)
-
-
-def _log_odds_deriv(t):
-    """d/dt log-odds(e^t) = 1 / (1 - e^t)."""
-    return _scalar(1.0 / -np.expm1(_below_zero(t)))
+    return t - log1m, 1.0 / one_minus_p / n
 
 
 @dataclass(frozen=True)
 class _Row:
     """One algorithm: its link, default hyperparameters, whether it reads a
     reference policy, keeps it in the alignment gap and squares that gap
-    (instead of taking its absolute value), and its reward
-    ``reward(beta, lp, ref_lp, length)`` with the derivative
-    ``dreward(beta, lp, length)`` = dr/dlp (a reference-reading reward is a
-    function of lp - ref_lp, so dr/dref_lp = -dr/dlp)."""
+    (instead of taking its absolute value), and its reward with its slope,
+    ``reward(beta, lp, ref_lp, length)`` = (r, dr/dlp), both of lp's shape
+    (a reference-reading reward is a function of lp - ref_lp, so
+    dr/dref_lp = -dr/dlp)."""
 
     link: ConvexLink
     beta: float
     reward: Callable
-    dreward: Callable
     gamma: float = 0.0
     alpha: float = 1.0
     needs_reference: bool = False
@@ -102,21 +97,16 @@ class _Row:
 # reference in the gap.
 _METHODS = {
     Method.DPO: _Row(ConvexLink.LOGISTIC, beta=0.1, alpha=3.0, needs_reference=True,
-                     reward=lambda beta, lp, ref, n: beta * (lp - ref),
-                     dreward=lambda beta, lp, n: beta),
+                     reward=lambda beta, lp, ref, n: (beta * (lp - ref), np.full_like(lp, beta))),
     Method.SIMPO: _Row(ConvexLink.LOGISTIC, beta=2.0, gamma=1.4,
-                       reward=lambda beta, lp, ref, n: beta / n * lp,
-                       dreward=lambda beta, lp, n: beta / n),
+                       reward=lambda beta, lp, ref, n: (beta / n * lp, beta / n)),
     Method.ORPO: _Row(ConvexLink.LOGISTIC, beta=0.1, include_nll=True,
-                      reward=lambda beta, lp, ref, n: _log_odds(lp / n),
-                      dreward=lambda beta, lp, n: _log_odds_deriv(lp / n) / n),
+                      reward=lambda beta, lp, ref, n: _log_odds(lp, n)),
     Method.IPO: _Row(ConvexLink.SQUARE, beta=1.0, gamma=0.5, needs_reference=True,
                      gap_keeps_reference=True, squared_gap=True,
-                     reward=lambda beta, lp, ref, n: lp - ref,
-                     dreward=lambda beta, lp, n: 1.0),
+                     reward=lambda beta, lp, ref, n: (lp - ref, np.ones_like(lp))),
     Method.SLIC: _Row(ConvexLink.HINGE, beta=1.0,
-                      reward=lambda beta, lp, ref, n: lp,
-                      dreward=lambda beta, lp, n: 1.0),
+                      reward=lambda beta, lp, ref, n: (lp, np.ones_like(lp))),
 }
 
 
@@ -228,14 +218,14 @@ def reward(cfg: MethodConfig, lp, ref_lp, length):
     """
     if cfg.needs_reference and ref_lp is None:
         raise ValueError(f"{cfg.method.value} reward requires ref_lp")
-    return _scalar(_METHODS[cfg.method].reward(cfg.beta, lp, ref_lp, length))
+    return _scalar(_METHODS[cfg.method].reward(cfg.beta, lp, ref_lp, length)[0])
 
 
 def _reward_pass(cfg: MethodConfig, b: LogProbBundle) -> tuple:
     """One stacked reward pass over the four policy fields.
 
-    Returns ``(lp, lens, z, gaps, margin_long)``: the (4, ...) stack of
-    ``GRAD_FIELDS[:4]`` and of their response lengths, the short margin
+    Returns ``(lp, slope, z, gaps, margin_long)``: the (4, ...) stack of
+    ``GRAD_FIELDS[:4]`` and of their rewards' slopes dr/dlp, the short margin
     argument ``eta * (r_w - r_l - gamma)``, the (2, ...) alignment gaps
     ``r(x_short, y) - r(x_long, y)`` of y_w and y_l, and the long-context
     margin ``r(x_long, y_w) - r(x_long, y_l)``.
@@ -249,10 +239,10 @@ def _reward_pass(cfg: MethodConfig, b: LogProbBundle) -> tuple:
     lp = np.array([b.lp_w_short, b.lp_l_short, b.lp_w_long, b.lp_l_long])
     lens = np.array([b.len_w, b.len_l, b.len_w, b.len_l])
     ref = np.array([getattr(b, k) for k in GRAD_FIELDS[4:]]) if row.needs_reference else None
-    r = row.reward(cfg.beta, lp, ref, lens)
+    r, slope = row.reward(cfg.beta, lp, ref, lens)
     gaps = (r[:2] - r[2:] if ref is None or row.gap_keeps_reference
-            else row.reward(cfg.beta, lp[:2], lp[2:], lens[:2]))
-    return lp, lens, cfg.eta * (r[0] - r[1] - cfg.gamma), gaps, r[2] - r[3]
+            else row.reward(cfg.beta, lp[:2], lp[2:], lens[:2])[0])
+    return lp, slope, cfg.eta * (r[0] - r[1] - cfg.gamma), gaps, r[2] - r[3]
 
 
 def _gap_penalty(row: _Row, gap) -> tuple:
@@ -269,8 +259,8 @@ _RA_RESPONSES = {RAMode.CHOSEN_ONLY: 1, RAMode.BOTH: 2}
 
 def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
     """The full objective, its terms and its gradient ``grads``, from one
-    stacked pass of the method's reward and of its derivative over all four
-    policy fields (see :func:`_reward_pass`).
+    stacked pass of the method's reward and its slope over all four policy
+    fields (see :func:`_reward_pass`) and one of the link and its slope.
 
     Alignment: chosen_only penalizes the chosen response's reward gap, both
     averages the chosen and rejected penalties, kl_approx is the raw
@@ -285,10 +275,9 @@ def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
     if cfg.needs_reference and not b.has_reference():
         raise ValueError(f"{cfg.method.value} requires reference log-probs")
     row = _METHODS[cfg.method]
-    lp, lens, z, gaps, margin_long = _reward_pass(cfg, b)
-    slope = np.broadcast_to(row.dreward(cfg.beta, lp, lens), lp.shape)  # dr/dlp per field
-    po = eval_link(cfg.link, z)
-    fz = link_deriv(cfg.link, z) * cfg.eta
+    lp, slope, z, gaps, margin_long = _reward_pass(cfg, b)
+    po, fz = link_value_and_deriv(cfg.link, z)
+    fz = fz * cfg.eta
     g = np.zeros((len(GRAD_FIELDS),) + lp.shape[1:])  # d total / d field, GRAD_FIELDS order
     g[0] = fz * slope[0]
     g[1] = -fz * slope[1]

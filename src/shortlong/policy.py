@@ -215,46 +215,46 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
 
     ``counts`` is (B, V), one :func:`bag_of_tokens` row per prompt;
     ``resp_ids`` and ``mask`` are (B, T) as :func:`pad_responses` builds them
-    (each row's real positions first). Returns the (B, T) per-token
-    log-probabilities, exactly 0 at padded positions, so row sums are the
-    sequence log-probabilities, and ``backward``: given per-row weights
-    ``upstream`` (B,), it returns ``sum_b upstream[b] * d logprob_b / d params``
-    from this pass's activations (so call it before the parameters change);
-    rows whose weight is 0 are left out.
+    (each row's real positions first, valid token ids at the padding).
+    Returns the (B, T) per-token log-probabilities, exactly 0 at padded
+    positions, so row sums are the sequence log-probabilities, and
+    ``backward``: given per-row weights ``upstream`` (B,), it returns
+    ``sum_b upstream[b] * d logprob_b / d params`` from this pass's
+    activations (so call it before the parameters change).
+
+    Every (row, position) cell of the grid is scored, and the backward
+    weights each cell by its row's weight where ``mask`` holds and by 0 at
+    padding; a padded cell, or a cell of a row of weight 0, adds exact zeros
+    to the gradient sums.
     """
     emb, ctx_w, out_w = model.params["emb"], model.params["ctx_w"], model.params["out_w"]
     pooled, hidden = model.hidden_states(counts)
-    prev = np.concatenate([np.full((len(resp_ids), 1), model.vocab.bos_id, dtype=np.int64),
-                           resp_ids[:, :-1]], axis=1)
-    rows, cols = np.nonzero(mask)
-    prev, tok = prev[rows, cols], resp_ids[rows, cols]
-    state = hidden[rows] + emb[prev]
+    n_rows, n_pos = resp_ids.shape
+    d = emb.shape[1]
+    prev = np.empty_like(resp_ids)  # the token before each position: BOS, then the response
+    prev[:, :1] = model.vocab.bos_id
+    prev[:, 1:] = resp_ids[:, :-1]
+    state = np.take(emb, prev, axis=0)
+    state += hidden[:, None]
+    state = state.reshape(-1, d)
+    prev, tok, cells = prev.ravel(), resp_ids.ravel(), np.arange(resp_ids.size)
     logp = _log_softmax(state @ out_w)
-    per_token = np.zeros(mask.shape)
-    per_token[rows, cols] = logp[np.arange(len(tok)), tok]
+    per_token = np.where(mask, logp[cells, tok].reshape(mask.shape), 0.0)
 
     def backward(upstream: np.ndarray) -> dict[str, np.ndarray]:
-        keep = upstream != 0.0
-        live = np.flatnonzero(keep)
-        at = keep[rows]
-        row_of = (np.cumsum(keep) - 1)[rows[at]]  # each position's rank among the live rows
         # d logprob_t / d logits = onehot - softmax
-        d_logits = -np.exp(logp[at])
-        d_logits[np.arange(len(row_of)), tok[at]] += 1.0
-        d_logits *= upstream[live][row_of, None]
+        d_logits = -np.exp(logp)
+        d_logits[cells, tok] += 1.0
+        d_logits *= np.where(mask, upstream[:, None], 0.0).reshape(-1, 1)
         d_state = d_logits @ out_w.T
-        # Each live row's d_state summed over its positions, and d emb[prev] +=
-        # d_state, each in one bincount over (row or token, coordinate) bins.
-        d = emb.shape[1]
-        d_row = np.bincount((row_of[:, None] * d + np.arange(d)).ravel(), d_state.ravel(),
-                            minlength=len(live) * d).reshape(len(live), d)
         # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
-        d_pre = (1.0 - hidden[live] ** 2) * d_row
-        bins = (prev[at, None] * d + np.arange(d)).ravel()
-        d_prev = np.bincount(bins, d_state.ravel(), minlength=emb.size).reshape(emb.shape)
-        return {"emb": d_prev + counts[live].T @ (d_pre @ ctx_w),
-                "ctx_w": d_pre.T @ pooled[live],
-                "out_w": state[at].T @ d_logits}
+        d_pre = (1.0 - hidden ** 2) * d_state.reshape(n_rows, n_pos, d).sum(axis=1)
+        # d emb[prev] += d_state, in one bincount over (token, coordinate) bins.
+        d_prev = np.bincount((prev[:, None] * d + np.arange(d)).ravel(), d_state.ravel(),
+                             minlength=emb.size).reshape(emb.shape)
+        return {"emb": d_prev + counts.T @ (d_pre @ ctx_w),
+                "ctx_w": d_pre.T @ pooled,
+                "out_w": state.T @ d_logits}
 
     return per_token, backward
 

@@ -117,33 +117,47 @@ class AdamW:
     with weight decay 0. A step updates the moments and the parameters in
     place, with the float operations of ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + ((1-b2)*g)*g`` and ``p -= lr * (m_hat / (sqrt(v_hat) + eps))``;
-    it never writes into ``grads``."""
+    it never writes into ``grads``.
+
+    The parameters, the moments and the gradients each live in one flat
+    buffer, so a step is one pass of each operation over all of them: on
+    construction every ``params[k]`` is copied into the buffer and rebound to
+    a view of it (as ``m[k]`` and ``v[k]`` are), so an array taken from
+    ``params`` before then no longer follows the updates."""
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self._bufs = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
+        flat = np.concatenate([p.ravel() for p in params.values()])
+        self._p, self._m, self._v = flat, np.zeros_like(flat), np.zeros_like(flat)
+        self._g, self._step, self._denom = (np.empty_like(flat) for _ in range(3))
+        self.m, self.v, self._spans = {}, {}, {}
+        start = 0
+        for key, p in params.items():
+            span = slice(start, start + p.size)
+            start = span.stop
+            self._spans[key] = span
+            params[key], self.m[key], self.v[key] = (
+                buf[span].reshape(p.shape) for buf in (self._p, self._m, self._v))
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
         b1, b2 = 0.9, 0.999
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
-        for key, p in self.params.items():
-            g, m, v = grads[key], self.m[key], self.v[key]
-            step, denom = self._bufs[key]
-            m *= b1
-            m += np.multiply(g, 1 - b1, out=step)
-            v *= b2
-            np.multiply(g, 1 - b2, out=step)
-            v += np.multiply(step, g, out=step)
-            np.sqrt(np.divide(v, c2, out=denom), out=denom)
-            denom += 1e-8
-            np.divide(m, c1, out=step)
-            step /= denom
-            step *= lr
-            p -= step
+        g, m, v, step, denom = self._g, self._m, self._v, self._step, self._denom
+        for key, span in self._spans.items():
+            g[span] = grads[key].ravel()
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=step)
+        v *= b2
+        np.multiply(g, 1 - b2, out=step)
+        v += np.multiply(step, g, out=step)
+        np.sqrt(np.divide(v, c2, out=denom), out=denom)
+        denom += 1e-8
+        np.divide(m, c1, out=step)
+        step /= denom
+        step *= lr
+        self._p -= step
 
 
 def learning_rate(step: int, total_steps: int, lr_max: float,

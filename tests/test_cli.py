@@ -463,6 +463,39 @@ class TestForgeTrainEvalPipeline:
         assert "training aborted" in capsys.readouterr().err
         assert json.loads((tmp_path / "r" / "reports" / "abort.json").read_text()) == {"step": 3}
         assert not (tmp_path / "r" / "manifest.json").exists()
+        # An abort keeps the run directories that the failing run made.
+        assert sorted(p.name for p in (tmp_path / "r").iterdir()) == [
+            "checkpoints", "data", "logs", "reports"]
+
+
+class TestFailedRunDirectories:
+    """A run that fails with an error removes the directories it created that
+    are still empty; directories that were there before it are kept."""
+
+    @staticmethod
+    def exhausted_pool(tmp_path):
+        src, pool_path = _write_word_corpus(tmp_path, 4, pool_size=2)
+        return ["forge", "--set", f"corpus={src}", "--set", f"distractor_pool={pool_path}",
+                "--set", "target_short_tokens=20", "--set", "target_long_tokens=40"]
+
+    @pytest.mark.parametrize("error", ["ValueError", "OSError", "InsufficientPoolError"])
+    def test_created_directories_are_removed(self, tmp_path, capsys, error):
+        argv, needle = {
+            "ValueError": (["speedup", "--n", "nan"], "long_tokens must be"),
+            "OSError": (["train", "--set", f"dataset={tmp_path / 'missing.jsonl'}"],
+                        "No such file"),
+            "InsufficientPoolError": (self.exhausted_pool(tmp_path), "target band")}[error]
+        out = tmp_path / "new" / "r"
+        assert_clean_failure(run([*argv, "--out", out]), capsys, out, needle)
+        assert not (tmp_path / "new").exists()
+
+    def test_existing_directories_are_kept(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        (out / "data").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+        assert run(["speedup", "--out", out, "--n", "nan"]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["data", "notes.txt"]
+        assert list((out / "data").iterdir()) == []
 
 
 class TestExternalCorpus:
@@ -521,6 +554,18 @@ class TestExternalCorpus:
 def _write_jsonl(path: Path, rows) -> Path:
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     return path
+
+
+def _write_word_corpus(tmp_path, n_sources: int, pool_size: int = 40) -> tuple[Path, Path]:
+    """``sources{n}.jsonl``, the four word-profile sources repeated to
+    ``n_sources`` records, and ``pool.jsonl``, the first ``pool_size`` of
+    their 40 pool documents."""
+    sources, pool = build_chain_corpus(4, 40, seed=0, profile=word_profile())
+    rows = [{"question": s.question, "answer": s.answer,
+             "supporting_docs": list(s.supporting_docs)} for s in sources]
+    return (_write_jsonl(tmp_path / f"sources{n_sources}.jsonl",
+                         [rows[i % 4] for i in range(n_sources)]),
+            _write_jsonl(tmp_path / "pool.jsonl", pool[:pool_size]))
 
 
 @pytest.fixture
@@ -611,8 +656,7 @@ class TestStreamedForge:
             assert capsys.readouterr().err.startswith(
                 "error: source 3: supporting documents alone exceed the target length")
             assert not (out / "data" / "forged.jsonl.part").exists()
-        assert not (tmp_path / "fresh" / "data" / "forged.jsonl").exists()
-        assert not (tmp_path / "fresh" / "manifest.json").exists()
+        assert not (tmp_path / "fresh").exists()
         assert [(data / name).read_bytes()
                 for name in ("forged.jsonl", "forge_stats.json")] == before
 
@@ -638,7 +682,10 @@ class TestStreamedForge:
             assert self.forge(tmp_path / "r", src, pool_path) == 1
             assert capsys.readouterr().err == "error: generator broke\n"
         assert seen == [True]
-        assert list(data.iterdir()) == []
+        if isinstance(exc, KeyboardInterrupt):
+            assert list(data.iterdir()) == []
+        else:  # a run that fails with an error removes the empty directories it made
+            assert not (tmp_path / "r").exists()
 
 
 def test_forge_memory_does_not_grow_with_sources(tmp_path):
@@ -655,6 +702,51 @@ def test_forge_memory_does_not_grow_with_sources(tmp_path):
 
     forge_peak(40)  # first-call caches and lazy imports
     assert forge_peak(160) - forge_peak(40) < 0.5 * 2**20
+
+
+class TestExternalSourcesStream:
+    """An external corpus's sources are read only as far as the forge asks
+    for them."""
+
+    def forge(self, out, src, pool_path):
+        return run(["forge", "--out", out, "--seed", "1", "--set", f"corpus={src}",
+                    "--set", f"distractor_pool={pool_path}", "--set", "n_target=2",
+                    "--set", "target_short_tokens=20", "--set", "target_long_tokens=40",
+                    "--set", "tolerance_frac=0.2"])
+
+    def test_memory_does_not_grow_with_unread_sources(self, tmp_path, monkeypatch):
+        # The manifest digests the whole corpus file in 1 MiB chunks: a
+        # bounded cost that is not the forge's.
+        monkeypatch.setattr(cli, "_write_manifest", lambda *args: None)
+
+        def forge_peak(n: int) -> int:
+            src, pool_path = _write_word_corpus(tmp_path, n)
+            tracemalloc.start()
+            try:
+                assert self.forge(tmp_path / str(n), src, pool_path) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        forge_peak(1_000)  # first-call caches and lazy imports
+        assert forge_peak(10_000) <= 1.5 * forge_peak(1_000)
+
+    def test_malformed_line_past_the_stop_is_not_read(self, tmp_path, monkeypatch):
+        src, pool_path = _write_word_corpus(tmp_path, 40)
+        with open(src, "a") as fh:
+            fh.write("{oops}\n")
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(forge, "open", tracking_open, raising=False)
+        assert self.forge(tmp_path / "r", src, pool_path) == 0
+        assert sorted(Path(fh.name).name for fh in opened) == [
+            "forged.jsonl.part", "pool.jsonl", "sources40.jsonl"]
+        assert all(fh.closed for fh in opened)
+        assert len((tmp_path / "r" / "data" / "forged.jsonl").read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("size", [0, (1 << 20) + 4097])

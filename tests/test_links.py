@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from shortlong.links import BoundFn, ConvexLink, DomainError, eval_bound, eval_link, link_deriv
+from shortlong.links import (BoundFn, ConvexLink, DomainError, eval_bound, eval_link,
+                             link_value_and_deriv)
 
 ALL_LINKS = list(ConvexLink)
 
@@ -105,12 +106,54 @@ class TestDerivatives:
         xs = xs[np.abs(xs) > 1e-3]  # stay away from hinge kinks
         h = 1e-6
         numeric = (eval_link(link, xs + h) - eval_link(link, xs - h)) / (2 * h)
-        analytic = link_deriv(link, xs)
+        analytic = link_value_and_deriv(link, xs)[1]
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-5)
 
     def test_kink_subgradient_zero(self):
-        assert link_deriv(ConvexLink.HINGE, 0.0) == 0.0
-        assert link_deriv(ConvexLink.SQUARED_HINGE, 0.0) == 0.0
+        assert link_value_and_deriv(ConvexLink.HINGE, 0.0)[1] == 0.0
+        assert link_value_and_deriv(ConvexLink.SQUARED_HINGE, 0.0)[1] == 0.0
+
+
+def _sigmoid(x):
+    pos = x >= 0
+    z = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
+# The per-link derivatives as they were evaluated before value and slope
+# shared one pass: the reference the pair must equal bit for bit.
+REFERENCE_DERIVS = {
+    ConvexLink.LOGISTIC: lambda x: _sigmoid(x) - 1.0,
+    ConvexLink.SQUARE: lambda x: 2.0 * x,
+    ConvexLink.HINGE: lambda x: np.where(x < 0, -1.0, 0.0),
+    ConvexLink.SQUARED_HINGE: lambda x: np.where(x < 0, 2.0 * x, 0.0),
+    ConvexLink.EXPONENTIAL: lambda x: -np.exp(-x),
+}
+
+
+class TestValueAndDeriv:
+    GRID = np.concatenate([TestLogisticKernel.EDGES, [-e for e in TestLogisticKernel.EDGES],
+                           np.random.default_rng(24).normal(0.0, 30.0, 10**5)])
+
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_pair_equals_value_and_reference_derivative(self, link):
+        with np.errstate(over="ignore"):  # the exponential link overflows at -1e300
+            value, slope = link_value_and_deriv(link, self.GRID)
+            ref_slope = REFERENCE_DERIVS[link](self.GRID)
+            assert np.array_equal(value, eval_link(link, self.GRID))
+        assert np.array_equal(slope, ref_slope)
+        for x in (-2.5, -0.0, 0.0, 1.5):
+            pair = link_value_and_deriv(link, x)
+            assert all(type(v) is float for v in pair)
+            assert pair == (eval_link(link, x), float(REFERENCE_DERIVS[link](np.float64(x))))
+
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_named(self, link, bad):
+        x = np.array([0.5, -1.0, bad, 2.0])
+        with pytest.raises(DomainError, match=r"must be finite \(element 2\)") as err:
+            link_value_and_deriv(link, x)
+        assert err.value.index == 2
 
 
 class TestBoundValues:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shortlong.gradcheck import fd_gradient, random_bundle, relative_error
-from shortlong.losses import (GRAD_FIELDS, LogProbBundle, Method, MethodConfig,
+from shortlong.losses import (_METHODS, GRAD_FIELDS, LogProbBundle, Method, MethodConfig,
                               RAMode, grad_solopo, reward, solopo_loss)
 
 ALL_METHODS = list(Method)
@@ -82,6 +82,53 @@ class TestReward:
     def test_missing_reference(self):
         with pytest.raises(ValueError):
             reward(MethodConfig(Method.DPO), -7.0, None, 3)
+
+
+def _old_log_odds(t):
+    near = t > -0.6931471805599453
+    return t - np.where(near, np.log(-np.expm1(t)),
+                        np.log1p(-np.exp(np.minimum(t, -0.6931471805599453))))
+
+
+# Each method's reward and its slope dr/dlp as two separate functions, the
+# way they were evaluated before one pass returned both: the reference the
+# merged pair must equal bit for bit.
+REFERENCE_REWARDS = {
+    Method.DPO: (lambda beta, lp, ref, n: beta * (lp - ref), lambda beta, lp, n: beta),
+    Method.SIMPO: (lambda beta, lp, ref, n: beta / n * lp, lambda beta, lp, n: beta / n),
+    Method.ORPO: (lambda beta, lp, ref, n: _old_log_odds(lp / n),
+                  lambda beta, lp, n: (1.0 / -np.expm1(lp / n)) / n),
+    Method.IPO: (lambda beta, lp, ref, n: lp - ref, lambda beta, lp, n: 1.0),
+    Method.SLIC: (lambda beta, lp, ref, n: lp, lambda beta, lp, n: 1.0),
+}
+
+
+class TestMergedReward:
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_pair_equals_reference_reward_and_slope(self, method):
+        rng = np.random.default_rng(44)
+        beta = MethodConfig(method).beta
+        lp = np.concatenate([-np.geomspace(1e-12, 50.0, 400), rng.uniform(-40.0, -1e-9, 10**4)])
+        lp = lp.reshape(4, -1)
+        ref = rng.uniform(-40.0, -0.1, lp.shape)
+        n = rng.integers(1, 9, lp.shape)
+        r, slope = _METHODS[method].reward(beta, lp, ref, n)
+        ref_reward, ref_slope = REFERENCE_REWARDS[method]
+        np.testing.assert_array_equal(r, ref_reward(beta, lp, ref, n))
+        np.testing.assert_array_equal(np.broadcast_to(slope, lp.shape),
+                                      np.broadcast_to(ref_slope(beta, lp, n), lp.shape))
+        cfg = MethodConfig(method)
+        for i in range(0, lp.shape[1], 97):
+            got = reward(cfg, float(lp[0, i]), float(ref[0, i]), int(n[0, i]))
+            assert type(got) is float
+            assert got == float(ref_reward(beta, lp[0, i], ref[0, i], n[0, i]))
+
+    def test_orpo_singularity_index_in_the_stack(self):
+        lp = np.full((4, 6), -2.0)
+        lp[2, 4] = 0.0
+        with pytest.raises(ValueError, match="singularity.*element 16") as err:
+            _METHODS[Method.ORPO].reward(0.1, lp, None, np.ones((4, 6)))
+        assert err.value.index == 16
 
 
 class TestPoLoss:

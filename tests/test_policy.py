@@ -443,6 +443,72 @@ class TestScoreRows:
             np.testing.assert_allclose(again[k], row[k], rtol=1e-12, atol=1e-15)
 
 
+def sparse_score_rows(model, counts, resp_ids, mask):
+    """The scorer as it was before it scored the dense grid: only the real
+    positions are gathered, and the backward leaves out rows of weight 0.
+    The reference the dense kernel must match."""
+    emb, ctx_w, out_w = model.params["emb"], model.params["ctx_w"], model.params["out_w"]
+    pooled, hidden = model.hidden_states(counts)
+    prev = np.concatenate([np.full((len(resp_ids), 1), model.vocab.bos_id, dtype=np.int64),
+                           resp_ids[:, :-1]], axis=1)
+    rows, cols = np.nonzero(mask)
+    prev, tok = prev[rows, cols], resp_ids[rows, cols]
+    state = hidden[rows] + emb[prev]
+    logits = state @ out_w
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    per_token = np.zeros(mask.shape)
+    per_token[rows, cols] = logp[np.arange(len(tok)), tok]
+
+    def backward(upstream):
+        keep = upstream != 0.0
+        live = np.flatnonzero(keep)
+        at = keep[rows]
+        row_of = (np.cumsum(keep) - 1)[rows[at]]
+        d_logits = -np.exp(logp[at])
+        d_logits[np.arange(len(row_of)), tok[at]] += 1.0
+        d_logits *= upstream[live][row_of, None]
+        d_state = d_logits @ out_w.T
+        d = emb.shape[1]
+        d_row = np.bincount((row_of[:, None] * d + np.arange(d)).ravel(), d_state.ravel(),
+                            minlength=len(live) * d).reshape(len(live), d)
+        d_pre = (1.0 - hidden[live] ** 2) * d_row
+        bins = (prev[at, None] * d + np.arange(d)).ravel()
+        d_prev = np.bincount(bins, d_state.ravel(), minlength=emb.size).reshape(emb.shape)
+        return {"emb": d_prev + counts[live].T @ (d_pre @ ctx_w),
+                "ctx_w": d_pre.T @ pooled[live],
+                "out_w": state[at].T @ d_logits}
+
+    return per_token, backward
+
+
+class TestDenseKernel:
+    """The dense (row, position) grid against the sparse reference kernel on
+    random shapes, with padding, empty responses and zero weights."""
+
+    def test_matches_sparse_reference(self):
+        rng = np.random.default_rng(25)
+        for trial in range(60):
+            v, d = int(rng.integers(8, 40)), int(rng.integers(1, 24))
+            vocab = Vocab((BOS, EOS, SEP) + tuple(f"t{i}" for i in range(v - 3)))
+            model = ToyLM(vocab, hidden_dim=d, seed=trial)
+            n_rows, n_pos = ((0, 3), (4, 0))[trial] if trial < 2 else rng.integers(1, [40, 6])
+            counts = rng.dirichlet(np.ones(v), n_rows).reshape(n_rows, v)
+            lengths = rng.integers(0, n_pos + 1, n_rows)
+            ids, mask = pad_responses([rng.integers(0, v, k) for k in lengths])
+            weights = np.where(rng.random(n_rows) < 0.3, 0.0, rng.normal(size=n_rows))
+            per_token, backward = score_rows(model, counts, ids, mask)
+            ref_per_token, ref_backward = sparse_score_rows(model, counts, ids, mask)
+            assert per_token.shape == mask.shape
+            np.testing.assert_allclose(per_token, ref_per_token, rtol=0, atol=1e-12)
+            assert np.all(per_token[~mask] == 0.0)
+            grads, ref_grads = backward(weights), ref_backward(weights)
+            assert set(grads) == set(model.params)
+            for k in grads:
+                assert grads[k].shape == model.params[k].shape
+                np.testing.assert_allclose(grads[k], ref_grads[k], rtol=0, atol=1e-12)
+
+
 def prompt_rows(vocab, contexts, questions):
     """The per-prompt reference that :func:`encode_contexts` must match."""
     return np.array([bag_of_tokens(vocab.encode(assemble_prompt(c, q)), vocab.size)
