@@ -11,20 +11,22 @@ Every run writes a fixed layout under the output directory::
 Configs are flat ``key = value`` text files ('#' starts a comment); any key
 can be overridden on the command line with ``--set key=value``. Each
 subcommand's keys, their types and their defaults are declared once, in
-``KEYS``; an unknown key is an error. Keys are documented in the README.
+``KEYS``; an unknown key is an error. Its handler, help text and flags are
+declared once, in ``COMMANDS``. Both are documented in the README.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
 from . import bounds as bounds_mod
@@ -41,7 +43,7 @@ from .policy import ToyLM, Vocab, load_model, save_model
 from .training import (NonFiniteLossError, TrainConfig, evaluate,
                        run_comparison, train)
 
-__all__ = ["main", "load_config", "parse_settings", "KEYS"]
+__all__ = ["main", "load_config", "parse_settings", "KEYS", "COMMANDS"]
 
 
 class ConfigError(ValueError):
@@ -92,9 +94,9 @@ def _at_least(least: int) -> Callable[[str], int]:
     return parse
 
 
-def _number(least: float, most: float = math.inf) -> Callable[[str], float]:
-    span = (f"a finite number >= {least:g}" if most == math.inf
-            else f"a number in [{least:g}, {most:g}]")
+def _number(least: float = -math.inf, most: float = math.inf) -> Callable[[str], float]:
+    span = (f"a number in [{least:g}, {most:g}]" if most < math.inf else
+            "a finite number" + (f" >= {least:g}" if least > -math.inf else ""))
 
     def parse(raw: str) -> float:
         value = float(raw)
@@ -104,19 +106,9 @@ def _number(least: float, most: float = math.inf) -> Callable[[str], float]:
     return parse
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {raw!r}")
-    return value
-
-
-def _flag_values(flag: str, parse: Callable[[str], object], texts: list[str]) -> list:
-    """A flag's values, parsed; a bad one raises ConfigError naming the flag."""
-    try:
-        return [parse(text) for text in texts]
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
+def _path(raw: str) -> str:
+    """A file the run reads; the manifest records its digest."""
+    return raw
 
 
 # Per subcommand, key -> (parser, default). A None default leaves the value
@@ -124,42 +116,37 @@ def _flag_values(flag: str, parse: Callable[[str], object], texts: list[str]) ->
 _NON_NEGATIVE = _at_least(0)
 _SEED = {"seed": (_NON_NEGATIVE, 0)}
 _COUNT = _at_least(1)
+_SHORT_LONG = _choice("short", "long")
+_finite = _number()
 KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
     "verify-bounds": {
         **_SEED, "lemma_instances": (_at_least(len(bounds_mod.ALL_LINKS)), 1_000_000),
         "theorem1_scenarios": (_COUNT, 10_000), "theorem2_scenarios": (_COUNT, 10_000),
         "necessity_attempts": (_COUNT, 100_000), "selftest_instances": (_COUNT, 10_000)},
     "forge": {
-        **_SEED, "corpus": (str, "builtin-needle"), "corpus_sources": (_COUNT, None),
+        **_SEED, "corpus": (_path, "builtin-needle"), "corpus_sources": (_COUNT, None),
         "corpus_pool": (_COUNT, None), "corpus_seed": (_NON_NEGATIVE, None),
-        "distractor_pool": (str, None),
+        "distractor_pool": (_path, None),
         "n_target": (_COUNT, None), "target_short_tokens": (_COUNT, None),
         "target_long_tokens": (_COUNT, None), "tolerance_frac": (_number(0), None),
-        "condition_on": (str, None), "intersection": (_bool, None),
+        "condition_on": (_SHORT_LONG, None), "intersection": (_bool, None),
         "generator": (_choice("stub", "policy"), "stub"), "stub_p_correct": (_number(0, 1), 0.5),
-        "stub_n": (_COUNT, None), "policy_checkpoint": (str, None), "policy_n": (_COUNT, None),
+        "stub_n": (_COUNT, None), "policy_checkpoint": (_path, None), "policy_n": (_COUNT, None),
         "policy_temperature": (_number(0), None), "policy_max_len": (_COUNT, None)},
     "train": {
-        **_SEED, "dataset": (str, None), "eval_dataset": (str, None),
+        **_SEED, "dataset": (_path, None), "eval_dataset": (_path, None),
         "method": (Method, Method.ORPO), "alpha": (_finite, None), "beta": (_finite, None),
         "gamma": (_finite, None), "eta": (_finite, None), "ra_mode": (RAMode, None),
         "include_nll": (_bool, None), "lr_max": (_finite, None), "warmup_ratio": (_finite, None),
         "batch_size": (_COUNT, None), "epochs": (_COUNT, None), "eval_every": (_NON_NEGATIVE, None),
-        "po_context": (str, None), "telemetry": (_bool, None), "model_hidden": (_COUNT, None),
+        "po_context": (_SHORT_LONG, None), "telemetry": (_bool, None), "model_hidden": (_COUNT, None),
         "model_seed": (_NON_NEGATIVE, None)},
     "eval": {
-        **_SEED, "checkpoint": (str, None), "dataset": (str, None),
+        **_SEED, "checkpoint": (_path, None), "dataset": (_path, None),
         "context": (_choice("short", "long", "both"), "both"), "max_len": (_COUNT, None)},
     "speedup": _SEED,
     "grad-check": {**_SEED, "points": (_COUNT, 200)},
 }
-_METHOD_KEYS = ("alpha", "beta", "gamma", "eta", "ra_mode", "include_nll")
-_TRAIN_KEYS = ("lr_max", "warmup_ratio", "batch_size", "epochs", "eval_every",
-               "po_context", "telemetry")
-# Keys naming input files whose digests go into the manifest.
-_INPUT_KEYS = {"forge": ("corpus", "distractor_pool", "policy_checkpoint"),
-               "train": ("dataset", "eval_dataset"),
-               "eval": ("checkpoint", "dataset")}
 # Built-in corpora: profile, default source and pool counts, default targets.
 _CORPORA = {
     "builtin-needle": (needle_profile, 400, 360,
@@ -220,47 +207,41 @@ _RUN_SUBDIRS = ("reports", "data", "checkpoints", "logs")
 
 
 def _missing_run_dirs(out: Path) -> list[Path]:
-    """The directories :func:`_prepare_run_dir` would create, deepest first."""
+    """The directories the run layout needs that are missing, deepest first."""
     return [d for d in (*(out / sub for sub in _RUN_SUBDIRS), out, *out.parents)
             if not d.exists()]
-
-
-def _prepare_run_dir(out: Path) -> None:
-    for sub in _RUN_SUBDIRS:
-        (out / sub).mkdir(parents=True, exist_ok=True)
 
 
 def _remove_empty(dirs: list[Path]) -> None:
     """Remove each of ``dirs``, deepest first, that is still empty."""
     for d in dirs:
-        try:
+        with contextlib.suppress(OSError):  # not empty, or already gone
             d.rmdir()
-        except OSError:  # not empty, or already gone
-            pass
 
 
-def _write_manifest(out: Path, args: argparse.Namespace, seed: int,
-                    inputs: dict[str, Path]) -> None:
+def _write_manifest(out: Path, args: argparse.Namespace, values: dict) -> None:
+    """The run's inputs, each file a ``_path`` key names by its digest."""
     manifest = {
         "subcommand": args.command,
         "config_path": args.config,
         "config_digest": _sha256(Path(args.config)) if args.config else None,
         "overrides": sorted(args.set or []),
-        "seed": seed,
+        "seed": values["seed"],
         "output_dir": str(out),
         "tool_version": __version__,
-        "input_digests": {name: _sha256(p) for name, p in sorted(inputs.items())
-                          if p.exists()},
+        "input_digests": {key: _sha256(Path(values[key]))
+                          for key, (parse, _) in KEYS[args.command].items()
+                          if parse is _path and values[key] not in (None, "", *_CORPORA)
+                          and Path(values[key]).exists()},
     }
+    if flags := _given_flags(args):  # a flagless run's manifest keeps its bytes
+        manifest["flags"] = flags
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
-# ---------------------------------------------------------------- verify-bounds
-
-
-def cmd_verify_bounds(args, v: dict, out: Path) -> int:
+def cmd_verify_bounds(v: dict, flags: dict, out: Path) -> int:
     seed = v["seed"]
-    if args.selftest_nonconvex:
+    if flags["--selftest-nonconvex"]:
         rep = bounds_mod.run_nonconvex_selftest(v["selftest_instances"], seed)
         _write_bound_reports(out, {"selftest_nonconvex": rep})
         # The sanity path must detect violations; finding none means the
@@ -269,8 +250,7 @@ def cmd_verify_bounds(args, v: dict, out: Path) -> int:
               f"witness={'yes' if rep.worst_witness else 'no'}")
         return 2 if rep.max_violation > bounds_mod.TOLERANCE else 3
 
-    reports: dict[str, bounds_mod.BoundReport] = {
-        "lemma1": bounds_mod.run_lemma1_suite(v["lemma_instances"], seed)}
+    reports = {"lemma1": bounds_mod.run_lemma1_suite(v["lemma_instances"], seed)}
     for form in ("exact", "sform"):
         for name, rep in bounds_mod.run_theorem1_suite(
                 v["theorem1_scenarios"], seed, form=form).items():
@@ -281,25 +261,20 @@ def cmd_verify_bounds(args, v: dict, out: Path) -> int:
         v["necessity_attempts"], seed)
     _write_bound_reports(out, reports)
 
-    failed = []
+    certified = {name: rep for name, rep in reports.items() if name != "assumption_necessity"}
     for name, rep in reports.items():
-        if name == "assumption_necessity":
+        if name in certified:
+            status = "ok" if rep.passed else "VIOLATED"
+        else:
             status = "witness found" if rep.max_violation > bounds_mod.TOLERANCE \
                 else "no witness (diagnostic)"
-        else:
-            status = "ok" if rep.passed else "VIOLATED"
-            if not rep.passed:
-                failed.append(name)
         print(f"{name}: max_violation={rep.max_violation:.3e} [{status}]")
-    return 1 if failed else 0
+    return 0 if all(rep.passed for rep in certified.values()) else 1
 
 
 def _write_bound_reports(out: Path, reports: dict[str, "bounds_mod.BoundReport"]) -> None:
     payload = {name: json.loads(rep.to_json()) for name, rep in reports.items()}
     (out / "reports" / "bounds.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-
-# ------------------------------------------------------------------------ forge
 
 
 def _load_corpus(v: dict) -> tuple[Iterable[SourceSample], list[str], object]:
@@ -350,12 +325,11 @@ def _write_atomically(samples: Iterator[ForgedSample], path: Path) -> None:
     part.replace(path)
 
 
-def cmd_forge(args, v: dict, out: Path) -> int:
+def cmd_forge(v: dict, flags: dict, out: Path) -> int:
     sources, pool, profile = _load_corpus(v)
     generator = _build_generator(v, profile)
     targets = _CORPORA[v["corpus"]][3] if v["corpus"] in _CORPORA else {}
-    cfg = HaystackConfig(seed=v["seed"], **{**targets, **_given(
-        v, "target_short_tokens", "target_long_tokens", "tolerance_frac")})
+    cfg = HaystackConfig(**{**targets, **_given(v, *(f.name for f in fields(HaystackConfig)))})
     stats = ForgeStats()
     samples = iter_forged(sources, pool, generator, cfg, stats, v["n_target"],
                           **_given(v, "condition_on", "intersection"))
@@ -367,25 +341,35 @@ def cmd_forge(args, v: dict, out: Path) -> int:
     return 0
 
 
-# ------------------------------------------------------------------------ train
+# Each config field reads the train key of its name. --compare varies one that
+# changes a trained cell: not the seed (--seeds varies it), eval_every (a cell
+# is evaluated after training) or telemetry (it logs, and moves no parameter).
+_METHOD_FIELDS = tuple(f.name for f in fields(MethodConfig))
+_TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "method_cfg")
+_CELL_KEYS = set(_METHOD_FIELDS + _TRAIN_FIELDS) - {"seed", "eval_every", "telemetry"}
 
 
 def _train_cfg(v: dict) -> TrainConfig:
-    return TrainConfig(MethodConfig(v["method"], **_given(v, *_METHOD_KEYS)),
-                       seed=v["seed"], **_given(v, *_TRAIN_KEYS))
+    return TrainConfig(MethodConfig(**_given(v, *_METHOD_FIELDS)), **_given(v, *_TRAIN_FIELDS))
 
 
-def _compare_arms(spec: str, v: dict) -> list[tuple[str, TrainConfig]]:
-    """One labelled config per value of ``--compare key:v1,v2,...``."""
+def _compare_spec(spec: str) -> list[tuple[str, str, object]]:
+    """(label, key, value) per value of ``--compare key:v1,v2,...``."""
     key, _, raw = spec.partition(":")
     key, texts = key.strip(), [t.strip() for t in raw.split(",") if t.strip()]
     if not texts:
         raise ConfigError("--compare expects key:value1,value2,...")
     parsed = [_parse_value("train", "--compare", key, text) for text in texts]
-    if key not in ("method",) + _METHOD_KEYS + _TRAIN_KEYS:
+    if key not in _CELL_KEYS:
         raise ConfigError(f"--compare: {key!r} does not vary the training objective")
-    return [(f"{key}={text}", _train_cfg({**v, key: value}))
-            for text, value in zip(texts, parsed)]
+    return [(f"{key}={text}", key, value) for text, value in zip(texts, parsed)]
+
+
+def _seed_list(raw: str) -> list[int]:
+    seeds = [_NON_NEGATIVE(text) for text in raw.split(",")]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seeds must be distinct, got {raw}")
+    return seeds
 
 
 def _train_vocab(*datasets: list[ForgedSample]) -> Vocab:
@@ -398,10 +382,9 @@ def _train_vocab(*datasets: list[ForgedSample]) -> Vocab:
     return Vocab(needle.tokens + tuple(sorted(tokens - set(needle.tokens))))
 
 
-def cmd_train(args, v: dict, out: Path) -> int:
-    if args.seeds and not args.compare:
-        raise ConfigError("--seeds requires --compare")
-    arms = _compare_arms(args.compare, v) if args.compare else None
+def cmd_train(v: dict, flags: dict, out: Path) -> int:
+    arms = flags["--compare"] and [(label, _train_cfg({**v, key: value}))
+                                   for label, key, value in flags["--compare"]]
     if not v["dataset"]:
         raise ConfigError("train requires a 'dataset' (forged JSONL path)")
     dataset = read_forged_jsonl(v["dataset"])
@@ -409,12 +392,10 @@ def cmd_train(args, v: dict, out: Path) -> int:
     vocab = _train_vocab(dataset, eval_set or [])
     hidden = {} if v["model_hidden"] is None else {"hidden_dim": v["model_hidden"]}
 
-    if arms is not None:
+    if arms:
         if eval_set is None:
             raise ConfigError("--compare requires 'eval_dataset'")
-        seeds = _flag_values("--seeds", _NON_NEGATIVE, (args.seeds or str(v["seed"])).split(","))
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError(f"--seeds must be distinct, got {args.seeds}")
+        seeds = flags["--seeds"] or [v["seed"]]
         report = run_comparison(arms, dataset, eval_set,
                                 {sd: ToyLM(vocab, seed=sd, **hidden) for sd in seeds})
         report.write_csv(out / "reports" / "comparison.csv")
@@ -438,10 +419,7 @@ def cmd_train(args, v: dict, out: Path) -> int:
     return 0
 
 
-# ------------------------------------------------------------------------- eval
-
-
-def cmd_eval(args, v: dict, out: Path) -> int:
+def cmd_eval(v: dict, flags: dict, out: Path) -> int:
     if not v["checkpoint"] or not v["dataset"]:
         raise ConfigError("eval requires 'checkpoint' and 'dataset'")
     model = load_model(v["checkpoint"])
@@ -458,12 +436,8 @@ def cmd_eval(args, v: dict, out: Path) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------- speedup
-
-
-def cmd_speedup(args, v: dict, out: Path) -> int:
-    c_values = _flag_values("--c", float, args.c or ["0.125", "0.25", "0.5", "1.0"])
-    n_values = _flag_values("--n", float, args.n or ["1000"])
+def cmd_speedup(v: dict, flags: dict, out: Path) -> int:
+    c_values, n_values = flags["--c"], flags["--n"]
     models = [efficiency.CostModel(long_tokens=n, compression=c)
               for n in n_values for c in c_values]
     efficiency.write_report_csv(models, out / "reports" / "speedup.csv")
@@ -472,10 +446,7 @@ def cmd_speedup(args, v: dict, out: Path) -> int:
     return 0
 
 
-# ------------------------------------------------------------------- grad-check
-
-
-def cmd_grad_check(args, v: dict, out: Path) -> int:
+def cmd_grad_check(v: dict, flags: dict, out: Path) -> int:
     loss_report = check_loss_gradients(v["points"], v["seed"])
     policy_report = check_policy_gradients(v["seed"])
     payload = {"loss_gradients": loss_report, "policy_gradients": policy_report}
@@ -485,15 +456,40 @@ def cmd_grad_check(args, v: dict, out: Path) -> int:
     return 0 if worst < 1e-4 else 1
 
 
-# ------------------------------------------------------------------------- main
+class Flag(NamedTuple):
+    """A subcommand flag: the parser of its text (of each text, if it repeats),
+    its value when not given, its argparse options and the flag it needs."""
+    name: str
+    parse: Callable[[str], object]
+    default: object
+    options: dict
+    requires: str | None = None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", default="run", help="run directory (default: ./run)")
-    parser.add_argument("--seed", type=int, default=None, help="override the seed")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override a config key")
+class Command(NamedTuple):
+    run: Callable[[dict, dict, Path], int]
+    help: str
+    flags: tuple[Flag, ...] = ()
+
+
+COMMANDS: dict[str, Command] = {
+    "verify-bounds": Command(cmd_verify_bounds, "certify the decomposition inequalities", (
+        Flag("--selftest-nonconvex", bool, False, {"action": "store_true", "help":
+             "run the violation-detection sanity path (exits nonzero)"}),)),
+    "forge": Command(cmd_forge, "synthesize haystack contexts and preference pairs"),
+    "train": Command(cmd_train, "train the toy policy on a forged dataset", (
+        Flag("--compare", _compare_spec, None,
+             {"metavar": "KEY:V1,V2,...", "help": "train a matrix over one config key"}),
+        Flag("--seeds", _seed_list, None, {"metavar": "S1,S2,...", "help":
+             "seed list for --compare (default: the single seed)"}, "--compare"))),
+    "eval": Command(cmd_eval, "evaluate a checkpoint on a forged dataset"),
+    "speedup": Command(cmd_speedup, "emit the analytic cost/speedup report", (
+        Flag("--c", float, [0.125, 0.25, 0.5, 1.0],
+             {"action": "append", "metavar": "C", "help": "compression rate(s)"}),
+        Flag("--n", float, [1000.0],
+             {"action": "append", "metavar": "N", "help": "long length(s) in tokens"}))),
+    "grad-check": Command(cmd_grad_check, "finite-difference gradient validation"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,39 +498,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Short-to-long preference optimization laboratory")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-bounds", help="certify the decomposition inequalities")
-    _add_common(p)
-    p.add_argument("--selftest-nonconvex", action="store_true",
-                   help="run the violation-detection sanity path (exits nonzero)")
-    p.set_defaults(func=cmd_verify_bounds)
-
-    p = sub.add_parser("forge", help="synthesize haystack contexts and preference pairs")
-    _add_common(p)
-    p.set_defaults(func=cmd_forge)
-
-    p = sub.add_parser("train", help="train the toy policy on a forged dataset")
-    _add_common(p)
-    p.add_argument("--compare", metavar="KEY:V1,V2,...",
-                   help="train a matrix over one config key")
-    p.add_argument("--seeds", metavar="S1,S2,...",
-                   help="seed list for --compare (default: the single seed)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a forged dataset")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("speedup", help="emit the analytic cost/speedup report")
-    _add_common(p)
-    p.add_argument("--c", action="append", metavar="C", help="compression rate(s)")
-    p.add_argument("--n", action="append", metavar="N", help="long length(s) in tokens")
-    p.set_defaults(func=cmd_speedup)
-
-    p = sub.add_parser("grad-check", help="finite-difference gradient validation")
-    _add_common(p)
-    p.set_defaults(func=cmd_grad_check)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--out", default="run", help="run directory (default: ./run)")
+        p.add_argument("--seed", type=int, default=None, help="override the seed")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config key")
+        for flag in command.flags:
+            p.add_argument(flag.name, **flag.options)
     return parser
+
+
+def _given_flags(args: argparse.Namespace) -> dict[str, object]:
+    """The flags that were given, as typed: a text, a list of texts or True."""
+    return {flag.name: raw for flag in COMMANDS[args.command].flags
+            if (raw := getattr(args, flag.name[2:].replace("-", "_")))}
+
+
+def _parse_flags(args: argparse.Namespace) -> dict[str, object]:
+    """Every flag of the subcommand, typed, or its default; a bad or unpaired
+    flag raises ConfigError naming it."""
+    flags = {flag.name: flag for flag in COMMANDS[args.command].flags}
+    typed = {name: flag.default for name, flag in flags.items()}
+    given = _given_flags(args)
+    for name, raw in given.items():
+        parse, requires = flags[name].parse, flags[name].requires
+        if requires and requires not in given:
+            raise ConfigError(f"{name} requires {requires}")
+        try:
+            typed[name] = [parse(text) for text in raw] if isinstance(raw, list) else parse(raw)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+    return typed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -547,9 +545,11 @@ def main(argv: list[str] | None = None) -> int:
     created: list[Path] = []
     try:
         values = parse_settings(args.command, args)
+        flags = _parse_flags(args)
         created = _missing_run_dirs(out)
-        _prepare_run_dir(out)
-        rc = args.func(args, values, out)
+        for sub in _RUN_SUBDIRS:
+            (out / sub).mkdir(parents=True, exist_ok=True)
+        rc = COMMANDS[args.command].run(values, flags, out)
     except NonFiniteLossError as exc:
         (out / "reports" / "abort.json").write_text(json.dumps(exc.diagnostic, sort_keys=True))
         print(f"training aborted: {exc}", file=sys.stderr)
@@ -558,9 +558,7 @@ def main(argv: list[str] | None = None) -> int:
         _remove_empty(created)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    inputs = {key: Path(values[key]) for key in _INPUT_KEYS.get(args.command, ())
-              if values[key] and values[key] not in _CORPORA}
-    _write_manifest(out, args, values["seed"], inputs)
+    _write_manifest(out, args, values)
     return rc
 
 

@@ -4,18 +4,20 @@ import hashlib
 import json
 import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shortlong import cli, forge
-from shortlong.cli import KEYS, load_config, main
+from shortlong.cli import COMMANDS, KEYS, load_config, main
 from shortlong.corpus import StubGenerator, build_chain_corpus, needle_vocab, word_profile
 from shortlong.forge import (HaystackConfig, forge_dataset, read_distractor_pool,
                              read_source_jsonl, write_forged_jsonl)
+from shortlong.losses import MethodConfig
 from shortlong.policy import ToyLM, load_model, save_model
-from shortlong.training import NonFiniteLossError
+from shortlong.training import NonFiniteLossError, TrainConfig
 
 
 def run(args):
@@ -70,9 +72,9 @@ class TestConfigParsing:
         rc = run(["train", "--out", tmp_path / "r", "--set", "alpah=0"])
         assert_clean_failure(rc, capsys, tmp_path / "r", "'alpah'")
 
-    @pytest.mark.parametrize("key", ["alpah", "model_hidden"])
+    @pytest.mark.parametrize("key", ["alpah", "model_hidden", "eval_every", "telemetry"])
     def test_compare_key_outside_objective_fails(self, tmp_path, capsys, key):
-        rc = run(["train", "--out", tmp_path / "r", "--compare", f"{key}:0,3",
+        rc = run(["train", "--out", tmp_path / "r", "--compare", f"{key}:0,1",
                   "--set", f"dataset={tmp_path / 'absent.jsonl'}"])
         assert_clean_failure(rc, capsys, tmp_path / "r", f"'{key}'")
 
@@ -159,6 +161,25 @@ class TestConfigParsing:
         assert_clean_failure(rc, capsys, tmp_path / "r", f"{where}: config key '{key}'",
                              f"expected a finite number, got '{value}'")
 
+    @pytest.mark.parametrize("command, key", [("train", "po_context"), ("forge", "condition_on")])
+    def test_short_or_long_key_names_file_and_line(self, tmp_path, capsys, command, key):
+        """Checked with the other keys, before any input is read and before
+        the run directory is made."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"seed = 1\n{key} = mid\n")
+        rc = run([command, "--out", tmp_path / "r", "--config", cfg,
+                  "--set", f"dataset={tmp_path / 'absent.jsonl'}" if command == "train"
+                  else "corpus=builtin-needle"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"{cfg}: line 2: config key '{key}': "
+                             "expected one of short/long, got 'mid'")
+        assert not (tmp_path / "r").exists()
+
+    def test_config_fields_are_keys(self):
+        """Each field of the configs the keys route to reads the key of its name."""
+        names = {f.name for cls in (MethodConfig, TrainConfig) for f in fields(cls)}
+        assert names - {"method_cfg"} <= set(KEYS["train"])
+        assert {f.name for f in fields(HaystackConfig)} <= set(KEYS["forge"])
+
     def test_typed_defaults_and_overrides(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 2\nseed = 5\n")
@@ -186,6 +207,14 @@ class TestReadmeKeys:
         assert set(bullets) == set(KEYS)
         for command, keys in KEYS.items():
             assert set(keys) <= bullets[command], command
+
+    def test_every_flag_documented(self):
+        """Each flag of ``cli.COMMANDS`` leads a code span of its subcommand's bullet."""
+        bullets = self.bullets()
+        for command, spec in COMMANDS.items():
+            spans = {span.split()[0] for span in bullets[command]}
+            for flag in spec.flags:
+                assert flag.name in spans, (command, flag.name)
 
     def test_removed_keys_stay_gone(self):
         for command, documented in self.bullets().items():
@@ -217,6 +246,52 @@ class TestSpeedupCommand:
         assert manifest["subcommand"] == "speedup"
         assert manifest["seed"] == 7
         assert "tool_version" in manifest
+
+
+class TestManifestFlags:
+    """``manifest.json`` holds the subcommand flags as they were given, and
+    only when one was given."""
+
+    KEYS = {"subcommand", "config_path", "config_digest", "overrides", "seed", "output_dir",
+            "tool_version", "input_digests"}
+
+    @staticmethod
+    def manifest(out):
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_runs_differing_in_a_flag_differ(self, tmp_path):
+        out = tmp_path / "r"
+        manifests = []
+        for c in ("0.125", "0.5"):
+            assert run(["speedup", "--out", out, "--c", c, "--c", "1.0"]) == 0
+            manifests.append(self.manifest(out))
+        assert manifests[0] != manifests[1]
+        assert manifests[0]["flags"] == {"--c": ["0.125", "1.0"]}
+        assert manifests[1] == {**manifests[0], "flags": {"--c": ["0.5", "1.0"]}}
+
+    def test_compare_manifest_adds_only_flags(self, forged, tmp_path):
+        out = tmp_path / "r"
+        sets = ["--set", f"dataset={forged}", "--set", f"eval_dataset={forged}",
+                "--set", "batch_size=8", "--set", "model_hidden=8"]
+        assert run(["train", "--out", out, *sets]) == 0
+        plain = self.manifest(out)
+        assert run(["train", "--out", out, "--compare", "alpha:0,0.5", "--seeds", "0,1",
+                    *sets]) == 0
+        assert self.manifest(out) == {**plain, "flags": {"--compare": "alpha:0,0.5",
+                                                         "--seeds": "0,1"}}
+
+    def test_switch_is_recorded_as_true(self, tmp_path):
+        out = tmp_path / "r"
+        assert run(["verify-bounds", "--out", out, "--selftest-nonconvex",
+                    "--set", "selftest_instances=200"]) == 2
+        assert self.manifest(out)["flags"] == {"--selftest-nonconvex": True}
+
+    @pytest.mark.parametrize("command", ["speedup", "forge"])
+    def test_flagless_manifest_keeps_its_keys(self, tmp_path, command):
+        out = tmp_path / "r"
+        assert run([command, "--out", out, "--set", "seed=2"] +
+                   (["--set", "n_target=4"] if command == "forge" else [])) == 0
+        assert set(self.manifest(out)) == self.KEYS
 
 
 class TestVerifyBoundsCommand:
@@ -366,6 +441,10 @@ class TestForgeTrainEvalPipeline:
     def test_seeds_without_compare_fails(self, forged, tmp_path, capsys):
         rc = run(["train", "--out", tmp_path / "r", "--seeds", "1,2,3",
                   "--set", f"dataset={forged}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "--seeds requires --compare")
+
+    def test_seeds_requirement_checked_before_its_values(self, forged, tmp_path, capsys):
+        rc = run(["train", "--out", tmp_path / "r", "--seeds", "-2", "--set", f"dataset={forged}"])
         assert_clean_failure(rc, capsys, tmp_path / "r", "--seeds requires --compare")
 
     @pytest.mark.parametrize("command, flags", [

@@ -1,14 +1,16 @@
 """Trainer: schedule, determinism, telemetry, evaluation, comparisons."""
 
+import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
+from shortlong import cli
 from shortlong.corpus import (PrefixedStubGenerator, build_chain_corpus,
                               needle_profile, needle_vocab, value_token)
-from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset
+from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset, write_forged_jsonl
 from shortlong.losses import Method, MethodConfig, RAMode
 from shortlong.policy import BOS, EOS, ToyLM, Vocab, logprob, pad_responses
 from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, _prepare,
@@ -303,6 +305,63 @@ class TestTrain:
         assert err.value.diagnostic["step"] == 1
         first_batch = np.random.default_rng(0).permutation(32)[:8]
         assert err.value.diagnostic["sample_index"] == int(first_batch[6])
+
+    def test_non_finite_log_probability_names_field_and_record(self, world, monkeypatch,
+                                                               tmp_path):
+        """A NaN lp_l_long of a record that is not first in its batch aborts
+        the step, naming the field and the record, here and through the CLI."""
+        import shortlong.training as training_mod
+
+        vocab, data, _ = world
+        original = training_mod.score_rows
+
+        def poisoned(model, *rows):
+            per_token, backward = original(model, *rows)
+            per_token[4 * 5 + 3] = np.nan  # record 5 of the batch: lp_l_long
+            return per_token, backward
+
+        monkeypatch.setattr(training_mod, "score_rows", poisoned)
+        sample = int(np.random.default_rng(0).permutation(32)[5])
+        cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8, seed=0)
+        with pytest.raises(NonFiniteLossError) as err:
+            train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
+        assert str(err.value) == (f"non-finite log-probability in ['lp_l_long'] at step 1, "
+                                  f"sample {sample}")
+        diagnostic = err.value.diagnostic
+        assert diagnostic["fields"] == list(diagnostic["values"]) == ["lp_l_long"]
+        assert math.isnan(diagnostic["values"]["lp_l_long"])
+        assert diagnostic["step"] == 1 and diagnostic["sample_index"] == sample
+
+        # Through the command line: the diagnostic goes to reports/abort.json.
+        write_forged_jsonl(data, tmp_path / "d.jsonl")
+        out = tmp_path / "r"
+        assert cli.main(["train", "--out", str(out), "--set", f"dataset={tmp_path / 'd.jsonl'}",
+                         "--set", "batch_size=8"]) == 1
+        abort = json.loads((out / "reports" / "abort.json").read_text())
+        assert math.isnan(abort.pop("values")["lp_l_long"])
+        assert abort == {"fields": ["lp_l_long"], "step": 1, "sample_index": sample}
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("method", [Method.ORPO, Method.DPO, Method.IPO])
+    @pytest.mark.parametrize("ra_mode", [RAMode.CHOSEN_ONLY, RAMode.BOTH])
+    def test_long_po_context_is_short_po_on_long_contexts(self, world, method, ra_mode):
+        """po_context="long" (vanilla long-context PO) trains exactly as
+        po_context="short" on records whose short context is the long one,
+        and its alignment term is 0 at every step."""
+        vocab, data, _ = world
+        runs = []
+        for po_context, dataset in (("long", data),
+                                    ("short", [replace(s, x_short=s.x_long) for s in data])):
+            cfg = TrainConfig(MethodConfig(method, ra_mode=ra_mode), batch_size=8, epochs=2,
+                              seed=0, po_context=po_context)
+            runs.append(train(ToyLM(vocab, hidden_dim=8, seed=1), dataset, cfg, vocab))
+        (long_model, long_log), (short_model, short_log) = runs
+        np.testing.assert_array_equal([astuple(r) for r in long_log.steps],
+                                      [astuple(r) for r in short_log.steps])
+        for k, v in long_model.params.items():
+            np.testing.assert_array_equal(v, short_model.params[k])
+        assert len(long_log.steps) == 8
+        assert all(r.ra_term == 0.0 for r in long_log.steps)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_margin_telemetry_equals_public_reward(self, world, monkeypatch, method):
