@@ -358,7 +358,7 @@ def _compare_spec(spec: str) -> list[tuple[str, str, object]]:
     key, _, raw = spec.partition(":")
     key, texts = key.strip(), [t.strip() for t in raw.split(",") if t.strip()]
     if not texts:
-        raise ConfigError("--compare expects key:value1,value2,...")
+        raise ValueError(f"expected key:value1,value2,..., got {spec!r}")
     parsed = [_parse_value("train", "--compare", key, text) for text in texts]
     if key not in _CELL_KEYS:
         raise ConfigError(f"--compare: {key!r} does not vary the training objective")
@@ -511,9 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _given_flags(args: argparse.Namespace) -> dict[str, object]:
-    """The flags that were given, as typed: a text, a list of texts or True."""
+    """The flags that were given, as typed: a text, a list of texts or True.
+    An empty text counts as given, so its parser rejects it."""
     return {flag.name: raw for flag in COMMANDS[args.command].flags
-            if (raw := getattr(args, flag.name[2:].replace("-", "_")))}
+            if (raw := getattr(args, flag.name[2:].replace("-", "_"))) not in (None, False)}
 
 
 def _parse_flags(args: argparse.Namespace) -> dict[str, object]:

@@ -20,6 +20,9 @@ from typing import Callable
 import numpy as np
 
 from .links import ConvexLink, DomainError, link_value_and_deriv
+# An alias of links.eval_link, kept importable from here: perfbench/selftest.py
+# checks that the tracer patches it.
+from .links import eval_link  # noqa: F401
 
 __all__ = [
     "Method",

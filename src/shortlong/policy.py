@@ -56,7 +56,8 @@ class Vocab:
 
     Each object also holds the read-only :func:`encode_contexts` row of
     every (context, question) pair it has encoded, so a pair is tokenized
-    once per object; equal objects do not share rows.
+    once per object, and the training rows of every dataset ``train`` has
+    encoded with it; equal objects do not share rows.
     """
 
     tokens: tuple[str, ...]
@@ -71,6 +72,7 @@ class Vocab:
                 raise ValueError(f"vocabulary must contain {special}")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
         object.__setattr__(self, "_rows", {})  # (context, question) -> (V,) row
+        object.__setattr__(self, "_datasets", {})  # (po_context, record texts) -> train rows
 
     @property
     def size(self) -> int:
@@ -226,6 +228,12 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
     weights each cell by its row's weight where ``mask`` holds and by 0 at
     padding; a padded cell, or a cell of a row of weight 0, adds exact zeros
     to the gradient sums.
+
+    The logits are held vocab-major, as (V, cells), so each cell's max and
+    softmax denominator reduce across contiguous rows of the array; the sum
+    runs over the vocabulary in token order. The forward pass computes each
+    ``exp`` once, and ``backward`` forms d logits = onehot - softmax from
+    that ``exp`` and the denominators.
     """
     emb, ctx_w, out_w = model.params["emb"], model.params["ctx_w"], model.params["out_w"]
     pooled, hidden = model.hidden_states(counts)
@@ -238,15 +246,19 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
     state += hidden[:, None]
     state = state.reshape(-1, d)
     prev, tok, cells = prev.ravel(), resp_ids.ravel(), np.arange(resp_ids.size)
-    logp = _log_softmax(state @ out_w)
-    per_token = np.where(mask, logp[cells, tok].reshape(mask.shape), 0.0)
+    shifted = out_w.T @ state.T  # (V, cells) logits
+    shifted -= shifted.max(axis=0)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=0)
+    picked = shifted[tok, cells] - np.log(total)
+    per_token = np.where(mask, picked.reshape(mask.shape), 0.0)
 
     def backward(upstream: np.ndarray) -> dict[str, np.ndarray]:
-        # d logprob_t / d logits = onehot - softmax
-        d_logits = -np.exp(logp)
-        d_logits[cells, tok] += 1.0
-        d_logits *= np.where(mask, upstream[:, None], 0.0).reshape(-1, 1)
-        d_state = d_logits @ out_w.T
+        # d logprob_t / d logits = onehot - softmax, times the cell's weight
+        weight = np.where(mask, upstream[:, None], 0.0).ravel()
+        d_logits = exp * (-weight / total)
+        d_logits[tok, cells] += weight
+        d_state = d_logits.T @ out_w.T
         # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
         d_pre = (1.0 - hidden ** 2) * d_state.reshape(n_rows, n_pos, d).sum(axis=1)
         # d emb[prev] += d_state, in one bincount over (token, coordinate) bins.
@@ -254,7 +266,7 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
                              minlength=emb.size).reshape(emb.shape)
         return {"emb": d_prev + counts.T @ (d_pre @ ctx_w),
                 "ctx_w": d_pre.T @ pooled,
-                "out_w": state.T @ d_logits}
+                "out_w": state.T @ d_logits.T}
 
     return per_token, backward
 

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -180,7 +181,7 @@ _TERMS = ("total", "po_term", "ra_term", "nll_term")
 class _Rows:
     """Every record's scoring rows, encoded once per dataset: (PO prompt, y_w),
     (PO prompt, y_l), (long prompt, y_w), (long prompt, y_l), the log-prob
-    fields ``GRAD_FIELDS[:4]`` in order."""
+    fields ``GRAD_FIELDS[:4]`` in order. The arrays are read-only."""
 
     counts: np.ndarray    # (n, 4, V) prompt bags of tokens
     resp_ids: np.ndarray  # (n, 4, T) padded response ids
@@ -195,9 +196,29 @@ class _Rows:
                 self.mask[records].reshape(-1, self.mask.shape[-1]))
 
 
+# The record fields training reads; they key a dataset's cached rows.
+_TEXTS = attrgetter("question", "x_short", "x_long", "y_w", "y_l")
+
+
 def _prepare(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> _Rows:
     """Encode each prompt and response once; an out-of-vocabulary token fails
-    here, naming its record."""
+    here, naming its record.
+
+    The rows are cached on ``vocab`` under the records' text fields and
+    ``po_context``, so a later call on records with the same texts (the same
+    list, or one rebuilt or mutated back to them) reuses them; a call that
+    fails caches nothing."""
+    key = (po_context, tuple(map(_TEXTS, dataset)))
+    cache = vocab._datasets
+    if key not in cache:
+        rows = _encode_dataset(dataset, vocab, po_context)
+        for array in vars(rows).values():
+            array.setflags(write=False)
+        cache[key] = rows
+    return cache[key]
+
+
+def _encode_dataset(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> _Rows:
     questions = [s.question for s in dataset]
     short, long_ = (encode_contexts(vocab, [s.x_short for s in dataset], questions),
                     encode_contexts(vocab, [s.x_long for s in dataset], questions))
@@ -267,13 +288,19 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     log = TrainLog()
     step = 0
     for _ in range(cfg.epochs):
+        # The epoch's rows in permuted order, gathered once; a step reads a slice.
         order = rng.permutation(len(dataset))
+        counts, resp_ids, mask = rows.batch(order)
+        len_w, len_l = rows.len_w[order], rows.len_l[order]
+        epoch_refs = None if ref_lps is None else ref_lps[order]
         for start in range(0, len(dataset), cfg.batch_size):
             step += 1
             lr = learning_rate(step, total_steps, cfg.lr_max, cfg.warmup_ratio)
-            chunk = order[start:start + cfg.batch_size]
+            at = slice(start, start + cfg.batch_size)
+            chunk = order[at]
             n = len(chunk)
-            per_token, backward = score_rows(model, *rows.batch(chunk))
+            span = slice(4 * start, 4 * (start + n))  # the chunk's four rows per record
+            per_token, backward = score_rows(model, counts[span], resp_ids[span], mask[span])
             lps = per_token.sum(axis=1).reshape(-1, 4)
             bad = ~np.isfinite(lps)
             if bad.any():
@@ -282,8 +309,8 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 fields = list(values)
                 raise _non_finite(f"non-finite log-probability in {fields}", step, int(chunk[j]),
                                   fields=fields, values=values)
-            refs = () if ref_lps is None else ref_lps[chunk].T
-            bundle = LogProbBundle(*lps.T, rows.len_w[chunk], rows.len_l[chunk], *refs)
+            refs = () if epoch_refs is None else epoch_refs[at].T
+            bundle = LogProbBundle(*lps.T, len_w[at], len_l[at], *refs)
             try:
                 breakdown = solopo_loss(mc, bundle)
             except DomainError as exc:  # the ORPO log-odds singularity, in a (4, n) stack
@@ -294,9 +321,7 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 j = int(bad_total[0])
                 terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
                 raise _non_finite("non-finite loss", step, int(chunk[j]), breakdown=terms)
-            weights = np.empty((n, 4))
-            for j, key in enumerate(GRAD_FIELDS[:4]):
-                weights[:, j] = breakdown.grads[key]
+            weights = np.stack([breakdown.grads[key] for key in GRAD_FIELDS[:4]], axis=1)
             weights *= 1.0 / n
             opt.step(backward(weights.ravel()), lr)
             # One row mean per logged term; a scalar term (a disabled NLL) fills

@@ -426,6 +426,19 @@ class TestForgeTrainEvalPipeline:
         assert_clean_failure(rc, capsys, tmp_path / "r",
                              "error: --seeds: expected an integer >= 0, got -2")
 
+    def test_train_empty_compare_fails_before_the_run(self, forged, tmp_path, capsys):
+        """An empty --compare is an error, not a plain training run."""
+        rc = run(["train", "--out", tmp_path / "r", "--compare", "", "--seeds", "",
+                  "--set", f"dataset={forged}", "--set", f"eval_dataset={forged}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "error: --compare: ", "''")
+        assert not (tmp_path / "r").exists()
+
+    def test_train_empty_seeds_fails_before_the_run(self, forged, tmp_path, capsys):
+        rc = run(["train", "--out", tmp_path / "r", "--compare", "alpha:0,1", "--seeds", "",
+                  "--set", f"dataset={forged}", "--set", f"eval_dataset={forged}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "error: --seeds: ", "''")
+        assert not (tmp_path / "r").exists()
+
     def test_overlapping_length_bands_fail(self, tmp_path, capsys):
         rc = run(["forge", "--out", tmp_path / "r", "--set", "tolerance_frac=1.5"])
         assert_clean_failure(rc, capsys, tmp_path / "r", "tolerance_frac 1.5",

@@ -256,24 +256,27 @@ class TestDecodeRows:
 
     def test_sampled_output_matches_recorded(self, vocab):
         """Temperature-0.85 draws for a fixed rng, recorded before decode_rows
-        returned arrays: the same tokens and log-probabilities, exactly."""
+        returned arrays: the same tokens and log-probabilities, exactly. The
+        tokens are as first recorded; 11 log-probabilities were re-recorded,
+        each 1 ulp from its first value, when score_rows began to sum each
+        softmax denominator over the vocabulary in token order."""
         m = ToyLM(vocab, hidden_dim=8, seed=8)
         for arr in m.params.values():
             arr *= 10.0
         got = sample(m, ["w2", "w4"], 6, 0.85, 5, np.random.default_rng(5))
         assert [(" ".join(s.tokens), s.per_token_logprobs) for s in got] == [
-            ("w2 w0 w0 w1 w0", (-3.0867636349711125, -2.0916166939766083, -2.342808745394931,
+            ("w2 w0 w0 w1 w0", (-3.0867636349711125, -2.091616693976608, -2.342808745394931,
                                 -2.2150634134342733, -2.392963305230806)),
-            ("w2 <bos> <sep> w2 w5", (-3.0867636349711125, -1.9583777798352549,
-                                      -1.8945169774251074, -2.6849813325439453,
-                                      -1.7330441416996516)),
-            ("w0 <bos> w6 w3 <bos>", (-1.8354936561012052, -2.3468506025575016,
-                                      -3.0231762140463245, -1.1411891678222483,
+            ("w2 <bos> <sep> w2 w5", (-3.0867636349711125, -1.9583777798352546,
+                                      -1.8945169774251072, -2.6849813325439453,
+                                      -1.7330441416996514)),
+            ("w0 <bos> w6 w3 <bos>", (-1.835493656101205, -2.3468506025575016,
+                                      -3.023176214046324, -1.1411891678222486,
                                       -2.19183998651098)),
-            ("<eos>", (-2.5021863820449566,)),
-            ("<bos> w6 w5 <eos>", (-1.490290387691808, -3.0231762140463245,
+            ("<eos>", (-2.502186382044956,)),
+            ("<bos> w6 w5 <eos>", (-1.4902903876918079, -3.023176214046324,
                                    -2.341147137013939, -2.700444428613051)),
-            ("<sep> w3 w5 w3 w3", (-1.8945169774251074, -1.8353009599890517,
+            ("<sep> w3 w5 w3 w3", (-1.8945169774251072, -1.8353009599890517,
                                    -2.0999381462525046, -2.1544130786656694,
                                    -2.8083003334512786)),
         ]

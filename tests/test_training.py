@@ -412,38 +412,75 @@ class TestTrain:
         assert diagnostic["breakdown"]["total"] == np.inf
 
     def test_prompts_encoded_once_per_dataset(self, world, monkeypatch):
-        """Encoding happens once per dataset, not once per step: one
-        encode_contexts call over the short prompts and one over the long,
-        and one Vocab.encode call over the distinct responses; the DPO
-        reference is scored from the same encoding."""
+        """The first train call on a dataset encodes it: one encode_contexts
+        call over the short prompts, one over the long, and one Vocab.encode
+        call over the distinct responses. A later call under the same
+        vocabulary object on records with the same texts reuses those
+        read-only rows and encodes nothing; a replaced record, or one mutated
+        in place, is encoded again and trained on its new text. A dataset
+        with an out-of-vocabulary token fails and caches nothing."""
         import shortlong.training as training_mod
 
-        vocab, data, _ = world
-        prompt_calls, response_calls = [], []
-        distinct = {text for s in data for text in (s.y_w, s.y_l)}
+        vocab = Vocab(world[0].tokens)  # empty caches
+        data = world[1]
+        calls, prompting = [], []
         original_contexts, original_encode = training_mod.encode_contexts, Vocab.encode
 
         def counting_contexts(vocab, contexts, questions):
-            prompt_calls.append(len(contexts))
-            return original_contexts(vocab, contexts, questions)
+            calls.append(("contexts", len(contexts)))
+            prompting.append(True)
+            try:
+                return original_contexts(vocab, contexts, questions)
+            finally:
+                prompting.pop()
 
         def counting_encode(self, tokens):
-            response_calls.append(len(tokens))
+            if not prompting:  # a response encode, not one of encode_contexts' own
+                calls.append(("encode", len(tokens)))
             return original_encode(self, tokens)
 
         monkeypatch.setattr(training_mod, "encode_contexts", counting_contexts)
         monkeypatch.setattr(Vocab, "encode", counting_encode)
-        counts = {}
-        for method, epochs in ((Method.ORPO, 1), (Method.ORPO, 3), (Method.DPO, 1),
-                               (Method.DPO, 3)):
-            prompt_calls.clear()
-            response_calls.clear()
+
+        def trained(records, method=Method.ORPO, epochs=1, under=vocab):
+            calls.clear()
             cfg = TrainConfig(MethodConfig(method), batch_size=8, epochs=epochs, seed=0)
-            train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
-            counts[method, epochs] = (tuple(prompt_calls), tuple(response_calls))
-        tokens = sum(len(text.split()) + 1 for text in distinct)  # each ends in EOS
-        assert len(distinct) < 2 * len(data)
-        assert set(counts.values()) == {((len(data), len(data)), (tokens,))}
+            model, _ = train(ToyLM(under, hidden_dim=8, seed=1), records, cfg, under)
+            return model.params, list(calls)
+
+        def encoding(records):
+            distinct = {text for s in records for text in (s.y_w, s.y_l)}
+            assert len(distinct) < 2 * len(records)
+            tokens = sum(len(text.split()) + 1 for text in distinct)  # each ends in EOS
+            return [("contexts", len(records)), ("contexts", len(records)), ("encode", tokens)]
+
+        def params_equal(a, b):
+            return all(np.array_equal(a[k], b[k]) for k in a)
+
+        first, made = trained(data)
+        assert made == encoding(data)
+        for method, epochs in ((Method.ORPO, 3), (Method.DPO, 1), (Method.DPO, 3)):
+            assert trained(data, method, epochs)[1] == []
+        again, made = trained([replace(s) for s in data])  # new records, same texts
+        assert made == [] and params_equal(again, first)
+        rows = _prepare(data, vocab, "short")
+        assert not any(array.flags.writeable for array in vars(rows).values())
+
+        swapped = [replace(data[0], y_w=data[0].y_l, y_l=data[0].y_w)] + list(data[1:])
+        mutated = [replace(s) for s in data]
+        mutated[3].x_short = mutated[4].x_short
+        for records in (swapped, mutated):
+            params, made = trained(records)
+            assert made == encoding(records)
+            assert params_equal(params, trained(records, under=Vocab(vocab.tokens))[0])
+            assert not params_equal(params, first)
+
+        cached = dict(vocab._datasets)
+        bad = [replace(s) for s in data]
+        bad[5].y_l += " zz"
+        with pytest.raises(ValueError, match=r"^record 5: token not in vocabulary: 'zz'$"):
+            trained(bad)
+        assert vocab._datasets == cached
 
     def test_responses_encode_as_one_row_each(self, world):
         """The one-lookup encoding equals padding each record's own
