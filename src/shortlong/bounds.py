@@ -16,18 +16,21 @@ expectation):
 
 Every check returns signed slack = LHS - RHS; positive slack beyond tolerance
 is a violation. Checks take one scenario or a batch; suites check one batch
-per link (or p) and report its max plus a witness dump.
+per link (or p) and report its max plus a witness dump. The slacks of a
+padded batch (some weight 0, as :func:`random_scenario` draws them) evaluate
+the link only on its weighted cells, gathered by flat index and summed per
+scenario; an unpadded batch (every weight positive) is read whole.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .links import BoundFn, ConvexLink, _softplus, eval_bound, eval_link
+from .links import BoundFn, ConvexLink, _check_finite, _softplus, eval_bound, eval_link
 
 __all__ = [
     "TOLERANCE",
@@ -205,33 +208,110 @@ class BoundReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _arrays(scn: DiscreteScenario):
-    """The scenario's arrays, in field order, with any batch axis moved last
-    (so elementwise work runs along the batch and ``gamma`` broadcasts), and
-    the index arrays (i, j) of the ordered response pairs i != j."""
-    arrays = [getattr(scn, f.name) for f in fields(scn)]
-    if scn.r_short.ndim == 3:
-        arrays = [np.moveaxis(a, 0, -1) for a in arrays]
-    return arrays, np.nonzero(~np.eye(arrays[1].shape[0], dtype=bool))
+def _checked_gamma(scn: DiscreteScenario, gamma) -> np.ndarray:
+    """``gamma`` broadcast to the batch shape, (N,) or () for one scenario; a
+    non-finite entry fails as ``gamma must be finite (element <scenario>)``."""
+    return _check_finite(np.broadcast_to(gamma, scn.r_short.shape[:-2]), "gamma")
 
 
-def _per_scenario(x: np.ndarray, axis=(0, 1)) -> float | np.ndarray:
+def _sum_leading(x: np.ndarray) -> float | np.ndarray:
     """Sum over the leading (context and response or pair) axes."""
-    out = np.sum(x, axis=axis)
+    out = np.sum(x, axis=(0, 1))
     return out if out.ndim else float(out)
 
 
-def _po_terms(arrays: list[np.ndarray], pairs: tuple, link: ConvexLink, gamma) -> tuple:
-    """(long-context loss, short PO term), each summed over the ordered
-    response pairs of every context, and the long-context pair weights;
-    ``arrays, pairs`` as :func:`_arrays` returns them."""
-    (w, q, r_s, r_l, p_s, p_l), (i, j) = arrays, pairs
-    mass = w[:, None] * q[i] * q[j]
-    long_w = mass * p_l[:, i, j]
-    long_margin = r_l[:, i] - r_l[:, j] - gamma
-    short_margin = 3.0 * (r_s[:, i] - r_s[:, j]) - gamma
-    return (_per_scenario(long_w * eval_link(link, long_margin)),
-            _per_scenario(mass * p_s[:, i, j] * eval_link(link, short_margin)), long_w)
+def _cell_layout(scn: DiscreteScenario, gamma: np.ndarray) -> tuple:
+    """``(dense, arrays, gamma)``: whether every weight of ``scn`` is positive,
+    and its arrays in field order with ``gamma`` laid out for that case.
+
+    Dense: any batch axis moves last, so elementwise work runs along the
+    batch and ``gamma`` broadcasts. Otherwise every array is batch-first, a
+    single scenario as a batch of one, for gathering by flat index."""
+    arrays = [getattr(scn, f.name) for f in fields(scn)]
+    if arrays[0].all() and arrays[1].all():  # weights are nonnegative
+        if scn.r_short.ndim == 3:
+            arrays = [a.transpose(*range(1, a.ndim), 0) for a in arrays]
+        return True, arrays, gamma
+    if scn.r_short.ndim == 2:
+        arrays, gamma = [a[None] for a in arrays], gamma[None]
+    return False, arrays, gamma
+
+
+def _per_scenario_sum(scenario: np.ndarray, n: int, single: bool) -> Callable:
+    """Sum of a gathered cell term per scenario, ``scenario`` naming each
+    cell's; a float for one scenario."""
+    if single:
+        return lambda x: float(np.bincount(scenario, x, minlength=1)[0])
+    return lambda x: np.bincount(scenario, x, minlength=n)
+
+
+class _PairCells(NamedTuple):
+    """The (context, ordered response pair i != j) cells where the link is
+    evaluated: their short- and long-context weights w_k q_i q_j P[k, i, j]
+    and ``gamma``; ``at_i(r)`` and ``at_j(r)`` give a (context, response)
+    array ``r`` of the same layout, such as the rewards ``r_s`` and ``r_l``,
+    at each cell's i and j, and ``total`` sums a cell term per scenario.
+
+    Rewards are gathered where a term uses them, not held: holding all four
+    gathered reward arrays made every necessity-search call grow the heap
+    past its free space and re-fault about 290 KB when it was trimmed."""
+
+    short_w: np.ndarray
+    long_w: np.ndarray
+    r_s: np.ndarray
+    r_l: np.ndarray
+    gamma: np.ndarray
+    at_i: Callable
+    at_j: Callable
+    total: Callable
+
+
+def _pair_cells(scn: DiscreteScenario, gamma: np.ndarray) -> _PairCells:
+    """Pair cells of every context and response pair when all weights are
+    positive, as (context, pair[, scenario]) arrays; otherwise only those
+    whose context and both responses carry weight, gathered by flat index in
+    scenario, context, pair order, so no padded slot reaches the link."""
+    dense, (w, q, r_s, r_l, p_s, p_l), gamma = _cell_layout(scn, gamma)
+    if dense:
+        i, j = np.nonzero(~np.eye(q.shape[0], dtype=bool))
+        mass = w[:, None] * q[i] * q[j]
+        return _PairCells(mass * p_s[:, i, j], mass * p_l[:, i, j], r_s, r_l, gamma,
+                          lambda r: r[:, i], lambda r: r[:, j], _sum_leading)
+    n, k, m = r_s.shape
+    real = (q > 0)[:, :, None] & (q > 0)[:, None, :] & ~np.eye(m, dtype=bool)
+    cell = np.flatnonzero((w > 0)[:, :, None] & real.reshape(n, 1, m * m))
+    at_i = cell // m  # flat (scenario, context, i)
+    context = at_i // m  # flat (scenario, context)
+    scenario = context // k
+    at_j = context * m + (cell - at_i * m)
+    wq = w[:, :, None] * q[:, None, :]  # w_k q_i per (scenario, context, response)
+    mass = wq.take(at_i) * np.broadcast_to(q[:, None, :], wq.shape).take(at_j)
+    return _PairCells(mass * p_s.take(cell), mass * p_l.take(cell), r_s, r_l, gamma.take(scenario),
+                      lambda r: r.take(at_i), lambda r: r.take(at_j),
+                      _per_scenario_sum(scenario, n, scn.r_short.ndim == 2))
+
+
+def _response_cells(scn: DiscreteScenario, gamma: np.ndarray) -> tuple:
+    """(weight w_k q_i, short reward, long reward, gamma, per-scenario total)
+    of every (context, response) cell, laid out as :func:`_pair_cells` lays
+    out the pair cells."""
+    dense, (w, q, r_s, r_l, _, _), gamma = _cell_layout(scn, gamma)
+    if dense:
+        return w[:, None] * q, r_s, r_l, gamma, _sum_leading
+    n, k, m = r_s.shape
+    cell = np.flatnonzero((w > 0)[:, :, None] & (q > 0)[:, None, :])
+    scenario = cell // (k * m)
+    return ((w[:, :, None] * q[:, None, :]).take(cell), r_s.take(cell), r_l.take(cell),
+            gamma.take(scenario), _per_scenario_sum(scenario, n, scn.r_short.ndim == 2))
+
+
+def _po_terms(c: _PairCells, link: ConvexLink) -> tuple:
+    """(long-context loss, short PO term), each summed per scenario over its
+    pair cells."""
+    long_margin = c.at_i(c.r_l) - c.at_j(c.r_l) - c.gamma
+    short_margin = 3.0 * (c.at_i(c.r_s) - c.at_j(c.r_s)) - c.gamma
+    return (c.total(c.long_w * eval_link(link, long_margin)),
+            c.total(c.short_w * eval_link(link, short_margin)))
 
 
 def theorem1_exact_slack(scn: DiscreteScenario, link: ConvexLink, gamma) -> float | np.ndarray:
@@ -241,22 +321,21 @@ def theorem1_exact_slack(scn: DiscreteScenario, link: ConvexLink, gamma) -> floa
     carries the short-context weights, which is exactly where the
     discrimination assumption enters.
     """
-    arrays, (i, j) = _arrays(scn)
-    lhs, short, long_w = _po_terms(arrays, (i, j), link, gamma)
-    _, _, r_s, r_l, _, _ = arrays
-    gap = r_l - r_s
-    cross_w = _per_scenario(long_w * eval_link(link, 3.0 * gap[:, i] - gamma))
-    cross_l = _per_scenario(long_w * eval_link(link, -3.0 * gap[:, j] - gamma))
+    c = _pair_cells(scn, _checked_gamma(scn, gamma))
+    lhs, short = _po_terms(c, link)
+    gap = c.r_l - c.r_s
+    cross_w = c.total(c.long_w * eval_link(link, 3.0 * c.at_i(gap) - c.gamma))
+    cross_l = c.total(c.long_w * eval_link(link, -3.0 * c.at_j(gap) - c.gamma))
     return lhs - (short + cross_w + cross_l) / 3.0
 
 
 def theorem1_sform_slack(scn: DiscreteScenario, link: ConvexLink, gamma) -> float | np.ndarray:
     """Slack of: long loss <= (short PO + E s(3 |reward gap|)) / 3."""
-    arrays, pairs = _arrays(scn)
-    w, q, r_s, r_l = arrays[:4]
-    envelope = eval_bound(BoundFn(link, gamma), 3.0 * np.abs(r_s - r_l))
-    lhs, short, _ = _po_terms(arrays, pairs, link, gamma)
-    return lhs - (short + _per_scenario(w[:, None] * q * envelope)) / 3.0
+    gamma = _checked_gamma(scn, gamma)
+    weight, r_s, r_l, cell_gamma, total = _response_cells(scn, gamma)
+    envelope = eval_bound(BoundFn(link, cell_gamma), 3.0 * np.abs(r_s - r_l))
+    lhs, short = _po_terms(_pair_cells(scn, gamma), link)
+    return lhs - (short + total(weight * envelope)) / 3.0
 
 
 def _report(check: str, link_name: str, gamma, slack,
@@ -294,12 +373,14 @@ def check_theorem1_sform(scn: DiscreteScenario, link: ConvexLink, gamma) -> Boun
 
 
 def _p_norm_gaps(q: np.ndarray, gaps: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(D_1 per context, D_p per context) of the reward gap distribution."""
-    d1 = np.sum(gaps * q, axis=1)
+    """(D_1 per context, D_p per context) of the reward gap distribution;
+    ``q`` is (..., M) and ``gaps`` (..., contexts, M)."""
+    q = q[..., None, :]
+    d1 = np.sum(gaps * q, axis=-1)
     if np.isinf(p):
-        dp = np.max(np.where(q > 0, gaps, 0.0), axis=1)
+        dp = np.max(np.where(q > 0, gaps, 0.0), axis=-1)
     else:
-        dp = np.sum(np.power(gaps, p) * q, axis=1) ** (1.0 / p)
+        dp = np.sum(np.power(gaps, p) * q, axis=-1) ** (1.0 / p)
     return d1, dp
 
 
@@ -317,16 +398,14 @@ def check_theorem2(scn: DiscreteScenario, p: float, c1: float, gamma) -> BoundRe
     if not (np.isfinite(c1) and c1 >= 1):
         raise ValueError(f"c1 must be finite and >= 1, got c1={c1}")
     _require_discrimination(scn)
-    link = ConvexLink.LOGISTIC
-    arrays, pairs = _arrays(scn)
-    w, q, r_s, r_l = arrays[:4]
-    d1, dp = _p_norm_gaps(q, np.abs(r_s - r_l), p)
+    gammas = _checked_gamma(scn, gamma)
+    d1, dp = _p_norm_gaps(scn.response_weights, np.abs(scn.r_short - scn.r_long), p)
     failing = d1 > c1 * dp + 1e-12
-    c2 = 2.0 / 3.0 * _softplus(3.0 * np.asarray(gamma, dtype=np.float64))
-    lhs, short, _ = _po_terms(arrays, pairs, link, gamma)
-    slack = lhs - (short / 3.0 + c1 * _per_scenario(w * dp, axis=0) + c2)
-    slack = np.where(np.any(failing, axis=0), -np.inf, slack)
-    report = _report("theorem2", link.value, gamma, slack, scn._witness_fields,
+    c2 = 2.0 / 3.0 * _softplus(3.0 * gammas)
+    lhs, short = _po_terms(_pair_cells(scn, gammas), ConvexLink.LOGISTIC)
+    slack = lhs - (short / 3.0 + c1 * np.sum(scn.context_weights * dp, axis=-1) + c2)
+    slack = np.where(np.any(failing, axis=-1), -np.inf, slack)
+    report = _report("theorem2", ConvexLink.LOGISTIC.value, gamma, slack, scn._witness_fields,
                      condition_failures=int(np.sum(failing)))
     if report.condition_failures and not np.ndim(slack):
         report.worst_witness = {"d1": d1.tolist(), "dp": dp.tolist(), "p": p}

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -308,6 +309,12 @@ def pad(scn, k=4, m=4):
     return DiscreteScenario(w, q, *rewards, *prefs)
 
 
+def stack(*batches):
+    """The scenarios of ``batches``, in order, as one batch."""
+    return DiscreteScenario(*(np.concatenate([getattr(b, f.name) for b in batches])
+                              for f in fields(DiscreteScenario)))
+
+
 class TestBatch:
     N = 64
 
@@ -336,16 +343,80 @@ class TestBatch:
                                                   rel=1e-12, abs=0)
 
     def test_padding_leaves_slack_unchanged(self):
-        scn = random_scenario(np.random.default_rng(13), max_contexts=2, max_responses=3)
+        """Padded batches (only their weighted cells reach the link) give the
+        slacks of their trimmed scenarios (every weight positive, read whole):
+        one padded scenario, a random batch, and a batch ending in a scenario
+        with a single weighted response, which has no ordered pair."""
+        rng = np.random.default_rng(13)
+        scn = random_scenario(rng, max_contexts=2, max_responses=3)
         padded = pad(scn)
         assert padded.r_short.shape == (1, 4, 4) and padded[0].r_short.shape == scn.r_short.shape
-        for link in ALL_LINKS:
-            for slack_fn in (theorem1_exact_slack, theorem1_sform_slack):
-                assert slack_fn(padded, link, -0.5)[0] == pytest.approx(
-                    slack_fn(scn, link, -0.5), rel=1e-12, abs=0)
-        for p in (1.0, 2.0, np.inf):
-            assert check_theorem2(padded, p, 1.0, 0.5).max_violation == pytest.approx(
-                check_theorem2(scn, p, 1.0, 0.5).max_violation, rel=1e-12, abs=0)
+        lone = DiscreteScenario([0.25, 0.75], [1.0], [[0.5], [-1.0]], [[2.0], [1.5]],
+                                np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
+        batch = random_scenario(rng, size=self.N)
+        holding_lone = stack(batch, pad(lone))
+        for scns in (padded, batch, holding_lone):
+            n = len(scns.r_short)
+            assert not (np.all(scns.context_weights > 0) and np.all(scns.response_weights > 0))
+            singles = [scns[i] for i in range(n)]
+            assert all(np.all(s.context_weights > 0) and np.all(s.response_weights > 0)
+                       for s in singles)
+            gammas = rng.uniform(-0.5, 0.5, n)
+            for link in ALL_LINKS:
+                for slack_fn in (theorem1_exact_slack, theorem1_sform_slack):
+                    got = slack_fn(scns, link, gammas)
+                    for i, single in enumerate(singles):
+                        assert got[i] == pytest.approx(slack_fn(single, link, gammas[i]),
+                                                       rel=1e-12, abs=0), (link, i)
+            for p in (1.0, 2.0, np.inf):
+                want = [check_theorem2(s, p, 1.0, g) for s, g in zip(singles, gammas)]
+                got = check_theorem2(scns, p, 1.0, gammas)
+                assert got.condition_failures == sum(w.condition_failures for w in want)
+                assert got.max_violation == pytest.approx(
+                    max(w.max_violation for w in want), rel=1e-12, abs=0)
+        assert theorem1_exact_slack(holding_lone, ConvexLink.LOGISTIC, 0.0)[self.N] == 0.0
+
+    @pytest.mark.parametrize("slack_fn", [theorem1_exact_slack, theorem1_sform_slack])
+    def test_zero_weight_slot_never_reaches_the_link(self, slack_fn):
+        """A zero-weight response whose long reward overflows the exponential
+        link leaves the slack at the trimmed scenario's, single or batched:
+        its inf times its zero weight would be NaN."""
+        prefs = lambda p: [[[0.0, p, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]]
+        scn = DiscreteScenario([1.0], [0.5, 0.5, 0.0], [[0.0, 0.0, 0.0]], [[0.0, 0.0, 800.0]],
+                               prefs(0.65), prefs(0.3))
+        want = slack_fn(pad(scn)[0], ConvexLink.EXPONENTIAL, 0.0)
+        if slack_fn is theorem1_exact_slack:
+            assert want == pytest.approx(-7.0 / 240.0, rel=1e-12)
+        assert slack_fn(scn, ConvexLink.EXPONENTIAL, 0.0) == pytest.approx(want, rel=1e-12)
+        overflowing = pad(scn)  # every slot of a padded context or response overflows
+        overflowing.r_long[0][~np.outer(overflowing.context_weights[0] > 0,
+                                        overflowing.response_weights[0] > 0)] = 800.0
+        batch = stack(pad(scn), overflowing)
+        np.testing.assert_allclose(slack_fn(batch, ConvexLink.EXPONENTIAL, [0.0, 0.0]),
+                                   [want, want], rtol=1e-12, atol=0)
+        check = check_theorem1_exact if slack_fn is theorem1_exact_slack else check_theorem1_sform
+        assert check(scn, ConvexLink.EXPONENTIAL, 0.0).passed
+
+    @pytest.mark.parametrize("kernel", ["exact", "sform", "theorem2"])
+    @pytest.mark.parametrize("form", ["scalar", "padded batch", "dense batch"])
+    def test_non_finite_gamma_names_its_scenario(self, kernel, form):
+        call = {"exact": lambda scn, g: theorem1_exact_slack(scn, ConvexLink.LOGISTIC, g),
+                "sform": lambda scn, g: theorem1_sform_slack(scn, ConvexLink.LOGISTIC, g),
+                "theorem2": lambda scn, g: check_theorem2(scn, 2.0, 1.0, g)}[kernel]
+        rng = np.random.default_rng(17)
+        if form == "scalar":
+            with pytest.raises(links.DomainError, match=r"^gamma must be finite$"):
+                call(random_scenario(rng), math.nan)
+            return
+        scns = random_scenario(rng, size=6)
+        if form == "dense batch":
+            rewards = rng.uniform(-1.0, 1.0, (6, 1, 2))
+            scns = DiscreteScenario(np.ones((6, 1)), np.full((6, 2), 0.5), rewards, rewards,
+                                    np.zeros((6, 1, 2, 2)), np.zeros((6, 1, 2, 2)))
+        gammas = np.zeros(6)
+        gammas[3] = math.inf
+        with pytest.raises(links.DomainError, match=r"^gamma must be finite \(element 3\)$"):
+            call(scns, gammas)
 
     def test_batch_checks_apply_per_scenario(self):
         batch = random_scenario(np.random.default_rng(14), size=5)

@@ -1,9 +1,12 @@
 """One round of the perfbench ``train`` and ``forge`` workloads reproduces the
-outputs recorded in ``perfbench/references.json``.
+outputs recorded in ``perfbench/references.json``, and one ``certify`` round
+passes its own check.
 
 The workloads are imported from ``perfbench/workloads.py`` and run as the
 benchmark runs them, so a drift in a training trajectory, in the decoded
-tokens or in the forged bytes fails here, not only in the benchmark.
+tokens or in the forged bytes, or a certification suite that fails, loses
+scenarios or finds no necessity witness, fails here, not only in the
+benchmark.
 """
 
 import importlib.util
@@ -44,3 +47,7 @@ def test_train_round_matches_reference(workloads, seed):
 
 def test_forge_round_matches_reference(workloads, tmp_path):
     checked_round(workloads.ForgeWorkload(1, tmp_path / "forge"), REFERENCES["forge"]["1"])
+
+
+def test_certify_round_passes_its_check(workloads):
+    checked_round(workloads.CertifyWorkload(1), None)
