@@ -49,6 +49,7 @@ __all__ = [
     "run_nonconvex_selftest",
     "SFORM_GAMMA_RANGES",
     "ALL_LINKS",
+    "LEMMA1_GAMMA_RANGE", "LEMMA1_REWARD_RANGE", "THEOREM2_P_VALUES", "THEOREM2_C1",
 ]
 
 TOLERANCE = 1e-9
@@ -64,6 +65,13 @@ SFORM_GAMMA_RANGES: dict[ConvexLink, tuple[float, float]] = {
     ConvexLink.SQUARED_HINGE: (-3.0, 0.0),
     ConvexLink.EXPONENTIAL: (-3.0, 0.0),
 }
+
+# The draws of the Lemma 1 suite, and the norms and constant of the Theorem 2
+# suite (criteria 1 and 4).
+LEMMA1_GAMMA_RANGE = (-3.0, 3.0)
+LEMMA1_REWARD_RANGE = (-10.0, 10.0)
+THEOREM2_P_VALUES = (1.0, 2.0, np.inf)
+THEOREM2_C1 = 1.0
 
 # Keeps exponential-link arguments <= ~30 so slack is never an overflow artifact.
 _REWARD_RANGE = {ConvexLink.EXPONENTIAL: (-2.0, 2.0)}
@@ -444,10 +452,9 @@ def random_scenario(rng: np.random.Generator, *, max_contexts: int = 4,
     return batch[0] if size is None else batch
 
 
-def run_lemma1_suite(n_instances: int, seed: int, *,
-                     gamma_range: tuple[float, float] = (-3.0, 3.0),
-                     reward_range: tuple[float, float] = (-10.0, 10.0)) -> BoundReport:
-    """Vectorized random certification of the three-term split."""
+def run_lemma1_suite(n_instances: int, seed: int) -> BoundReport:
+    """Vectorized random certification of the three-term split, with gamma
+    drawn from ``LEMMA1_GAMMA_RANGE`` and rewards from ``LEMMA1_REWARD_RANGE``."""
     n_links = len(ALL_LINKS)
     _require(n_instances, n_links, "lemma instances (one per link)")
     rng = np.random.default_rng(seed)
@@ -455,8 +462,8 @@ def run_lemma1_suite(n_instances: int, seed: int, *,
     reports = []
     for link in ALL_LINKS:
         count = per_link if link is not ALL_LINKS[-1] else n_instances - per_link * (n_links - 1)
-        gammas = rng.uniform(*gamma_range, count)
-        rewards = rng.uniform(*reward_range, (count, 4))
+        gammas = rng.uniform(*LEMMA1_GAMMA_RANGE, count)
+        rewards = rng.uniform(*LEMMA1_REWARD_RANGE, (count, 4))
         reports.append(_report("lemma1", link.value, gammas,
                                _lemma_slack_batch(link, gammas, rewards),
                                lambda i: {"rewards": rewards[i].tolist()}, seed=seed))
@@ -484,17 +491,16 @@ def run_theorem1_suite(n_scenarios: int, seed: int, *, form: str = "exact"
     return reports
 
 
-def run_theorem2_suite(n_scenarios: int, seed: int, *,
-                       p_values: tuple[float, ...] = (1.0, 2.0, np.inf),
-                       c1: float = 1.0) -> dict[str, BoundReport]:
-    """p-norm distance certification for the logistic pairing; one batch of
-    ``n_scenarios`` scenarios and one check per p."""
+def run_theorem2_suite(n_scenarios: int, seed: int) -> dict[str, BoundReport]:
+    """p-norm distance certification for the logistic pairing at C1 =
+    ``THEOREM2_C1``; one batch of ``n_scenarios`` scenarios and one check per
+    p of ``THEOREM2_P_VALUES``, each drawn from its own generator."""
     _require(n_scenarios, 1, "scenario per p")
     reports: dict[str, BoundReport] = {}
-    for p in p_values:
+    for p in THEOREM2_P_VALUES:
         rng = np.random.default_rng([seed, int(p) if np.isfinite(p) else 999])
         gammas = rng.uniform(*SFORM_GAMMA_RANGES[ConvexLink.LOGISTIC], n_scenarios)
-        report = check_theorem2(random_scenario(rng, size=n_scenarios), p, c1, gammas)
+        report = check_theorem2(random_scenario(rng, size=n_scenarios), p, THEOREM2_C1, gammas)
         key = "inf" if np.isinf(p) else f"{p:g}"
         reports[key] = replace(report, check=f"theorem2[p={key}]", seed=seed)
     return reports

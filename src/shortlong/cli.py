@@ -382,13 +382,20 @@ def _train_vocab(*datasets: list[ForgedSample]) -> Vocab:
     return Vocab(needle.tokens + tuple(sorted(tokens - set(needle.tokens))))
 
 
+def _records(path: str) -> list[ForgedSample]:
+    """The records of a forged JSONL file; an empty file fails, naming it."""
+    if not (records := read_forged_jsonl(path)):
+        raise ValueError(f"{path}: no records")
+    return records
+
+
 def cmd_train(v: dict, flags: dict, out: Path) -> int:
     arms = flags["--compare"] and [(label, _train_cfg({**v, key: value}))
                                    for label, key, value in flags["--compare"]]
     if not v["dataset"]:
         raise ConfigError("train requires a 'dataset' (forged JSONL path)")
-    dataset = read_forged_jsonl(v["dataset"])
-    eval_set = read_forged_jsonl(v["eval_dataset"]) if v["eval_dataset"] else None
+    dataset = _records(v["dataset"])
+    eval_set = _records(v["eval_dataset"]) if v["eval_dataset"] else None
     vocab = _train_vocab(dataset, eval_set or [])
     hidden = {} if v["model_hidden"] is None else {"hidden_dim": v["model_hidden"]}
 

@@ -28,7 +28,6 @@ __all__ = [
     "ScoredSequence",
     "bag_of_tokens",
     "encode_prompts",
-    "encode_contexts",
     "pad_responses",
     "score_rows",
     "logprob",
@@ -52,13 +51,7 @@ def assemble_prompt(context_text: str, question: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Vocab:
-    """Ordered token set; must contain the three specials and >= 8 entries.
-
-    Each object also holds the read-only :func:`encode_contexts` row of
-    every (context, question) pair it has encoded, so a pair is tokenized
-    once per object, and the training rows of every dataset ``train`` has
-    encoded with it; equal objects do not share rows.
-    """
+    """Ordered token set; must contain the three specials and >= 8 entries."""
 
     tokens: tuple[str, ...]
 
@@ -71,8 +64,6 @@ class Vocab:
             if special not in self.tokens:
                 raise ValueError(f"vocabulary must contain {special}")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
-        object.__setattr__(self, "_rows", {})  # (context, question) -> (V,) row
-        object.__setattr__(self, "_datasets", {})  # (po_context, record texts) -> train rows
 
     @property
     def size(self) -> int:
@@ -168,36 +159,17 @@ def bag_of_tokens(ids: np.ndarray, size: int) -> np.ndarray:
 
 
 def encode_prompts(vocab: Vocab, prompts: Iterable[Sequence[str]]) -> np.ndarray:
-    """The (B, V) :func:`bag_of_tokens` rows of B token-list prompts. Only one
-    prompt's tokens need be alive at a time when ``prompts`` is a generator."""
-    return np.array([bag_of_tokens(vocab.encode(p), vocab.size) for p in prompts]
-                    ).reshape(-1, vocab.size)
-
-
-def encode_contexts(vocab: Vocab, contexts: Sequence[str], questions: Sequence[str]
-                    ) -> np.ndarray:
-    """The (B, V) rows ``bag_of_tokens(vocab.encode(assemble_prompt(c, q)), V)``
-    of B (context, question) pairs, in a new array.
-
-    A pair that ``vocab`` has encoded before is read from its row cache; any
-    other is encoded by that definition, in row order, and cached read-only.
-    An out-of-vocabulary token raises ``ValueError`` naming the first row
-    that holds one (``record i``) and that row's first such token; a row
-    that fails is not cached.
-    """
-    if len(contexts) != len(questions):
-        raise ValueError("need one question per context")
-    size, cache = vocab.size, vocab._rows
-    pairs = list(zip(contexts, questions))
-    for i, pair in enumerate(pairs):
-        if pair not in cache:
-            try:
-                row = bag_of_tokens(vocab.encode(assemble_prompt(*pair)), size)
-            except ValueError as exc:
-                raise ValueError(f"record {i}: {exc}") from None
-            row.setflags(write=False)
-            cache[pair] = row
-    return np.array([cache[pair] for pair in pairs]).reshape(-1, size)
+    """The (B, V) :func:`bag_of_tokens` rows of B token-list prompts, in a new
+    array. Only one prompt's tokens need be alive at a time when ``prompts``
+    is a generator. An out-of-vocabulary token raises ``ValueError`` naming
+    the first prompt that holds one (``record i``) and its first such token."""
+    rows = []
+    for i, prompt in enumerate(prompts):
+        try:
+            rows.append(bag_of_tokens(vocab.encode(prompt), vocab.size))
+        except ValueError as exc:
+            raise ValueError(f"record {i}: {exc}") from None
+    return np.array(rows).reshape(-1, vocab.size)
 
 
 def pad_responses(responses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

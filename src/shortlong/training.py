@@ -9,6 +9,7 @@ The entire trajectory is a function of (dataset, config, seed).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -21,7 +22,7 @@ import numpy as np
 from .forge import ForgedSample, sub_em
 from .links import DomainError
 from .losses import GRAD_FIELDS, LogProbBundle, MethodConfig, solopo_loss
-from .policy import (EOS, ToyLM, Vocab, assemble_prompt, decode_rows, encode_contexts,
+from .policy import (EOS, ToyLM, Vocab, assemble_prompt, decode_rows, encode_prompts,
                      pad_responses, score_rows)
 # An alias of policy.logprob, kept importable from here: perfbench/selftest.py
 # checks that the tracer patches it.
@@ -177,11 +178,23 @@ def learning_rate(step: int, total_steps: int, lr_max: float,
 _TERMS = ("total", "po_term", "ra_term", "nll_term")
 
 
-@dataclass
+# Encoding depends only on the vocabulary's tokens and the texts, so the last
+# 16 distinct prompt lists and datasets are memoized, read-only, under those
+# values: equal vocabularies share entries, and a changed record encodes again.
+@functools.lru_cache(maxsize=16)
+def _prompt_rows(vocab: Vocab, pairs: tuple[tuple[str, str], ...]) -> np.ndarray:
+    """The read-only (n, V) :func:`~shortlong.policy.encode_prompts` rows of n
+    (context, question) pairs."""
+    rows = encode_prompts(vocab, (assemble_prompt(c, q) for c, q in pairs))
+    rows.setflags(write=False)
+    return rows
+
+
+@dataclass(frozen=True)
 class _Rows:
-    """Every record's scoring rows, encoded once per dataset: (PO prompt, y_w),
-    (PO prompt, y_l), (long prompt, y_w), (long prompt, y_l), the log-prob
-    fields ``GRAD_FIELDS[:4]`` in order. The arrays are read-only."""
+    """Every record's scoring rows: (PO prompt, y_w), (PO prompt, y_l),
+    (long prompt, y_w), (long prompt, y_l), the log-prob fields
+    ``GRAD_FIELDS[:4]`` in order. The arrays are read-only."""
 
     counts: np.ndarray    # (n, 4, V) prompt bags of tokens
     resp_ids: np.ndarray  # (n, 4, T) padded response ids
@@ -196,52 +209,44 @@ class _Rows:
                 self.mask[records].reshape(-1, self.mask.shape[-1]))
 
 
-# The record fields training reads; they key a dataset's cached rows.
+# The record fields training reads; they key a dataset's memoized rows.
 _TEXTS = attrgetter("question", "x_short", "x_long", "y_w", "y_l")
 
 
 def _prepare(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> _Rows:
     """Encode each prompt and response once; an out-of-vocabulary token fails
-    here, naming its record.
-
-    The rows are cached on ``vocab`` under the records' text fields and
-    ``po_context``, so a later call on records with the same texts (the same
-    list, or one rebuilt or mutated back to them) reuses them; a call that
-    fails caches nothing."""
-    key = (po_context, tuple(map(_TEXTS, dataset)))
-    cache = vocab._datasets
-    if key not in cache:
-        rows = _encode_dataset(dataset, vocab, po_context)
-        for array in vars(rows).values():
-            array.setflags(write=False)
-        cache[key] = rows
-    return cache[key]
+    here, naming its record."""
+    return _encode_dataset(vocab, po_context, tuple(map(_TEXTS, dataset)))
 
 
-def _encode_dataset(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> _Rows:
-    questions = [s.question for s in dataset]
-    short, long_ = (encode_contexts(vocab, [s.x_short for s in dataset], questions),
-                    encode_contexts(vocab, [s.x_long for s in dataset], questions))
+@functools.lru_cache(maxsize=16)
+def _encode_dataset(vocab: Vocab, po_context: str,
+                    texts: tuple[tuple[str, str, str, str, str], ...]) -> _Rows:
+    short = _prompt_rows(vocab, tuple((x_short, q) for q, x_short, _, _, _ in texts))
+    long_ = _prompt_rows(vocab, tuple((x_long, q) for q, _, x_long, _, _ in texts))
     po = long_ if po_context == "long" else short
-    # texts[2i] and texts[2i + 1] are record i's y_w and y_l; each distinct
-    # one is encoded once, all of them in one lookup.
-    texts = [text for s in dataset for text in (s.y_w, s.y_l)]
+    # responses[2i] and responses[2i + 1] are record i's y_w and y_l; each
+    # distinct one is encoded once, all of them in one lookup.
+    responses = [text for *_, y_w, y_l in texts for text in (y_w, y_l)]
     distinct: dict[str, int] = {}
-    slots = np.array([distinct.setdefault(text, len(distinct)) for text in texts])
+    slots = np.array([distinct.setdefault(text, len(distinct)) for text in responses])
     words = [text.split() + [EOS] for text in distinct]
     try:
         flat = vocab.encode([w for ws in words for w in ws])
     except ValueError as exc:
-        # The bad token is the first one of the first text that holds one.
+        # The bad token is the first one of the first response that holds one.
         known = set(vocab.tokens)
-        bad = next(i for i, text in enumerate(texts) if not known.issuperset(text.split()))
+        bad = next(i for i, text in enumerate(responses) if not known.issuperset(text.split()))
         raise ValueError(f"record {bad // 2}: {exc}") from None
     lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
     ends = np.cumsum(lengths).tolist()
     ids, mask = pad_responses([flat[end - n:end] for end, n in zip(ends, lengths.tolist())])
     order = slots.reshape(-1, 2)[:, [0, 1, 0, 1]]  # (y_w, y_l, y_w, y_l) per record
-    return _Rows(np.stack((po, po, long_, long_), axis=1), ids[order], mask[order],
+    rows = _Rows(np.stack((po, po, long_, long_), axis=1), ids[order], mask[order],
                  lengths[order[:, 0]], lengths[order[:, 1]])
+    for array in vars(rows).values():
+        array.setflags(write=False)
+    return rows
 
 
 def _non_finite(message: str, step: int, sample_index: int, **detail) -> NonFiniteLossError:
@@ -264,12 +269,14 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     log-odds singularity in any of the four fields, aborts with
     :class:`NonFiniteLossError` naming the record. With an ``eval_set``, one
     :class:`EvalRecord` is logged at every ``eval_every``-th step and at the
-    last step. ``vocab`` must be the model's vocabulary. A positive
-    ``lr_max`` whose schedule is 0 at every step (one step with
-    ``warmup_ratio`` 0) raises ValueError.
+    last step; an empty ``eval_set`` fails before the first step. ``vocab``
+    must be the model's vocabulary. A positive ``lr_max`` whose schedule is
+    0 at every step (one step with ``warmup_ratio`` 0) raises ValueError.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
+    if eval_set is not None and not eval_set:
+        raise ValueError("eval set must be non-empty")
     if vocab != model.vocab:
         raise ValueError("vocab differs from the model's vocabulary")
     total_steps = math.ceil(len(dataset) / cfg.batch_size) * cfg.epochs
@@ -345,20 +352,19 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
 
 def evaluate(model: ToyLM, eval_set: Sequence[ForgedSample], context_kind: str,
              vocab: Vocab, max_len: int = 4) -> float:
-    """Greedy-decode accuracy under substring exact match: the prompts are
-    encoded by one :func:`encode_contexts` call (which reads the pairs
-    ``vocab`` has encoded before from its cache), decoded together in one
-    :func:`decode_rows` call, and graded from the returned token ids with
-    one :func:`sub_em` call per distinct (decoded ids, answer) pair.
-    ``vocab`` must be the model's vocabulary."""
+    """Greedy-decode accuracy under substring exact match: the prompts'
+    memoized rows are decoded together in one :func:`decode_rows` call and
+    graded from the returned token ids with one :func:`sub_em` call per
+    distinct (decoded ids, answer) pair. ``vocab`` must be the model's
+    vocabulary."""
     if vocab != model.vocab:
         raise ValueError("vocab differs from the model's vocabulary")
     if context_kind not in ("short", "long"):
         raise ValueError("context_kind must be 'short' or 'long'")
     if not eval_set:
         raise ValueError("eval set must be non-empty")
-    counts = encode_contexts(vocab, [s.x_short if context_kind == "short" else s.x_long
-                                     for s in eval_set], [s.question for s in eval_set])
+    counts = _prompt_rows(vocab, tuple((s.x_short if context_kind == "short" else s.x_long,
+                                        s.question) for s in eval_set))
     ids, lengths = decode_rows(model, counts, max_len)
     tokens, eos = vocab.tokens, vocab.eos_id
     keys = [(tuple(row[:n]), s.answer)
@@ -426,11 +432,14 @@ def run_comparison(configs: Sequence[tuple[str, TrainConfig]], dataset: Sequence
                    eval_set: Sequence[ForgedSample], starts: dict[int, ToyLM]
                    ) -> ComparisonReport:
     """Train every (config, seed) cell from a clone of ``starts[seed]`` with
-    the config's seed set to ``seed``, and evaluate. The starts must share one
-    vocabulary, so every cell reads the eval rows from one row cache."""
+    the config's seed set to ``seed``, and evaluate on ``eval_set``. The
+    starts must share one vocabulary, so that every cell is scored over the
+    same tokens; an empty ``eval_set`` fails before any cell trains."""
     vocabs = {model.vocab for model in starts.values()}
     if len(vocabs) != 1:
         raise ValueError("starts must hold at least one model, all with one vocabulary")
+    if not eval_set:
+        raise ValueError("eval set must be non-empty")
     (vocab,) = vocabs
     rows = []
     for label, cfg in configs:

@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shortlong.bounds import (ALL_LINKS, TOLERANCE, run_assumption_necessity_search,
-                              run_lemma1_suite, run_theorem1_suite, run_theorem2_suite)
+from shortlong.bounds import (ALL_LINKS, LEMMA1_GAMMA_RANGE, LEMMA1_REWARD_RANGE,
+                              THEOREM2_C1, THEOREM2_P_VALUES, TOLERANCE,
+                              run_assumption_necessity_search, run_lemma1_suite,
+                              run_theorem1_suite, run_theorem2_suite)
 from shortlong.corpus import StubGenerator, build_chain_corpus, word_profile
 from shortlong.efficiency import CROSSOVER_COMPRESSION, speedup
 from shortlong.forge import HaystackConfig, forge_dataset, write_forged_jsonl
@@ -37,8 +39,8 @@ def _verdict(criterion: int, ok: bool, detail: str) -> bool:
 def test_criterion_01_pointwise_split_suite():
     """10^6 random instances across all five links, <= 1e-9, under 60 s."""
     begin = time.perf_counter()
-    report = run_lemma1_suite(1_000_000, seed=SEED, gamma_range=(-3.0, 3.0),
-                              reward_range=(-10.0, 10.0))
+    assert (LEMMA1_GAMMA_RANGE, LEMMA1_REWARD_RANGE) == ((-3.0, 3.0), (-10.0, 10.0))
+    report = run_lemma1_suite(1_000_000, seed=SEED)
     elapsed = time.perf_counter() - begin
     ok = report.max_violation <= TOLERANCE and elapsed < 60.0
     assert _verdict(1, ok, f"1e6 instances, max violation {report.max_violation:.3e}, "
@@ -90,7 +92,8 @@ def test_criterion_03_scenario_suites_and_necessity():
 def test_criterion_04_generalized_distance_suite():
     """p in {1, 2, inf}, C1 = 1: distance condition holds everywhere and the
     bound never breaks on 10^4 scenarios per p."""
-    reports = run_theorem2_suite(10_000, SEED, p_values=(1.0, 2.0, np.inf), c1=1.0)
+    assert (THEOREM2_P_VALUES, THEOREM2_C1) == ((1.0, 2.0, np.inf), 1.0)
+    reports = run_theorem2_suite(10_000, SEED)
     worst = max(r.max_violation for r in reports.values())
     failures = sum(r.condition_failures for r in reports.values())
     ok = worst <= TOLERANCE and failures == 0

@@ -202,10 +202,11 @@ class TestTheorem2:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     def test_random_suite(self, p):
-        reports = run_theorem2_suite(300, seed=6, p_values=(p,))
-        for rep in reports.values():
-            assert rep.condition_failures == 0
-            assert rep.max_violation <= TOLERANCE
+        """Each p draws from its own generator, so its report in the suite is
+        the one a suite over that p alone would give."""
+        rep = run_theorem2_suite(300, seed=6)["inf" if np.isinf(p) else f"{p:g}"]
+        assert rep.condition_failures == 0
+        assert rep.max_violation <= TOLERANCE
 
     def test_invalid_p_rejected(self):
         scn = single_pair_scenario(1, 0, 1, 0)

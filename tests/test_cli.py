@@ -439,6 +439,26 @@ class TestForgeTrainEvalPipeline:
         assert_clean_failure(rc, capsys, tmp_path / "r", "error: --seeds: ", "''")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("compare", [[], ["--compare", "alpha:0,1"]])
+    @pytest.mark.parametrize("empty_key", ["dataset", "eval_dataset"])
+    def test_train_empty_record_file_fails_before_training(self, forged, tmp_path, capsys,
+                                                           monkeypatch, compare, empty_key):
+        """An empty dataset or eval set fails, naming its file, before any
+        record is scored."""
+        import shortlong.training as training_mod
+
+        scored = []
+        original = training_mod.score_rows
+        monkeypatch.setattr(training_mod, "score_rows",
+                            lambda *args: scored.append(1) or original(*args))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        paths = {"dataset": forged, "eval_dataset": forged, empty_key: empty}
+        rc = run(["train", "--out", tmp_path / "r", *compare,
+                  *(f for key, path in paths.items() for f in ("--set", f"{key}={path}"))])
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"error: {empty}: no records")
+        assert scored == []
+
     def test_overlapping_length_bands_fail(self, tmp_path, capsys):
         rc = run(["forge", "--out", tmp_path / "r", "--set", "tolerance_frac=1.5"])
         assert_clean_failure(rc, capsys, tmp_path / "r", "tolerance_frac 1.5",

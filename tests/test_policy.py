@@ -10,7 +10,7 @@ import pytest
 from shortlong.corpus import StubGenerator, build_chain_corpus, word_profile
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset, sub_em
 from shortlong.policy import (BOS, EOS, SEP, ScoredSequence, ToyLM, Vocab, assemble_prompt,
-                              bag_of_tokens, decode_rows, encode_contexts, encode_prompts,
+                              bag_of_tokens, decode_rows, encode_prompts,
                               greedy_decode, load_model, logprob, logprob_with_grad,
                               pad_responses, sample, save_model, score_rows)
 from shortlong.training import evaluate
@@ -45,6 +45,13 @@ class TestVocab:
         with pytest.raises(ValueError, match="not in vocabulary"):
             vocab.encode(["nope"])
 
+    def test_plain_value(self, vocab):
+        """A vocabulary holds its tokens and their index, nothing encoded."""
+        assert set(vars(vocab)) == {"tokens", "_index"}
+        encode_prompts(vocab, [assemble_prompt("w0 w1", "w2")])
+        assert set(vars(vocab)) == {"tokens", "_index"}
+        assert vocab == Vocab(vocab.tokens) and hash(vocab) == hash(Vocab(vocab.tokens))
+
 
 class TestLogprob:
     def test_zero_weights_are_uniform(self, vocab):
@@ -74,6 +81,13 @@ class TestLogprob:
     def test_empty_response_rejected(self, model):
         with pytest.raises(ValueError):
             logprob(model, ["w0"], [])
+
+    def test_out_of_vocabulary_prompt_names_record_0(self, model):
+        message = r"^record 0: token not in vocabulary: 'zz'$"
+        with pytest.raises(ValueError, match=message):
+            logprob(model, ["w0", "zz"], ["w1"])
+        with pytest.raises(ValueError, match=message):
+            sample(model, ["zz"], 2, 0.0, 3, None)
 
     def test_deterministic(self, model):
         a = logprob(model, ["w0"], ["w1", "w2"])
@@ -513,7 +527,7 @@ class TestDenseKernel:
 
 
 def prompt_rows(vocab, contexts, questions):
-    """The per-prompt reference that :func:`encode_contexts` must match."""
+    """The per-prompt reference that :func:`encode_pairs` must match."""
     return np.array([bag_of_tokens(vocab.encode(assemble_prompt(c, q)), vocab.size)
                      for c, q in zip(contexts, questions)]).reshape(-1, vocab.size)
 
@@ -528,7 +542,14 @@ def first_error(vocab, contexts, questions):
     return None
 
 
+def encode_pairs(vocab, contexts, questions):
+    """The (context, question) prompts' rows, as training encodes them."""
+    return encode_prompts(vocab, map(assemble_prompt, contexts, questions))
+
+
 class TestEncodeContexts:
+    """:func:`encode_prompts` over assembled (context, question) prompts."""
+
     # Joints between documents, several of which are not the split literal
     # " <sep> " (no spaces, other whitespace, doubled separators). "<sep>"
     # glued to a word makes an out-of-vocabulary token such as "w0<sep>".
@@ -570,38 +591,34 @@ class TestEncodeContexts:
         rng = np.random.default_rng(2024)
         outcomes = set()
         for trial in range(80):
-            # A fresh vocabulary has no cached rows: the first call encodes
-            # every pair, and the second call reads the cache.
-            vocab = Vocab(vocab.tokens)
             contexts, questions = self.fuzz_batch(rng, vocab, int(rng.integers(0, 20)),
                                                   clean=trial % 4 != 0)
             error = first_error(vocab, contexts, questions)
             outcomes.add(error is None)
-            for _ in range(2):
-                if error is None:
-                    got = encode_contexts(vocab, contexts, questions)
-                    assert got.shape == (len(contexts), vocab.size)
-                    np.testing.assert_array_equal(got, prompt_rows(vocab, contexts, questions))
-                else:
-                    with pytest.raises(ValueError) as exc:
-                        encode_contexts(vocab, contexts, questions)
-                    assert str(exc.value) == error
+            if error is None:
+                got = encode_pairs(vocab, contexts, questions)
+                assert got.shape == (len(contexts), vocab.size)
+                np.testing.assert_array_equal(got, prompt_rows(vocab, contexts, questions))
+            else:
+                with pytest.raises(ValueError) as exc:
+                    encode_pairs(vocab, contexts, questions)
+                assert str(exc.value) == error
         assert outcomes == {True, False}
 
     def test_edge_contexts(self, vocab):
         contexts = ["", " ", f" {SEP} ", f"{SEP}", f" {SEP}  {SEP} w1", f"w0 {SEP} {SEP} w1 ",
                     f"w0 {SEP} w0 {SEP} w0", "w2\xa0<sep>\u3000w3", "\tw4\n"]
         questions = ["w5", "", "w6 w6", "", "w0", "w1", "w2", "", "w3"]
-        np.testing.assert_array_equal(encode_contexts(vocab, contexts, questions),
+        np.testing.assert_array_equal(encode_pairs(vocab, contexts, questions),
                                       prompt_rows(vocab, contexts, questions))
-        assert encode_contexts(vocab, [], []).shape == (0, vocab.size)
+        assert encode_pairs(vocab, [], []).shape == (0, vocab.size)
 
     def test_large_batch_of_long_contexts(self, vocab):
         rng = np.random.default_rng(5)
         docs = [" ".join(rng.choice(WORDS, size=9)) for _ in range(40)]
         contexts = [f" {SEP} ".join(rng.choice(docs, size=120)) for _ in range(80)]
         questions = [" ".join(rng.choice(WORDS, size=3)) for _ in contexts]
-        np.testing.assert_array_equal(encode_contexts(vocab, contexts, questions),
+        np.testing.assert_array_equal(encode_pairs(vocab, contexts, questions),
                                       prompt_rows(vocab, contexts, questions))
 
     def test_forged_word_corpus_records(self):
@@ -614,20 +631,16 @@ class TestEncodeContexts:
         vocab = Vocab((BOS, EOS, SEP) + tuple(sorted(tokens - {BOS, EOS, SEP})))
         questions = [s.question for s in data]
         for contexts in ([s.x_short for s in data], [s.x_long for s in data]):
-            np.testing.assert_array_equal(encode_contexts(vocab, contexts, questions),
+            np.testing.assert_array_equal(encode_pairs(vocab, contexts, questions),
                                           prompt_rows(vocab, contexts, questions))
 
     def test_out_of_vocabulary_names_record_and_first_token(self, vocab):
         contexts = [f"w0 {SEP} w1", f"w2 {SEP} w3 zz {SEP} yy", f"yy {SEP} w0"]
         with pytest.raises(ValueError, match=r"^record 1: token not in vocabulary: 'zz'$"):
-            encode_contexts(vocab, contexts, ["w4", "w5", "w6"])
+            encode_pairs(vocab, contexts, ["w4", "w5", "w6"])
         # A known document does not hide an unknown question token.
         with pytest.raises(ValueError, match=r"^record 0: token not in vocabulary: 'qq'$"):
-            encode_contexts(vocab, ["w0"], ["w1 qq"])
-
-    def test_one_question_per_context(self, vocab):
-        with pytest.raises(ValueError, match="question"):
-            encode_contexts(vocab, ["w0", "w1"], ["w2"])
+            encode_pairs(vocab, ["w0"], ["w1 qq"])
 
     CONTEXTS = [f"w0 {SEP} w1", f"w2 {SEP} w3 {SEP} w0", "w4", ""]
     QUESTIONS = ["w5", "w6", "w0 w1", "w2"]
@@ -644,57 +657,37 @@ class TestEncodeContexts:
         monkeypatch.setattr(Vocab, "encode", spy)
         return seen
 
-    def test_repeated_pairs_are_read_from_the_cache(self, vocab, monkeypatch):
-        """A second call on the same pairs, in any order, tokenizes nothing;
-        a call that adds one pair tokenizes only that pair's prompt."""
-        expected = prompt_rows(vocab, self.CONTEXTS, self.QUESTIONS)
-        tokenized = self.spy_tokenized(monkeypatch)
-        first = encode_contexts(vocab, self.CONTEXTS, self.QUESTIONS)
-        assert tokenized
-        tokenized.clear()
-        again = encode_contexts(vocab, self.CONTEXTS[::-1], self.QUESTIONS[::-1])
-        assert tokenized == []
-        np.testing.assert_array_equal(first, expected)
-        np.testing.assert_array_equal(again, expected[::-1])
-        more = encode_contexts(vocab, self.CONTEXTS + [f"w6 {SEP} w0"], self.QUESTIONS + ["w4"])
-        assert tokenized == [assemble_prompt(f"w6 {SEP} w0", "w4")]
-        np.testing.assert_array_equal(more[:-1], expected)
-        np.testing.assert_array_equal(
-            more[-1:], prompt_rows(vocab, [f"w6 {SEP} w0"], ["w4"]))
-
     def test_returned_rows_are_the_callers(self, vocab):
         """Writing into a returned array does not change the next call's rows."""
         expected = prompt_rows(vocab, self.CONTEXTS, self.QUESTIONS)
         for _ in range(2):
-            got = encode_contexts(vocab, self.CONTEXTS, self.QUESTIONS)
+            got = encode_pairs(vocab, self.CONTEXTS, self.QUESTIONS)
             np.testing.assert_array_equal(got, expected)
             got[:] = -1.0
 
     def test_out_of_vocabulary_after_cached_rows(self, vocab):
-        """Cached pairs before an unknown token keep the caller's row index in
-        the error, and a failed row is never cached, so a retry fails the same
-        way; the rows before it still encode."""
-        encode_contexts(vocab, self.CONTEXTS[2:], self.QUESTIONS[2:])
+        """An unknown token after good rows names the caller's row index,
+        though the prompts come from a generator; the rows before it still
+        encode."""
         contexts = self.CONTEXTS + [f"w1 {SEP} zz", "w5", f"w1 {SEP} zz"]
         questions = self.QUESTIONS + ["w2", "w3", "w2"]
-        for _ in range(2):
-            with pytest.raises(ValueError, match=r"^record 4: token not in vocabulary: 'zz'$"):
-                encode_contexts(vocab, contexts, questions)
-        np.testing.assert_array_equal(encode_contexts(vocab, contexts[:4], questions[:4]),
+        with pytest.raises(ValueError, match=r"^record 4: token not in vocabulary: 'zz'$"):
+            encode_pairs(vocab, contexts, questions)
+        np.testing.assert_array_equal(encode_pairs(vocab, contexts[:4], questions[:4]),
                                       prompt_rows(vocab, contexts[:4], questions[:4]))
 
     def test_equal_vocabularies_encode_alone(self, vocab, monkeypatch):
-        """Equal but distinct vocabularies hold their own rows: each encodes
-        the pairs itself, and both get the per-prompt rows."""
+        """Encoding keeps nothing: each of two equal vocabularies tokenizes
+        the prompts itself, and both get the per-prompt rows."""
         other = Vocab(vocab.tokens)
         assert other == vocab and other is not vocab
         expected = prompt_rows(vocab, self.CONTEXTS, self.QUESTIONS)
         tokenized = self.spy_tokenized(monkeypatch)
         for v in (vocab, other):
             tokenized.clear()
-            np.testing.assert_array_equal(encode_contexts(v, self.CONTEXTS, self.QUESTIONS),
+            np.testing.assert_array_equal(encode_pairs(v, self.CONTEXTS, self.QUESTIONS),
                                           expected)
-            assert tokenized
+            assert tokenized == list(map(assemble_prompt, self.CONTEXTS, self.QUESTIONS))
 
 
 class TestClone:

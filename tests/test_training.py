@@ -12,7 +12,7 @@ from shortlong.corpus import (PrefixedStubGenerator, build_chain_corpus,
                               needle_profile, needle_vocab, value_token)
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset, write_forged_jsonl
 from shortlong.losses import Method, MethodConfig, RAMode
-from shortlong.policy import BOS, EOS, ToyLM, Vocab, logprob, pad_responses
+from shortlong.policy import BOS, EOS, ToyLM, Vocab, bag_of_tokens, logprob, pad_responses
 from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, _prepare,
                                 assemble_prompt, evaluate, learning_rate, run_comparison,
                                 train)
@@ -412,34 +412,37 @@ class TestTrain:
         assert diagnostic["breakdown"]["total"] == np.inf
 
     def test_prompts_encoded_once_per_dataset(self, world, monkeypatch):
-        """The first train call on a dataset encodes it: one encode_contexts
+        """The first train call on a dataset encodes it: one encode_prompts
         call over the short prompts, one over the long, and one Vocab.encode
-        call over the distinct responses. A later call under the same
-        vocabulary object on records with the same texts reuses those
+        call over the distinct responses. A later call on records with the
+        same texts, under the same vocabulary or an equal one, reuses those
         read-only rows and encodes nothing; a replaced record, or one mutated
-        in place, is encoded again and trained on its new text. A dataset
-        with an out-of-vocabulary token fails and caches nothing."""
+        in place, is encoded again (only its changed prompts' side) and
+        trained on its new text. A dataset with an out-of-vocabulary token
+        fails and memoizes nothing."""
         import shortlong.training as training_mod
 
-        vocab = Vocab(world[0].tokens)  # empty caches
-        data = world[1]
+        training_mod._encode_dataset.cache_clear()
+        training_mod._prompt_rows.cache_clear()
+        vocab, data, _ = world
         calls, prompting = [], []
-        original_contexts, original_encode = training_mod.encode_contexts, Vocab.encode
+        original_prompts, original_encode = training_mod.encode_prompts, Vocab.encode
 
-        def counting_contexts(vocab, contexts, questions):
-            calls.append(("contexts", len(contexts)))
+        def counting_prompts(vocab, prompts):
+            prompts = list(prompts)
+            calls.append(("prompts", len(prompts)))
             prompting.append(True)
             try:
-                return original_contexts(vocab, contexts, questions)
+                return original_prompts(vocab, prompts)
             finally:
                 prompting.pop()
 
         def counting_encode(self, tokens):
-            if not prompting:  # a response encode, not one of encode_contexts' own
+            if not prompting:  # a response encode, not one of encode_prompts' own
                 calls.append(("encode", len(tokens)))
             return original_encode(self, tokens)
 
-        monkeypatch.setattr(training_mod, "encode_contexts", counting_contexts)
+        monkeypatch.setattr(training_mod, "encode_prompts", counting_prompts)
         monkeypatch.setattr(Vocab, "encode", counting_encode)
 
         def trained(records, method=Method.ORPO, epochs=1, under=vocab):
@@ -448,39 +451,42 @@ class TestTrain:
             model, _ = train(ToyLM(under, hidden_dim=8, seed=1), records, cfg, under)
             return model.params, list(calls)
 
-        def encoding(records):
+        def responses(records):
             distinct = {text for s in records for text in (s.y_w, s.y_l)}
             assert len(distinct) < 2 * len(records)
             tokens = sum(len(text.split()) + 1 for text in distinct)  # each ends in EOS
-            return [("contexts", len(records)), ("contexts", len(records)), ("encode", tokens)]
+            return [("encode", tokens)]
 
         def params_equal(a, b):
             return all(np.array_equal(a[k], b[k]) for k in a)
 
         first, made = trained(data)
-        assert made == encoding(data)
+        assert made == [("prompts", len(data))] * 2 + responses(data)
         for method, epochs in ((Method.ORPO, 3), (Method.DPO, 1), (Method.DPO, 3)):
             assert trained(data, method, epochs)[1] == []
-        again, made = trained([replace(s) for s in data])  # new records, same texts
-        assert made == [] and params_equal(again, first)
+        for under in (vocab, Vocab(vocab.tokens)):  # new records, same texts
+            again, made = trained([replace(s) for s in data], under=under)
+            assert made == [] and params_equal(again, first)
         rows = _prepare(data, vocab, "short")
         assert not any(array.flags.writeable for array in vars(rows).values())
+        assert _prepare(list(data), Vocab(vocab.tokens), "short") is rows
 
         swapped = [replace(data[0], y_w=data[0].y_l, y_l=data[0].y_w)] + list(data[1:])
         mutated = [replace(s) for s in data]
         mutated[3].x_short = mutated[4].x_short
-        for records in (swapped, mutated):
+        for records, prompts in ((swapped, []), (mutated, [("prompts", len(data))])):
             params, made = trained(records)
-            assert made == encoding(records)
-            assert params_equal(params, trained(records, under=Vocab(vocab.tokens))[0])
+            assert made == prompts + responses(records)
             assert not params_equal(params, first)
 
-        cached = dict(vocab._datasets)
+        sizes = [f.cache_info().currsize
+                 for f in (training_mod._encode_dataset, training_mod._prompt_rows)]
         bad = [replace(s) for s in data]
         bad[5].y_l += " zz"
         with pytest.raises(ValueError, match=r"^record 5: token not in vocabulary: 'zz'$"):
             trained(bad)
-        assert vocab._datasets == cached
+        assert [f.cache_info().currsize
+                for f in (training_mod._encode_dataset, training_mod._prompt_rows)] == sizes
 
     def test_responses_encode_as_one_row_each(self, world):
         """The one-lookup encoding equals padding each record's own
@@ -609,41 +615,88 @@ class TestEvaluate:
         se = math.sqrt(p * (1 - p) / len(eval_set))
         assert abs(acc - p) <= 4 * se
 
-    def test_repeated_calls_tokenize_once(self, world, monkeypatch):
-        """The eval prompts are tokenized by the first call only: the later
-        calls read their rows from the vocabulary's cache."""
-        vocab = Vocab(world[0].tokens)  # no rows cached by other tests
-        eval_set = world[2]
-        tokenized = []
+    def spy_tokenized(self, monkeypatch) -> list[list[str]]:
+        """The token lists passed to ``Vocab.encode`` from now on, in order."""
+        seen = []
         original = Vocab.encode
 
         def spy(vocab, tokens):
-            tokenized.append(tokens)
+            seen.append(list(tokens))
             return original(vocab, tokens)
 
         monkeypatch.setattr(Vocab, "encode", spy)
-        model = ToyLM(vocab, hidden_dim=8, seed=0)
-        per_call = []
-        accs = set()
-        for _ in range(3):
-            tokenized.clear()
-            accs.add(evaluate(model, eval_set, "long", vocab))
-            per_call.append(len(tokenized))
-        assert per_call[0] > 0 and per_call[1:] == [0, 0]
-        assert len(accs) == 1
+        return seen
 
-    def test_short_and_long_use_their_contexts(self, world, monkeypatch):
-        vocab, _, eval_set = world
-        seen = []
+    def test_repeated_calls_tokenize_once(self, world, monkeypatch):
+        """The eval prompts are tokenized by the first call only, once each:
+        the later calls, under the same vocabulary or an equal one, read
+        their rows from the memo."""
         import shortlong.training as training_mod
 
-        original = training_mod.encode_contexts
+        training_mod._prompt_rows.cache_clear()
+        vocab, _, eval_set = world
+        tokenized = self.spy_tokenized(monkeypatch)
+        per_call = []
+        accs = set()
+        for under in (vocab, vocab, Vocab(vocab.tokens)):
+            tokenized.clear()
+            accs.add(evaluate(ToyLM(under, hidden_dim=8, seed=0), eval_set, "long", under))
+            per_call.append(len(tokenized))
+        assert per_call == [len(eval_set), 0, 0]
+        assert len(accs) == 1
 
-        def spy(vocab, contexts, questions):
-            seen.extend(len(assemble_prompt(c, q)) for c, q in zip(contexts, questions))
-            return original(vocab, contexts, questions)
+    def test_mutated_record_is_tokenized_again(self, world, monkeypatch):
+        """A record mutated in place after an evaluation is read under its new
+        text, not from the memo."""
+        import shortlong.training as training_mod
 
-        monkeypatch.setattr(training_mod, "encode_contexts", spy)
+        training_mod._prompt_rows.cache_clear()
+        vocab, _, eval_set = world
+        records = [replace(s) for s in eval_set]
+        model = ToyLM(vocab, hidden_dim=8, seed=0)
+        evaluate(model, records, "short", vocab)
+        records[2].x_short = records[3].x_short
+        tokenized = self.spy_tokenized(monkeypatch)
+        evaluate(model, records, "short", vocab)
+        assert tokenized == [assemble_prompt(s.x_short, s.question) for s in records]
+
+    def test_decodes_from_read_only_rows(self, world, monkeypatch):
+        """``evaluate`` hands decode_rows the memo's read-only rows, not a
+        copy."""
+        import shortlong.training as training_mod
+
+        vocab, _, eval_set = world
+        seen = []
+        original = training_mod.decode_rows
+
+        def spy(model, counts, *args):
+            seen.append(counts)
+            return original(model, counts, *args)
+
+        monkeypatch.setattr(training_mod, "decode_rows", spy)
+        model = ToyLM(vocab, hidden_dim=8, seed=0)
+        for _ in range(2):
+            evaluate(model, eval_set, "long", vocab)
+        first, second = seen
+        assert first is second and not first.flags.writeable
+        np.testing.assert_array_equal(
+            first, [bag_of_tokens(vocab.encode(assemble_prompt(s.x_long, s.question)),
+                                  vocab.size) for s in eval_set])
+
+    def test_short_and_long_use_their_contexts(self, world, monkeypatch):
+        import shortlong.training as training_mod
+
+        training_mod._prompt_rows.cache_clear()
+        vocab, _, eval_set = world
+        seen = []
+        original = training_mod.encode_prompts
+
+        def spy(vocab, prompts):
+            prompts = list(prompts)
+            seen.extend(map(len, prompts))
+            return original(vocab, prompts)
+
+        monkeypatch.setattr(training_mod, "encode_prompts", spy)
         model = ToyLM(vocab, hidden_dim=8, seed=0)
         evaluate(model, eval_set[:4], "short", vocab)
         short_lens = list(seen)
@@ -655,6 +708,23 @@ class TestEvaluate:
 
 
 class TestComparison:
+    def test_empty_eval_set_fails_before_training(self, world, monkeypatch):
+        """``train`` and ``run_comparison`` reject an empty eval set before
+        any record is scored."""
+        import shortlong.training as training_mod
+
+        vocab, data, _ = world
+        scored = []
+        original = training_mod.score_rows
+        monkeypatch.setattr(training_mod, "score_rows",
+                            lambda *args: scored.append(1) or original(*args))
+        cfg = TrainConfig(MethodConfig(Method.DPO), batch_size=8)
+        with pytest.raises(ValueError, match="^eval set must be non-empty$"):
+            train(ToyLM(vocab, 8, 0), data, cfg, vocab, eval_set=[])
+        with pytest.raises(ValueError, match="^eval set must be non-empty$"):
+            run_comparison([("a", cfg)], data, [], {0: ToyLM(vocab, 8, 0)})
+        assert scored == []
+
     def test_identical_cells_identical_rows(self, world):
         vocab, data, eval_set = world
         cfg = TrainConfig(MethodConfig(Method.ORPO, alpha=0.5), lr_max=1e-2,
