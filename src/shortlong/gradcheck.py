@@ -9,8 +9,7 @@ import numpy as np
 from .links import ConvexLink
 from .losses import (GRAD_FIELDS, LogProbBundle, Method, MethodConfig, RAMode,
                      grad_solopo, solopo_loss)
-from .policy import ToyLM, Vocab, score_rows
-from .policy import _encode_rows  # internal on purpose
+from .policy import ToyLM, Vocab, encode_prompts, pad_responses, score_rows
 
 __all__ = ["relative_error", "random_bundle", "check_loss_gradients",
            "check_policy_gradients"]
@@ -103,35 +102,38 @@ def check_loss_gradients(n_points: int, seed: int) -> dict:
     return report
 
 
-def _tiny_world(seed: int) -> tuple[ToyLM, list[tuple[list[str], list[str]]]]:
+def _tiny_world(seed: int) -> tuple[ToyLM, list[list[str]], list[list[str]]]:
+    """A tiny model, two prompts (the short and the long context) and two
+    responses of different lengths (y_w and y_l)."""
     from .policy import BOS, EOS, SEP
 
     vocab = Vocab((BOS, EOS, SEP, "t0", "t1", "t2", "t3", "t4", "t5", "t6"))
     model = ToyLM(vocab, hidden_dim=8, seed=seed)
     rng = np.random.default_rng(seed)
     words = ["t0", "t1", "t2", "t3", "t4", "t5", "t6"]
-    items = []
-    for _ in range(4):
-        ctx = [words[int(i)] for i in rng.integers(0, len(words), 6)]
-        resp = [words[int(i)] for i in rng.integers(0, len(words), 3)] + [EOS]
-        items.append((ctx, resp))
-    return model, items
+    prompts = [[words[int(i)] for i in rng.integers(0, len(words), n)] for n in (4, 8)]
+    responses = [[words[int(i)] for i in rng.integers(0, len(words), n)] + [EOS]
+                 for n in (3, 2)]
+    return model, prompts, responses
 
 
 def check_policy_gradients(seed: int) -> dict:
-    """FD-validate backprop through the scorer composed with the loss; the
-    items are encoded once, and each evaluation is one scorer pass, whose
+    """FD-validate backprop through the scorer composed with the loss, in the
+    training layout: two prompts with the two responses each, so the
+    gradient of each prompt's pooled context sums over its two rows. The rows
+    are encoded once, and each evaluation is one scorer pass, whose
     ``backward`` gives the analytic gradient at the unperturbed point."""
-    model, items = _tiny_world(seed)
+    model, prompts, responses = _tiny_world(seed)
     cfg = MethodConfig(Method.ORPO, alpha=1.0)
-    rows = _encode_rows(model.vocab, items)
+    rows = (encode_prompts(model.vocab, prompts),
+            *pad_responses([model.vocab.encode(r) for r in responses * 2]))
+    len_w, len_l = map(len, responses)
 
     def scored():
         """The loss breakdown of one scorer pass, and that pass's ``backward``."""
         per_token, backward = score_rows(model, *rows)
         lps = per_token.sum(axis=1)
-        b = LogProbBundle(lp_w_short=lps[0], lp_l_short=lps[1], lp_w_long=lps[2],
-                          lp_l_long=lps[3], len_w=len(items[0][1]), len_l=len(items[1][1]))
+        b = LogProbBundle(*lps, len_w=len_w, len_l=len_l)
         return solopo_loss(cfg, b), backward
 
     breakdown, backward = scored()

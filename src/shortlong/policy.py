@@ -187,14 +187,17 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
                ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
     """Teacher-forced scores of B (prompt, response) rows in one pass.
 
-    ``counts`` is (B, V), one :func:`bag_of_tokens` row per prompt;
+    ``counts`` is (P, V), one :func:`bag_of_tokens` row per prompt;
     ``resp_ids`` and ``mask`` are (B, T) as :func:`pad_responses` builds them
-    (each row's real positions first, valid token ids at the padding).
-    Returns the (B, T) per-token log-probabilities, exactly 0 at padded
-    positions, so row sums are the sequence log-probabilities, and
-    ``backward``: given per-row weights ``upstream`` (B,), it returns
+    (each row's real positions first, valid token ids at the padding), with
+    B = k * P: prompt p owns response rows p*k ... p*k + k - 1, and k = 1
+    scores one response per prompt. Each prompt is pooled once. Returns the
+    (B, T) per-token log-probabilities, exactly 0 at padded positions, so
+    row sums are the sequence log-probabilities, and ``backward``: given
+    per-row weights ``upstream`` (B,), it returns
     ``sum_b upstream[b] * d logprob_b / d params`` from this pass's
-    activations (so call it before the parameters change).
+    activations (so call it before the parameters change). B not a whole
+    multiple of P raises ValueError.
 
     Every (row, position) cell of the grid is scored, and the backward
     weights each cell by its row's weight where ``mask`` holds and by 0 at
@@ -205,17 +208,24 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
     softmax denominator reduce across contiguous rows of the array; the sum
     runs over the vocabulary in token order. The forward pass computes each
     ``exp`` once, and ``backward`` forms d logits = onehot - softmax from
-    that ``exp`` and the denominators.
+    that ``exp`` and the denominators. It sums each prompt's k * T cells in
+    one reduction and forms the embedding gradient of the previous tokens as
+    one (V, cells) one-hot product.
     """
     emb, ctx_w, out_w = model.params["emb"], model.params["ctx_w"], model.params["out_w"]
-    pooled, hidden = model.hidden_states(counts)
     n_rows, n_pos = resp_ids.shape
-    d = emb.shape[1]
+    n_prompts, d = len(counts), emb.shape[1]
+    k = n_rows // max(n_prompts, 1)
+    if k * n_prompts != n_rows:
+        raise ValueError(f"{n_rows} response rows do not split evenly over {n_prompts} prompts")
+    group = k * n_pos  # the cells of one prompt
+    pooled, hidden = model.hidden_states(counts)
     prev = np.empty_like(resp_ids)  # the token before each position: BOS, then the response
     prev[:, :1] = model.vocab.bos_id
     prev[:, 1:] = resp_ids[:, :-1]
     state = np.take(emb, prev, axis=0)
-    state += hidden[:, None]
+    by_prompt = state.reshape(n_prompts, group, d)
+    by_prompt += hidden[:, None]
     state = state.reshape(-1, d)
     prev, tok, cells = prev.ravel(), resp_ids.ravel(), np.arange(resp_ids.size)
     shifted = out_w.T @ state.T  # (V, cells) logits
@@ -232,11 +242,11 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
         d_logits[tok, cells] += weight
         d_state = d_logits.T @ out_w.T
         # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
-        d_pre = (1.0 - hidden ** 2) * d_state.reshape(n_rows, n_pos, d).sum(axis=1)
-        # d emb[prev] += d_state, in one bincount over (token, coordinate) bins.
-        d_prev = np.bincount((prev[:, None] * d + np.arange(d)).ravel(), d_state.ravel(),
-                             minlength=emb.size).reshape(emb.shape)
-        return {"emb": d_prev + counts.T @ (d_pre @ ctx_w),
+        d_pre = (1.0 - hidden ** 2) * np.einsum("pcd->pd", d_state.reshape(n_prompts, group, d))
+        # d emb[prev] += d_state: the one-hot of each cell's previous token times d_state.
+        onehot = np.zeros((emb.shape[0], prev.size))
+        onehot[prev, cells] = 1.0
+        return {"emb": onehot @ d_state + counts.T @ (d_pre @ ctx_w),
                 "ctx_w": d_pre.T @ pooled,
                 "out_w": state.T @ d_logits.T}
 
@@ -314,11 +324,12 @@ def sample(model: ToyLM, context: Sequence[str], n: int, temperature: float,
     """``n`` ancestral samples at the given temperature; 0 means greedy (and
     needs no ``rng``). One :func:`decode_rows` call over ``n`` copies of the
     prompt, so with ``max_len`` > 1 the draws are made step by step across
-    the samples, then one :func:`score_rows` pass gives the log-probabilities
-    of the decoded tokens under the model's own (temperature 1) scores."""
-    rows = np.repeat(encode_prompts(model.vocab, [context]), n, axis=0)
-    ids, lengths = decode_rows(model, rows, max_len, temperature, rng)
-    per_token, _ = score_rows(model, rows, ids, np.arange(max_len) < lengths[:, None])
+    the samples, then one :func:`score_rows` pass of the ``n`` draws against
+    the one prompt row gives the log-probabilities of the decoded tokens
+    under the model's own (temperature 1) scores."""
+    prompt = encode_prompts(model.vocab, [context])
+    ids, lengths = decode_rows(model, np.repeat(prompt, n, axis=0), max_len, temperature, rng)
+    per_token, _ = score_rows(model, prompt, ids, np.arange(max_len) < lengths[:, None])
     return [_scored(model.vocab.decode(row[:k]), lps)
             for row, lps, k in zip(ids, per_token, lengths)]
 

@@ -192,18 +192,20 @@ def _prompt_rows(vocab: Vocab, pairs: tuple[tuple[str, str], ...]) -> np.ndarray
 
 @dataclass(frozen=True)
 class _Rows:
-    """Every record's scoring rows: (PO prompt, y_w), (PO prompt, y_l),
-    (long prompt, y_w), (long prompt, y_l), the log-prob fields
-    ``GRAD_FIELDS[:4]`` in order. The arrays are read-only."""
+    """Every record's two prompts, the PO prompt and the long prompt, and its
+    four scoring rows: (PO prompt, y_w), (PO prompt, y_l), (long prompt, y_w),
+    (long prompt, y_l), the log-prob fields ``GRAD_FIELDS[:4]`` in order, so
+    that each prompt owns two consecutive rows. The arrays are read-only."""
 
-    counts: np.ndarray    # (n, 4, V) prompt bags of tokens
+    counts: np.ndarray    # (n, 2, V) prompt bags of tokens
     resp_ids: np.ndarray  # (n, 4, T) padded response ids
     mask: np.ndarray      # (n, 4, T) real response positions
     len_w: np.ndarray     # (n,) response token counts
     len_l: np.ndarray
 
     def batch(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The 4 * len(records) rows of ``records`` as one kernel input."""
+        """The 2 * len(records) prompts and 4 * len(records) rows of
+        ``records`` as one kernel input."""
         return (self.counts[records].reshape(-1, self.counts.shape[-1]),
                 self.resp_ids[records].reshape(-1, self.resp_ids.shape[-1]),
                 self.mask[records].reshape(-1, self.mask.shape[-1]))
@@ -242,7 +244,7 @@ def _encode_dataset(vocab: Vocab, po_context: str,
     ends = np.cumsum(lengths).tolist()
     ids, mask = pad_responses([flat[end - n:end] for end, n in zip(ends, lengths.tolist())])
     order = slots.reshape(-1, 2)[:, [0, 1, 0, 1]]  # (y_w, y_l, y_w, y_l) per record
-    rows = _Rows(np.stack((po, po, long_, long_), axis=1), ids[order], mask[order],
+    rows = _Rows(np.stack((po, long_), axis=1), ids[order], mask[order],
                  lengths[order[:, 0]], lengths[order[:, 1]])
     for array in vars(rows).values():
         array.setflags(write=False)
@@ -260,8 +262,8 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
           ) -> tuple[ToyLM, TrainLog]:
     """Run the optimization loop; returns the mutated model and its log.
 
-    Each step makes one pass of :func:`~shortlong.policy.score_rows` over all
-    four rows of every record in the batch, makes one
+    Each step makes one pass of :func:`~shortlong.policy.score_rows` over the
+    two prompts and four rows of every record in the batch, makes one
     :func:`~shortlong.losses.solopo_loss` call over the batch's (n,) arrays
     for the loss terms, the long-context reward margin and the field
     gradients, and backpropagates through that pass's ``backward`` with the
@@ -306,18 +308,22 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
             at = slice(start, start + cfg.batch_size)
             chunk = order[at]
             n = len(chunk)
-            span = slice(4 * start, 4 * (start + n))  # the chunk's four rows per record
-            per_token, backward = score_rows(model, counts[span], resp_ids[span], mask[span])
+            prompts = slice(2 * start, 2 * (start + n))  # the chunk's two prompts per record
+            span = slice(4 * start, 4 * (start + n))     # and its four rows per record
+            per_token, backward = score_rows(model, counts[prompts], resp_ids[span], mask[span])
             lps = per_token.sum(axis=1).reshape(-1, 4)
-            bad = ~np.isfinite(lps)
-            if bad.any():
+            refs = () if epoch_refs is None else epoch_refs[at].T
+            try:  # the bundle rejects a non-finite field, so that is checked once
+                bundle = LogProbBundle(*lps.T, len_w[at], len_l[at], *refs)
+            except ValueError:
+                bad = ~np.isfinite(lps)
+                if not bad.any():
+                    raise
                 j = int(np.flatnonzero(bad.any(axis=1))[0])
                 values = {k: float(v) for k, v, b in zip(GRAD_FIELDS[:4], lps[j], bad[j]) if b}
                 fields = list(values)
                 raise _non_finite(f"non-finite log-probability in {fields}", step, int(chunk[j]),
-                                  fields=fields, values=values)
-            refs = () if epoch_refs is None else epoch_refs[at].T
-            bundle = LogProbBundle(*lps.T, len_w[at], len_l[at], *refs)
+                                  fields=fields, values=values) from None
             try:
                 breakdown = solopo_loss(mc, bundle)
             except DomainError as exc:  # the ORPO log-odds singularity, in a (4, n) stack
@@ -328,9 +334,9 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 j = int(bad_total[0])
                 terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
                 raise _non_finite("non-finite loss", step, int(chunk[j]), breakdown=terms)
-            weights = np.stack([breakdown.grads[key] for key in GRAD_FIELDS[:4]], axis=1)
-            weights *= 1.0 / n
-            opt.step(backward(weights.ravel()), lr)
+            # The row weights, in the kernel's (record, field) order.
+            weights = np.array([breakdown.grads[key] for key in GRAD_FIELDS[:4]]) * (1.0 / n)
+            opt.step(backward(weights.T.ravel()), lr)
             # One row mean per logged term; a scalar term (a disabled NLL) fills
             # its row, and the telemetry columns are NaN without telemetry.
             terms = [getattr(breakdown, k) for k in _TERMS]

@@ -501,29 +501,44 @@ def sparse_score_rows(model, counts, resp_ids, mask):
 
 class TestDenseKernel:
     """The dense (row, position) grid against the sparse reference kernel on
-    random shapes, with padding, empty responses and zero weights."""
+    random shapes, with padding, empty responses and zero weights, and with
+    k = 1-4 responses per prompt row: the reference scores each response
+    against its own copy of its prompt's row."""
 
     def test_matches_sparse_reference(self):
         rng = np.random.default_rng(25)
-        for trial in range(60):
+        # (prompts, responses per prompt, positions): no prompts, then no positions
+        empty = [(0, 1, 3), (0, 3, 3), (4, 1, 0), (3, 4, 0)]
+        for trial in range(80):
             v, d = int(rng.integers(8, 40)), int(rng.integers(1, 24))
             vocab = Vocab((BOS, EOS, SEP) + tuple(f"t{i}" for i in range(v - 3)))
             model = ToyLM(vocab, hidden_dim=d, seed=trial)
-            n_rows, n_pos = ((0, 3), (4, 0))[trial] if trial < 2 else rng.integers(1, [40, 6])
-            counts = rng.dirichlet(np.ones(v), n_rows).reshape(n_rows, v)
+            n_prompts, k, n_pos = (empty[trial] if trial < len(empty)
+                                   else rng.integers(1, [20, 5, 6]))
+            n_rows = n_prompts * k
+            counts = rng.dirichlet(np.ones(v), n_prompts).reshape(n_prompts, v)
             lengths = rng.integers(0, n_pos + 1, n_rows)
-            ids, mask = pad_responses([rng.integers(0, v, k) for k in lengths])
+            ids, mask = pad_responses([rng.integers(0, v, n) for n in lengths])
             weights = np.where(rng.random(n_rows) < 0.3, 0.0, rng.normal(size=n_rows))
             per_token, backward = score_rows(model, counts, ids, mask)
-            ref_per_token, ref_backward = sparse_score_rows(model, counts, ids, mask)
+            ref_per_token, ref_backward = sparse_score_rows(
+                model, np.repeat(counts, k, axis=0), ids, mask)
             assert per_token.shape == mask.shape
             np.testing.assert_allclose(per_token, ref_per_token, rtol=0, atol=1e-12)
             assert np.all(per_token[~mask] == 0.0)
             grads, ref_grads = backward(weights), ref_backward(weights)
             assert set(grads) == set(model.params)
-            for k in grads:
-                assert grads[k].shape == model.params[k].shape
-                np.testing.assert_allclose(grads[k], ref_grads[k], rtol=0, atol=1e-12)
+            for name in grads:
+                assert grads[name].shape == model.params[name].shape
+                np.testing.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12)
+
+    def test_rows_must_split_evenly_over_prompts(self, model, vocab):
+        ids, mask = pad_responses([vocab.encode(["w1", EOS])] * 5)
+        for n_prompts in (0, 2, 6):
+            counts = encode_prompts(vocab, [["w0"]] * n_prompts)
+            with pytest.raises(ValueError, match=f"^5 response rows do not split evenly "
+                                                 f"over {n_prompts} prompts$"):
+                score_rows(model, counts, ids, mask)
 
 
 def prompt_rows(vocab, contexts, questions):

@@ -155,17 +155,18 @@ class TestTrain:
         assert any(ra != 0.0 for ra in runs[0][2])
 
     def test_one_scorer_pass_per_step(self, world, monkeypatch):
-        """Each step scores and backpropagates through one score_rows pass;
-        DPO and IPO add one pass for the frozen reference."""
+        """Each step scores and backpropagates through one score_rows pass
+        over 2 prompt rows and 4 response rows per record; DPO and IPO add
+        one pass for the frozen reference."""
         import shortlong.training as training_mod
 
         vocab, data, _ = world
         calls = []
         original = training_mod.score_rows
 
-        def counting(model, *rows):
-            calls.append(len(rows[0]))
-            return original(model, *rows)
+        def counting(model, counts, resp_ids, mask):
+            calls.append((len(counts), len(resp_ids)))
+            return original(model, counts, resp_ids, mask)
 
         monkeypatch.setattr(training_mod, "score_rows", counting)
         for method in Method:
@@ -174,8 +175,39 @@ class TestTrain:
                 cfg = TrainConfig(MethodConfig(method), batch_size=8, epochs=2, seed=0,
                                   telemetry=telemetry)
                 _, log = train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
-                reference = [4 * len(data)] if method in (Method.DPO, Method.IPO) else []
-                assert calls == reference + [4 * 8] * len(log.steps)
+                n = len(data)
+                reference = [(2 * n, 4 * n)] if method in (Method.DPO, Method.IPO) else []
+                assert calls == reference + [(2 * 8, 4 * 8)] * len(log.steps)
+
+    @pytest.mark.parametrize("po_context", ["short", "long"])
+    def test_fields_are_scored_under_their_prompts(self, world, monkeypatch, po_context):
+        """Each step's four fields are the public log-probabilities of y_w and
+        y_l under the PO prompt and under the long prompt of their record."""
+        import shortlong.training as training_mod
+
+        vocab, data, _ = world
+        bundles = []
+        original = training_mod.solopo_loss
+
+        def recording(cfg, bundle):
+            bundles.append(bundle)
+            return original(cfg, bundle)
+
+        monkeypatch.setattr(training_mod, "solopo_loss", recording)
+        model = ToyLM(vocab, hidden_dim=8, seed=1)
+        cfg = TrainConfig(MethodConfig(Method.ORPO), lr_max=0.0, batch_size=8, seed=0,
+                          po_context=po_context)
+        train(model, data, cfg, vocab)  # a rate of 0 leaves the model as it is
+        order = np.random.default_rng(0).permutation(len(data))
+        got = np.concatenate([np.stack([b.lp_w_short, b.lp_l_short, b.lp_w_long, b.lp_l_long],
+                                       axis=1) for b in bundles])
+        for i, fields in zip(order, got):
+            s = data[i]
+            po = s.x_long if po_context == "long" else s.x_short
+            expected = [logprob(model, assemble_prompt(ctx, s.question),
+                                y.split() + [EOS]).total_logprob
+                        for ctx in (po, s.x_long) for y in (s.y_w, s.y_l)]
+            np.testing.assert_allclose(fields, expected, rtol=0, atol=1e-12)
 
     def test_one_loss_pass_per_step(self, world, monkeypatch):
         """Each step reads the loss terms and the field gradients from one
