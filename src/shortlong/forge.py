@@ -466,27 +466,14 @@ def read_distractor_pool(path: str | Path) -> list[str]:
 _FORGED_FIELDS = ("question", "answer", "x_short", "x_long", "y_w", "y_l")
 # The bytes json.dumps writes unescaped: printable ASCII but '"' and '\\'.
 _PLAIN = bytes(b for b in range(0x20, 0x7F) if b not in b'"\\')
-# From this length on, plainness is tested with one numpy range check of the
-# bytes (0x20-0x7E) and two substring tests, which is faster than translate.
-_NUMPY_PLAIN_FROM = 2048
-
-
-def _is_plain(text: str) -> bool:
-    """Whether every character of ``text`` is in :data:`_PLAIN`."""
-    if not text.isascii():
-        return False
-    raw = text.encode("ascii")
-    if len(raw) < _NUMPY_PLAIN_FROM:
-        return not raw.translate(None, _PLAIN)
-    if '"' in text or "\\" in text:
-        return False
-    return bool((np.frombuffer(raw, dtype=np.uint8) - np.uint8(0x20) < 0x5F).all())
 
 
 def _json_string(text: str) -> str:
     """``json.dumps(text)``; text of plain bytes only is quoted as it is,
     without the per-character escaper."""
-    return f'"{text}"' if _is_plain(text) else json.dumps(text)
+    if text.isascii() and not text.encode("ascii").translate(None, _PLAIN):
+        return f'"{text}"'
+    return json.dumps(text)
 
 
 def write_forged_jsonl(samples: Iterable[ForgedSample], path: str | Path) -> None:

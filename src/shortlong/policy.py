@@ -209,8 +209,7 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
     runs over the vocabulary in token order. The forward pass computes each
     ``exp`` once, and ``backward`` forms d logits = onehot - softmax from
     that ``exp`` and the denominators. It sums each prompt's k * T cells in
-    one reduction and forms the embedding gradient of the previous tokens as
-    one (V, cells) one-hot product.
+    one reduction.
     """
     emb, ctx_w, out_w = model.params["emb"], model.params["ctx_w"], model.params["out_w"]
     n_rows, n_pos = resp_ids.shape
@@ -243,10 +242,10 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
         d_state = d_logits.T @ out_w.T
         # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
         d_pre = (1.0 - hidden ** 2) * np.einsum("pcd->pd", d_state.reshape(n_prompts, group, d))
-        # d emb[prev] += d_state: the one-hot of each cell's previous token times d_state.
-        onehot = np.zeros((emb.shape[0], prev.size))
-        onehot[prev, cells] = 1.0
-        return {"emb": onehot @ d_state + counts.T @ (d_pre @ ctx_w),
+        # d emb[prev] += d_state, in one bincount over (token, coordinate) bins.
+        d_prev = np.bincount((prev[:, None] * d + np.arange(d)).ravel(), d_state.ravel(),
+                             minlength=emb.size).reshape(emb.shape)
+        return {"emb": d_prev + counts.T @ (d_pre @ ctx_w),
                 "ctx_w": d_pre.T @ pooled,
                 "out_w": state.T @ d_logits.T}
 

@@ -312,18 +312,15 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
             span = slice(4 * start, 4 * (start + n))     # and its four rows per record
             per_token, backward = score_rows(model, counts[prompts], resp_ids[span], mask[span])
             lps = per_token.sum(axis=1).reshape(-1, 4)
-            refs = () if epoch_refs is None else epoch_refs[at].T
-            try:  # the bundle rejects a non-finite field, so that is checked once
-                bundle = LogProbBundle(*lps.T, len_w[at], len_l[at], *refs)
-            except ValueError:
-                bad = ~np.isfinite(lps)
-                if not bad.any():
-                    raise
+            bad = ~np.isfinite(lps)
+            if bad.any():
                 j = int(np.flatnonzero(bad.any(axis=1))[0])
                 values = {k: float(v) for k, v, b in zip(GRAD_FIELDS[:4], lps[j], bad[j]) if b}
                 fields = list(values)
                 raise _non_finite(f"non-finite log-probability in {fields}", step, int(chunk[j]),
-                                  fields=fields, values=values) from None
+                                  fields=fields, values=values)
+            refs = () if epoch_refs is None else epoch_refs[at].T
+            bundle = LogProbBundle(*lps.T, len_w[at], len_l[at], *refs)
             try:
                 breakdown = solopo_loss(mc, bundle)
             except DomainError as exc:  # the ORPO log-odds singularity, in a (4, n) stack
@@ -334,9 +331,9 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                 j = int(bad_total[0])
                 terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
                 raise _non_finite("non-finite loss", step, int(chunk[j]), breakdown=terms)
-            # The row weights, in the kernel's (record, field) order.
-            weights = np.array([breakdown.grads[key] for key in GRAD_FIELDS[:4]]) * (1.0 / n)
-            opt.step(backward(weights.T.ravel()), lr)
+            # The row weights in the kernel's (record, field) order.
+            weights = np.array([breakdown.grads[key] for key in GRAD_FIELDS[:4]]).T * (1.0 / n)
+            opt.step(backward(weights.ravel()), lr)
             # One row mean per logged term; a scalar term (a disabled NLL) fills
             # its row, and the telemetry columns are NaN without telemetry.
             terms = [getattr(breakdown, k) for k in _TERMS]

@@ -582,20 +582,6 @@ class TestJsonlWriter:
             text = f"ab{chr(c)}cd"
             assert forge._json_string(text) == json.dumps(text), hex(c)
 
-    def test_long_texts_quote_as_json(self):
-        """From ``_NUMPY_PLAIN_FROM`` characters on, plainness is tested on
-        the bytes as an array: one code point at the start, middle or end of
-        a plain text, at and around that length, quotes as json.dumps does."""
-        plain = ("lorem ipsum <sep> 42 " * 200)[:forge._NUMPY_PLAIN_FROM + 1]
-        for n in (forge._NUMPY_PLAIN_FROM - 1, forge._NUMPY_PLAIN_FROM,
-                  forge._NUMPY_PLAIN_FROM + 1):
-            base = plain[:n - 1]
-            assert forge._json_string(base + "x") == json.dumps(base + "x")
-            for c in [*range(0x100), 0x3000, 0x1F600, 0xD800]:
-                for text in (chr(c) + base, base[:n // 2] + chr(c) + base[n // 2:],
-                             base + chr(c)):
-                    assert forge._json_string(text) == json.dumps(text), (n, hex(c))
-
     @pytest.mark.parametrize("text", SPECIAL_TEXTS)
     def test_special_strings_quote_as_json(self, text):
         assert forge._json_string(text) == json.dumps(text)
