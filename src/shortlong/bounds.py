@@ -5,7 +5,7 @@ discrete scenarios (randomness only generates instances, never estimates an
 expectation):
 
 * the pointwise three-term Jensen split of a single margin loss
-  (:func:`lemma_slack`),
+  (:func:`lemma_slack`, for one row of the four rewards or a batch of rows),
 * its expectation form over scenarios whose long-context preference
   probabilities never exceed the short-context ones
   (:func:`check_theorem1_exact`), and the simplified variant that replaces the
@@ -25,16 +25,15 @@ scenario; an unpadded batch (every weight positive) is read whole.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .links import BoundFn, ConvexLink, _check_finite, _softplus, eval_bound, eval_link
+from .links import ConvexLink, _check_finite, _result, _softplus, eval_bound, eval_link
 
 __all__ = [
     "TOLERANCE",
-    "RewardAssignment",
     "DiscreteScenario",
     "BoundReport",
     "lemma_slack",
@@ -78,36 +77,21 @@ _REWARD_RANGE = {ConvexLink.EXPONENTIAL: (-2.0, 2.0)}
 _DEFAULT_REWARD_RANGE = (-5.0, 5.0)
 
 
-@dataclass(frozen=True)
-class RewardAssignment:
-    """The four rewards of one (context pair, response pair) instance."""
-
-    r_sw: float  # short context, chosen
-    r_sl: float  # short context, rejected
-    r_lw: float  # long context, chosen
-    r_ll: float  # long context, rejected
-
-
-def lemma_slack(link: ConvexLink, gamma: float, ra: RewardAssignment) -> float:
-    """Signed slack of the three-term split of a single margin loss.
+def lemma_slack(link: ConvexLink, gamma, rewards, link_fn: Callable | None = None):
+    """Signed slack of the three-term split of a single margin loss, for one
+    row of rewards (r_sw, r_sl, r_lw, r_ll), as a float, or for an (N, 4)
+    batch of rows with a scalar or (N,) ``gamma``, as an (N,) array.
 
     LHS = f(r_lw - r_ll - gamma); RHS = mean of f(3*delta_i - gamma) over the
     three telescoping gaps. Convexity of f makes LHS <= RHS for any rewards.
-    A one-row view of :func:`_lemma_slack_batch`.
+    ``link_fn`` replaces the link's ``f`` (the non-convex self-test).
     """
-    rewards = np.array([astuple(ra)], dtype=np.float64)  # columns (r_sw, r_sl, r_lw, r_ll)
-    return float(_lemma_slack_batch(link, np.array([gamma], dtype=np.float64), rewards)[0])
-
-
-def _lemma_slack_batch(link: ConvexLink, gammas: np.ndarray, rewards: np.ndarray,
-                       link_fn: Callable | None = None) -> np.ndarray:
-    """Vectorized lemma slack; ``rewards`` has columns (r_sw, r_sl, r_lw, r_ll)."""
     f = (lambda x: eval_link(link, x)) if link_fn is None else link_fn
-    r_sw, r_sl, r_lw, r_ll = rewards.T
+    r_sw, r_sl, r_lw, r_ll = np.asarray(rewards, dtype=np.float64).T
     d1, d2, d3 = r_lw - r_sw, r_sw - r_sl, r_sl - r_ll
-    lhs = f(r_lw - r_ll - gammas)
-    rhs = (f(3 * d1 - gammas) + f(3 * d2 - gammas) + f(3 * d3 - gammas)) / 3.0
-    return lhs - rhs
+    lhs = f(r_lw - r_ll - gamma)
+    rhs = (f(3 * d1 - gamma) + f(3 * d2 - gamma) + f(3 * d3 - gamma)) / 3.0
+    return _result(lhs - rhs)
 
 
 def _require(count: int, least: int, what: str) -> None:
@@ -341,7 +325,7 @@ def theorem1_sform_slack(scn: DiscreteScenario, link: ConvexLink, gamma) -> floa
     """Slack of: long loss <= (short PO + E s(3 |reward gap|)) / 3."""
     gamma = _checked_gamma(scn, gamma)
     weight, r_s, r_l, cell_gamma, total = _response_cells(scn, gamma)
-    envelope = eval_bound(BoundFn(link, cell_gamma), 3.0 * np.abs(r_s - r_l))
+    envelope = eval_bound(link, 3.0 * np.abs(r_s - r_l), cell_gamma)
     lhs, short = _po_terms(_pair_cells(scn, gamma), link)
     return lhs - (short + total(weight * envelope)) / 3.0
 
@@ -465,7 +449,7 @@ def run_lemma1_suite(n_instances: int, seed: int) -> BoundReport:
         gammas = rng.uniform(*LEMMA1_GAMMA_RANGE, count)
         rewards = rng.uniform(*LEMMA1_REWARD_RANGE, (count, 4))
         reports.append(_report("lemma1", link.value, gammas,
-                               _lemma_slack_batch(link, gammas, rewards),
+                               lemma_slack(link, gammas, rewards),
                                lambda i: {"rewards": rewards[i].tolist()}, seed=seed))
     return replace(max(reports, key=lambda r: r.max_violation), instances=n_instances)
 
@@ -551,7 +535,6 @@ def run_nonconvex_selftest(n_instances: int, seed: int) -> BoundReport:
     rng = np.random.default_rng(seed)
     gammas = rng.uniform(-3.0, 3.0, n_instances)
     rewards = rng.uniform(-10.0, 10.0, (n_instances, 4))
-    slack = _lemma_slack_batch(ConvexLink.SQUARE, gammas, rewards,
-                               link_fn=lambda x: -np.square(x))
+    slack = lemma_slack(ConvexLink.SQUARE, gammas, rewards, link_fn=lambda x: -np.square(x))
     return _report("selftest_nonconvex", "negated_square (non-convex)", gammas, slack,
                    lambda i: {"rewards": rewards[i].tolist()}, seed=seed)

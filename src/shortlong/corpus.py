@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import BOS, EOS, SEP, Vocab, assemble_prompt
+from .policy import BOS, EOS, SEP, ToyLM, Vocab, assemble_prompt, sample
 
 __all__ = [
     "SourceSample",
@@ -197,7 +197,7 @@ class PrefixedStubGenerator(StubGenerator):
 class PolicyCandidateGenerator:
     """Samples candidate responses from a toy policy conditioned on the context."""
 
-    model: "ToyLM"  # noqa: F821 - forward ref, imported lazily below
+    model: ToyLM
     n: int = 32
     temperature: float = 0.85
     max_len: int = 6
@@ -211,8 +211,6 @@ class PolicyCandidateGenerator:
 
     def __call__(self, context: str, source: SourceSample,
                  rng: np.random.Generator) -> list[str]:
-        from .policy import sample
-
         scored = sample(self.model, assemble_prompt(context, source.question), self.n,
                         self.temperature, self.max_len, rng)
         return [s.text for s in scored]

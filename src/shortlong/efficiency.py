@@ -28,6 +28,10 @@ __all__ = [
 
 CROSSOVER_COMPRESSION = 1.0 / math.sqrt(2.0)
 
+# The columns of a report row, in order.
+_REPORT_FIELDS = ("long_tokens", "compression", "flops_vanilla", "flops_solo", "speedup",
+                  "crossover")
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -75,21 +79,16 @@ def report_rows(models: Sequence[CostModel]) -> list[dict]:
     rows = []
     for m in models:
         vanilla, solo = flops(m, "vanilla"), flops(m, "solo")
-        rows.append({
-            "long_tokens": m.long_tokens,
-            "compression": m.compression,
-            "flops_vanilla": vanilla,
-            "flops_solo": solo,
-            "speedup": vanilla / solo,
-            "crossover": solo < vanilla,
-        })
+        rows.append(dict(zip(_REPORT_FIELDS, (m.long_tokens, m.compression, vanilla, solo,
+                                             vanilla / solo, solo < vanilla))))
     return rows
 
 
 def write_report_csv(models: Sequence[CostModel], path: str | Path) -> None:
-    rows = report_rows(models)
+    """The rows of ``models`` under a header of the report columns; the header
+    alone for no models."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=_REPORT_FIELDS)
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(report_rows(models))
 

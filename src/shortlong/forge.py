@@ -37,7 +37,6 @@ __all__ = [
     "forge_dataset",
     "text_lines",
     "iter_source_jsonl",
-    "read_source_jsonl",
     "read_distractor_pool",
     "write_forged_jsonl",
     "read_forged_jsonl",
@@ -240,15 +239,11 @@ def sub_em(prediction: str, gold: str) -> bool:
 
 def _partition(candidates: Sequence[str], gold: str) -> tuple[list[str], list[str]]:
     """Candidates that pass :func:`sub_em` and those that fail, each in input
-    order; the gold answer and each distinct candidate are normalized once."""
+    order; the gold answer is normalized once."""
     target = _normalize(gold)
-    verdicts: dict[str, bool] = {}
     correct, incorrect = [], []
     for c in candidates:
-        ok = verdicts.get(c)
-        if ok is None:
-            ok = verdicts[c] = target in _normalize(_answer_span(c))
-        (correct if ok else incorrect).append(c)
+        (correct if target in _normalize(_answer_span(c)) else incorrect).append(c)
     return correct, incorrect
 
 
@@ -443,11 +438,6 @@ def iter_source_jsonl(path: str | Path) -> Iterator[SourceSample]:
     lines, and fields that are not a string (``question``, ``answer``) or a
     list of strings (``supporting_docs``), report their line number."""
     return _jsonl_records(path, _source)
-
-
-def read_source_jsonl(path: str | Path) -> list[SourceSample]:
-    """Every record of :func:`iter_source_jsonl`, in a list."""
-    return list(iter_source_jsonl(path))
 
 
 def _distractor(doc) -> str:

@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 
 from .links import ConvexLink
-from .losses import (GRAD_FIELDS, LogProbBundle, Method, MethodConfig, RAMode,
-                     grad_solopo, solopo_loss)
-from .policy import ToyLM, Vocab, encode_prompts, pad_responses, score_rows
+from .losses import (_METHODS, _RA_RESPONSES, GRAD_FIELDS, LogProbBundle, Method, MethodConfig,
+                     RAMode, _reward_pass, grad_solopo, solopo_loss)
+from .policy import BOS, EOS, SEP, ToyLM, Vocab, encode_prompts, pad_responses, score_rows
 
 __all__ = ["relative_error", "random_bundle", "check_loss_gradients",
            "check_policy_gradients"]
@@ -28,8 +28,6 @@ def relative_error(analytic, numeric):
 def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[np.ndarray]:
     """Distances to the nearest non-differentiable points of the total loss,
     one (n,) array per kink."""
-    from .losses import _METHODS, _RA_RESPONSES, _reward_pass  # internal on purpose
-
     _, _, z, gaps, _ = _reward_pass(cfg, b)
     dists = []
     if cfg.link is ConvexLink.HINGE:
@@ -105,8 +103,6 @@ def check_loss_gradients(n_points: int, seed: int) -> dict:
 def _tiny_world(seed: int) -> tuple[ToyLM, list[list[str]], list[list[str]]]:
     """A tiny model, two prompts (the short and the long context) and two
     responses of different lengths (y_w and y_l)."""
-    from .policy import BOS, EOS, SEP
-
     vocab = Vocab((BOS, EOS, SEP, "t0", "t1", "t2", "t3", "t4", "t5", "t6"))
     model = ToyLM(vocab, hidden_dim=8, seed=seed)
     rng = np.random.default_rng(seed)

@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ConvexLink", "BoundFn", "DomainError", "eval_link", "link_value_and_deriv",
-           "eval_bound"]
+__all__ = ["ConvexLink", "DomainError", "eval_link", "link_value_and_deriv", "eval_bound"]
 
 
 class ConvexLink(enum.Enum):
@@ -101,8 +100,9 @@ _LINKS = {
 }
 
 
-def _result(out: np.ndarray):
-    return out if out.ndim else float(out)
+def _result(out):
+    """A 0-d result (array, numpy scalar or float) as a float; arrays pass through."""
+    return out if np.ndim(out) else float(out)
 
 
 def eval_link(link: ConvexLink, x):
@@ -122,17 +122,9 @@ def link_value_and_deriv(link: ConvexLink, x) -> tuple:
     return _result(value), _result(slope)
 
 
-@dataclass(frozen=True)
-class BoundFn:
-    """A link with margin ``gamma``, naming the paired envelope ``s``; an
-    array ``gamma`` broadcasts against the envelope's argument."""
-
-    link: ConvexLink
-    gamma: float | np.ndarray = 0.0
-
-
-def eval_bound(bound: BoundFn, x):
-    """Evaluate the envelope ``s(|x|)`` paired with ``bound.link``.
+def eval_bound(link: ConvexLink, x, gamma=0.0):
+    """Evaluate the envelope ``s(|x|)`` paired with ``link`` at margin
+    ``gamma``; an array ``gamma`` broadcasts against ``x``.
 
     Pairings: logistic -> |x| + 2 log(1 + e^{3 gamma}); square -> 2x^2 + 2 gamma^2;
     hinge -> max(0, |x| - gamma); squared hinge -> max(0, x^2 - gamma^2);
@@ -140,5 +132,5 @@ def eval_bound(bound: BoundFn, x):
     A non-finite ``x`` or ``gamma`` raises :class:`DomainError`.
     """
     x = _check_finite(x)
-    gamma = _check_finite(bound.gamma, "envelope margin gamma")
-    return _result(_LINKS[bound.link].s(x, np.abs(x), gamma))
+    gamma = _check_finite(gamma, "envelope margin gamma")
+    return _result(_LINKS[link].s(x, np.abs(x), gamma))

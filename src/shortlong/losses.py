@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .links import ConvexLink, DomainError, link_value_and_deriv
+from .links import ConvexLink, DomainError, _result, link_value_and_deriv
 # An alias of links.eval_link, kept importable from here: perfbench/selftest.py
 # checks that the tracer patches it.
 from .links import eval_link  # noqa: F401
@@ -49,11 +49,6 @@ class RAMode(enum.Enum):
     CHOSEN_ONLY = "chosen_only"
     BOTH = "both"
     KL_APPROX = "kl_approx"
-
-
-def _scalar(x):
-    """A 0-d result as a Python float; arrays pass through."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _below_zero(t) -> np.ndarray:
@@ -221,7 +216,7 @@ def reward(cfg: MethodConfig, lp, ref_lp, length):
     """
     if cfg.needs_reference and ref_lp is None:
         raise ValueError(f"{cfg.method.value} reward requires ref_lp")
-    return _scalar(_METHODS[cfg.method].reward(cfg.beta, lp, ref_lp, length)[0])
+    return _result(_METHODS[cfg.method].reward(cfg.beta, lp, ref_lp, length)[0])
 
 
 def _reward_pass(cfg: MethodConfig, b: LogProbBundle) -> tuple:
@@ -310,8 +305,8 @@ def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
                 g[4:4 + k] -= d_short
                 g[6:6 + k] += d_long
     return LossBreakdown(total=po + a * ra + nll, po_term=po, ra_term=ra, nll_term=nll,
-                         reward_margin_long=_scalar(margin_long),
-                         grads={name: _scalar(value) for name, value in zip(GRAD_FIELDS, g)})
+                         reward_margin_long=_result(margin_long),
+                         grads={name: _result(value) for name, value in zip(GRAD_FIELDS, g)})
 
 
 def grad_solopo(cfg: MethodConfig, b: LogProbBundle) -> dict:

@@ -123,9 +123,6 @@ class ToyLM:
         state = hidden + self.params["emb"][prev_id]
         return state @ self.params["out_w"]
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
-
     def clone(self) -> "ToyLM":
         return ToyLM(self.vocab, self.hidden_dim, self.seed,
                      _params={k: v.copy() for k, v in self.params.items()})
@@ -344,7 +341,7 @@ def logprob_with_grad(model: ToyLM, context: Sequence[str], response: Sequence[s
     """Score a response and accumulate ``upstream * d logprob / d params``."""
     per_token, backward = score_rows(model, *_encode_rows(model.vocab, [(context, response)]))
     if grads is None:
-        grads = model.zero_grads()
+        grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     for key, g in backward(np.array([upstream], dtype=np.float64)).items():
         grads[key] += g
     return _scored(response, per_token[0]), grads

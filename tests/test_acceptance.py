@@ -22,7 +22,7 @@ from shortlong.corpus import StubGenerator, build_chain_corpus, word_profile
 from shortlong.efficiency import CROSSOVER_COMPRESSION, speedup
 from shortlong.forge import HaystackConfig, forge_dataset, write_forged_jsonl
 from shortlong.gradcheck import check_loss_gradients, random_bundle
-from shortlong.links import BoundFn, ConvexLink, eval_bound, eval_link
+from shortlong.links import ConvexLink, eval_bound, eval_link
 from shortlong.losses import Method, MethodConfig, RAMode, solopo_loss
 
 SEED = 20240
@@ -59,7 +59,7 @@ def test_criterion_02_domination_grid():
     for gamma in (0.0, 0.5, 1.4, 3.0):
         for link in ALL_LINKS:
             lhs = eval_link(link, grid + gamma) + eval_link(link, -grid + gamma)
-            rhs = eval_bound(BoundFn(link, gamma), np.abs(grid))
+            rhs = eval_bound(link, np.abs(grid), gamma)
             worst = max(worst, float(np.max(lhs - rhs)))
             if link is ConvexLink.SQUARE:
                 square_worst = max(square_worst, float(np.max(np.abs(lhs - rhs))))

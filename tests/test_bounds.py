@@ -9,13 +9,13 @@ import pytest
 
 from shortlong import bounds, links
 from shortlong.bounds import (ALL_LINKS, SFORM_GAMMA_RANGES, TOLERANCE, BoundReport,
-                              DiscreteScenario, RewardAssignment, check_theorem1_exact,
+                              DiscreteScenario, check_theorem1_exact,
                               check_theorem1_sform, check_theorem2, lemma_slack,
                               random_scenario, run_assumption_necessity_search,
                               run_lemma1_suite, run_nonconvex_selftest,
                               run_theorem1_suite, run_theorem2_suite,
                               theorem1_exact_slack, theorem1_sform_slack)
-from shortlong.links import BoundFn, ConvexLink, eval_bound, eval_link
+from shortlong.links import ConvexLink, eval_bound, eval_link
 
 
 def single_pair_scenario(r_sw, r_sl, r_lw, r_ll, p_short=1.0, p_long=1.0):
@@ -29,13 +29,25 @@ def single_pair_scenario(r_sw, r_sl, r_lw, r_ll, p_short=1.0, p_long=1.0):
 class TestLemma:
     def test_hand_evaluated_square_instance(self):
         # LHS = f(1 - 0) = 1; deltas (0, 1, 0) -> RHS = (0 + 9 + 0) / 3 = 3.
-        ra = RewardAssignment(r_sw=1, r_sl=0, r_lw=1, r_ll=0)
-        assert lemma_slack(ConvexLink.SQUARE, 0.0, ra) == pytest.approx(-2.0, abs=1e-12)
+        # Rewards (r_sw, r_sl, r_lw, r_ll) = (1, 0, 1, 0).
+        slack = lemma_slack(ConvexLink.SQUARE, 0.0, (1, 0, 1, 0))
+        assert type(slack) is float
+        assert slack == pytest.approx(-2.0, abs=1e-12)
 
     @pytest.mark.parametrize("link", ALL_LINKS)
     def test_equal_rewards_tight(self, link):
-        ra = RewardAssignment(2.0, 2.0, 2.0, 2.0)
-        assert lemma_slack(link, 0.0, ra) == pytest.approx(0.0, abs=1e-12)
+        assert lemma_slack(link, 0.0, (2.0, 2.0, 2.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("link", ALL_LINKS)
+    def test_batch_equals_rows_bit_for_bit(self, link):
+        """An (N, 4) batch with (N,) gammas is its rows scored one by one."""
+        rng = np.random.default_rng(ALL_LINKS.index(link))
+        gammas = rng.uniform(-3.0, 3.0, 64)
+        rewards = rng.uniform(-10.0, 10.0, (64, 4))
+        batch = lemma_slack(link, gammas, rewards)
+        assert isinstance(batch, np.ndarray) and batch.shape == (64,)
+        rows = np.array([lemma_slack(link, g, r) for g, r in zip(gammas, rewards)])
+        assert batch.tobytes() == rows.tobytes()
 
     def test_random_suite_never_violates(self):
         report = run_lemma1_suite(50_000, seed=5)
@@ -115,13 +127,13 @@ class TestScenarioType:
 
 class TestTheorem1Exact:
     def test_degenerate_scenario_reduces_to_lemma(self):
-        ra = RewardAssignment(0.5, -1.0, 2.0, 0.25)
-        scn = single_pair_scenario(ra.r_sw, ra.r_sl, ra.r_lw, ra.r_ll)
+        rewards = (0.5, -1.0, 2.0, 0.25)
+        scn = single_pair_scenario(*rewards)
         for link in ALL_LINKS:
             rep = check_theorem1_exact(scn, link, 0.7)
             # Pair mass 1/4 scales both sides of the pointwise inequality.
             assert rep.max_violation == pytest.approx(
-                0.25 * lemma_slack(link, 0.7, ra), abs=1e-12)
+                0.25 * lemma_slack(link, 0.7, rewards), abs=1e-12)
 
     def test_precondition_rejected(self):
         bad = single_pair_scenario(1, 0, 1, 0, p_short=0.2, p_long=0.9)
@@ -143,7 +155,7 @@ class TestTheorem1SForm:
                 scn = single_pair_scenario(1.5, 1.5, 1.5, 1.5)
                 m = 0.25  # q_w * q_l * P(w beats l)
                 expected = (2.0 / 3.0) * m * eval_link(link, -gamma) \
-                    - (1.0 / 3.0) * eval_bound(BoundFn(link, gamma), 0.0)
+                    - (1.0 / 3.0) * eval_bound(link, 0.0, gamma)
                 rep = check_theorem1_sform(scn, link, gamma)
                 assert rep.max_violation == pytest.approx(expected, abs=1e-12)
                 assert rep.max_violation <= TOLERANCE

@@ -13,8 +13,8 @@ import pytest
 from shortlong import cli, forge
 from shortlong.cli import COMMANDS, KEYS, load_config, main
 from shortlong.corpus import StubGenerator, build_chain_corpus, needle_vocab, word_profile
-from shortlong.forge import (HaystackConfig, forge_dataset, read_distractor_pool,
-                             read_source_jsonl, write_forged_jsonl)
+from shortlong.forge import (HaystackConfig, forge_dataset, iter_source_jsonl,
+                             read_distractor_pool, write_forged_jsonl)
 from shortlong.losses import MethodConfig
 from shortlong.policy import ToyLM, load_model, save_model
 from shortlong.training import NonFiniteLossError, TrainConfig
@@ -740,7 +740,7 @@ class TestStreamedForge:
         src, pool_path = corpus
         assert self.forge(tmp_path / "r", src, pool_path, **settings) == 0
         samples, stats = forge_dataset(
-            read_source_jsonl(src), read_distractor_pool(pool_path),
+            list(iter_source_jsonl(src)), read_distractor_pool(pool_path),
             StubGenerator(0.5, n=3), HaystackConfig(self.SHORT, self.LONG, seed=1),
             settings.get("n_target"), condition_on=settings["condition_on"],
             intersection=settings["intersection"])

@@ -110,3 +110,9 @@ class TestReport:
         assert lines[0] == ("long_tokens,compression,flops_vanilla,flops_solo,"
                             "speedup,crossover")
         assert len(lines) == 5
+
+    def test_csv_with_no_models_is_the_header(self, tmp_path):
+        path = tmp_path / "speedup.csv"
+        write_report_csv([], path)
+        assert path.read_text().splitlines() == [
+            "long_tokens,compression,flops_vanilla,flops_solo,speedup,crossover"]

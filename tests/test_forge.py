@@ -18,8 +18,8 @@ from shortlong.corpus import (NO_ANSWER, PrefixedStubGenerator, SourceSample, St
 from shortlong import forge
 from shortlong.cli import load_config
 from shortlong.forge import (DistractorPool, ForgedSample, HaystackConfig,
-                             InsufficientPoolError, _partition, forge_dataset, read_forged_jsonl,
-                             read_distractor_pool, read_source_jsonl, sub_em,
+                             InsufficientPoolError, _partition, forge_dataset, iter_source_jsonl,
+                             read_forged_jsonl, read_distractor_pool, sub_em,
                              synthesize_context, text_lines, token_count,
                              write_forged_jsonl)
 from shortlong.policy import SEP
@@ -625,7 +625,7 @@ class TestJsonlIO:
         path.write_text('{"question": "q", "answer": "a", "supporting_docs": ["d"]}\n'
                         "{oops}\n")
         with pytest.raises(ValueError, match="line 2"):
-            read_source_jsonl(path)
+            list(iter_source_jsonl(path))
 
     @pytest.mark.parametrize("field, value", [
         ("question", 5),
@@ -641,13 +641,13 @@ class TestJsonlIO:
                                     "supporting_docs": ["d1"]}) + "\n"
                         + json.dumps(record) + "\n")
         with pytest.raises(ValueError, match=rf"src\.jsonl: .*line 2: .*{field}"):
-            read_source_jsonl(path)
+            list(iter_source_jsonl(path))
 
     def test_source_round_trip(self, tmp_path):
         path = tmp_path / "src.jsonl"
         path.write_text(json.dumps({"question": "q", "answer": "a",
                                     "supporting_docs": ["d1", "d2"]}) + "\n")
-        [src] = read_source_jsonl(path)
+        [src] = iter_source_jsonl(path)
         assert src.supporting_docs == ("d1", "d2")
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shortlong.links import (BoundFn, ConvexLink, DomainError, eval_bound, eval_link,
+from shortlong.links import (ConvexLink, DomainError, eval_bound, eval_link,
                              link_value_and_deriv)
 
 ALL_LINKS = list(ConvexLink)
@@ -68,7 +68,7 @@ class TestLogisticKernel:
     def test_envelope_matches_reference(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = eval_bound(BoundFn(ConvexLink.LOGISTIC, self.GRID), 0.0)
+            got = eval_bound(ConvexLink.LOGISTIC, 0.0, self.GRID)
         ref = 2.0 * np.logaddexp(0.0, 3.0 * self.GRID)
         self.assert_within_4_ulp(got, ref)
 
@@ -76,11 +76,10 @@ class TestLogisticKernel:
         assert np.all(np.diff(eval_link(ConvexLink.LOGISTIC, np.sort(self.GRID))) <= 0.0)
 
     def test_scalar_in_float_out_array_in_array_out(self):
-        bound = BoundFn(ConvexLink.LOGISTIC, 0.5)
         assert type(eval_link(ConvexLink.LOGISTIC, 2.0)) is float
-        assert type(eval_bound(bound, 2.0)) is float
+        assert type(eval_bound(ConvexLink.LOGISTIC, 2.0, 0.5)) is float
         assert isinstance(eval_link(ConvexLink.LOGISTIC, np.array([2.0])), np.ndarray)
-        assert isinstance(eval_bound(bound, np.array([2.0])), np.ndarray)
+        assert isinstance(eval_bound(ConvexLink.LOGISTIC, np.array([2.0]), 0.5), np.ndarray)
 
 
 class TestConvexity:
@@ -158,22 +157,22 @@ class TestValueAndDeriv:
 
 class TestBoundValues:
     def test_logistic_gamma_zero(self):
-        got = eval_bound(BoundFn(ConvexLink.LOGISTIC, 0.0), 0.0)
+        got = eval_bound(ConvexLink.LOGISTIC, 0.0)
         assert got == pytest.approx(2 * math.log(2), abs=1e-15)
 
     def test_square(self):
-        assert eval_bound(BoundFn(ConvexLink.SQUARE, 1.0), 2.0) == 10.0
+        assert eval_bound(ConvexLink.SQUARE, 2.0, 1.0) == 10.0
 
     def test_exponential_at_zero(self):
-        assert eval_bound(BoundFn(ConvexLink.EXPONENTIAL, 0.0), 0.0) == 2.0
+        assert eval_bound(ConvexLink.EXPONENTIAL, 0.0) == 2.0
 
     def test_hinge_clamped_nonnegative(self):
-        assert eval_bound(BoundFn(ConvexLink.HINGE, 2.0), 1.0) == 0.0
-        assert eval_bound(BoundFn(ConvexLink.HINGE, 2.0), 5.0) == 3.0
+        assert eval_bound(ConvexLink.HINGE, 1.0, 2.0) == 0.0
+        assert eval_bound(ConvexLink.HINGE, 5.0, 2.0) == 3.0
 
     def test_squared_hinge_clamped(self):
-        assert eval_bound(BoundFn(ConvexLink.SQUARED_HINGE, 2.0), 1.0) == 0.0
-        assert eval_bound(BoundFn(ConvexLink.SQUARED_HINGE, 2.0), 3.0) == 5.0
+        assert eval_bound(ConvexLink.SQUARED_HINGE, 1.0, 2.0) == 0.0
+        assert eval_bound(ConvexLink.SQUARED_HINGE, 3.0, 2.0) == 5.0
 
 
 class TestBoundMargin:
@@ -182,11 +181,11 @@ class TestBoundMargin:
                                              (ConvexLink.HINGE, -math.inf)])
     def test_non_finite_gamma_rejected(self, link, gamma):
         with pytest.raises(DomainError, match="gamma"):
-            eval_bound(BoundFn(link, gamma), 1.0)
+            eval_bound(link, 1.0, gamma)
 
     def test_non_finite_gamma_element_named(self):
         with pytest.raises(DomainError, match="gamma") as err:
-            eval_bound(BoundFn(ConvexLink.SQUARE, np.array([0.0, 1.0, math.nan])), 1.0)
+            eval_bound(ConvexLink.SQUARE, 1.0, np.array([0.0, 1.0, math.nan]))
         assert err.value.index == 2
 
 
@@ -200,12 +199,12 @@ class TestDomination:
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_envelope_dominates(self, link, gamma):
         lhs = eval_link(link, self.GRID + gamma) + eval_link(link, -self.GRID + gamma)
-        rhs = eval_bound(BoundFn(link, gamma), np.abs(self.GRID))
+        rhs = eval_bound(link, np.abs(self.GRID), gamma)
         assert np.max(lhs - rhs) <= 1e-9
 
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_square_is_tight_everywhere(self, gamma):
         lhs = eval_link(ConvexLink.SQUARE, self.GRID + gamma) \
             + eval_link(ConvexLink.SQUARE, -self.GRID + gamma)
-        rhs = eval_bound(BoundFn(ConvexLink.SQUARE, gamma), np.abs(self.GRID))
+        rhs = eval_bound(ConvexLink.SQUARE, np.abs(self.GRID), gamma)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12

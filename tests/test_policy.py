@@ -366,7 +366,7 @@ class TestScoreRows:
         weights = np.array([0.7, -1.3, 2.1, 0.0])
         per_token, backward = score_rows(model, *self.rows(vocab, self.ITEMS))
         grads = backward(weights)
-        total = model.zero_grads()
+        total = {k: np.zeros_like(v) for k, v in model.params.items()}
         for i, (ctx, resp) in enumerate(self.ITEMS):
             alone, alone_backward = score_rows(model, *self.rows(vocab, [(ctx, resp)]))
             row_grads = alone_backward(weights[i:i + 1])

@@ -8,8 +8,8 @@ import pytest
 
 from shortlong.cli import load_config
 from shortlong.corpus import build_chain_corpus, needle_vocab, word_profile
-from shortlong.forge import (ForgedSample, read_distractor_pool, read_forged_jsonl,
-                             read_source_jsonl, write_forged_jsonl)
+from shortlong.forge import (ForgedSample, iter_source_jsonl, read_distractor_pool,
+                             read_forged_jsonl, write_forged_jsonl)
 from shortlong.policy import ToyLM, load_model, save_model
 
 TRIALS = 150
@@ -41,7 +41,7 @@ def write_config(path):
 
 
 READERS = {
-    "read_source_jsonl": (write_sources, read_source_jsonl),
+    "iter_source_jsonl": (write_sources, lambda path: list(iter_source_jsonl(path))),
     "read_distractor_pool": (write_pool, read_distractor_pool),
     "read_forged_jsonl": (write_forged, read_forged_jsonl),
     "load_model": (write_checkpoint, load_model),
