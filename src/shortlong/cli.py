@@ -37,7 +37,7 @@ from .corpus import (PolicyCandidateGenerator, SourceSample, StubGenerator,
 from .forge import (ForgedSample, ForgeStats, HaystackConfig, InsufficientPoolError,
                     iter_forged, iter_source_jsonl, read_distractor_pool,
                     read_forged_jsonl, text_lines, write_forged_jsonl)
-from .gradcheck import check_loss_gradients, check_policy_gradients
+from .gradcheck import check_loss_gradients, check_step_gradients
 from .losses import Method, MethodConfig, RAMode
 from .policy import ToyLM, Vocab, load_model, save_model
 from .training import (NonFiniteLossError, TrainConfig, evaluate,
@@ -455,10 +455,10 @@ def cmd_speedup(v: dict, flags: dict, out: Path) -> int:
 
 def cmd_grad_check(v: dict, flags: dict, out: Path) -> int:
     loss_report = check_loss_gradients(v["points"], v["seed"])
-    policy_report = check_policy_gradients(v["seed"])
-    payload = {"loss_gradients": loss_report, "policy_gradients": policy_report}
+    step_report = check_step_gradients(v["seed"])
+    payload = {"loss_gradients": loss_report, "step_gradients": step_report}
     (out / "reports" / "gradcheck.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
-    worst = max(loss_report["max_relative_error"], policy_report["max_relative_error"])
+    worst = max(loss_report["max_relative_error"], step_report["max_relative_error"])
     print(f"max relative error: {worst:.3e}")
     return 0 if worst < 1e-4 else 1
 

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 
+from .forge import ForgedSample
 from .links import ConvexLink
 from .losses import (_METHODS, _RA_RESPONSES, GRAD_FIELDS, LogProbBundle, Method, MethodConfig,
                      RAMode, _reward_pass, grad_solopo, solopo_loss)
-from .policy import BOS, EOS, SEP, ToyLM, Vocab, encode_prompts, pad_responses, score_rows
+from .policy import BOS, EOS, SEP, ToyLM, Vocab, assemble_prompt, logprob
+from .training import _prepare, step_gradients
 
 __all__ = ["relative_error", "random_bundle", "check_loss_gradients",
-           "check_policy_gradients"]
+           "check_step_gradients"]
 
 _KINK_MARGIN = 1e-3
 # The central-difference step of every check, reported as "h".
@@ -80,70 +83,85 @@ def check_loss_gradients(n_points: int, seed: int) -> dict:
     call of each."""
     if n_points < 1:
         raise ValueError("grad-check needs at least one point per combo")
-    report = {"h": _H, "points_per_combo": n_points, "combos": {}, "max_relative_error": 0.0}
-    for method in Method:
-        for mode in RAMode:
-            rng = np.random.default_rng([seed, list(Method).index(method),
-                                         list(RAMode).index(mode)])
-            cfg = MethodConfig(method, ra_mode=mode,
-                               alpha=float(rng.uniform(0.2, 4.0)),
-                               gamma=float(rng.uniform(-1.0, 1.0)),
-                               eta=float(rng.uniform(0.5, 3.0)))
-            b = random_bundle(rng, cfg, n_points)
-            analytic = grad_solopo(cfg, b)
-            numeric = fd_gradient(cfg, b)
-            worst = max(float(np.max(relative_error(analytic[k], numeric[k])))
-                        for k in GRAD_FIELDS)
-            key = f"{method.value}/{mode.value}"
-            report["combos"][key] = worst
-            report["max_relative_error"] = max(report["max_relative_error"], worst)
-    return report
+    combos = {}
+    for (i, method), (j, mode) in itertools.product(enumerate(Method), enumerate(RAMode)):
+        rng = np.random.default_rng([seed, i, j])
+        cfg = MethodConfig(method, ra_mode=mode, alpha=float(rng.uniform(0.2, 4.0)),
+                           gamma=float(rng.uniform(-1.0, 1.0)), eta=float(rng.uniform(0.5, 3.0)))
+        b = random_bundle(rng, cfg, n_points)
+        analytic, numeric = grad_solopo(cfg, b), fd_gradient(cfg, b)
+        combos[f"{method.value}/{mode.value}"] = max(
+            float(np.max(relative_error(analytic[k], numeric[k]))) for k in GRAD_FIELDS)
+    return {"h": _H, "points_per_combo": n_points, "combos": combos,
+            "max_relative_error": max(combos.values())}
 
 
-def _tiny_world(seed: int) -> tuple[ToyLM, list[list[str]], list[list[str]]]:
-    """A tiny model, two prompts (the short and the long context) and two
-    responses of different lengths (y_w and y_l)."""
-    vocab = Vocab((BOS, EOS, SEP, "t0", "t1", "t2", "t3", "t4", "t5", "t6"))
-    model = ToyLM(vocab, hidden_dim=8, seed=seed)
-    rng = np.random.default_rng(seed)
-    words = ["t0", "t1", "t2", "t3", "t4", "t5", "t6"]
-    prompts = [[words[int(i)] for i in rng.integers(0, len(words), n)] for n in (4, 8)]
-    responses = [[words[int(i)] for i in rng.integers(0, len(words), n)] + [EOS]
-                 for n in (3, 2)]
-    return model, prompts, responses
+# The random unit directions along which check_step_gradients differentiates
+# each combo, as JAX's check_grads does (a per-coordinate sweep is far slower).
+_DIRECTIONS = 8
 
 
-def check_policy_gradients(seed: int) -> dict:
-    """FD-validate backprop through the scorer composed with the loss, in the
-    training layout: two prompts with the two responses each, so the
-    gradient of each prompt's pooled context sums over its two rows. The rows
-    are encoded once, and each evaluation is one scorer pass, whose
-    ``backward`` gives the analytic gradient at the unperturbed point."""
-    model, prompts, responses = _tiny_world(seed)
-    cfg = MethodConfig(Method.ORPO, alpha=1.0)
-    rows = (encode_prompts(model.vocab, prompts),
-            *pad_responses([model.vocab.encode(r) for r in responses * 2]))
-    len_w, len_l = map(len, responses)
+def _tiny_world(rng: np.random.Generator) -> tuple[ToyLM, ToyLM, list[ForgedSample]]:
+    """A tiny policy, a tiny reference and two records with contexts of 4 and
+    8 tokens and responses of 3 and 2. ToyLM's near-uniform start puts every
+    alignment gap within a kink margin, so the models start at 10 times it."""
+    vocab = Vocab((BOS, EOS, SEP) + tuple(f"t{i}" for i in range(7)))
+    models = [ToyLM(vocab, hidden_dim=8, seed=int(s)) for s in rng.integers(2 ** 31, size=2)]
+    for array in (a for model in models for a in model.params.values()):
+        array *= 10.0
+    texts = [" ".join(rng.choice(vocab.tokens[3:], n)) for _ in range(2) for n in (2, 4, 8, 3, 2)]
+    return models[0], models[1], [ForgedSample(texts[i], "", *texts[i + 1:i + 5]) for i in (0, 5)]
 
-    def scored():
-        """The loss breakdown of one scorer pass, and that pass's ``backward``."""
-        per_token, backward = score_rows(model, *rows)
-        lps = per_token.sum(axis=1)
-        b = LogProbBundle(*lps, len_w=len_w, len_l=len_l)
-        return solopo_loss(cfg, b), backward
 
-    breakdown, backward = scored()
-    analytic = backward(np.array([breakdown.grads[k] for k in GRAD_FIELDS[:4]]))
-    worst = 0.0
-    for name, arr in model.params.items():
-        flat = arr.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + _H
-            up = scored()[0].total
-            flat[i] = keep - _H
-            down = scored()[0].total
-            flat[i] = keep
-            worst = max(worst, float(relative_error(float(analytic[name].ravel()[i]),
-                                                    (up - down) / (2.0 * _H))))
-    return {"h": _H, "max_relative_error": worst}
+def _fields(model: ToyLM, records: list[ForgedSample], po_context: str) -> np.ndarray:
+    """The (n, 4) log-prob fields of the records by definition: each
+    response's :func:`logprob` under ``assemble_prompt(context, question)``,
+    the PO context's first."""
+    return np.array([[logprob(model, assemble_prompt(context, r.question),
+                              y.split() + [EOS]).total_logprob
+                      for context in (r.x_long if po_context == "long" else r.x_short, r.x_long)
+                      for y in (r.y_w, r.y_l)] for r in records])
+
+
+def _bundle(model: ToyLM, records: list[ForgedSample], po_context: str,
+            refs: np.ndarray | None) -> LogProbBundle:
+    lens = np.array([[len(r.y_w.split()) + 1, len(r.y_l.split()) + 1] for r in records])
+    return LogProbBundle(*_fields(model, records, po_context).T, *lens.T,
+                         *(() if refs is None else refs.T))
+
+
+def check_step_gradients(seed: int) -> dict:
+    """Max relative error of :func:`~shortlong.training.step_gradients` on a
+    two-record batch against central differences of its mean ``total`` along
+    ``_DIRECTIONS`` random unit directions, per method x alignment mode x
+    ``po_context``. The differences score each field by :func:`_fields`, not
+    through the step's rows. A world within ``_KINK_MARGIN`` of a kink is
+    redrawn; under ``po_context="long"`` the gaps are identically 0, no kink."""
+    combos = {}
+    for (i, method), (j, mode), (k, po_context) in itertools.product(
+            enumerate(Method), enumerate(RAMode), enumerate(("short", "long"))):
+        for attempt in itertools.count():
+            rng = np.random.default_rng([seed, i, j, k, attempt])
+            cfg = MethodConfig(method, ra_mode=mode, alpha=float(rng.uniform(0.2, 4.0)),
+                               gamma=float(rng.uniform(-1, 1)), eta=float(rng.uniform(0.5, 3)))
+            model, reference, records = _tiny_world(rng)
+            refs = _fields(reference, records, po_context) if cfg.needs_reference else None
+            kinks = cfg if po_context == "short" else replace(cfg, alpha=0.0)
+            if all((d > _KINK_MARGIN).all()
+                   for d in _kink_distances(kinks, _bundle(model, records, po_context, refs))):
+                break
+        rows, at = _prepare(records, model.vocab, po_context), np.arange(len(records))
+        grads = step_gradients(model, cfg, rows.batch(at), rows.len_w, rows.len_l, refs, at, 0)[2]
+        worst = 0.0
+        for _ in range(_DIRECTIONS):
+            u = {name: rng.normal(size=p.shape) for name, p in model.params.items()}
+            norm = np.sqrt(sum(np.vdot(v, v) for v in u.values()))
+            u = {name: v / norm for name, v in u.items()}  # a unit direction
+            up, down = (solopo_loss(cfg, _bundle(ToyLM(model.vocab, model.hidden_dim, _params={
+                name: p + sign * _H * u[name] for name, p in model.params.items()}),
+                records, po_context, refs)).total.mean() for sign in (1, -1))
+            analytic = sum(np.vdot(grads[name], u[name]) for name in u)
+            worst = max(worst, float(relative_error(analytic, (up - down) / (2.0 * _H))))
+        combos[f"{method.value}/{mode.value}/{po_context}"] = worst
+    return {"h": _H, "directions_per_combo": _DIRECTIONS, "combos": combos,
+            "max_relative_error": max(combos.values())}

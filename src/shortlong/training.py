@@ -21,7 +21,7 @@ import numpy as np
 
 from .forge import ForgedSample, sub_em
 from .links import DomainError
-from .losses import GRAD_FIELDS, LogProbBundle, MethodConfig, solopo_loss
+from .losses import GRAD_FIELDS, LogProbBundle, LossBreakdown, MethodConfig, solopo_loss
 from .policy import (EOS, ToyLM, Vocab, assemble_prompt, decode_rows, encode_prompts,
                      pad_responses, score_rows)
 # An alias of policy.logprob, kept importable from here: perfbench/selftest.py
@@ -37,6 +37,7 @@ __all__ = [
     "AdamW",
     "learning_rate",
     "assemble_prompt",
+    "step_gradients",
     "train",
     "evaluate",
     "RunResult",
@@ -257,19 +258,48 @@ def _non_finite(message: str, step: int, sample_index: int, **detail) -> NonFini
                               {"step": step, "sample_index": sample_index, **detail})
 
 
+def step_gradients(model: ToyLM, method_cfg: MethodConfig, rows: tuple, len_w: np.ndarray,
+                   len_l: np.ndarray, refs: np.ndarray | None, records: np.ndarray, step: int
+                   ) -> tuple[LossBreakdown, np.ndarray, dict[str, np.ndarray]]:
+    """``(breakdown, lp_l_long, grads)`` of n records: one :func:`score_rows`
+    pass over ``rows`` (a :meth:`_Rows.batch`), one :func:`solopo_loss` call
+    with the (n,) lengths and (n, 4) ``refs`` (or None), and that pass's
+    ``backward`` with the field gradients over n as row weights, the gradient
+    of the mean ``total``. A non-finite score or loss, or an ORPO log-odds
+    singularity, raises :class:`NonFiniteLossError` naming ``step`` and the
+    record's dataset index from ``records``."""
+    n = len(records)
+    per_token, backward = score_rows(model, *rows)
+    lps = per_token.sum(axis=1).reshape(-1, 4)
+    bad = ~np.isfinite(lps)
+    if bad.any():
+        j = int(np.flatnonzero(bad.any(axis=1))[0])
+        values = {k: float(v) for k, v, b in zip(GRAD_FIELDS[:4], lps[j], bad[j]) if b}
+        fields = list(values)
+        raise _non_finite(f"non-finite log-probability in {fields}", step, int(records[j]),
+                          fields=fields, values=values)
+    bundle = LogProbBundle(*lps.T, len_w, len_l, *(() if refs is None else refs.T))
+    try:
+        breakdown = solopo_loss(method_cfg, bundle)
+    except DomainError as exc:  # the ORPO log-odds singularity, in a (4, n) stack
+        raise _non_finite(str(exc), step, int(records[exc.index % n]), error=str(exc)) from exc
+    bad_total = np.flatnonzero(~np.isfinite(breakdown.total))
+    if bad_total.size:
+        j = int(bad_total[0])
+        terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
+        raise _non_finite("non-finite loss", step, int(records[j]), breakdown=terms)
+    # The row weights in the kernel's (record, field) order.
+    weights = np.array([breakdown.grads[key] for key in GRAD_FIELDS[:4]]).T * (1.0 / n)
+    return breakdown, bundle.lp_l_long, backward(weights.ravel())
+
+
 def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
           vocab: Vocab, eval_set: Sequence[ForgedSample] | None = None
           ) -> tuple[ToyLM, TrainLog]:
     """Run the optimization loop; returns the mutated model and its log.
 
-    Each step makes one pass of :func:`~shortlong.policy.score_rows` over the
-    two prompts and four rows of every record in the batch, makes one
-    :func:`~shortlong.losses.solopo_loss` call over the batch's (n,) arrays
-    for the loss terms, the long-context reward margin and the field
-    gradients, and backpropagates through that pass's ``backward`` with the
-    field gradients as row weights. A non-finite score or loss, or an ORPO
-    log-odds singularity in any of the four fields, aborts with
-    :class:`NonFiniteLossError` naming the record. With an ``eval_set``, one
+    Each step is one :func:`step_gradients` call, one AdamW step and one
+    :class:`StepRecord`. With an ``eval_set``, one
     :class:`EvalRecord` is logged at every ``eval_every``-th step and at the
     last step; an empty ``eval_set`` fails before the first step. ``vocab``
     must be the model's vocabulary. A positive ``lr_max`` whose schedule is
@@ -282,8 +312,9 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     if vocab != model.vocab:
         raise ValueError("vocab differs from the model's vocabulary")
     total_steps = math.ceil(len(dataset) / cfg.batch_size) * cfg.epochs
-    if cfg.lr_max > 0 and not any(learning_rate(s, total_steps, cfg.lr_max, cfg.warmup_ratio)
-                                  for s in range(1, total_steps + 1)):
+    rates = [learning_rate(s, total_steps, cfg.lr_max, cfg.warmup_ratio)
+             for s in range(1, total_steps + 1)]
+    if cfg.lr_max > 0 and not any(rates):
         raise ValueError(f"with warmup_ratio {cfg.warmup_ratio} the learning rate is 0 at "
                          f"every step (of {total_steps}); raise warmup_ratio or the step count")
     mc = cfg.method_cfg
@@ -304,41 +335,21 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
         epoch_refs = None if ref_lps is None else ref_lps[order]
         for start in range(0, len(dataset), cfg.batch_size):
             step += 1
-            lr = learning_rate(step, total_steps, cfg.lr_max, cfg.warmup_ratio)
+            lr = rates[step - 1]
             at = slice(start, start + cfg.batch_size)
             chunk = order[at]
             n = len(chunk)
-            prompts = slice(2 * start, 2 * (start + n))  # the chunk's two prompts per record
-            span = slice(4 * start, 4 * (start + n))     # and its four rows per record
-            per_token, backward = score_rows(model, counts[prompts], resp_ids[span], mask[span])
-            lps = per_token.sum(axis=1).reshape(-1, 4)
-            bad = ~np.isfinite(lps)
-            if bad.any():
-                j = int(np.flatnonzero(bad.any(axis=1))[0])
-                values = {k: float(v) for k, v, b in zip(GRAD_FIELDS[:4], lps[j], bad[j]) if b}
-                fields = list(values)
-                raise _non_finite(f"non-finite log-probability in {fields}", step, int(chunk[j]),
-                                  fields=fields, values=values)
-            refs = () if epoch_refs is None else epoch_refs[at].T
-            bundle = LogProbBundle(*lps.T, len_w[at], len_l[at], *refs)
-            try:
-                breakdown = solopo_loss(mc, bundle)
-            except DomainError as exc:  # the ORPO log-odds singularity, in a (4, n) stack
-                raise _non_finite(str(exc), step, int(chunk[exc.index % n]),
-                                  error=str(exc)) from exc
-            bad_total = np.flatnonzero(~np.isfinite(breakdown.total))
-            if bad_total.size:
-                j = int(bad_total[0])
-                terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
-                raise _non_finite("non-finite loss", step, int(chunk[j]), breakdown=terms)
-            # The row weights in the kernel's (record, field) order.
-            weights = np.array([breakdown.grads[key] for key in GRAD_FIELDS[:4]]).T * (1.0 / n)
-            opt.step(backward(weights.ravel()), lr)
+            batch = (counts[2 * start:2 * (start + n)],  # the chunk's two prompts per record
+                     resp_ids[4 * start:4 * (start + n)], mask[4 * start:4 * (start + n)])
+            refs = None if epoch_refs is None else epoch_refs[at]
+            breakdown, lp_l_long, grads = step_gradients(model, mc, batch, len_w[at], len_l[at],
+                                                         refs, chunk, step)
+            opt.step(grads, lr)
             # One row mean per logged term; a scalar term (a disabled NLL) fills
             # its row, and the telemetry columns are NaN without telemetry.
             terms = [getattr(breakdown, k) for k in _TERMS]
             if cfg.telemetry:
-                terms += [breakdown.reward_margin_long, bundle.lp_l_long]
+                terms += [breakdown.reward_margin_long, lp_l_long]
             stacked = np.empty((len(terms), n))
             for j, term in enumerate(terms):
                 stacked[j] = term

@@ -894,5 +894,19 @@ class TestGradCheckCommand:
         assert rc == 0
         report = json.loads((tmp_path / "r" / "reports" / "gradcheck.json").read_text())
         assert report["loss_gradients"]["max_relative_error"] < 1e-4
-        assert report["policy_gradients"]["max_relative_error"] < 1e-4
         assert len(report["loss_gradients"]["combos"]) == 15
+        assert "policy_gradients" not in report
+        step = report["step_gradients"]
+        assert len(step["combos"]) == 30
+        assert all(error < 1e-4 for error in step["combos"].values()), step["combos"]
+        assert step["max_relative_error"] == max(step["combos"].values())
+
+    def test_fails_when_the_step_check_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_step_gradients",
+                            lambda seed: {"combos": {"orpo/both/short": 1e-4},
+                                          "max_relative_error": 1e-4})
+        rc = run(["grad-check", "--out", tmp_path / "r", "--set", "points=5"])
+        assert rc == 1
+        assert "1.000e-04" in capsys.readouterr().out
+        report = json.loads((tmp_path / "r" / "reports" / "gradcheck.json").read_text())
+        assert report["step_gradients"]["max_relative_error"] == 1e-4

@@ -346,10 +346,11 @@ class TestParamGrad:
         assert worst < 1e-4
 
     def test_composed_loss_gradcheck(self):
-        from shortlong.gradcheck import check_policy_gradients
+        from shortlong.gradcheck import check_step_gradients
 
-        report = check_policy_gradients(seed=0)
-        assert report["max_relative_error"] < 1e-4
+        report = check_step_gradients(seed=0)
+        assert len(report["combos"]) == 30
+        assert report["max_relative_error"] < 1e-4, report["combos"]
 
 
 class TestScoreRows:

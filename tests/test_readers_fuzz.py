@@ -2,6 +2,7 @@
 a ValueError that names it, never another exception."""
 
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -70,7 +71,9 @@ def test_damaged_file_loads_or_names_itself(tmp_path, reader):
     write(path)
     read(path)  # the undamaged file loads
     original = path.read_bytes()
-    rng = np.random.default_rng([7, sorted(READERS).index(reader)])
+    # Seeded by the reader's name, so adding or renaming a reader moves no
+    # other reader's mutations.
+    rng = np.random.default_rng([7, zlib.crc32(reader.encode())])
     for _ in range(TRIALS):
         path.write_bytes(mutate(original, rng))
         try:

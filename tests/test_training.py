@@ -7,15 +7,17 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from shortlong import cli
+from shortlong import cli, gradcheck
 from shortlong.corpus import (PrefixedStubGenerator, build_chain_corpus,
                               needle_profile, needle_vocab, value_token)
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset, write_forged_jsonl
+from shortlong.gradcheck import check_step_gradients
 from shortlong.losses import Method, MethodConfig, RAMode
-from shortlong.policy import BOS, EOS, ToyLM, Vocab, bag_of_tokens, logprob, pad_responses
+from shortlong.policy import (BOS, EOS, ToyLM, Vocab, bag_of_tokens, logprob, pad_responses,
+                             score_rows)
 from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, _prepare,
                                 assemble_prompt, evaluate, learning_rate, run_comparison,
-                                train)
+                                step_gradients, train)
 
 
 @pytest.fixture(scope="module")
@@ -598,6 +600,58 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ToyLM(vocab, 8, 0), [], TrainConfig(MethodConfig(Method.ORPO)), vocab)
 
+
+
+class TestStepGradients:
+    """``train``'s step is ``step_gradients``, and ``check_step_gradients``
+    checks it against the objective, not against its own wiring."""
+
+    def test_train_step_is_step_gradients_then_adamw(self, world):
+        vocab, data, _ = world
+        cfg = TrainConfig(MethodConfig(Method.DPO, alpha=0.5, ra_mode=RAMode.BOTH),
+                          lr_max=0.05, batch_size=len(data), po_context="long", seed=4)
+        start = ToyLM(vocab, 8, 3)
+        trained, log = train(start.clone(), data, cfg, vocab)
+        rows = _prepare(data, vocab, "long")
+        everything = np.arange(len(data))
+        per_token, _ = score_rows(start, *rows.batch(everything))
+        order = np.random.default_rng(4).permutation(len(data))
+        refs = per_token.sum(axis=1).reshape(-1, 4)[order]
+        breakdown, _, grads = step_gradients(start, cfg.method_cfg, rows.batch(order),
+                                             rows.len_w[order], rows.len_l[order], refs, order, 1)
+        AdamW(start.params).step(grads, log.steps[0].lr)
+        for key, p in trained.params.items():
+            assert np.array_equal(p, start.params[key])
+        assert log.steps[0].total == float(np.mean(breakdown.total))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_check_passes(self, seed):
+        report = check_step_gradients(seed)
+        assert len(report["combos"]) == 30
+        assert report["max_relative_error"] < 1e-4, report["combos"]
+
+    @staticmethod
+    def doubled(*args):
+        """A step that drops the 1/n of a two-record batch."""
+        breakdown, lp_l_long, grads = step_gradients(*args)
+        return breakdown, lp_l_long, {k: 2.0 * g for k, g in grads.items()}
+
+    @staticmethod
+    def prompts_swapped(model, method_cfg, rows, *rest):
+        """A step that swaps each record's PO and long prompts."""
+        counts, resp_ids, mask = rows
+        swapped = counts.reshape(-1, 2, counts.shape[-1])[:, ::-1].reshape(counts.shape)
+        return step_gradients(model, method_cfg, (swapped, resp_ids, mask), *rest)
+
+    @pytest.mark.parametrize("wrapper, failing", [
+        ("doubled", ("short", "long")), ("prompts_swapped", ("short",))],
+        ids=["doubled", "prompts_swapped"])
+    def test_check_is_independent_of_the_step(self, monkeypatch, wrapper, failing):
+        monkeypatch.setattr(gradcheck, "step_gradients", getattr(self, wrapper))
+        combos = check_step_gradients(0)["combos"]
+        assert len(combos) == 30
+        for key, error in combos.items():
+            assert (error >= 1e-4) == (key.rsplit("/", 1)[1] in failing), (key, error)
 
 class TestEvaluate:
     def test_oracle_decoder_scores_one(self, world):
