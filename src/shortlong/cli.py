@@ -40,8 +40,8 @@ from .forge import (ForgedSample, ForgeStats, HaystackConfig, InsufficientPoolEr
 from .gradcheck import check_loss_gradients, check_step_gradients
 from .losses import Method, MethodConfig, RAMode
 from .policy import ToyLM, Vocab, load_model, save_model
-from .training import (NonFiniteLossError, TrainConfig, evaluate,
-                       run_comparison, train)
+from .training import (NonFiniteLossError, TrainConfig, evaluate, run_comparison,
+                       strict_json, train)
 
 __all__ = ["main", "load_config", "parse_settings", "KEYS", "COMMANDS"]
 
@@ -362,6 +362,8 @@ def _compare_spec(spec: str) -> list[tuple[str, str, object]]:
     parsed = [_parse_value("train", "--compare", key, text) for text in texts]
     if key not in _CELL_KEYS:
         raise ConfigError(f"--compare: {key!r} does not vary the training objective")
+    if len(set(parsed)) != len(parsed):
+        raise ConfigError(f"--compare: {key!r} values must be distinct, got {raw}")
     return [(f"{key}={text}", key, value) for text, value in zip(texts, parsed)]
 
 
@@ -559,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
             (out / sub).mkdir(parents=True, exist_ok=True)
         rc = COMMANDS[args.command].run(values, flags, out)
     except NonFiniteLossError as exc:
-        (out / "reports" / "abort.json").write_text(json.dumps(exc.diagnostic, sort_keys=True))
+        (out / "reports" / "abort.json").write_text(strict_json(exc.diagnostic))
         print(f"training aborted: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, InsufficientPoolError) as exc:

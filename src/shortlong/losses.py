@@ -51,17 +51,12 @@ class RAMode(enum.Enum):
     KL_APPROX = "kl_approx"
 
 
-def _below_zero(t) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t >= 0.0):
-        raise DomainError("log-odds singularity: per-token log-prob >= 0 (p >= 1)", t >= 0.0)
-    return t
-
-
 def _log_odds(lp, n) -> tuple:
     """(log(p / (1 - p)), its derivative by lp) for p = e^t, t = lp / n < 0,
     without forming p - 1 directly: the derivative is 1 / (1 - e^t) / n."""
-    t = _below_zero(lp / n)
+    t = np.asarray(lp / n, dtype=np.float64)
+    if np.any(t >= 0.0):
+        raise DomainError("log-odds singularity: per-token log-prob >= 0 (p >= 1)", t >= 0.0)
     # log(1 - e^t): expm1 near zero, log1p(-exp) otherwise; the far branch's
     # input is clamped so the branch np.where discards stays finite.
     one_minus_p = -np.expm1(t)
@@ -72,15 +67,16 @@ def _log_odds(lp, n) -> tuple:
 
 @dataclass(frozen=True)
 class _Row:
-    """One algorithm: its link, default hyperparameters, whether it reads a
-    reference policy, keeps it in the alignment gap and squares that gap
-    (instead of taking its absolute value), and its reward with its slope,
+    """One algorithm: its link, default hyperparameters (``beta`` None when
+    the reward does not read it), whether it reads a reference policy, keeps
+    it in the alignment gap and squares that gap (instead of taking its
+    absolute value), and its reward with its slope,
     ``reward(beta, lp, ref_lp, length)`` = (r, dr/dlp), both of lp's shape
     (a reference-reading reward is a function of lp - ref_lp, so
     dr/dref_lp = -dr/dlp)."""
 
     link: ConvexLink
-    beta: float
+    beta: float | None
     reward: Callable
     gamma: float = 0.0
     alpha: float = 1.0
@@ -98,12 +94,12 @@ _METHODS = {
                      reward=lambda beta, lp, ref, n: (beta * (lp - ref), np.full_like(lp, beta))),
     Method.SIMPO: _Row(ConvexLink.LOGISTIC, beta=2.0, gamma=1.4,
                        reward=lambda beta, lp, ref, n: (beta / n * lp, beta / n)),
-    Method.ORPO: _Row(ConvexLink.LOGISTIC, beta=0.1, include_nll=True,
+    Method.ORPO: _Row(ConvexLink.LOGISTIC, beta=None, include_nll=True,
                       reward=lambda beta, lp, ref, n: _log_odds(lp, n)),
-    Method.IPO: _Row(ConvexLink.SQUARE, beta=1.0, gamma=0.5, needs_reference=True,
+    Method.IPO: _Row(ConvexLink.SQUARE, beta=None, gamma=0.5, needs_reference=True,
                      gap_keeps_reference=True, squared_gap=True,
                      reward=lambda beta, lp, ref, n: (lp - ref, np.ones_like(lp))),
-    Method.SLIC: _Row(ConvexLink.HINGE, beta=1.0,
+    Method.SLIC: _Row(ConvexLink.HINGE, beta=None,
                       reward=lambda beta, lp, ref, n: (lp, np.ones_like(lp))),
 }
 
@@ -113,9 +109,10 @@ class MethodConfig:
     """Algorithm choice plus its hyperparameters.
 
     ``None`` hyperparameters are filled with the per-method defaults
-    (DPO/ORPO beta=0.1, SimPO beta=2.0 gamma=1.4, IPO gamma=0.5, the target
+    (DPO beta=0.1, SimPO beta=2.0 gamma=1.4, IPO gamma=0.5, the target
     margin 1/(2 tau) at tau = 1; alpha 3/1/1 for DPO/SimPO/ORPO and 1
-    otherwise; NLL term on for ORPO).
+    otherwise; NLL term on for ORPO). Only DPO and SimPO rewards read
+    ``beta``; it stays None, and setting it is an error, for the others.
     """
 
     method: Method
@@ -134,8 +131,10 @@ class MethodConfig:
         if self.include_nll and not row.include_nll:
             raise ValueError("include_nll is only meaningful for ORPO")
         for name in ("alpha", "beta", "gamma", "eta"):
-            if not math.isfinite(getattr(self, name)):
+            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.beta is not None and row.beta is None:
+            raise ValueError(f"beta is not used by {self.method.value}")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
         if self.alpha < 0:
@@ -183,9 +182,6 @@ class LogProbBundle:
                 if not np.all(np.isfinite(getattr(self, name))):
                     raise ValueError(f"{name} must be finite")
 
-    def has_reference(self) -> bool:
-        return all(getattr(self, name) is not None for name in GRAD_FIELDS[4:])
-
 
 GRAD_FIELDS = (
     "lp_w_short", "lp_l_short", "lp_w_long", "lp_l_long",
@@ -196,15 +192,15 @@ GRAD_FIELDS = (
 @dataclass
 class LossBreakdown:
     """total = po_term + alpha * ra_term + nll_term; the long-context reward
-    margin r(x_long, y_w) - r(x_long, y_l); and ``grads``, which maps every
-    name in :data:`GRAD_FIELDS` to d total / d field."""
+    margin r(x_long, y_w) - r(x_long, y_l); and ``grads``, the (8, ...) array
+    of d total / d field, one row per name of :data:`GRAD_FIELDS` in order."""
 
     total: float | np.ndarray
     po_term: float | np.ndarray
     ra_term: float | np.ndarray
     nll_term: float | np.ndarray
     reward_margin_long: float | np.ndarray
-    grads: dict
+    grads: np.ndarray
 
 
 def reward(cfg: MethodConfig, lp, ref_lp, length):
@@ -270,7 +266,7 @@ def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
     any of them raises :class:`DomainError`, whose index is the flat position
     in the (4, ...) stack of ``GRAD_FIELDS[:4]``: record ``index % n``.
     """
-    if cfg.needs_reference and not b.has_reference():
+    if cfg.needs_reference and any(getattr(b, name) is None for name in GRAD_FIELDS[4:]):
         raise ValueError(f"{cfg.method.value} requires reference log-probs")
     row = _METHODS[cfg.method]
     lp, slope, z, gaps, margin_long = _reward_pass(cfg, b)
@@ -305,10 +301,9 @@ def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
                 g[4:4 + k] -= d_short
                 g[6:6 + k] += d_long
     return LossBreakdown(total=po + a * ra + nll, po_term=po, ra_term=ra, nll_term=nll,
-                         reward_margin_long=_result(margin_long),
-                         grads={name: _result(value) for name, value in zip(GRAD_FIELDS, g)})
+                         reward_margin_long=_result(margin_long), grads=g)
 
 
-def grad_solopo(cfg: MethodConfig, b: LogProbBundle) -> dict:
-    """d total / d field for every field of :data:`GRAD_FIELDS`."""
+def grad_solopo(cfg: MethodConfig, b: LogProbBundle) -> np.ndarray:
+    """The (8, ...) d total / d field, in :data:`GRAD_FIELDS` order."""
     return solopo_loss(cfg, b).grads

@@ -12,10 +12,10 @@ import csv
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "EvalRecord",
     "TrainLog",
     "NonFiniteLossError",
+    "strict_json",
     "AdamW",
     "learning_rate",
     "assemble_prompt",
@@ -97,14 +98,22 @@ class TrainLog:
     def write_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([f.name for f in StepRecord.__dataclass_fields__.values()])
-            for rec in self.steps:
-                writer.writerow([getattr(rec, f) for f in StepRecord.__dataclass_fields__])
+            writer.writerow(StepRecord.__dataclass_fields__)
+            writer.writerows(map(astuple, self.steps))
 
     def write_json(self, path: str | Path) -> None:
-        payload = {"steps": [asdict(s) for s in self.steps],
-                   "evals": [asdict(e) for e in self.evals]}
-        Path(path).write_text(json.dumps(payload, sort_keys=True))
+        Path(path).write_text(strict_json(asdict(self)))
+
+
+def strict_json(payload) -> str:
+    """Sorted JSON of ``payload``, each non-finite float as "nan", "inf" or "-inf"."""
+    def finite(value):
+        if isinstance(value, dict):
+            return {key: finite(v) for key, v in value.items()}
+        if isinstance(value, list):
+            return list(map(finite, value))
+        return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+    return json.dumps(finite(payload), sort_keys=True, allow_nan=False)
 
 
 class NonFiniteLossError(RuntimeError):
@@ -196,20 +205,28 @@ class _Rows:
     """Every record's two prompts, the PO prompt and the long prompt, and its
     four scoring rows: (PO prompt, y_w), (PO prompt, y_l), (long prompt, y_w),
     (long prompt, y_l), the log-prob fields ``GRAD_FIELDS[:4]`` in order, so
-    that each prompt owns two consecutive rows. The arrays are read-only."""
+    that each prompt owns two consecutive rows; and, for a method that reads
+    a reference, the reference's log-probs of those fields. Every field is
+    indexed along the records first."""
 
     counts: np.ndarray    # (n, 2, V) prompt bags of tokens
     resp_ids: np.ndarray  # (n, 4, T) padded response ids
     mask: np.ndarray      # (n, 4, T) real response positions
     len_w: np.ndarray     # (n,) response token counts
     len_l: np.ndarray
+    refs: np.ndarray | None = None  # (n, 4) reference log-probs
 
-    def batch(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The 2 * len(records) prompts and 4 * len(records) rows of
-        ``records`` as one kernel input."""
-        return (self.counts[records].reshape(-1, self.counts.shape[-1]),
-                self.resp_ids[records].reshape(-1, self.resp_ids.shape[-1]),
-                self.mask[records].reshape(-1, self.mask.shape[-1]))
+    def __getitem__(self, index) -> _Rows:
+        """The rows of the records ``index`` selects; a slice gives views."""
+        return _Rows(*[None if a is None else a[index] for a in vars(self).values()])
+
+    def score(self, model: ToyLM) -> tuple[np.ndarray, Callable]:
+        """``(lps, backward)``: the (n, 4) log-prob fields under ``model``
+        from one :func:`score_rows` pass, and that pass's ``backward``, which
+        takes the 4n row weights in record-major order."""
+        per_token, backward = score_rows(
+            model, *(a.reshape(-1, a.shape[-1]) for a in (self.counts, self.resp_ids, self.mask)))
+        return per_token.sum(axis=1).reshape(-1, 4), backward
 
 
 # The record fields training reads; they key a dataset's memoized rows.
@@ -217,8 +234,8 @@ _TEXTS = attrgetter("question", "x_short", "x_long", "y_w", "y_l")
 
 
 def _prepare(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> _Rows:
-    """Encode each prompt and response once; an out-of-vocabulary token fails
-    here, naming its record."""
+    """Encode each prompt and response once, into read-only rows; an
+    out-of-vocabulary token fails here, naming its record."""
     return _encode_dataset(vocab, po_context, tuple(map(_TEXTS, dataset)))
 
 
@@ -245,11 +262,11 @@ def _encode_dataset(vocab: Vocab, po_context: str,
     ends = np.cumsum(lengths).tolist()
     ids, mask = pad_responses([flat[end - n:end] for end, n in zip(ends, lengths.tolist())])
     order = slots.reshape(-1, 2)[:, [0, 1, 0, 1]]  # (y_w, y_l, y_w, y_l) per record
-    rows = _Rows(np.stack((po, long_), axis=1), ids[order], mask[order],
-                 lengths[order[:, 0]], lengths[order[:, 1]])
-    for array in vars(rows).values():
+    arrays = (np.stack((po, long_), axis=1), ids[order], mask[order],
+              lengths[order[:, 0]], lengths[order[:, 1]])
+    for array in arrays:
         array.setflags(write=False)
-    return rows
+    return _Rows(*arrays)
 
 
 def _non_finite(message: str, step: int, sample_index: int, **detail) -> NonFiniteLossError:
@@ -258,19 +275,16 @@ def _non_finite(message: str, step: int, sample_index: int, **detail) -> NonFini
                               {"step": step, "sample_index": sample_index, **detail})
 
 
-def step_gradients(model: ToyLM, method_cfg: MethodConfig, rows: tuple, len_w: np.ndarray,
-                   len_l: np.ndarray, refs: np.ndarray | None, records: np.ndarray, step: int
-                   ) -> tuple[LossBreakdown, np.ndarray, dict[str, np.ndarray]]:
-    """``(breakdown, lp_l_long, grads)`` of n records: one :func:`score_rows`
-    pass over ``rows`` (a :meth:`_Rows.batch`), one :func:`solopo_loss` call
-    with the (n,) lengths and (n, 4) ``refs`` (or None), and that pass's
+def step_gradients(model: ToyLM, method_cfg: MethodConfig, batch: _Rows, records: np.ndarray,
+                   step: int) -> tuple[LossBreakdown, np.ndarray, dict[str, np.ndarray]]:
+    """``(breakdown, lp_l_long, grads)`` of the n records of ``batch``: one
+    :meth:`_Rows.score` pass, one :func:`solopo_loss` call, and that pass's
     ``backward`` with the field gradients over n as row weights, the gradient
     of the mean ``total``. A non-finite score or loss, or an ORPO log-odds
     singularity, raises :class:`NonFiniteLossError` naming ``step`` and the
     record's dataset index from ``records``."""
     n = len(records)
-    per_token, backward = score_rows(model, *rows)
-    lps = per_token.sum(axis=1).reshape(-1, 4)
+    lps, backward = batch.score(model)
     bad = ~np.isfinite(lps)
     if bad.any():
         j = int(np.flatnonzero(bad.any(axis=1))[0])
@@ -278,7 +292,8 @@ def step_gradients(model: ToyLM, method_cfg: MethodConfig, rows: tuple, len_w: n
         fields = list(values)
         raise _non_finite(f"non-finite log-probability in {fields}", step, int(records[j]),
                           fields=fields, values=values)
-    bundle = LogProbBundle(*lps.T, len_w, len_l, *(() if refs is None else refs.T))
+    bundle = LogProbBundle(*lps.T, batch.len_w, batch.len_l,
+                           *(() if batch.refs is None else batch.refs.T))
     try:
         breakdown = solopo_loss(method_cfg, bundle)
     except DomainError as exc:  # the ORPO log-odds singularity, in a (4, n) stack
@@ -288,8 +303,7 @@ def step_gradients(model: ToyLM, method_cfg: MethodConfig, rows: tuple, len_w: n
         j = int(bad_total[0])
         terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
         raise _non_finite("non-finite loss", step, int(records[j]), breakdown=terms)
-    # The row weights in the kernel's (record, field) order.
-    weights = np.array([breakdown.grads[key] for key in GRAD_FIELDS[:4]]).T * (1.0 / n)
+    weights = breakdown.grads[:4].T * (1.0 / n)  # (record, field), as the rows are
     return breakdown, bundle.lp_l_long, backward(weights.ravel())
 
 
@@ -319,10 +333,8 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
                          f"every step (of {total_steps}); raise warmup_ratio or the step count")
     mc = cfg.method_cfg
     rows = _prepare(dataset, model.vocab, cfg.po_context)
-    ref_lps = None
     if mc.needs_reference:  # the reference (the model before any step) is scored once
-        per_token, _ = score_rows(model, *rows.batch(np.arange(len(dataset))))
-        ref_lps = per_token.sum(axis=1).reshape(-1, 4)
+        rows = replace(rows, refs=rows.score(model)[0])
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.params)
     log = TrainLog()
@@ -330,27 +342,20 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
     for _ in range(cfg.epochs):
         # The epoch's rows in permuted order, gathered once; a step reads a slice.
         order = rng.permutation(len(dataset))
-        counts, resp_ids, mask = rows.batch(order)
-        len_w, len_l = rows.len_w[order], rows.len_l[order]
-        epoch_refs = None if ref_lps is None else ref_lps[order]
+        epoch = rows[order]
         for start in range(0, len(dataset), cfg.batch_size):
             step += 1
             lr = rates[step - 1]
             at = slice(start, start + cfg.batch_size)
             chunk = order[at]
-            n = len(chunk)
-            batch = (counts[2 * start:2 * (start + n)],  # the chunk's two prompts per record
-                     resp_ids[4 * start:4 * (start + n)], mask[4 * start:4 * (start + n)])
-            refs = None if epoch_refs is None else epoch_refs[at]
-            breakdown, lp_l_long, grads = step_gradients(model, mc, batch, len_w[at], len_l[at],
-                                                         refs, chunk, step)
+            breakdown, lp_l_long, grads = step_gradients(model, mc, epoch[at], chunk, step)
             opt.step(grads, lr)
             # One row mean per logged term; a scalar term (a disabled NLL) fills
             # its row, and the telemetry columns are NaN without telemetry.
             terms = [getattr(breakdown, k) for k in _TERMS]
             if cfg.telemetry:
                 terms += [breakdown.reward_margin_long, lp_l_long]
-            stacked = np.empty((len(terms), n))
+            stacked = np.empty((len(terms), len(chunk)))
             for j, term in enumerate(terms):
                 stacked[j] = term
             means = stacked.mean(axis=1).tolist()

@@ -413,6 +413,26 @@ class TestForgeTrainEvalPipeline:
                   "--set", f"eval_dataset={forged}"])
         assert_clean_failure(rc, capsys, tmp_path / "r", "--seeds must be distinct", "0,0")
 
+    @pytest.mark.parametrize("spec", ["alpha:0.5,0.5", "alpha:0.5,1,0.50", "method:orpo,dpo,orpo"])
+    def test_train_compare_repeated_value_fails(self, forged, tmp_path, capsys, spec):
+        """Values equal after parsing would train one arm twice under two
+        labels; they fail before the run, as repeated seeds do."""
+        rc = run(["train", "--out", tmp_path / "r", "--compare", spec, "--seeds", "0,1",
+                  "--set", f"dataset={forged}", "--set", f"eval_dataset={forged}"])
+        key = spec.split(":")[0]
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"error: --compare: '{key}'",
+                             "must be distinct")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("args", [["--set", "beta=7"],
+                                      ["--compare", "beta:0.1,7", "--seeds", "0"]])
+    def test_train_beta_under_orpo_fails(self, forged, tmp_path, capsys, args):
+        """ORPO's reward reads no beta, so setting it is an error, not an
+        ignored key."""
+        rc = run(["train", "--out", tmp_path / "r", *args, "--set", f"dataset={forged}",
+                  "--set", f"eval_dataset={forged}", "--set", "batch_size=8"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", "beta is not used by orpo")
+
     def test_train_compare_non_integer_seed_names_flag(self, forged, tmp_path, capsys):
         rc = run(["train", "--out", tmp_path / "r", "--compare", "alpha:0,1",
                   "--seeds", "0,x", "--set", f"dataset={forged}",

@@ -13,11 +13,14 @@ from shortlong.corpus import (PrefixedStubGenerator, build_chain_corpus,
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset, write_forged_jsonl
 from shortlong.gradcheck import check_step_gradients
 from shortlong.losses import Method, MethodConfig, RAMode
-from shortlong.policy import (BOS, EOS, ToyLM, Vocab, bag_of_tokens, logprob, pad_responses,
-                             score_rows)
+from shortlong.policy import BOS, EOS, ToyLM, Vocab, bag_of_tokens, logprob, pad_responses
 from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, _prepare,
                                 assemble_prompt, evaluate, learning_rate, run_comparison,
-                                step_gradients, train)
+                                step_gradients, strict_json, train)
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +158,24 @@ class TestTrain:
         # true one (not 0 from long scores replaced by short ones) either way.
         assert runs[0][2] == runs[1][2]
         assert any(ra != 0.0 for ra in runs[0][2])
+
+    def test_log_json_is_strict_without_telemetry(self, world, tmp_path):
+        """With telemetry off the log's NaN columns are written as the string
+        "nan", so a strict JSON parser reads the file."""
+        vocab, data, _ = world
+        cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=16, seed=0, telemetry=False)
+        _, log = train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
+        log.write_json(tmp_path / "log.json")
+        steps = json.loads((tmp_path / "log.json").read_text(),
+                           parse_constant=reject_constant)["steps"]
+        assert [(s["reward_margin_long"], s["lp_rejected_long"]) for s in steps] == [
+            ("nan", "nan")] * 2
+        assert [s["total"] for s in steps] == [s.total for s in log.steps]
+
+    def test_strict_json_writes_non_finite_floats_as_strings(self):
+        payload = {"b": [math.nan, math.inf, np.float64(-math.inf)], "a": {"c": 1.5, "d": "x"}}
+        assert strict_json(payload) == \
+            '{"a": {"c": 1.5, "d": "x"}, "b": ["nan", "inf", "-inf"]}'
 
     def test_one_scorer_pass_per_step(self, world, monkeypatch):
         """Each step scores and backpropagates through one score_rows pass
@@ -371,9 +392,10 @@ class TestTrain:
         out = tmp_path / "r"
         assert cli.main(["train", "--out", str(out), "--set", f"dataset={tmp_path / 'd.jsonl'}",
                          "--set", "batch_size=8"]) == 1
-        abort = json.loads((out / "reports" / "abort.json").read_text())
-        assert math.isnan(abort.pop("values")["lp_l_long"])
-        assert abort == {"fields": ["lp_l_long"], "step": 1, "sample_index": sample}
+        abort = json.loads((out / "reports" / "abort.json").read_text(),
+                           parse_constant=reject_constant)
+        assert abort == {"fields": ["lp_l_long"], "values": {"lp_l_long": "nan"}, "step": 1,
+                         "sample_index": sample}
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("method", [Method.ORPO, Method.DPO, Method.IPO])
@@ -502,7 +524,9 @@ class TestTrain:
             again, made = trained([replace(s) for s in data], under=under)
             assert made == [] and params_equal(again, first)
         rows = _prepare(data, vocab, "short")
-        assert not any(array.flags.writeable for array in vars(rows).values())
+        assert rows.refs is None
+        assert not any(array.flags.writeable for array in vars(rows).values()
+                       if array is not None)
         assert _prepare(list(data), Vocab(vocab.tokens), "short") is rows
 
         swapped = [replace(data[0], y_w=data[0].y_l, y_l=data[0].y_w)] + list(data[1:])
@@ -602,6 +626,36 @@ class TestTrain:
 
 
 
+class TestRows:
+    """``_Rows`` is the one holder of the row layout: indexing selects
+    records in every field, and ``score`` gives the four fields per record."""
+
+    def test_slice_of_a_gather_is_the_gather_of_the_slice(self, world):
+        vocab, data, _ = world
+        rows = _prepare(data, vocab, "short")
+        rows = replace(rows, refs=rows.score(ToyLM(vocab, 8, 2))[0])
+        order = np.random.default_rng(6).permutation(len(data))
+        sliced, gathered = rows[order][5:13], rows[order[5:13]]
+        for key, array in vars(sliced).items():
+            assert len(array) == 8
+            np.testing.assert_array_equal(array, getattr(gathered, key), err_msg=key)
+        epoch = rows[order]  # a slice of it is a view
+        assert all(np.shares_memory(a, b) for a, b in zip(vars(epoch[5:13]).values(),
+                                                           vars(epoch).values()))
+
+    @pytest.mark.parametrize("po_context", ["short", "long"])
+    def test_score_is_the_public_log_probabilities(self, world, po_context):
+        vocab, data, _ = world
+        model = ToyLM(vocab, hidden_dim=8, seed=4)
+        lps, _ = _prepare(data, vocab, po_context)[3:9].score(model)
+        expected = [[logprob(model, assemble_prompt(context, s.question),
+                             y.split() + [EOS]).total_logprob
+                     for context in (s.x_long if po_context == "long" else s.x_short, s.x_long)
+                     for y in (s.y_w, s.y_l)] for s in data[3:9]]
+        assert lps.shape == (6, 4)
+        np.testing.assert_allclose(lps, expected, rtol=1e-12, atol=0)
+
+
 class TestStepGradients:
     """``train``'s step is ``step_gradients``, and ``check_step_gradients``
     checks it against the objective, not against its own wiring."""
@@ -613,12 +667,9 @@ class TestStepGradients:
         start = ToyLM(vocab, 8, 3)
         trained, log = train(start.clone(), data, cfg, vocab)
         rows = _prepare(data, vocab, "long")
-        everything = np.arange(len(data))
-        per_token, _ = score_rows(start, *rows.batch(everything))
+        rows = replace(rows, refs=rows.score(start)[0])
         order = np.random.default_rng(4).permutation(len(data))
-        refs = per_token.sum(axis=1).reshape(-1, 4)[order]
-        breakdown, _, grads = step_gradients(start, cfg.method_cfg, rows.batch(order),
-                                             rows.len_w[order], rows.len_l[order], refs, order, 1)
+        breakdown, _, grads = step_gradients(start, cfg.method_cfg, rows[order], order, 1)
         AdamW(start.params).step(grads, log.steps[0].lr)
         for key, p in trained.params.items():
             assert np.array_equal(p, start.params[key])
@@ -637,11 +688,10 @@ class TestStepGradients:
         return breakdown, lp_l_long, {k: 2.0 * g for k, g in grads.items()}
 
     @staticmethod
-    def prompts_swapped(model, method_cfg, rows, *rest):
+    def prompts_swapped(model, method_cfg, batch, *rest):
         """A step that swaps each record's PO and long prompts."""
-        counts, resp_ids, mask = rows
-        swapped = counts.reshape(-1, 2, counts.shape[-1])[:, ::-1].reshape(counts.shape)
-        return step_gradients(model, method_cfg, (swapped, resp_ids, mask), *rest)
+        return step_gradients(model, method_cfg, replace(batch, counts=batch.counts[:, ::-1]),
+                              *rest)
 
     @pytest.mark.parametrize("wrapper, failing", [
         ("doubled", ("short", "long")), ("prompts_swapped", ("short",))],
