@@ -13,6 +13,7 @@ for the margin curves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        # Each alpha labels its arm "alpha=<a:g>", beside the alpha=0 baseline.
+        labels = [f"{a:g}" for a in self.alphas]
+        for label, a in zip(labels, self.alphas):
+            if not (math.isfinite(a) and a > 0):
+                raise ValueError(f"alphas must be finite and positive (alpha=0 is the "
+                                 f"baseline arm), got alpha={label}")
+            if labels.count(label) > 1:
+                raise ValueError(f"alphas must be distinct, got alpha={label} "
+                                 f"{labels.count(label)} times in {self.alphas}")
         for name in ("n_train", "n_eval", "hidden_dim", "warm_epochs", "arm_epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")

@@ -10,7 +10,7 @@ import numpy as np
 from .forge import ForgedSample
 from .links import ConvexLink
 from .losses import (_METHODS, _RA_RESPONSES, GRAD_FIELDS, LogProbBundle, Method, MethodConfig,
-                     RAMode, _reward_pass, grad_solopo, solopo_loss)
+                     RAMode, _reward_pass, _stacks, grad_solopo, solopo_loss)
 from .policy import BOS, EOS, SEP, ToyLM, Vocab, assemble_prompt, logprob
 from .training import _prepare, step_gradients
 
@@ -31,7 +31,7 @@ def relative_error(analytic, numeric):
 def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[np.ndarray]:
     """Distances to the nearest non-differentiable points of the total loss,
     one (n,) array per kink."""
-    _, _, z, gaps, _ = _reward_pass(cfg, b)
+    _, z, gaps, _ = _reward_pass(cfg, *_stacks(cfg, b))
     dists = []
     if cfg.link is ConvexLink.HINGE:
         dists.append(abs(z))

@@ -4,10 +4,10 @@ The objective is ``f(eta * (r(x_short, y_w) - r(x_short, y_l) - gamma))`` plus
 ``alpha`` times a penalty on the gap between the reward a response earns under
 the short context and under the long context. Only the reward ``r`` and the
 link ``f`` change from one algorithm to the next, so each algorithm is one row
-of ``_METHODS``. Everything here is a pure, elementwise function of a
-:class:`LogProbBundle` whose fields are scalars or equal-length arrays, and
-:func:`solopo_loss` evaluates every term and its analytic gradient in one pass;
-:func:`grad_solopo` reads that pass.
+of ``_METHODS``. Everything here is a pure, elementwise function of stacked
+log-probs; :func:`solopo_stack` evaluates every term and its analytic gradient
+in one pass, :func:`solopo_loss` checks and stacks a :class:`LogProbBundle`
+for it, and :func:`grad_solopo` reads that pass.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "LossBreakdown",
     "reward",
     "solopo_loss",
+    "solopo_stack",
     "grad_solopo",
     "GRAD_FIELDS",
 ]
@@ -55,7 +56,7 @@ def _log_odds(lp, n) -> tuple:
     """(log(p / (1 - p)), its derivative by lp) for p = e^t, t = lp / n < 0,
     without forming p - 1 directly: the derivative is 1 / (1 - e^t) / n."""
     t = np.asarray(lp / n, dtype=np.float64)
-    if np.any(t >= 0.0):
+    if (t >= 0.0).any():
         raise DomainError("log-odds singularity: per-token log-prob >= 0 (p >= 1)", t >= 0.0)
     # log(1 - e^t): expm1 near zero, log1p(-exp) otherwise; the far branch's
     # input is clamped so the branch np.where discards stays finite.
@@ -173,14 +174,9 @@ class LogProbBundle:
     def __post_init__(self) -> None:
         if np.minimum(self.len_w, self.len_l).min() < 1:
             raise ValueError("response lengths must be >= 1")
-        # A sum is finite exactly when its terms are, unless finite terms
-        # overflow; only then, or when a field is bad, are the fields checked
-        # one by one.
-        if not np.isfinite(self.lp_w_short + self.lp_l_short
-                           + self.lp_w_long + self.lp_l_long).all():
-            for name in GRAD_FIELDS[:4]:
-                if not np.all(np.isfinite(getattr(self, name))):
-                    raise ValueError(f"{name} must be finite")
+        for name in GRAD_FIELDS[:4]:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
 
 
 GRAD_FIELDS = (
@@ -215,14 +211,13 @@ def reward(cfg: MethodConfig, lp, ref_lp, length):
     return _result(_METHODS[cfg.method].reward(cfg.beta, lp, ref_lp, length)[0])
 
 
-def _reward_pass(cfg: MethodConfig, b: LogProbBundle) -> tuple:
-    """One stacked reward pass over the four policy fields.
+def _reward_pass(cfg: MethodConfig, lp: np.ndarray, lens: np.ndarray, ref) -> tuple:
+    """One reward pass over the (4, ...) stacks of :func:`solopo_stack`.
 
-    Returns ``(lp, slope, z, gaps, margin_long)``: the (4, ...) stack of
-    ``GRAD_FIELDS[:4]`` and of their rewards' slopes dr/dlp, the short margin
-    argument ``eta * (r_w - r_l - gamma)``, the (2, ...) alignment gaps
-    ``r(x_short, y) - r(x_long, y)`` of y_w and y_l, and the long-context
-    margin ``r(x_long, y_w) - r(x_long, y_l)``.
+    Returns ``(slope, z, gaps, margin_long)``: the (4, ...) slopes dr/dlp,
+    the short margin argument ``eta * (r_w - r_l - gamma)``, the (2, ...)
+    alignment gaps ``r(x_short, y) - r(x_long, y)`` of y_w and y_l, and the
+    long-context margin ``r(x_long, y_w) - r(x_long, y_l)``.
 
     A row that does not keep the reference in the gap (DPO) aligns only the
     policy term: both contexts share one reference, which cancels. Sharing the
@@ -230,13 +225,10 @@ def _reward_pass(cfg: MethodConfig, b: LogProbBundle) -> tuple:
     correctly rounded beta * (lp_short - lp_long) even when the gap is tiny.
     """
     row = _METHODS[cfg.method]
-    lp = np.array([b.lp_w_short, b.lp_l_short, b.lp_w_long, b.lp_l_long])
-    lens = np.array([b.len_w, b.len_l, b.len_w, b.len_l])
-    ref = np.array([getattr(b, k) for k in GRAD_FIELDS[4:]]) if row.needs_reference else None
     r, slope = row.reward(cfg.beta, lp, ref, lens)
-    gaps = (r[:2] - r[2:] if ref is None or row.gap_keeps_reference
+    gaps = (r[:2] - r[2:] if not row.needs_reference or row.gap_keeps_reference
             else row.reward(cfg.beta, lp[:2], lp[2:], lens[:2])[0])
-    return lp, slope, cfg.eta * (r[0] - r[1] - cfg.gamma), gaps, r[2] - r[3]
+    return slope, cfg.eta * (r[0] - r[1] - cfg.gamma), gaps, r[2] - r[3]
 
 
 def _gap_penalty(row: _Row, gap) -> tuple:
@@ -252,9 +244,24 @@ _RA_RESPONSES = {RAMode.CHOSEN_ONLY: 1, RAMode.BOTH: 2}
 
 
 def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
-    """The full objective, its terms and its gradient ``grads``, from one
-    stacked pass of the method's reward and its slope over all four policy
-    fields (see :func:`_reward_pass`) and one of the link and its slope.
+    """:func:`solopo_stack` of a bundle, which has references if it reads them."""
+    if cfg.needs_reference and any(getattr(b, name) is None for name in GRAD_FIELDS[4:]):
+        raise ValueError(f"{cfg.method.value} requires reference log-probs")
+    return solopo_stack(cfg, *_stacks(cfg, b))
+
+
+def _stacks(cfg: MethodConfig, b: LogProbBundle) -> tuple:
+    """A bundle's (4, ...) ``(lp, lens, ref)``, ``ref`` None unless read."""
+    return (np.array([getattr(b, k) for k in GRAD_FIELDS[:4]]), np.array([b.len_w, b.len_l] * 2),
+            np.array([getattr(b, k) for k in GRAD_FIELDS[4:]]) if cfg.needs_reference else None)
+
+
+def solopo_stack(cfg: MethodConfig, lp: np.ndarray, lens: np.ndarray, ref=None) -> LossBreakdown:
+    """The full objective, its terms and its gradient ``grads``, unchecked,
+    from one stacked pass of the method's reward and its slope over the
+    (4, ...) log-probs ``lp`` of ``GRAD_FIELDS[:4]``, their lengths ``lens``
+    and (read by DPO and IPO) the references ``ref`` of ``GRAD_FIELDS[4:]``
+    (see :func:`_reward_pass`), and one of the link and its slope.
 
     Alignment: chosen_only penalizes the chosen response's reward gap, both
     averages the chosen and rejected penalties, kl_approx is the raw
@@ -264,12 +271,10 @@ def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
     differences over the raw fields agree). Kinks take subgradient 0. Every
     policy field goes through the reward, so an ORPO log-odds singularity in
     any of them raises :class:`DomainError`, whose index is the flat position
-    in the (4, ...) stack of ``GRAD_FIELDS[:4]``: record ``index % n``.
+    in the (4, ...) stack: record ``index % n``.
     """
-    if cfg.needs_reference and any(getattr(b, name) is None for name in GRAD_FIELDS[4:]):
-        raise ValueError(f"{cfg.method.value} requires reference log-probs")
     row = _METHODS[cfg.method]
-    lp, slope, z, gaps, margin_long = _reward_pass(cfg, b)
+    slope, z, gaps, margin_long = _reward_pass(cfg, lp, lens, ref)
     po, fz = link_value_and_deriv(cfg.link, z)
     fz = fz * cfg.eta
     g = np.zeros((len(GRAD_FIELDS),) + lp.shape[1:])  # d total / d field, GRAD_FIELDS order
@@ -277,13 +282,13 @@ def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
     g[1] = -fz * slope[1]
     if row.needs_reference:
         g[4:6] = -g[:2]
-    nll = -b.lp_w_short / b.len_w if cfg.include_nll else 0.0
+    nll = -lp[0] / lens[0] if cfg.include_nll else 0.0
     if cfg.include_nll:
-        g[0] -= 1.0 / b.len_w
+        g[0] -= 1.0 / lens[0]
 
     a = cfg.alpha
     if cfg.ra_mode is RAMode.KL_APPROX:
-        diff = b.lp_w_short - b.lp_w_long
+        diff = lp[0] - lp[2]
         ra = abs(diff)
         if a != 0.0:
             g[0] += a * np.sign(diff)

@@ -181,7 +181,7 @@ def pad_responses(responses: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarr
 
 
 def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.ndarray
-               ) -> tuple[np.ndarray, Callable[[np.ndarray], dict[str, np.ndarray]]]:
+               ) -> tuple[np.ndarray, Callable[..., dict[str, np.ndarray]]]:
     """Teacher-forced scores of B (prompt, response) rows in one pass.
 
     ``counts`` is (P, V), one :func:`bag_of_tokens` row per prompt;
@@ -193,8 +193,8 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
     row sums are the sequence log-probabilities, and ``backward``: given
     per-row weights ``upstream`` (B,), it returns
     ``sum_b upstream[b] * d logprob_b / d params`` from this pass's
-    activations (so call it before the parameters change). B not a whole
-    multiple of P raises ValueError.
+    activations (so call it before the parameters change), into the arrays
+    of ``out`` if given. B not a whole multiple of P raises ValueError.
 
     Every (row, position) cell of the grid is scored, and the backward
     weights each cell by its row's weight where ``mask`` holds and by 0 at
@@ -223,28 +223,30 @@ def score_rows(model: ToyLM, counts: np.ndarray, resp_ids: np.ndarray, mask: np.
     by_prompt = state.reshape(n_prompts, group, d)
     by_prompt += hidden[:, None]
     state = state.reshape(-1, d)
-    prev, tok, cells = prev.ravel(), resp_ids.ravel(), np.arange(resp_ids.size)
+    picked = resp_ids.ravel() * resp_ids.size + np.arange(resp_ids.size)  # in the flat logits
     shifted = out_w.T @ state.T  # (V, cells) logits
     shifted -= shifted.max(axis=0)
     exp = np.exp(shifted)
     total = exp.sum(axis=0)
-    picked = shifted[tok, cells] - np.log(total)
-    per_token = np.where(mask, picked.reshape(mask.shape), 0.0)
+    scores = shifted.take(picked) - np.log(total)
+    per_token = np.where(mask, scores.reshape(mask.shape), 0.0)
 
-    def backward(upstream: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(upstream: np.ndarray, out: dict | None = None) -> dict[str, np.ndarray]:
         # d logprob_t / d logits = onehot - softmax, times the cell's weight
         weight = np.where(mask, upstream[:, None], 0.0).ravel()
         d_logits = exp * (-weight / total)
-        d_logits[tok, cells] += weight
+        d_logits.reshape(-1)[picked] += weight
         d_state = d_logits.T @ out_w.T
         # hidden = tanh(pooled @ ctx_w.T); pooled = counts @ emb
         d_pre = (1.0 - hidden ** 2) * np.einsum("pcd->pd", d_state.reshape(n_prompts, group, d))
         # d emb[prev] += d_state, in one bincount over (token, coordinate) bins.
-        d_prev = np.bincount((prev[:, None] * d + np.arange(d)).ravel(), d_state.ravel(),
+        d_prev = np.bincount((prev.reshape(-1, 1) * d + np.arange(d)).ravel(), d_state.ravel(),
                              minlength=emb.size).reshape(emb.shape)
-        return {"emb": d_prev + counts.T @ (d_pre @ ctx_w),
-                "ctx_w": d_pre.T @ pooled,
-                "out_w": state.T @ d_logits.T}
+        out = out or {key: np.empty_like(p) for key, p in model.params.items()}
+        np.add(d_prev, counts.T @ (d_pre @ ctx_w), out=out["emb"])
+        np.matmul(d_pre.T, pooled, out=out["ctx_w"])
+        np.matmul(state.T, d_logits.T, out=out["out_w"])
+        return out
 
     return per_token, backward
 

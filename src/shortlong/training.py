@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -21,7 +22,7 @@ import numpy as np
 
 from .forge import ForgedSample, sub_em
 from .links import DomainError
-from .losses import GRAD_FIELDS, LogProbBundle, LossBreakdown, MethodConfig, solopo_loss
+from .losses import GRAD_FIELDS, LossBreakdown, MethodConfig, solopo_stack
 from .policy import (EOS, ToyLM, Vocab, assemble_prompt, decode_rows, encode_prompts,
                      pad_responses, score_rows)
 # An alias of policy.logprob, kept importable from here: perfbench/selftest.py
@@ -90,19 +91,32 @@ class EvalRecord:
     long_acc: float
 
 
-@dataclass
 class TrainLog:
-    steps: list[StepRecord] = field(default_factory=list)
-    evals: list[EvalRecord] = field(default_factory=list)
+    """Step s writes its six term rows, one value per record of its batch, into
+    ``terms[s - 1, :, :sizes[s - 1]]``; ``steps`` builds the records when read."""
+
+    def __init__(self, rates: Sequence[float], sizes: Sequence[int]):
+        self.rates, self.sizes, self.evals = rates, sizes, []
+        self.terms = np.full((len(sizes), 6, max(sizes)), np.nan)
+
+    @property
+    def steps(self) -> list[StepRecord]:
+        return [StepRecord(step, lr, *terms[:, :n].mean(axis=1).tolist())
+                for step, (lr, n, terms) in enumerate(zip(self.rates, self.sizes, self.terms), 1)]
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(StepRecord.__dataclass_fields__)
-            writer.writerows(map(astuple, self.steps))
+        _write_csv(path, StepRecord.__dataclass_fields__, map(astuple, self.steps))
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(strict_json(asdict(self)))
+        Path(path).write_text(strict_json({"steps": list(map(asdict, self.steps)),
+                                           "evals": list(map(asdict, self.evals))}))
+
+
+def _write_csv(path: str | Path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def strict_json(payload) -> str:
@@ -128,37 +142,34 @@ class AdamW:
     """Adam moments (beta1 0.9, beta2 0.999, eps 1e-8) over a dict of arrays,
     with weight decay 0. A step updates the moments and the parameters in
     place, with the float operations of ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + ((1-b2)*g)*g`` and ``p -= lr * (m_hat / (sqrt(v_hat) + eps))``;
-    it never writes into ``grads``.
+    ``v = b2*v + ((1-b2)*g)*g`` and ``p -= lr * (m_hat / (sqrt(v_hat) + eps))``
+    for the ``grads`` the caller wrote; it never writes into ``grads``.
 
     The parameters, the moments and the gradients each live in one flat
     buffer, so a step is one pass of each operation over all of them: on
     construction every ``params[k]`` is copied into the buffer and rebound to
-    a view of it (as ``m[k]`` and ``v[k]`` are), so an array taken from
-    ``params`` before then no longer follows the updates."""
+    a view of it (as ``grads[k]``, ``m[k]`` and ``v[k]`` are), so an array
+    taken from ``params`` before then no longer follows the updates."""
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.params = params
         self.t = 0
         flat = np.concatenate([p.ravel() for p in params.values()])
-        self._p, self._m, self._v = flat, np.zeros_like(flat), np.zeros_like(flat)
-        self._g, self._step, self._denom = (np.empty_like(flat) for _ in range(3))
-        self.m, self.v, self._spans = {}, {}, {}
+        self._p, self._g, self._m, self._v, self._step, self._denom = (
+            flat, *(np.zeros_like(flat) for _ in range(5)))
+        self.grads, self.m, self.v = {}, {}, {}
         start = 0
         for key, p in params.items():
             span = slice(start, start + p.size)
             start = span.stop
-            self._spans[key] = span
-            params[key], self.m[key], self.v[key] = (
-                buf[span].reshape(p.shape) for buf in (self._p, self._m, self._v))
+            params[key], self.grads[key], self.m[key], self.v[key] = (
+                buf[span].reshape(p.shape) for buf in (self._p, self._g, self._m, self._v))
 
-    def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = 0.9, 0.999
         c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
         g, m, v, step, denom = self._g, self._m, self._v, self._step, self._denom
-        for key, span in self._spans.items():
-            g[span] = grads[key].ravel()
         m *= b1
         m += np.multiply(g, 1 - b1, out=step)
         v *= b2
@@ -212,8 +223,7 @@ class _Rows:
     counts: np.ndarray    # (n, 2, V) prompt bags of tokens
     resp_ids: np.ndarray  # (n, 4, T) padded response ids
     mask: np.ndarray      # (n, 4, T) real response positions
-    len_w: np.ndarray     # (n,) response token counts
-    len_l: np.ndarray
+    lens: np.ndarray      # (n, 4) response token counts (EOS included, so >= 1), as floats
     refs: np.ndarray | None = None  # (n, 4) reference log-probs
 
     def __getitem__(self, index) -> _Rows:
@@ -263,7 +273,7 @@ def _encode_dataset(vocab: Vocab, po_context: str,
     ids, mask = pad_responses([flat[end - n:end] for end, n in zip(ends, lengths.tolist())])
     order = slots.reshape(-1, 2)[:, [0, 1, 0, 1]]  # (y_w, y_l, y_w, y_l) per record
     arrays = (np.stack((po, long_), axis=1), ids[order], mask[order],
-              lengths[order[:, 0]], lengths[order[:, 1]])
+              lengths[order].astype(np.float64))
     for array in arrays:
         array.setflags(write=False)
     return _Rows(*arrays)
@@ -276,35 +286,32 @@ def _non_finite(message: str, step: int, sample_index: int, **detail) -> NonFini
 
 
 def step_gradients(model: ToyLM, method_cfg: MethodConfig, batch: _Rows, records: np.ndarray,
-                   step: int) -> tuple[LossBreakdown, np.ndarray, dict[str, np.ndarray]]:
+                   step: int, out: dict | None = None) -> tuple[LossBreakdown, np.ndarray, dict]:
     """``(breakdown, lp_l_long, grads)`` of the n records of ``batch``: one
-    :meth:`_Rows.score` pass, one :func:`solopo_loss` call, and that pass's
-    ``backward`` with the field gradients over n as row weights, the gradient
-    of the mean ``total``. A non-finite score or loss, or an ORPO log-odds
-    singularity, raises :class:`NonFiniteLossError` naming ``step`` and the
-    record's dataset index from ``records``."""
+    :meth:`_Rows.score` pass, one :func:`solopo_stack` call, and that pass's
+    ``backward`` into ``out`` with the field gradients over n as row weights,
+    the gradient of the mean ``total``. A non-finite score or loss, or an ORPO
+    log-odds singularity, raises :class:`NonFiniteLossError` naming ``step``
+    and the record's dataset index from ``records``."""
     n = len(records)
     lps, backward = batch.score(model)
     bad = ~np.isfinite(lps)
     if bad.any():
         j = int(np.flatnonzero(bad.any(axis=1))[0])
         values = {k: float(v) for k, v, b in zip(GRAD_FIELDS[:4], lps[j], bad[j]) if b}
-        fields = list(values)
-        raise _non_finite(f"non-finite log-probability in {fields}", step, int(records[j]),
-                          fields=fields, values=values)
-    bundle = LogProbBundle(*lps.T, batch.len_w, batch.len_l,
-                           *(() if batch.refs is None else batch.refs.T))
+        raise _non_finite(f"non-finite log-probability in {list(values)}", step,
+                          int(records[j]), fields=list(values), values=values)
+    lp = lps.T.copy()  # contiguous, as the kernel's small ufuncs run fastest
     try:
-        breakdown = solopo_loss(method_cfg, bundle)
+        breakdown = solopo_stack(method_cfg, lp, batch.lens.T,
+                                 None if batch.refs is None else batch.refs.T)
     except DomainError as exc:  # the ORPO log-odds singularity, in a (4, n) stack
         raise _non_finite(str(exc), step, int(records[exc.index % n]), error=str(exc)) from exc
-    bad_total = np.flatnonzero(~np.isfinite(breakdown.total))
-    if bad_total.size:
-        j = int(bad_total[0])
+    if not np.isfinite(breakdown.total).all():
+        j = int(np.flatnonzero(~np.isfinite(breakdown.total))[0])
         terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
         raise _non_finite("non-finite loss", step, int(records[j]), breakdown=terms)
-    weights = breakdown.grads[:4].T * (1.0 / n)  # (record, field), as the rows are
-    return breakdown, bundle.lp_l_long, backward(weights.ravel())
+    return breakdown, lp[3], backward((breakdown.grads[:4].T * (1.0 / n)).ravel(), out)
 
 
 def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
@@ -312,8 +319,8 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
           ) -> tuple[ToyLM, TrainLog]:
     """Run the optimization loop; returns the mutated model and its log.
 
-    Each step is one :func:`step_gradients` call, one AdamW step and one
-    :class:`StepRecord`. With an ``eval_set``, one
+    Each step is one :func:`step_gradients` call into the AdamW gradients,
+    one AdamW step and one slot of the :class:`TrainLog`. With an ``eval_set``, one
     :class:`EvalRecord` is logged at every ``eval_every``-th step and at the
     last step; an empty ``eval_set`` fails before the first step. ``vocab``
     must be the model's vocabulary. A positive ``lr_max`` whose schedule is
@@ -325,7 +332,8 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
         raise ValueError("eval set must be non-empty")
     if vocab != model.vocab:
         raise ValueError("vocab differs from the model's vocabulary")
-    total_steps = math.ceil(len(dataset) / cfg.batch_size) * cfg.epochs
+    starts = range(0, len(dataset), cfg.batch_size)
+    total_steps = len(starts) * cfg.epochs
     rates = [learning_rate(s, total_steps, cfg.lr_max, cfg.warmup_ratio)
              for s in range(1, total_steps + 1)]
     if cfg.lr_max > 0 and not any(rates):
@@ -337,31 +345,24 @@ def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,
         rows = replace(rows, refs=rows.score(model)[0])
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(model.params)
-    log = TrainLog()
+    log = TrainLog(rates, [min(cfg.batch_size, len(dataset) - s) for s in starts] * cfg.epochs)
     step = 0
     for _ in range(cfg.epochs):
         # The epoch's rows in permuted order, gathered once; a step reads a slice.
         order = rng.permutation(len(dataset))
         epoch = rows[order]
-        for start in range(0, len(dataset), cfg.batch_size):
+        for start in starts:
             step += 1
-            lr = rates[step - 1]
             at = slice(start, start + cfg.batch_size)
             chunk = order[at]
-            breakdown, lp_l_long, grads = step_gradients(model, mc, epoch[at], chunk, step)
-            opt.step(grads, lr)
-            # One row mean per logged term; a scalar term (a disabled NLL) fills
-            # its row, and the telemetry columns are NaN without telemetry.
+            breakdown, lp_l_long, _ = step_gradients(model, mc, epoch[at], chunk, step, opt.grads)
+            opt.step(rates[step - 1])
+            # A scalar term (a disabled NLL) fills its row; no telemetry leaves two NaN.
             terms = [getattr(breakdown, k) for k in _TERMS]
             if cfg.telemetry:
                 terms += [breakdown.reward_margin_long, lp_l_long]
-            stacked = np.empty((len(terms), len(chunk)))
-            for j, term in enumerate(terms):
-                stacked[j] = term
-            means = stacked.mean(axis=1).tolist()
-            if not cfg.telemetry:
-                means += [float("nan")] * 2
-            log.steps.append(StepRecord(step, lr, *means))
+            for row, term in zip(log.terms[step - 1, :, :len(chunk)], terms):
+                row[...] = term
             if eval_set is not None and (step == total_steps or
                                          cfg.eval_every and step % cfg.eval_every == 0):
                 log.evals.append(EvalRecord(step, *(evaluate(model, eval_set, kind, vocab)
@@ -421,23 +422,15 @@ class ComparisonReport:
         return out
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "seed", "short_acc", "long_acc"])
-            for r in self.rows:
-                writer.writerow([r.label, r.seed, r.short_acc, r.long_acc])
+        _write_csv(path, ["label", "seed", "short_acc", "long_acc"],
+                   ([r.label, r.seed, r.short_acc, r.long_acc] for r in self.rows))
 
     def write_margins_csv(self, path: str | Path) -> None:
         """Plot-ready wide table: one long-margin column per run."""
         columns = {f"{r.label}#seed{r.seed}": [s.reward_margin_long for s in r.log.steps]
                    for r in self.rows}
-        n_steps = max((len(v) for v in columns.values()), default=0)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step"] + list(columns))
-            for i in range(n_steps):
-                writer.writerow([i + 1] + [col[i] if i < len(col) else ""
-                                           for col in columns.values()])
+        _write_csv(path, ["step", *columns], ([i, *row] for i, row in enumerate(
+            itertools.zip_longest(*columns.values(), fillvalue=""), 1)))
 
     def write_json(self, path: str | Path) -> None:
         payload = {"rows": [{"label": r.label, "seed": r.seed,

@@ -15,6 +15,10 @@ def small_cfg(**over):
     return ExperimentConfig(**base)
 
 
+def forbidden_forge(*args, **kwargs):
+    raise AssertionError("forged before the config was checked")
+
+
 class TestData:
     def test_shapes_and_vocab(self):
         cfg = small_cfg()
@@ -77,6 +81,26 @@ class TestHarness:
     def test_config_rejects_bad_counts(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("alphas, message", [
+        ((0.0, 1.0), "finite and positive .*got alpha=0$"),
+        ((0.5, -1.0), "finite and positive .*got alpha=-1$"),
+        ((float("inf"),), "finite and positive .*got alpha=inf$"),
+        ((float("nan"), 1.0), "finite and positive .*got alpha=nan$"),
+        ((1, 1.0), r"distinct, got alpha=1 2 times in \(1, 1.0\)$"),
+        ((2.0, 0.5, 0.50), r"distinct, got alpha=0.5 2 times in \(2.0, 0.5, 0.5\)$")],
+        ids=["zero", "negative", "inf", "nan", "int_and_float", "repeated"])
+    def test_config_rejects_alphas_that_break_the_arm_labels(self, monkeypatch, alphas,
+                                                             message):
+        """Every alpha arm is labelled alpha=<a:g> beside the alpha=0
+        baseline, so an alpha of 0, one that is negative or not finite, or one
+        that repeats another after formatting fails before anything is
+        forged."""
+        import shortlong.experiment as experiment_mod
+
+        monkeypatch.setattr(experiment_mod, "forge_dataset", forbidden_forge)
+        with pytest.raises(ValueError, match=f"^alphas must be {message}"):
+            directional_experiment(ExperimentConfig(alphas=alphas))
 
     def test_pooled_se(self):
         a = np.array([0.5, 0.7])

@@ -1,8 +1,10 @@
 """Trainer: schedule, determinism, telemetry, evaluation, comparisons."""
 
+import csv
 import json
 import math
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ from shortlong.corpus import (PrefixedStubGenerator, build_chain_corpus,
                               needle_profile, needle_vocab, value_token)
 from shortlong.forge import ForgedSample, HaystackConfig, forge_dataset, write_forged_jsonl
 from shortlong.gradcheck import check_step_gradients
-from shortlong.losses import Method, MethodConfig, RAMode
-from shortlong.policy import BOS, EOS, ToyLM, Vocab, bag_of_tokens, logprob, pad_responses
-from shortlong.training import (AdamW, NonFiniteLossError, TrainConfig, _prepare,
-                                assemble_prompt, evaluate, learning_rate, run_comparison,
-                                step_gradients, strict_json, train)
+from shortlong.losses import LogProbBundle, Method, MethodConfig, RAMode, solopo_loss
+from shortlong.policy import (BOS, EOS, ToyLM, Vocab, bag_of_tokens, logprob, pad_responses,
+                              score_rows)
+from shortlong.training import (AdamW, ComparisonReport, NonFiniteLossError, RunResult,
+                                StepRecord, TrainConfig, _prepare, assemble_prompt, evaluate,
+                                learning_rate, run_comparison, step_gradients, strict_json,
+                                train)
 
 
 def reject_constant(name):
@@ -60,16 +64,17 @@ class TestAdamW:
     def test_matches_reference_formula_one_step(self):
         params = {"w": np.array([1.0, -2.0])}
         opt = AdamW(params)
-        g = {"w": np.array([0.5, -0.25])}
-        opt.step(g, lr=0.1)
+        opt.grads["w"][:] = [0.5, -0.25]
+        opt.step(lr=0.1)
         # bias-corrected first step reduces to -lr * g / (|g| + eps)
         expected = np.array([1.0, -2.0]) - 0.1 * np.sign([0.5, -0.25]) \
             * (np.abs([0.5, -0.25]) / (np.abs([0.5, -0.25]) + 1e-8))
         np.testing.assert_allclose(params["w"], expected, atol=1e-9)
 
     def test_in_place_steps_equal_textbook_update(self):
-        """Several steps equal the textbook update bit for bit, and the
-        caller's gradient arrays are never written."""
+        """Several steps equal the textbook update bit for bit, and a step
+        never writes into the gradients, which live in the optimizer's own
+        buffer."""
         rng = np.random.default_rng(5)
         params = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=5)}
         p_ref = {k: v.copy() for k, v in params.items()}
@@ -77,15 +82,16 @@ class TestAdamW:
         v = {k: np.zeros_like(x) for k, x in params.items()}
         opt = AdamW(params)
         for t, lr in enumerate((0.1, 0.05, 0.02, 0.3), start=1):
-            grads = {k: rng.normal(size=x.shape) for k, x in params.items()}
-            before = {k: g.copy() for k, g in grads.items()}
-            opt.step(grads, lr)
-            for k, g in grads.items():
+            for k, x in params.items():
+                opt.grads[k][...] = rng.normal(size=x.shape)
+            before = {k: g.copy() for k, g in opt.grads.items()}
+            opt.step(lr)
+            for k, g in opt.grads.items():
+                assert np.array_equal(g, before[k])
                 m[k] = 0.9 * m[k] + (1 - 0.9) * g
                 v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
                 m_hat, v_hat = m[k] / (1 - 0.9 ** t), v[k] / (1 - 0.999 ** t)
                 p_ref[k] = p_ref[k] - lr * (m_hat / (np.sqrt(v_hat) + 1e-8))
-                assert np.array_equal(grads[k], before[k])
                 assert np.array_equal(params[k], p_ref[k])
                 assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k])
 
@@ -209,21 +215,20 @@ class TestTrain:
         import shortlong.training as training_mod
 
         vocab, data, _ = world
-        bundles = []
-        original = training_mod.solopo_loss
+        stacks = []
+        original = training_mod.solopo_stack
 
-        def recording(cfg, bundle):
-            bundles.append(bundle)
-            return original(cfg, bundle)
+        def recording(cfg, lp, lens, ref):
+            stacks.append(lp)
+            return original(cfg, lp, lens, ref)
 
-        monkeypatch.setattr(training_mod, "solopo_loss", recording)
+        monkeypatch.setattr(training_mod, "solopo_stack", recording)
         model = ToyLM(vocab, hidden_dim=8, seed=1)
         cfg = TrainConfig(MethodConfig(Method.ORPO), lr_max=0.0, batch_size=8, seed=0,
                           po_context=po_context)
         train(model, data, cfg, vocab)  # a rate of 0 leaves the model as it is
         order = np.random.default_rng(0).permutation(len(data))
-        got = np.concatenate([np.stack([b.lp_w_short, b.lp_l_short, b.lp_w_long, b.lp_l_long],
-                                       axis=1) for b in bundles])
+        got = np.concatenate([lp.T for lp in stacks])
         for i, fields in zip(order, got):
             s = data[i]
             po = s.x_long if po_context == "long" else s.x_short
@@ -234,28 +239,29 @@ class TestTrain:
 
     def test_one_loss_pass_per_step(self, world, monkeypatch):
         """Each step reads the loss terms and the field gradients from one
-        solopo_loss call, and never calls grad_solopo."""
+        solopo_stack call on the batch's (4, n) log-probs, and never calls
+        grad_solopo."""
         import shortlong.losses as losses_mod
         import shortlong.training as training_mod
 
         vocab, data, _ = world
         calls = []
-        original = training_mod.solopo_loss
+        original = training_mod.solopo_stack
 
-        def counting(cfg, bundle):
-            calls.append(len(bundle.lp_w_short))
-            return original(cfg, bundle)
+        def counting(cfg, lp, lens, ref):
+            calls.append(lp.shape)
+            return original(cfg, lp, lens, ref)
 
         def forbidden(cfg, bundle):
             raise AssertionError("train called grad_solopo")
 
-        monkeypatch.setattr(training_mod, "solopo_loss", counting)
+        monkeypatch.setattr(training_mod, "solopo_stack", counting)
         monkeypatch.setattr(losses_mod, "grad_solopo", forbidden)
         for method in Method:
             calls.clear()
             cfg = TrainConfig(MethodConfig(method), batch_size=8, epochs=2, seed=0)
             _, log = train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
-            assert calls == [8] * len(log.steps)
+            assert calls == [(4, 8)] * len(log.steps)
         assert not hasattr(training_mod, "grad_solopo")
 
     def test_long_equal_short_degenerates_to_vanilla(self, world):
@@ -427,21 +433,21 @@ class TestTrain:
         from shortlong.losses import reward
 
         vocab, data, _ = world
-        bundles = []
-        original = training_mod.solopo_loss
+        stacks = []
+        original = training_mod.solopo_stack
 
-        def recording(cfg, bundle):
-            bundles.append(bundle)
-            return original(cfg, bundle)
+        def recording(cfg, lp, lens, ref):
+            stacks.append((lp, lens, (None,) * 4 if ref is None else ref))
+            return original(cfg, lp, lens, ref)
 
-        monkeypatch.setattr(training_mod, "solopo_loss", recording)
+        monkeypatch.setattr(training_mod, "solopo_stack", recording)
         mc = MethodConfig(method)
         cfg = TrainConfig(mc, batch_size=8, epochs=2, seed=0)
         _, log = train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
-        assert len(bundles) == len(log.steps)
-        for rec, b in zip(log.steps, bundles):
-            margin = (reward(mc, b.lp_w_long, b.ref_lp_w_long, b.len_w)
-                      - reward(mc, b.lp_l_long, b.ref_lp_l_long, b.len_l))
+        assert len(stacks) == len(log.steps)
+        for rec, (lp, lens, ref) in zip(log.steps, stacks):
+            margin = (reward(mc, lp[2], ref[2], lens[2])
+                      - reward(mc, lp[3], ref[3], lens[3]))
             assert rec.reward_margin_long == float(np.mean(margin))
 
     def test_non_finite_loss_names_record_and_terms(self, world, monkeypatch):
@@ -450,15 +456,15 @@ class TestTrain:
         import shortlong.training as training_mod
 
         vocab, data, _ = world
-        original = training_mod.solopo_loss
+        original = training_mod.solopo_stack
 
-        def poisoned(cfg, bundle):
-            breakdown = original(cfg, bundle)
+        def poisoned(cfg, *stacks):
+            breakdown = original(cfg, *stacks)
             total = np.array(breakdown.total)
             total[2] = np.inf
             return replace(breakdown, total=total)
 
-        monkeypatch.setattr(training_mod, "solopo_loss", poisoned)
+        monkeypatch.setattr(training_mod, "solopo_stack", poisoned)
         cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8, seed=0)
         with pytest.raises(NonFiniteLossError, match="non-finite loss at step 1") as err:
             train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
@@ -558,8 +564,8 @@ class TestTrain:
         ids, mask = pad_responses(responses)
         assert np.array_equal(rows.resp_ids, ids.reshape(len(data), 4, -1))
         assert np.array_equal(rows.mask, mask.reshape(len(data), 4, -1))
-        assert rows.len_w.tolist() == [len(r) for r in responses[0::4]]
-        assert rows.len_l.tolist() == [len(r) for r in responses[1::4]]
+        assert rows.lens.tolist() == [list(map(len, responses[i:i + 4]))
+                                      for i in range(0, len(responses), 4)]
 
     def test_vocab_must_match_model(self, world):
         """The same tokens in another order would encode differently, so a
@@ -656,6 +662,62 @@ class TestRows:
         np.testing.assert_allclose(lps, expected, rtol=1e-12, atol=0)
 
 
+class TestTrainLog:
+    """Each step writes its term rows into one array of the log, and the
+    records are built when read: every read path gives the bytes of records
+    built step by step, as each step's term means."""
+
+    @pytest.mark.parametrize("n_records, method_cfg, telemetry", [
+        (30, MethodConfig(Method.DPO, ra_mode=RAMode.BOTH), True),
+        (32, MethodConfig(Method.ORPO, alpha=0.5), False),
+        (32, MethodConfig(Method.ORPO, include_nll=False), True)],
+        ids=["partial_last_batch", "no_telemetry", "scalar_nll_term"])
+    def test_read_paths_equal_step_by_step_records(self, world, monkeypatch, tmp_path,
+                                                   n_records, method_cfg, telemetry):
+        import shortlong.training as training_mod
+
+        vocab, data, _ = world
+        seen = []
+        original = training_mod.solopo_stack
+
+        def recording(cfg, lp, lens, ref):
+            breakdown = original(cfg, lp, lens, ref)
+            seen.append((breakdown, lp[3].copy()))
+            return breakdown
+
+        monkeypatch.setattr(training_mod, "solopo_stack", recording)
+        cfg = TrainConfig(method_cfg, batch_size=8, epochs=2, seed=3, telemetry=telemetry)
+        _, log = train(ToyLM(vocab, hidden_dim=8, seed=1), data[:n_records], cfg, vocab)
+        expected = []
+        for step, (bd, lp_l_long) in enumerate(seen, 1):
+            terms = [bd.total, bd.po_term, bd.ra_term, bd.nll_term]
+            if telemetry:
+                terms += [bd.reward_margin_long, lp_l_long]
+            stacked = np.empty((len(terms), len(lp_l_long)))
+            for j, term in enumerate(terms):
+                stacked[j] = term
+            means = stacked.mean(axis=1).tolist() + [math.nan] * (6 - len(terms))
+            expected.append(StepRecord(step, learning_rate(step, len(seen), cfg.lr_max,
+                                                           cfg.warmup_ratio), *means))
+        assert [len(lp) for _, lp in seen][:4] == [8, 8, 8, n_records - 24]
+        if telemetry:
+            assert log.steps == expected
+        log.write_csv(tmp_path / "log.csv")
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(field.name for field in fields(StepRecord))
+            writer.writerows(map(astuple, expected))
+        assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        log.write_json(tmp_path / "log.json")
+        assert (tmp_path / "log.json").read_text() == strict_json(
+            {"steps": list(map(asdict, expected)), "evals": []})
+        for name, run_log in (("log", log), ("want", SimpleNamespace(steps=expected))):
+            ComparisonReport([RunResult("a", 0, 0.0, 0.0, run_log)]).write_margins_csv(
+                tmp_path / f"{name}_margins.csv")
+        assert (tmp_path / "log_margins.csv").read_bytes() == \
+            (tmp_path / "want_margins.csv").read_bytes()
+
+
 class TestStepGradients:
     """``train``'s step is ``step_gradients``, and ``check_step_gradients``
     checks it against the objective, not against its own wiring."""
@@ -669,11 +731,52 @@ class TestStepGradients:
         rows = _prepare(data, vocab, "long")
         rows = replace(rows, refs=rows.score(start)[0])
         order = np.random.default_rng(4).permutation(len(data))
-        breakdown, _, grads = step_gradients(start, cfg.method_cfg, rows[order], order, 1)
-        AdamW(start.params).step(grads, log.steps[0].lr)
+        opt = AdamW(start.params)
+        breakdown, _, grads = step_gradients(start, cfg.method_cfg, rows[order], order, 1,
+                                             opt.grads)
+        assert grads is opt.grads
+        opt.step(log.steps[0].lr)
         for key, p in trained.params.items():
             assert np.array_equal(p, start.params[key])
         assert log.steps[0].total == float(np.mean(breakdown.total))
+
+    @pytest.mark.parametrize("method, ra_mode, po_context", [
+        (m, r, p) for m in Method for r in RAMode for p in ("short", "long")],
+        ids=[f"{m.value}/{r.value}/{p}" for m in Method for r in RAMode
+             for p in ("short", "long")])
+    def test_step_is_the_public_path_bit_for_bit(self, world, method, ra_mode, po_context):
+        """The step's kernel call on the (4, n) log-prob stack gives the
+        terms and the parameter gradients of the public path, bit for bit:
+        score_rows, solopo_loss on a LogProbBundle, then backward. The
+        responses are repeated to unequal lengths, so every length is read
+        from its own field."""
+        vocab, data, _ = world
+        cfg = MethodConfig(method, ra_mode=ra_mode, alpha=0.7)
+        model = ToyLM(vocab, hidden_dim=8, seed=4)
+        samples = [replace(s, y_w=" ".join([s.y_w] * (1 + i % 3)),
+                           y_l=" ".join([s.y_l] * (2 - i % 2))) for i, s in enumerate(data[5:15])]
+        rows = _prepare(samples, vocab, po_context)
+        if cfg.needs_reference:
+            rows = replace(rows, refs=rows.score(ToyLM(vocab, hidden_dim=8, seed=9))[0])
+        records = np.arange(5, 15)
+        opt = AdamW({k: v.copy() for k, v in model.params.items()})
+        breakdown, lp_l_long, grads = step_gradients(model, cfg, rows, records, 1, opt.grads)
+
+        per_token, backward = score_rows(model, *(a.reshape(-1, a.shape[-1]) for a in (
+            rows.counts, rows.resp_ids, rows.mask)))
+        lps = per_token.sum(axis=1).reshape(-1, 4)
+        lens = [[len(text.split()) + 1 for text in (s.y_w, s.y_l)] for s in samples]
+        assert len({tuple(pair) for pair in lens}) == 6
+        public = solopo_loss(cfg, LogProbBundle(*lps.T, *np.array(lens).T,
+                                                *(() if rows.refs is None else rows.refs.T)))
+        expected = backward((public.grads[:4].T * (1.0 / len(records))).ravel())
+        for name in ("total", "po_term", "ra_term", "nll_term", "reward_margin_long", "grads"):
+            np.testing.assert_array_equal(getattr(breakdown, name), getattr(public, name),
+                                          strict=True, err_msg=name)
+        np.testing.assert_array_equal(lp_l_long, lps[:, 3], strict=True)
+        assert grads is opt.grads
+        for key, g in expected.items():
+            assert g.tobytes() == grads[key].tobytes(), key
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_check_passes(self, seed):
