@@ -94,13 +94,18 @@ def _at_least(least: int) -> Callable[[str], int]:
     return parse
 
 
-def _number(least: float = -math.inf, most: float = math.inf) -> Callable[[str], float]:
-    span = (f"a number in [{least:g}, {most:g}]" if most < math.inf else
-            "a finite number" + (f" >= {least:g}" if least > -math.inf else ""))
+def _number(least: float = -math.inf, most: float = math.inf, open_least: bool = False,
+            open_most: bool = False) -> Callable[[str], float]:
+    """A finite number from ``least`` to ``most``, each bound included unless open."""
+    low, high = "(" if open_least else "[", ")" if open_most else "]"
+    span = (f"a number in {low}{least:g}, {most:g}{high}" if most < math.inf else
+            "a finite number" + (f" {'>' if open_least else '>='} {least:g}"
+                                 if least > -math.inf else ""))
 
     def parse(raw: str) -> float:
         value = float(raw)
-        if not (math.isfinite(value) and least <= value <= most):
+        if not (math.isfinite(value) and (least < value if open_least else least <= value)
+                and (value < most if open_most else value <= most)):
             raise ValueError(f"expected {span}, got {raw!r}")
         return value
     return parse
@@ -135,9 +140,10 @@ KEYS: dict[str, dict[str, tuple[Callable[[str], object], object]]] = {
         "policy_temperature": (_number(0), None), "policy_max_len": (_COUNT, None)},
     "train": {
         **_SEED, "dataset": (_path, None), "eval_dataset": (_path, None),
-        "method": (Method, Method.ORPO), "alpha": (_finite, None), "beta": (_finite, None),
-        "gamma": (_finite, None), "eta": (_finite, None), "ra_mode": (RAMode, None),
-        "include_nll": (_bool, None), "lr_max": (_finite, None), "warmup_ratio": (_finite, None),
+        "method": (Method, Method.ORPO), "alpha": (_number(0), None), "beta": (_finite, None),
+        "gamma": (_finite, None), "eta": (_number(0, open_least=True), None),
+        "ra_mode": (RAMode, None), "include_nll": (_bool, None), "lr_max": (_number(0), None),
+        "warmup_ratio": (_number(0, 1, open_most=True), None),
         "batch_size": (_COUNT, None), "epochs": (_COUNT, None), "eval_every": (_NON_NEGATIVE, None),
         "po_context": (_SHORT_LONG, None), "telemetry": (_bool, None), "model_hidden": (_COUNT, None),
         "model_seed": (_NON_NEGATIVE, None)},
@@ -164,10 +170,16 @@ def _parse_value(command: str, where: str, key: str, text: str) -> object:
         raise ConfigError(f"{where}: config key {key!r}: {exc}") from None
 
 
+# The train keys a --compare run does not read, and why.
+_NOT_UNDER_COMPARE = {"model_seed": "each cell's model is seeded by its seed",
+                      "eval_every": "each cell is evaluated once, after training"}
+
+
 def parse_settings(command: str, args: argparse.Namespace) -> dict[str, object]:
     """Every key of ``command``, typed: the defaults, then the config file,
-    then ``--set``, then ``--seed``. Unknown keys and bad values raise
-    ConfigError naming the key and where it was set."""
+    then ``--set``, then ``--seed``. Unknown keys, bad values and keys that
+    ``--compare`` does not read raise ConfigError naming the key and where it
+    was set."""
     given: list[tuple[str, str, str]] = []
     if args.config:
         given += [(f"{args.config}: line {lineno}", key, value)
@@ -180,8 +192,12 @@ def parse_settings(command: str, args: argparse.Namespace) -> dict[str, object]:
     if args.seed is not None:
         given.append(("--seed", "seed", str(args.seed)))
     values = {key: default for key, (_, default) in KEYS[command].items()}
+    compare = getattr(args, "compare", None) is not None
     for where, key, text in given:
         values[key] = _parse_value(command, where, key, text)
+        if compare and key in _NOT_UNDER_COMPARE:
+            raise ConfigError(f"{where}: config key {key!r} is not read under --compare: "
+                              f"{_NOT_UNDER_COMPARE[key]}")
     return values
 
 

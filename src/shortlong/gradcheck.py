@@ -8,9 +8,8 @@ from dataclasses import replace
 import numpy as np
 
 from .forge import ForgedSample
-from .links import ConvexLink
-from .losses import (_METHODS, _RA_RESPONSES, GRAD_FIELDS, LogProbBundle, Method, MethodConfig,
-                     RAMode, _reward_pass, _stacks, grad_solopo, solopo_loss)
+from .losses import (LogProbBundle, Method, MethodConfig, RAMode, grad_solopo, kink_distances,
+                     solopo_loss)
 from .policy import BOS, EOS, SEP, ToyLM, Vocab, assemble_prompt, logprob
 from .training import _prepare, step_gradients
 
@@ -28,51 +27,34 @@ def relative_error(analytic, numeric):
     return np.abs(analytic - numeric) / scale
 
 
-def _kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[np.ndarray]:
-    """Distances to the nearest non-differentiable points of the total loss,
-    one (n,) array per kink."""
-    _, z, gaps, _ = _reward_pass(cfg, *_stacks(cfg, b))
-    dists = []
-    if cfg.link is ConvexLink.HINGE:
-        dists.append(abs(z))
-    if cfg.alpha > 0:
-        if cfg.ra_mode is RAMode.KL_APPROX:
-            dists.append(abs(b.lp_w_short - b.lp_w_long))
-        elif not _METHODS[cfg.method].squared_gap:  # a squared gap has no kink
-            dists += list(abs(gaps[:_RA_RESPONSES[cfg.ra_mode]]))
-    return dists
-
-
 def random_bundle(rng: np.random.Generator, cfg: MethodConfig, n: int,
                   kink_margin: float = _KINK_MARGIN) -> LogProbBundle:
-    """``n`` random valid bundles as one bundle of (n,) arrays, each smooth in a
-    ``kink_margin`` ball: the rows that fall inside it are redrawn."""
-    names = GRAD_FIELDS if cfg.needs_reference else GRAD_FIELDS[:4]
-    fields = {name: np.empty(n) for name in names}
-    fields.update(len_w=np.empty(n, dtype=np.int64), len_l=np.empty(n, dtype=np.int64))
+    """``n`` random valid bundles as one bundle of (4, n) arrays, each smooth in
+    a ``kink_margin`` ball: the records that fall inside it are redrawn."""
+    lp, ref = np.empty((4, n)), np.empty((4, n)) if cfg.needs_reference else None
+    lens = np.empty((4, n), dtype=np.int64)
     redraw = np.arange(n)
     while redraw.size:
-        for name in names:
-            fields[name][redraw] = rng.uniform(-12.0, -0.5, redraw.size)
-        for name in ("len_w", "len_l"):
-            fields[name][redraw] = rng.integers(1, 9, redraw.size)
-        b = LogProbBundle(**fields)
-        redraw = np.flatnonzero(np.any([d <= kink_margin for d in _kink_distances(cfg, b)],
+        for stack in (lp,) if ref is None else (lp, ref):
+            stack[:, redraw] = rng.uniform(-12.0, -0.5, (4, redraw.size))
+        for row in lens[:2]:  # len_w, then len_l
+            row[redraw] = rng.integers(1, 9, redraw.size)
+        lens[2:] = lens[:2]
+        b = LogProbBundle(lp, lens, ref)
+        redraw = np.flatnonzero(np.any([d <= kink_margin for d in kink_distances(cfg, b)],
                                        axis=0))
     return b
 
 
 def fd_gradient(cfg: MethodConfig, b: LogProbBundle) -> np.ndarray:
-    """Independent numerical gradient of the total loss over the lp fields,
+    """Independent numerical gradient of the total loss over the four lp rows,
     laid out as :func:`grad_solopo`'s (elementwise, so a stacked bundle is
-    differentiated point by point; an absent reference field reads 0)."""
-    grads = np.zeros((len(GRAD_FIELDS),) + np.shape(b.lp_w_short))
-    for i, name in enumerate(GRAD_FIELDS):
-        if (base := getattr(b, name)) is not None:
-            up = solopo_loss(cfg, replace(b, **{name: base + _H})).total
-            down = solopo_loss(cfg, replace(b, **{name: base - _H})).total
-            grads[i] = (up - down) / (2.0 * _H)
-    return grads
+    differentiated point by point)."""
+    def total(i: int, h: float):
+        lp = b.lp.copy()
+        lp[i] += h
+        return solopo_loss(cfg, replace(b, lp=lp)).total
+    return np.array([(total(i, _H) - total(i, -_H)) / (2.0 * _H) for i in range(len(b.lp))])
 
 
 def check_loss_gradients(n_points: int, seed: int) -> dict:
@@ -122,9 +104,9 @@ def _fields(model: ToyLM, records: list[ForgedSample], po_context: str) -> np.nd
 
 def _bundle(model: ToyLM, records: list[ForgedSample], po_context: str,
             refs: np.ndarray | None) -> LogProbBundle:
-    lens = np.array([[len(r.y_w.split()) + 1, len(r.y_l.split()) + 1] for r in records])
-    return LogProbBundle(*_fields(model, records, po_context).T, *lens.T,
-                         *(() if refs is None else refs.T))
+    lens = np.array([[len(y.split()) + 1 for y in (r.y_w, r.y_l) * 2] for r in records])
+    return LogProbBundle(_fields(model, records, po_context).T, lens.T,
+                         None if refs is None else refs.T)
 
 
 def check_step_gradients(seed: int) -> dict:
@@ -145,7 +127,7 @@ def check_step_gradients(seed: int) -> dict:
             refs = _fields(reference, records, po_context) if cfg.needs_reference else None
             kinks = cfg if po_context == "short" else replace(cfg, alpha=0.0)
             if all((d > _KINK_MARGIN).all()
-                   for d in _kink_distances(kinks, _bundle(model, records, po_context, refs))):
+                   for d in kink_distances(kinks, _bundle(model, records, po_context, refs))):
                 break
         rows = replace(_prepare(records, model.vocab, po_context), refs=refs)
         grads = step_gradients(model, cfg, rows, np.arange(len(records)), 0)[2]

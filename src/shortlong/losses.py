@@ -6,8 +6,9 @@ the short context and under the long context. Only the reward ``r`` and the
 link ``f`` change from one algorithm to the next, so each algorithm is one row
 of ``_METHODS``. Everything here is a pure, elementwise function of stacked
 log-probs; :func:`solopo_stack` evaluates every term and its analytic gradient
-in one pass, :func:`solopo_loss` checks and stacks a :class:`LogProbBundle`
-for it, and :func:`grad_solopo` reads that pass.
+in one pass over the (4, ...) stacks of a :class:`LogProbBundle`,
+:func:`solopo_loss` is that pass on a checked bundle, :func:`grad_solopo`
+reads its gradient, and :func:`kink_distances` says where it has none.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "solopo_loss",
     "solopo_stack",
     "grad_solopo",
+    "kink_distances",
     "GRAD_FIELDS",
 ]
 
@@ -72,9 +74,7 @@ class _Row:
     the reward does not read it), whether it reads a reference policy, keeps
     it in the alignment gap and squares that gap (instead of taking its
     absolute value), and its reward with its slope,
-    ``reward(beta, lp, ref_lp, length)`` = (r, dr/dlp), both of lp's shape
-    (a reference-reading reward is a function of lp - ref_lp, so
-    dr/dref_lp = -dr/dlp)."""
+    ``reward(beta, lp, ref_lp, length)`` = (r, dr/dlp), both of lp's shape."""
 
     link: ConvexLink
     beta: float | None
@@ -152,44 +152,40 @@ class MethodConfig:
 
 @dataclass
 class LogProbBundle:
-    """Sequence log-probabilities (nats) for one preference record, or for n
-    records when every field holds an (n,) array.
+    """Sequence log-probabilities (nats) for one preference record, as (4,)
+    arrays, or for n records, as (4, n) arrays.
 
-    ``w``/``l`` are the chosen/rejected responses, ``short``/``long`` the two
-    context variants. Reference-policy fields are required exactly for the
-    methods that use a reference (DPO, IPO). Lengths are response token counts.
+    ``lp`` holds the policy's log-probs in :data:`GRAD_FIELDS` order (``w``/``l``
+    the chosen/rejected response, ``short``/``long`` the two context variants),
+    ``lens`` their response token counts and ``ref`` the reference policy's
+    log-probs of the same responses, required exactly for the methods that use
+    a reference (DPO, IPO).
     """
 
-    lp_w_short: float | np.ndarray
-    lp_l_short: float | np.ndarray
-    lp_w_long: float | np.ndarray
-    lp_l_long: float | np.ndarray
-    len_w: int | np.ndarray
-    len_l: int | np.ndarray
-    ref_lp_w_short: float | np.ndarray | None = None
-    ref_lp_l_short: float | np.ndarray | None = None
-    ref_lp_w_long: float | np.ndarray | None = None
-    ref_lp_l_long: float | np.ndarray | None = None
+    lp: np.ndarray
+    lens: np.ndarray
+    ref: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if np.minimum(self.len_w, self.len_l).min() < 1:
+        shapes = [np.shape(a) for a in (self.lp, self.lens, self.ref) if a is not None]
+        if shapes[0][:1] != (4,) or len(set(shapes)) > 1:
+            raise ValueError(f"lp, lens and ref must share one (4, ...) shape, got {shapes}")
+        if np.min(self.lens) < 1:
             raise ValueError("response lengths must be >= 1")
-        for name in GRAD_FIELDS[:4]:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+        for prefix, rows in (("", self.lp), ("ref_", () if self.ref is None else self.ref)):
+            for name, row in zip(GRAD_FIELDS, rows):
+                if not np.all(np.isfinite(row)):
+                    raise ValueError(f"{prefix}{name} must be finite")
 
 
-GRAD_FIELDS = (
-    "lp_w_short", "lp_l_short", "lp_w_long", "lp_l_long",
-    "ref_lp_w_short", "ref_lp_l_short", "ref_lp_w_long", "ref_lp_l_long",
-)
+GRAD_FIELDS = ("lp_w_short", "lp_l_short", "lp_w_long", "lp_l_long")
 
 
 @dataclass
 class LossBreakdown:
     """total = po_term + alpha * ra_term + nll_term; the long-context reward
-    margin r(x_long, y_w) - r(x_long, y_l); and ``grads``, the (8, ...) array
-    of d total / d field, one row per name of :data:`GRAD_FIELDS` in order."""
+    margin r(x_long, y_w) - r(x_long, y_l); and ``grads``, the (4, ...) array
+    d total / d lp, one row per name of :data:`GRAD_FIELDS` in order."""
 
     total: float | np.ndarray
     po_term: float | np.ndarray
@@ -245,30 +241,21 @@ _RA_RESPONSES = {RAMode.CHOSEN_ONLY: 1, RAMode.BOTH: 2}
 
 def solopo_loss(cfg: MethodConfig, b: LogProbBundle) -> LossBreakdown:
     """:func:`solopo_stack` of a bundle, which has references if it reads them."""
-    if cfg.needs_reference and any(getattr(b, name) is None for name in GRAD_FIELDS[4:]):
+    if cfg.needs_reference and b.ref is None:
         raise ValueError(f"{cfg.method.value} requires reference log-probs")
-    return solopo_stack(cfg, *_stacks(cfg, b))
-
-
-def _stacks(cfg: MethodConfig, b: LogProbBundle) -> tuple:
-    """A bundle's (4, ...) ``(lp, lens, ref)``, ``ref`` None unless read."""
-    return (np.array([getattr(b, k) for k in GRAD_FIELDS[:4]]), np.array([b.len_w, b.len_l] * 2),
-            np.array([getattr(b, k) for k in GRAD_FIELDS[4:]]) if cfg.needs_reference else None)
+    return solopo_stack(cfg, b.lp, b.lens, b.ref)
 
 
 def solopo_stack(cfg: MethodConfig, lp: np.ndarray, lens: np.ndarray, ref=None) -> LossBreakdown:
-    """The full objective, its terms and its gradient ``grads``, unchecked,
-    from one stacked pass of the method's reward and its slope over the
-    (4, ...) log-probs ``lp`` of ``GRAD_FIELDS[:4]``, their lengths ``lens``
-    and (read by DPO and IPO) the references ``ref`` of ``GRAD_FIELDS[4:]``
-    (see :func:`_reward_pass`), and one of the link and its slope.
+    """The full objective, its terms and its gradient ``grads`` by ``lp``,
+    unchecked, from one stacked pass of the method's reward and its slope over
+    the (4, ...) stacks of a :class:`LogProbBundle` (see :func:`_reward_pass`),
+    and one of the link and its slope.
 
     Alignment: chosen_only penalizes the chosen response's reward gap, both
     averages the chosen and rejected penalties, kl_approx is the raw
-    |lp_w_short - lp_w_long|. Reference entries of ``grads`` are zero unless
-    the method's reward reads the reference (references are frozen inputs, but
-    DPO/IPO rewards still carry the analytic -beta/-1 terms so finite
-    differences over the raw fields agree). Kinks take subgradient 0. Every
+    |lp_w_short - lp_w_long|. The references are frozen inputs and get no
+    gradient. Kinks (see :func:`kink_distances`) take subgradient 0. Every
     policy field goes through the reward, so an ORPO log-odds singularity in
     any of them raises :class:`DomainError`, whose index is the flat position
     in the (4, ...) stack: record ``index % n``.
@@ -277,11 +264,9 @@ def solopo_stack(cfg: MethodConfig, lp: np.ndarray, lens: np.ndarray, ref=None) 
     slope, z, gaps, margin_long = _reward_pass(cfg, lp, lens, ref)
     po, fz = link_value_and_deriv(cfg.link, z)
     fz = fz * cfg.eta
-    g = np.zeros((len(GRAD_FIELDS),) + lp.shape[1:])  # d total / d field, GRAD_FIELDS order
+    g = np.zeros(lp.shape)  # d total / d lp, GRAD_FIELDS order
     g[0] = fz * slope[0]
     g[1] = -fz * slope[1]
-    if row.needs_reference:
-        g[4:6] = -g[:2]
     nll = -lp[0] / lens[0] if cfg.include_nll else 0.0
     if cfg.include_nll:
         g[0] -= 1.0 / lens[0]
@@ -299,16 +284,28 @@ def solopo_stack(cfg: MethodConfig, lp: np.ndarray, lens: np.ndarray, ref=None) 
         ra = penalty.sum(axis=0) / k
         if a != 0.0:
             weighted = a / k * outer
-            d_short, d_long = weighted * slope[:k], weighted * slope[2:2 + k]
-            g[:k] += d_short
-            g[2:2 + k] -= d_long
-            if row.gap_keeps_reference:
-                g[4:4 + k] -= d_short
-                g[6:6 + k] += d_long
+            g[:k] += weighted * slope[:k]
+            g[2:2 + k] -= weighted * slope[2:2 + k]
     return LossBreakdown(total=po + a * ra + nll, po_term=po, ra_term=ra, nll_term=nll,
                          reward_margin_long=_result(margin_long), grads=g)
 
 
+def kink_distances(cfg: MethodConfig, b: LogProbBundle) -> list[np.ndarray]:
+    """How far a bundle lies from each point where the total loss is not
+    differentiable, one array of the records' shape per kink: the hinge link
+    at z = 0, and for a positive ``alpha`` the kl_approx gap
+    lp_w_short - lp_w_long, or each absolute alignment gap, at 0. A squared
+    gap (IPO) has no kink."""
+    _, z, gaps, _ = _reward_pass(cfg, b.lp, b.lens, b.ref)
+    dists = [abs(z)] if cfg.link is ConvexLink.HINGE else []
+    if cfg.alpha > 0:
+        if cfg.ra_mode is RAMode.KL_APPROX:
+            dists.append(abs(b.lp[0] - b.lp[2]))
+        elif not _METHODS[cfg.method].squared_gap:
+            dists += list(abs(gaps[:_RA_RESPONSES[cfg.ra_mode]]))
+    return dists
+
+
 def grad_solopo(cfg: MethodConfig, b: LogProbBundle) -> np.ndarray:
-    """The (8, ...) d total / d field, in :data:`GRAD_FIELDS` order."""
+    """The (4, ...) d total / d lp, in :data:`GRAD_FIELDS` order."""
     return solopo_loss(cfg, b).grads

@@ -215,7 +215,7 @@ def _prompt_rows(vocab: Vocab, pairs: tuple[tuple[str, str], ...]) -> np.ndarray
 class _Rows:
     """Every record's two prompts, the PO prompt and the long prompt, and its
     four scoring rows: (PO prompt, y_w), (PO prompt, y_l), (long prompt, y_w),
-    (long prompt, y_l), the log-prob fields ``GRAD_FIELDS[:4]`` in order, so
+    (long prompt, y_l), the log-prob fields ``GRAD_FIELDS`` in order, so
     that each prompt owns two consecutive rows; and, for a method that reads
     a reference, the reference's log-probs of those fields. Every field is
     indexed along the records first."""
@@ -298,7 +298,7 @@ def step_gradients(model: ToyLM, method_cfg: MethodConfig, batch: _Rows, records
     bad = ~np.isfinite(lps)
     if bad.any():
         j = int(np.flatnonzero(bad.any(axis=1))[0])
-        values = {k: float(v) for k, v, b in zip(GRAD_FIELDS[:4], lps[j], bad[j]) if b}
+        values = {k: float(v) for k, v, b in zip(GRAD_FIELDS, lps[j], bad[j]) if b}
         raise _non_finite(f"non-finite log-probability in {list(values)}", step,
                           int(records[j]), fields=list(values), values=values)
     lp = lps.T.copy()  # contiguous, as the kernel's small ufuncs run fastest
@@ -311,7 +311,7 @@ def step_gradients(model: ToyLM, method_cfg: MethodConfig, batch: _Rows, records
         j = int(np.flatnonzero(~np.isfinite(breakdown.total))[0])
         terms = {k: float(np.broadcast_to(getattr(breakdown, k), n)[j]) for k in _TERMS}
         raise _non_finite("non-finite loss", step, int(records[j]), breakdown=terms)
-    return breakdown, lp[3], backward((breakdown.grads[:4].T * (1.0 / n)).ravel(), out)
+    return breakdown, lp[3], backward((breakdown.grads.T * (1.0 / n)).ravel(), out)
 
 
 def train(model: ToyLM, dataset: Sequence[ForgedSample], cfg: TrainConfig,

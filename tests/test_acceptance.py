@@ -125,8 +125,8 @@ def test_criterion_06_degeneration_identity():
         for alpha in (0.0, 0.5, 1.0, 3.0):
             cfg = MethodConfig(method, ra_mode=mode, alpha=alpha)
             b = random_bundle(rng, cfg, 100)
-            b = replace(b, lp_w_long=b.lp_w_short, lp_l_long=b.lp_l_short,
-                        ref_lp_w_long=b.ref_lp_w_short, ref_lp_l_long=b.ref_lp_l_short)
+            b = replace(b, lp=b.lp[[0, 1, 0, 1]],
+                        ref=None if b.ref is None else b.ref[[0, 1, 0, 1]])
             bd = solopo_loss(cfg, b)
             worst = max(worst, float(np.max(np.abs(bd.total - (bd.po_term + bd.nll_term)))))
     ok = worst <= 1e-12
@@ -152,7 +152,7 @@ def test_criterion_07_alignment_kl_identities():
     b = random_bundle(rng, simpo, 50_000)
     worst = max(worst, float(np.max(np.abs(
         solopo_loss(simpo, b).ra_term
-        - simpo.beta / b.len_w * solopo_loss(simpo_kl, b).ra_term))))
+        - simpo.beta / b.lens[0] * solopo_loss(simpo_kl, b).ra_term))))
     ok = worst <= 1e-12
     assert _verdict(7, ok, f"max identity error {worst:.3e} over 1e5 bundles")
 

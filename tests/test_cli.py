@@ -24,6 +24,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
+# The README's ranges of the train keys MethodConfig and TrainConfig bound.
+TRAIN_RANGES = {"alpha": "a finite number >= 0", "eta": "a finite number > 0",
+                "lr_max": "a finite number >= 0", "warmup_ratio": "a number in [0, 1)"}
+
+
 def assert_clean_failure(rc, capsys, run_dir, *needles):
     """Exit 1 with an ``error:`` line naming each needle, no traceback and
     no manifest."""
@@ -158,8 +163,47 @@ class TestConfigParsing:
             cfg.write_text(f"seed = 1\n{key} = {value}\n")
             args, where = ["--config", cfg], f"{cfg}: line 2"
         rc = run(["train", "--out", tmp_path / "r", *args])
+        span = TRAIN_RANGES.get(key, "a finite number")
         assert_clean_failure(rc, capsys, tmp_path / "r", f"{where}: config key '{key}'",
-                             f"expected a finite number, got '{value}'")
+                             f"expected {span}, got '{value}'")
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "-1"), ("eta", "0"), ("eta", "-1"), ("lr_max", "-0.5"), ("warmup_ratio", "1"),
+        ("warmup_ratio", "-0.1")])
+    @pytest.mark.parametrize("source", ["--set", "config"])
+    def test_train_number_out_of_range_names_key_and_where(self, tmp_path, capsys, key, value,
+                                                           source):
+        """The ranges MethodConfig and TrainConfig enforce are declared in
+        KEYS, so a value outside one names the file and line."""
+        if source == "--set":
+            args, where = ["--set", f"{key}={value}"], "--set"
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            args, where = ["--config", cfg], f"{cfg}: line 1"
+        rc = run(["train", "--out", tmp_path / "r", *args,
+                  "--set", f"dataset={tmp_path / 'absent.jsonl'}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r", f"{where}: config key '{key}': "
+                             f"expected {TRAIN_RANGES[key]}, got '{value}'")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("key", ["model_seed", "eval_every"])
+    @pytest.mark.parametrize("source", ["--set", "config"])
+    def test_compare_rejects_keys_it_does_not_read(self, tmp_path, capsys, key, source):
+        """A --compare cell seeds its model by its seed and is evaluated once,
+        after training: a set model_seed or eval_every is an error, not an
+        override the manifest records as used."""
+        if source == "--set":
+            args, where = ["--set", f"{key}=3"], "--set"
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"seed = 1\n{key} = 3\n")
+            args, where = ["--config", cfg], f"{cfg}: line 2"
+        rc = run(["train", "--out", tmp_path / "r", *args, "--compare", "alpha:0.5,1",
+                  "--seeds", "0", "--set", f"dataset={tmp_path / 'absent.jsonl'}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r",
+                             f"{where}: config key '{key}' is not read under --compare")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command, key", [("train", "po_context"), ("forge", "condition_on")])
     def test_short_or_long_key_names_file_and_line(self, tmp_path, capsys, command, key):

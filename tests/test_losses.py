@@ -8,26 +8,30 @@ import pytest
 
 from shortlong.gradcheck import fd_gradient, random_bundle, relative_error
 from shortlong.losses import (_METHODS, GRAD_FIELDS, LogProbBundle, Method, MethodConfig,
-                              RAMode, grad_solopo, reward, solopo_loss)
+                              RAMode, grad_solopo, kink_distances, reward, solopo_loss)
 
 ALL_METHODS = list(Method)
 ALL_MODES = list(RAMode)
 
 
 def row(batch, i):
-    """Row i of a batched bundle, as a bundle of Python scalars."""
-    return LogProbBundle(**{k: None if v is None else v[i].item() for k, v in vars(batch).items()})
+    """Record i of a batched bundle, as a bundle of (4,) arrays."""
+    return LogProbBundle(*(None if a is None else a[:, i] for a in vars(batch).values()))
 
 
 def make_bundle(rng, method):
     return row(random_bundle(rng, MethodConfig(method), 1), 0)
 
 
-def full_bundle(**over):
-    base = dict(lp_w_short=-3.0, lp_l_short=-5.0, lp_w_long=-4.0, lp_l_long=-6.0,
-                len_w=2, len_l=3)
-    base.update(over)
-    return LogProbBundle(**base)
+def full_bundle(lp=(-3.0, -5.0, -4.0, -6.0), lens=(2, 3), ref=None):
+    """One record: ``lp`` and ``ref`` in GRAD_FIELDS order, ``lens`` = (len_w, len_l)."""
+    return LogProbBundle(np.array(lp, dtype=float), np.array(lens * 2),
+                         None if ref is None else np.array(ref, dtype=float))
+
+
+def long_as_short(b):
+    """The bundle with its long-context log-probs copied from the short ones."""
+    return replace(b, lp=b.lp[[0, 1, 0, 1]], ref=None if b.ref is None else b.ref[[0, 1, 0, 1]])
 
 
 class TestDefaults:
@@ -159,17 +163,14 @@ class TestMergedReward:
 class TestPoLoss:
     def test_policy_equals_reference_gives_log2(self):
         cfg = MethodConfig(Method.DPO, gamma=0.0, eta=1.0)
-        b = full_bundle(ref_lp_w_short=-3.0, ref_lp_l_short=-5.0,
-                        ref_lp_w_long=-4.0, ref_lp_l_long=-6.0)
+        b = full_bundle(ref=(-3.0, -5.0, -4.0, -6.0))
         bd = solopo_loss(cfg, b)
         assert bd.po_term + bd.nll_term == pytest.approx(math.log(2), abs=1e-12)
 
     def test_square_link_zero_at_margin(self):
         # margin exactly gamma -> link argument 0 -> loss 0
         cfg = MethodConfig(Method.IPO, gamma=2.0, eta=7.3)
-        b = full_bundle(lp_w_short=-3.0, lp_l_short=-5.0,
-                        ref_lp_w_short=-3.0, ref_lp_l_short=-3.0,
-                        ref_lp_w_long=-3.0, ref_lp_l_long=-3.0)
+        b = full_bundle(ref=(-3.0, -3.0, -3.0, -3.0))
         # reward margin = (lp_w - ref_w) - (lp_l - ref_l) = 0 - (-2) = 2 = gamma
         bd = solopo_loss(cfg, b)
         assert bd.po_term + bd.nll_term == pytest.approx(0.0, abs=1e-12)
@@ -178,7 +179,7 @@ class TestPoLoss:
         # -log sigmoid(2*(-2/2) - 2*(-6/2) - 1.4) = log1p(exp(-2.6)),
         # evaluated independently with the high-precision stdlib path.
         cfg = MethodConfig(Method.SIMPO, eta=1.0)
-        b = full_bundle(lp_w_short=-2.0, lp_l_short=-6.0, len_w=2, len_l=2)
+        b = full_bundle(lp=(-2.0, -6.0, -4.0, -6.0), lens=(2, 2))
         bd = solopo_loss(cfg, b)
         assert bd.po_term + bd.nll_term == pytest.approx(0.0716446919676698, abs=1e-12)
 
@@ -195,18 +196,13 @@ class TestAlignmentTerm:
     def test_zero_gap(self):
         for method in ALL_METHODS:
             cfg = MethodConfig(method)
-            refs = {}
-            if cfg.needs_reference:
-                refs = dict(ref_lp_w_short=-1.0, ref_lp_l_short=-2.0,
-                            ref_lp_w_long=-1.0, ref_lp_l_long=-2.0)
-            b = full_bundle(lp_w_long=-3.0, lp_l_long=-5.0, **refs)
+            ref = (-1.0, -2.0, -1.0, -2.0) if cfg.needs_reference else None
+            b = full_bundle(lp=(-3.0, -5.0, -3.0, -5.0), ref=ref)
             assert solopo_loss(cfg, b).ra_term == pytest.approx(0.0, abs=1e-15)
 
     def test_dpo_chosen_only_value(self):
         cfg = MethodConfig(Method.DPO)  # beta 0.1
-        b = full_bundle(lp_w_short=-5.0, lp_w_long=-9.0,
-                        ref_lp_w_short=-1.0, ref_lp_l_short=-1.0,
-                        ref_lp_w_long=-1.0, ref_lp_l_long=-1.0)
+        b = full_bundle(lp=(-5.0, -5.0, -9.0, -6.0), ref=(-1.0, -1.0, -1.0, -1.0))
         assert solopo_loss(cfg, b).ra_term == pytest.approx(0.4, abs=1e-12)
 
     def test_dpo_kl_identity(self):
@@ -225,21 +221,19 @@ class TestAlignmentTerm:
         kl_cfg = MethodConfig(Method.SIMPO, ra_mode=RAMode.KL_APPROX)
         b = random_bundle(rng, cfg, 2000)
         np.testing.assert_allclose(solopo_loss(cfg, b).ra_term,
-                                   (cfg.beta / b.len_w) * solopo_loss(kl_cfg, b).ra_term,
+                                   (cfg.beta / b.lens[0]) * solopo_loss(kl_cfg, b).ra_term,
                                    rtol=0, atol=1e-12)
 
     def test_both_mode_averages(self):
         cfg_b = MethodConfig(Method.SLIC, ra_mode=RAMode.BOTH)
         b = full_bundle()
-        gap_w = abs(b.lp_w_short - b.lp_w_long)
-        gap_l = abs(b.lp_l_short - b.lp_l_long)
+        gap_w, gap_l = abs(b.lp[:2] - b.lp[2:])
         assert solopo_loss(cfg_b, b).ra_term == pytest.approx(0.5 * (gap_w + gap_l))
 
     def test_square_link_squares_the_gap(self):
         cfg = MethodConfig(Method.IPO)
-        b = full_bundle(ref_lp_w_short=-1.0, ref_lp_l_short=-1.0,
-                        ref_lp_w_long=-2.0, ref_lp_l_long=-2.0)
-        gap = (b.lp_w_short - (-1.0)) - (b.lp_w_long - (-2.0))
+        b = full_bundle(ref=(-1.0, -1.0, -2.0, -2.0))
+        gap = (b.lp[0] - (-1.0)) - (b.lp[2] - (-2.0))
         assert solopo_loss(cfg, b).ra_term == pytest.approx(gap * gap)
 
 
@@ -251,9 +245,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(11)
         for alpha in (0.0, 1.0, 3.7):
             cfg = MethodConfig(method, ra_mode=mode, alpha=alpha)
-            b = make_bundle(rng, method)
-            b = replace(b, lp_w_long=b.lp_w_short, lp_l_long=b.lp_l_short,
-                        ref_lp_w_long=b.ref_lp_w_short, ref_lp_l_long=b.ref_lp_l_short)
+            b = long_as_short(make_bundle(rng, method))
             breakdown = solopo_loss(cfg, b)
             assert breakdown.ra_term == 0.0
             assert breakdown.total == pytest.approx(breakdown.po_term + breakdown.nll_term,
@@ -273,7 +265,7 @@ class TestTotalLoss:
         bd = solopo_loss(cfg, b)
         bd_no = solopo_loss(MethodConfig(Method.ORPO, include_nll=False), b)
         po_only = bd_no.po_term + bd_no.nll_term
-        nll = -b.lp_w_short / b.len_w
+        nll = -b.lp[0] / b.lens[0]
         ra = solopo_loss(cfg, b).ra_term
         assert bd.po_term == pytest.approx(po_only, abs=1e-15)
         assert bd.nll_term == pytest.approx(nll, abs=1e-15)
@@ -309,9 +301,7 @@ class TestGradients:
         # When the chosen short reward exceeds the long one, the alignment
         # derivative w.r.t. the long log-prob is exactly -alpha * beta.
         cfg = MethodConfig(Method.DPO, alpha=2.0)
-        b = full_bundle(lp_w_short=-3.0, lp_w_long=-9.0,
-                        ref_lp_w_short=-1.0, ref_lp_l_short=-1.0,
-                        ref_lp_w_long=-1.0, ref_lp_l_long=-1.0)
+        b = full_bundle(lp=(-3.0, -5.0, -9.0, -6.0), ref=(-1.0, -1.0, -1.0, -1.0))
         g = grad_solopo(cfg, b)
         assert g[GRAD_FIELDS.index("lp_w_long")] == pytest.approx(-cfg.alpha * cfg.beta,
                                                                   abs=1e-15)
@@ -333,11 +323,26 @@ class TestGradients:
         included, so its kink at zero is kept out of the sample."""
         cfg = MethodConfig(method, ra_mode=RAMode.KL_APPROX)
         b = random_bundle(np.random.default_rng(32), cfg, 500, kink_margin=0.5)
-        assert np.all(np.abs(b.lp_w_short - b.lp_w_long) > 0.5)
+        assert np.all(np.abs(b.lp[0] - b.lp[2]) > 0.5)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_random_bundle_clears_every_kink(self, method, mode):
+        """The hinge link has a kink at z = 0, and each absolute alignment gap
+        (IPO squares its gaps; kl_approx takes one) at 0; a random bundle
+        stays a margin away from all of them."""
+        cfg = MethodConfig(method, ra_mode=mode)
+        b = random_bundle(np.random.default_rng(33), cfg, 500, kink_margin=0.5)
+        kinks = kink_distances(cfg, b)
+        gaps = {RAMode.CHOSEN_ONLY: 1, RAMode.BOTH: 2, RAMode.KL_APPROX: 1}[mode]
+        if method is Method.IPO and mode is not RAMode.KL_APPROX:
+            gaps = 0
+        assert len(kinks) == (method is Method.SLIC) + gaps
+        assert all(np.all(d > 0.5) for d in kinks)
 
     def test_singularity_propagates(self):
         cfg = MethodConfig(Method.ORPO)
-        b = full_bundle(lp_w_short=0.0)
+        b = full_bundle(lp=(0.0, -5.0, -4.0, -6.0))
         with pytest.raises(ValueError, match="singularity"):
             grad_solopo(cfg, b)
 
@@ -362,12 +367,12 @@ class TestBatch:
     @pytest.mark.parametrize("method", ALL_METHODS)
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_public_losses_read_the_one_pass(self, method, mode):
-        """grad_solopo is exactly the pass's grads: an (8, n) array for n
-        records and an (8,) array for a scalar bundle."""
+        """grad_solopo is exactly the pass's grads: a (4, n) array for n
+        records and a (4,) array for one record."""
         rng = np.random.default_rng(43)
         cfg = MethodConfig(method, ra_mode=mode, alpha=1.3, eta=1.7)
         batch = random_bundle(rng, cfg, 16)
-        for b, shape in ((batch, (8, 16)), (row(batch, 3), (8,))):
+        for b, shape in ((batch, (4, 16)), (row(batch, 3), (4,))):
             bd = solopo_loss(cfg, b)
             assert bd.grads.shape == shape
             np.testing.assert_array_equal(grad_solopo(cfg, b), bd.grads)
@@ -376,7 +381,7 @@ class TestBatch:
         rng = np.random.default_rng(42)
         cfg = MethodConfig(Method.ORPO)
         batch = random_bundle(rng, cfg, 8)
-        batch.lp_w_short[5] = 0.0
+        batch.lp[0, 5] = 0.0
         with pytest.raises(ValueError, match="singularity.*element 5") as err:
             solopo_loss(cfg, batch)
         assert err.value.index == 5
@@ -385,39 +390,46 @@ class TestBatch:
 class TestBundleValidation:
     def test_lengths_positive(self):
         with pytest.raises(ValueError):
-            full_bundle(len_w=0)
+            full_bundle(lens=(0, 3))
 
     def test_finite_required(self):
         with pytest.raises(ValueError):
-            full_bundle(lp_w_short=float("nan"))
+            full_bundle(lp=(math.nan, -5.0, -4.0, -6.0))
 
-    @pytest.mark.parametrize("name", GRAD_FIELDS[:4])
+    @pytest.mark.parametrize("name", GRAD_FIELDS + tuple(f"ref_{k}" for k in GRAD_FIELDS))
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("n", [None, 5])
     def test_non_finite_field_is_named(self, name, bad, n):
-        """Scalar fields, or (n,) arrays with one bad element."""
-        fields = {k: np.full(n, v) if n else v for k, v in
-                  dict(lp_w_short=-3.0, lp_l_short=-5.0, lp_w_long=-4.0, lp_l_long=-6.0,
-                       len_w=2, len_l=3).items()}
-        if n:
-            fields[name][3] = bad
-        else:
-            fields[name] = bad
+        """One record's (4,) rows, or (4, n) rows with one bad element, of the
+        policy or of the reference."""
+        shape = (4,) if n is None else (4, n)
+        lp, ref = np.full(shape, -3.0), np.full(shape, -4.0)
+        stack = ref if name.startswith("ref_") else lp
+        stack[(GRAD_FIELDS.index(name.removeprefix("ref_")),) + (() if n is None else (3,))] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            LogProbBundle(**fields)
+            LogProbBundle(lp, np.full(lp.shape, 2), ref)
 
     def test_first_bad_field_is_named(self):
         # +inf and -inf sum to nan: both fields are bad, the first is named.
         with pytest.raises(ValueError, match="^lp_l_short must be finite$"):
-            full_bundle(lp_l_short=math.inf, lp_l_long=-math.inf)
+            full_bundle(lp=(-3.0, math.inf, -4.0, -math.inf), ref=(math.nan,) * 4)
 
     @pytest.mark.parametrize("name", ["len_w", "len_l"])
     @pytest.mark.parametrize("value", [0, -1, np.array([2, 0, 3])])
     def test_short_length_message(self, name, value):
+        len_w, len_l = np.broadcast_arrays(*{"len_w": 2, "len_l": 3, name: value}.values())
         with pytest.raises(ValueError, match=r"^response lengths must be >= 1$"):
-            full_bundle(**{name: value})
+            LogProbBundle(np.full((4,) + len_w.shape, -3.0), np.array([len_w, len_l] * 2))
+
+    @pytest.mark.parametrize("lp, lens, ref", [
+        ((4, 3), (3,), None), ((3, 3), (3, 3), None), ((4,), (4, 1), None),
+        ((4, 3), (4, 3), (4, 2))], ids=["one_length_row", "three_rows", "lengths_2d", "ref"])
+    def test_stacks_must_share_a_four_row_shape(self, lp, lens, ref):
+        """A (n,) length row would broadcast over all four rows: one shape or an error."""
+        with pytest.raises(ValueError, match=r"^lp, lens and ref must share one \(4, "):
+            LogProbBundle(np.full(lp, -3.0), np.full(lens, 2),
+                          None if ref is None else np.full(ref, -4.0))
 
     def test_finite_fields_whose_sum_overflows_pass(self):
-        b = full_bundle(lp_w_short=-1e308, lp_l_short=-1e308, lp_w_long=-1e308,
-                        lp_l_long=-1e308)
-        assert b.lp_l_long == -1e308
+        b = full_bundle(lp=(-1e308,) * 4)
+        assert b.lp[3] == -1e308

@@ -722,16 +722,10 @@ class TestClone:
 
         ref = model.clone()
         ctx, y_w, y_l = ["w0", "w1"], ["w2", EOS], ["w3", EOS]
-        b = LogProbBundle(
-            lp_w_short=logprob(model, ctx, y_w).total_logprob,
-            lp_l_short=logprob(model, ctx, y_l).total_logprob,
-            lp_w_long=logprob(model, ctx, y_w).total_logprob,
-            lp_l_long=logprob(model, ctx, y_l).total_logprob,
-            len_w=2, len_l=2,
-            ref_lp_w_short=logprob(ref, ctx, y_w).total_logprob,
-            ref_lp_l_short=logprob(ref, ctx, y_l).total_logprob,
-            ref_lp_w_long=logprob(ref, ctx, y_w).total_logprob,
-            ref_lp_l_long=logprob(ref, ctx, y_l).total_logprob)
+        # (y_w, y_l) under the one context twice: short and long coincide.
+        lp, ref_lp = (np.array([logprob(m, ctx, y).total_logprob for y in (y_w, y_l) * 2])
+                      for m in (model, ref))
+        b = LogProbBundle(lp, np.full(4, 2), ref_lp)
         bd = solopo_loss(MethodConfig(Method.DPO), b)
         assert bd.po_term + bd.nll_term == pytest.approx(math.log(2), abs=1e-12)
 

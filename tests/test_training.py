@@ -765,11 +765,11 @@ class TestStepGradients:
         per_token, backward = score_rows(model, *(a.reshape(-1, a.shape[-1]) for a in (
             rows.counts, rows.resp_ids, rows.mask)))
         lps = per_token.sum(axis=1).reshape(-1, 4)
-        lens = [[len(text.split()) + 1 for text in (s.y_w, s.y_l)] for s in samples]
+        lens = [[len(text.split()) + 1 for text in (s.y_w, s.y_l) * 2] for s in samples]
         assert len({tuple(pair) for pair in lens}) == 6
-        public = solopo_loss(cfg, LogProbBundle(*lps.T, *np.array(lens).T,
-                                                *(() if rows.refs is None else rows.refs.T)))
-        expected = backward((public.grads[:4].T * (1.0 / len(records))).ravel())
+        public = solopo_loss(cfg, LogProbBundle(lps.T, np.array(lens).T,
+                                                None if rows.refs is None else rows.refs.T))
+        expected = backward((public.grads.T * (1.0 / len(records))).ravel())
         for name in ("total", "po_term", "ra_term", "nll_term", "reward_margin_long", "grads"):
             np.testing.assert_array_equal(getattr(breakdown, name), getattr(public, name),
                                           strict=True, err_msg=name)
