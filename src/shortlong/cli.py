@@ -43,11 +43,32 @@ from .policy import ToyLM, Vocab, load_model, save_model
 from .training import (NonFiniteLossError, TrainConfig, evaluate, run_comparison,
                        strict_json, train)
 
-__all__ = ["main", "load_config", "parse_settings", "KEYS", "COMMANDS"]
+__all__ = ["main", "load_config", "parse_settings", "Settings", "KEYS", "COMMANDS"]
 
 
 class ConfigError(ValueError):
     pass
+
+
+class Settings(dict):
+    """Every key of a subcommand, typed, and ``where`` each given key was last
+    set: ``<file>: line <n>``, ``--set`` or ``--seed``."""
+
+    def __init__(self, values: dict[str, object], where: dict[str, str]):
+        super().__init__(values)
+        self.where = where
+
+
+@contextlib.contextmanager
+def _naming_sources(where: dict[str, str], keys: Iterable[str]) -> Iterator[None]:
+    """A ValueError raised inside, prefixed with the distinct places in
+    ``where`` that set one of ``keys``."""
+    try:
+        yield
+    except ValueError as exc:
+        keys = set(keys)
+        places = dict.fromkeys(at for key, at in where.items() if key in keys)
+        raise ConfigError(f"{', '.join(places)}: {exc}") from None
 
 
 def _config_lines(path: str | Path) -> Iterator[tuple[int, str, str]]:
@@ -175,11 +196,11 @@ _NOT_UNDER_COMPARE = {"model_seed": "each cell's model is seeded by its seed",
                       "eval_every": "each cell is evaluated once, after training"}
 
 
-def parse_settings(command: str, args: argparse.Namespace) -> dict[str, object]:
+def parse_settings(command: str, args: argparse.Namespace) -> Settings:
     """Every key of ``command``, typed: the defaults, then the config file,
-    then ``--set``, then ``--seed``. Unknown keys, bad values and keys that
-    ``--compare`` does not read raise ConfigError naming the key and where it
-    was set."""
+    then ``--set``, then ``--seed``. Unknown keys, bad values, keys that
+    ``--compare`` does not read and a ``seed`` under ``--compare`` with
+    ``--seeds`` raise ConfigError naming the key and where it was set."""
     given: list[tuple[str, str, str]] = []
     if args.config:
         given += [(f"{args.config}: line {lineno}", key, value)
@@ -192,13 +213,17 @@ def parse_settings(command: str, args: argparse.Namespace) -> dict[str, object]:
     if args.seed is not None:
         given.append(("--seed", "seed", str(args.seed)))
     values = {key: default for key, (_, default) in KEYS[command].items()}
+    places: dict[str, str] = {}
     compare = getattr(args, "compare", None) is not None
     for where, key, text in given:
-        values[key] = _parse_value(command, where, key, text)
+        values[key], places[key] = _parse_value(command, where, key, text), where
         if compare and key in _NOT_UNDER_COMPARE:
             raise ConfigError(f"{where}: config key {key!r} is not read under --compare: "
                               f"{_NOT_UNDER_COMPARE[key]}")
-    return values
+    if compare and getattr(args, "seeds", None) is not None and "seed" in places:
+        raise ConfigError(f"{places['seed']}: config key 'seed' is not read under --seeds: "
+                          "each cell is seeded by its --seeds entry")
+    return Settings(values, places)
 
 
 def _given(values: dict, *keys: str, prefix: str = "") -> dict:
@@ -341,11 +366,13 @@ def _write_atomically(samples: Iterator[ForgedSample], path: Path) -> None:
     part.replace(path)
 
 
-def cmd_forge(v: dict, flags: dict, out: Path) -> int:
+def cmd_forge(v: Settings, flags: dict, out: Path) -> int:
+    targets = _CORPORA[v["corpus"]][3] if v["corpus"] in _CORPORA else {}
+    keys = [f.name for f in fields(HaystackConfig)]
+    with _naming_sources(v.where, keys):  # before the corpus or checkpoint is opened
+        cfg = HaystackConfig(**{**targets, **_given(v, *keys)})
     sources, pool, profile = _load_corpus(v)
     generator = _build_generator(v, profile)
-    targets = _CORPORA[v["corpus"]][3] if v["corpus"] in _CORPORA else {}
-    cfg = HaystackConfig(**{**targets, **_given(v, *(f.name for f in fields(HaystackConfig)))})
     stats = ForgeStats()
     samples = iter_forged(sources, pool, generator, cfg, stats, v["n_target"],
                           **_given(v, "condition_on", "intersection"))
@@ -365,8 +392,14 @@ _TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "method_c
 _CELL_KEYS = set(_METHOD_FIELDS + _TRAIN_FIELDS) - {"seed", "eval_every", "telemetry"}
 
 
-def _train_cfg(v: dict) -> TrainConfig:
-    return TrainConfig(MethodConfig(**_given(v, *_METHOD_FIELDS)), **_given(v, *_TRAIN_FIELDS))
+def _train_cfg(v: Settings, **cell: object) -> TrainConfig:
+    """The config of ``v`` with a --compare ``cell``'s key set; a rule it
+    breaks names where its keys were set."""
+    values = {**v, **cell}
+    with _naming_sources({**v.where, **dict.fromkeys(cell, "--compare")},
+                         _METHOD_FIELDS + _TRAIN_FIELDS):
+        return TrainConfig(MethodConfig(**_given(values, *_METHOD_FIELDS)),
+                           **_given(values, *_TRAIN_FIELDS))
 
 
 def _compare_spec(spec: str) -> list[tuple[str, str, object]]:
@@ -407,9 +440,10 @@ def _records(path: str) -> list[ForgedSample]:
     return records
 
 
-def cmd_train(v: dict, flags: dict, out: Path) -> int:
-    arms = flags["--compare"] and [(label, _train_cfg({**v, key: value}))
-                                   for label, key, value in flags["--compare"]]
+def cmd_train(v: Settings, flags: dict, out: Path) -> int:
+    arms = [(label, _train_cfg(v, **{key: value}))
+            for label, key, value in flags["--compare"] or ()]
+    cfg = None if arms else _train_cfg(v)
     if not v["dataset"]:
         raise ConfigError("train requires a 'dataset' (forged JSONL path)")
     dataset = _records(v["dataset"])
@@ -432,7 +466,7 @@ def cmd_train(v: dict, flags: dict, out: Path) -> int:
         return 0
 
     model = ToyLM(vocab, seed=_or(v["model_seed"], v["seed"]), **hidden)
-    model, log = train(model, dataset, _train_cfg(v), vocab, eval_set=eval_set)
+    model, log = train(model, dataset, cfg, vocab, eval_set=eval_set)
     save_model(model, out / "checkpoints" / "final.json")
     log.write_csv(out / "logs" / "train_log.csv")
     log.write_json(out / "logs" / "train_log.json")

@@ -200,8 +200,8 @@ _TERMS = ("total", "po_term", "ra_term", "nll_term")
 
 
 # Encoding depends only on the vocabulary's tokens and the texts, so the last
-# 16 distinct prompt lists and datasets are memoized, read-only, under those
-# values: equal vocabularies share entries, and a changed record encodes again.
+# 16 distinct eval prompt lists and datasets are memoized, read-only, under
+# those values: equal vocabularies share entries, and a changed record encodes again.
 @functools.lru_cache(maxsize=16)
 def _prompt_rows(vocab: Vocab, pairs: tuple[tuple[str, str], ...]) -> np.ndarray:
     """The read-only (n, V) :func:`~shortlong.policy.encode_prompts` rows of n
@@ -244,36 +244,28 @@ _TEXTS = attrgetter("question", "x_short", "x_long", "y_w", "y_l")
 
 
 def _prepare(dataset: Sequence[ForgedSample], vocab: Vocab, po_context: str) -> _Rows:
-    """Encode each prompt and response once, into read-only rows; an
-    out-of-vocabulary token fails here, naming its record."""
-    return _encode_dataset(vocab, po_context, tuple(map(_TEXTS, dataset)))
+    """Encode each prompt and response once, into read-only rows (a long PO
+    prompt is a view of the long prompt's row); an out-of-vocabulary token
+    fails here, naming its record."""
+    rows = _encode_dataset(vocab, tuple(map(_TEXTS, dataset)))
+    return (replace(rows, counts=np.broadcast_to(rows.counts[:, 1:], rows.counts.shape))
+            if po_context == "long" else rows)
 
 
 @functools.lru_cache(maxsize=16)
-def _encode_dataset(vocab: Vocab, po_context: str,
-                    texts: tuple[tuple[str, str, str, str, str], ...]) -> _Rows:
-    short = _prompt_rows(vocab, tuple((x_short, q) for q, x_short, _, _, _ in texts))
-    long_ = _prompt_rows(vocab, tuple((x_long, q) for q, _, x_long, _, _ in texts))
-    po = long_ if po_context == "long" else short
-    # responses[2i] and responses[2i + 1] are record i's y_w and y_l; each
-    # distinct one is encoded once, all of them in one lookup.
-    responses = [text for *_, y_w, y_l in texts for text in (y_w, y_l)]
-    distinct: dict[str, int] = {}
-    slots = np.array([distinct.setdefault(text, len(distinct)) for text in responses])
-    words = [text.split() + [EOS] for text in distinct]
+def _encode_dataset(vocab: Vocab, texts: tuple[tuple[str, str, str, str, str], ...]) -> _Rows:
+    """The rows of the ``_TEXTS`` of n records, the short prompt as the PO prompt."""
+    counts = np.stack([encode_prompts(vocab, (assemble_prompt(t[side], t[0]) for t in texts))
+                       for side in (1, 2)], axis=1)  # x_short, then x_long
+    responses = []
     try:
-        flat = vocab.encode([w for ws in words for w in ws])
+        for i, (*_, y_w, y_l) in enumerate(texts):  # as (y_w, y_l, y_w, y_l)
+            responses += [vocab.encode(y.split() + [EOS]) for y in (y_w, y_l)] * 2
     except ValueError as exc:
-        # The bad token is the first one of the first response that holds one.
-        known = set(vocab.tokens)
-        bad = next(i for i, text in enumerate(responses) if not known.issuperset(text.split()))
-        raise ValueError(f"record {bad // 2}: {exc}") from None
-    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    ends = np.cumsum(lengths).tolist()
-    ids, mask = pad_responses([flat[end - n:end] for end, n in zip(ends, lengths.tolist())])
-    order = slots.reshape(-1, 2)[:, [0, 1, 0, 1]]  # (y_w, y_l, y_w, y_l) per record
-    arrays = (np.stack((po, long_), axis=1), ids[order], mask[order],
-              lengths[order].astype(np.float64))
+        raise ValueError(f"record {i}: {exc}") from None
+    ids, mask = pad_responses(responses)
+    arrays = (counts, *(a.reshape(len(texts), 4, a.shape[1]) for a in (ids, mask)),
+              mask.sum(axis=1).reshape(-1, 4).astype(np.float64))
     for array in arrays:
         array.setflags(write=False)
     return _Rows(*arrays)

@@ -205,6 +205,46 @@ class TestConfigParsing:
                              f"{where}: config key '{key}' is not read under --compare")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("source", ["--seed", "--set", "config"])
+    def test_compare_with_seeds_rejects_a_seed(self, tmp_path, capsys, source):
+        """Each --seeds entry seeds its cell, so a given seed would go unread
+        while the manifest records it as the run's seed."""
+        if source == "--seed":
+            args, where = ["--seed", "5"], "--seed"
+        elif source == "--set":
+            args, where = ["--set", "seed=5"], "--set"
+        else:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("# cells\nseed = 5\n")
+            args, where = ["--config", cfg], f"{cfg}: line 2"
+        rc = run(["train", "--out", tmp_path / "r", *args, "--compare", "alpha:0.5,1",
+                  "--seeds", "0,1", "--set", f"dataset={tmp_path / 'absent.jsonl'}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r",
+                             f"error: {where}: config key 'seed' is not read under --seeds: "
+                             "each cell is seeded by its --seeds entry")
+        assert not (tmp_path / "r").exists()
+
+    def test_train_cross_key_rule_names_set_before_reading_dataset(self, tmp_path, capsys):
+        rc = run(["train", "--out", tmp_path / "r", "--set", "method=dpo",
+                  "--set", "include_nll=true", "--set", f"dataset={tmp_path / 'absent.jsonl'}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r",
+                             "error: --set: include_nll is only meaningful for ORPO")
+
+    def test_train_cross_key_rule_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("beta = 0.3\n")
+        rc = run(["train", "--out", tmp_path / "r", "--config", cfg,
+                  "--set", f"dataset={tmp_path / 'absent.jsonl'}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r",
+                             f"error: {cfg}: line 1: beta is not used by orpo")
+
+    def test_forge_cross_key_rule_names_set_before_reading_corpus(self, tmp_path, capsys):
+        rc = run(["forge", "--out", tmp_path / "r", "--set", "target_short_tokens=600",
+                  "--set", "target_long_tokens=500",
+                  "--set", f"corpus={tmp_path / 'absent.jsonl'}"])
+        assert_clean_failure(rc, capsys, tmp_path / "r",
+                             "error: --set: short target must be below the long target")
+
     @pytest.mark.parametrize("command, key", [("train", "po_context"), ("forge", "condition_on")])
     def test_short_or_long_key_names_file_and_line(self, tmp_path, capsys, command, key):
         """Checked with the other keys, before any input is read and before
@@ -440,8 +480,7 @@ class TestForgeTrainEvalPipeline:
 
     def test_train_compare_matrix(self, forged, tmp_path, capsys):
         out = tmp_path / "cmp"
-        rc = run(["train", "--out", out, "--seed", "0",
-                  "--compare", "alpha:0,1", "--seeds", "0,1",
+        rc = run(["train", "--out", out, "--compare", "alpha:0,1", "--seeds", "0,1",
                   "--set", f"dataset={forged}", "--set", f"eval_dataset={forged}",
                   "--set", "method=orpo", "--set", "epochs=1",
                   "--set", "batch_size=8", "--set", "model_hidden=8"])

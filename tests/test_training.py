@@ -476,16 +476,14 @@ class TestTrain:
     def test_prompts_encoded_once_per_dataset(self, world, monkeypatch):
         """The first train call on a dataset encodes it: one encode_prompts
         call over the short prompts, one over the long, and one Vocab.encode
-        call over the distinct responses. A later call on records with the
-        same texts, under the same vocabulary or an equal one, reuses those
+        call per response, 2n in all. A later call on records with the same
+        texts, under the same vocabulary or an equal one, reuses those
         read-only rows and encodes nothing; a replaced record, or one mutated
-        in place, is encoded again (only its changed prompts' side) and
-        trained on its new text. A dataset with an out-of-vocabulary token
+        in place, encodes the dataset again, both prompt sides included, and
+        is trained on its new text. A dataset with an out-of-vocabulary token
         fails and memoizes nothing."""
         import shortlong.training as training_mod
 
-        training_mod._encode_dataset.cache_clear()
-        training_mod._prompt_rows.cache_clear()
         vocab, data, _ = world
         calls, prompting = [], []
         original_prompts, original_encode = training_mod.encode_prompts, Vocab.encode
@@ -513,17 +511,15 @@ class TestTrain:
             model, _ = train(ToyLM(under, hidden_dim=8, seed=1), records, cfg, under)
             return model.params, list(calls)
 
-        def responses(records):
-            distinct = {text for s in records for text in (s.y_w, s.y_l)}
-            assert len(distinct) < 2 * len(records)
-            tokens = sum(len(text.split()) + 1 for text in distinct)  # each ends in EOS
-            return [("encode", tokens)]
+        def encoded(records):  # both prompt sides, then each response ending in EOS
+            return [("prompts", len(records))] * 2 + [
+                ("encode", len(text.split()) + 1) for s in records for text in (s.y_w, s.y_l)]
 
         def params_equal(a, b):
             return all(np.array_equal(a[k], b[k]) for k in a)
 
         first, made = trained(data)
-        assert made == [("prompts", len(data))] * 2 + responses(data)
+        assert made == encoded(data) and len(made) == 2 + 2 * len(data)
         for method, epochs in ((Method.ORPO, 3), (Method.DPO, 1), (Method.DPO, 3)):
             assert trained(data, method, epochs)[1] == []
         for under in (vocab, Vocab(vocab.tokens)):  # new records, same texts
@@ -538,9 +534,9 @@ class TestTrain:
         swapped = [replace(data[0], y_w=data[0].y_l, y_l=data[0].y_w)] + list(data[1:])
         mutated = [replace(s) for s in data]
         mutated[3].x_short = mutated[4].x_short
-        for records, prompts in ((swapped, []), (mutated, [("prompts", len(data))])):
+        for records in (swapped, mutated):
             params, made = trained(records)
-            assert made == prompts + responses(records)
+            assert made == encoded(records)
             assert not params_equal(params, first)
 
         sizes = [f.cache_info().currsize
@@ -552,8 +548,32 @@ class TestTrain:
         assert [f.cache_info().currsize
                 for f in (training_mod._encode_dataset, training_mod._prompt_rows)] == sizes
 
+    def test_long_po_prompt_is_a_view_of_the_long_row(self, world):
+        """Training and preparing a dataset under "short" and then "long"
+        leaves one training-row memo entry and no prompt-row entry; the
+        "long" rows' counts are a read-only view whose two rows per record
+        are the long prompts' encode_prompts row, bit for bit."""
+        import shortlong.training as training_mod
+
+        vocab, data, _ = world
+        for po_context in ("short", "long"):
+            cfg = TrainConfig(MethodConfig(Method.ORPO), batch_size=8, seed=0,
+                              po_context=po_context)
+            train(ToyLM(vocab, hidden_dim=8, seed=1), data, cfg, vocab)
+            rows = _prepare(data, vocab, po_context)
+        assert training_mod._encode_dataset.cache_info().currsize == 1
+        assert training_mod._prompt_rows.cache_info().currsize == 0
+        short = _prepare(data, vocab, "short")
+        assert np.shares_memory(rows.counts, short.counts) and not rows.counts.flags.writeable
+        long_prompts = training_mod.encode_prompts(
+            vocab, [assemble_prompt(s.x_long, s.question) for s in data])
+        for side in (0, 1):
+            assert rows.counts[:, side].tobytes() == long_prompts.tobytes()
+        for name in ("resp_ids", "mask", "lens"):
+            assert getattr(rows, name) is getattr(short, name)
+
     def test_responses_encode_as_one_row_each(self, world):
-        """The one-lookup encoding equals padding each record's own
+        """The response rows equal padding each record's own
         (y_w, y_l, y_w, y_l) encodings, bit for bit."""
         vocab, data, _ = world
         rows = _prepare(data, vocab, "short")
@@ -870,9 +890,6 @@ class TestEvaluate:
         """The eval prompts are tokenized by the first call only, once each:
         the later calls, under the same vocabulary or an equal one, read
         their rows from the memo."""
-        import shortlong.training as training_mod
-
-        training_mod._prompt_rows.cache_clear()
         vocab, _, eval_set = world
         tokenized = self.spy_tokenized(monkeypatch)
         per_call = []
@@ -887,9 +904,6 @@ class TestEvaluate:
     def test_mutated_record_is_tokenized_again(self, world, monkeypatch):
         """A record mutated in place after an evaluation is read under its new
         text, not from the memo."""
-        import shortlong.training as training_mod
-
-        training_mod._prompt_rows.cache_clear()
         vocab, _, eval_set = world
         records = [replace(s) for s in eval_set]
         model = ToyLM(vocab, hidden_dim=8, seed=0)
@@ -925,7 +939,6 @@ class TestEvaluate:
     def test_short_and_long_use_their_contexts(self, world, monkeypatch):
         import shortlong.training as training_mod
 
-        training_mod._prompt_rows.cache_clear()
         vocab, _, eval_set = world
         seen = []
         original = training_mod.encode_prompts
